@@ -15,19 +15,18 @@ the monitoring options, and :func:`run` executes the whole scenario:
     outcome.report()      # the monitor's deterministic report
 
 The lower-level :func:`build_world` / :func:`run_rollout` here are the
-*canonical* spellings of the old ``repro.simulation`` entrypoints --
-the old names still work but emit :class:`DeprecationWarning` and
-delegate to the same implementations, so both paths produce identical
-results (a property the shim tests pin byte-for-byte).
+only spellings of the hand-driven path (build a world, then drive the
+timeline over it); :func:`run` is exactly that composition.
 
-Both :func:`run` and :func:`run_rollout` accept ``workers=N`` to
-execute through the sharded multi-process engine
+There is one day loop (:mod:`repro.simulation.rollout`).  ``run`` and
+``run_rollout`` walk it over the whole population from one
+``Random(seed)`` by default -- the outputs existing golden fixtures
+pin -- and accept ``workers=N`` to walk it sharded
 (:mod:`repro.parallel`): the client population splits into ``shards``
-closed sub-worlds and reports merge back deterministically --
-byte-identical across worker counts, since the shard plan (not the
-pool size) is the unit of determinism.  ``workers=None`` (the
-default) keeps the single-RNG serial engine, whose outputs existing
-golden fixtures pin.
+closed slices, each run through the same loop in its own world, and
+reports merge back deterministically -- byte-identical across worker
+counts, since the shard plan (not the pool size) is the unit of
+determinism.
 """
 
 from __future__ import annotations
@@ -408,6 +407,25 @@ def _monitor_for_spec(spec: ScenarioSpec) -> RolloutMonitor:
     return RolloutMonitor.for_config(spec.rollout, rules=rules)
 
 
+def _realize(spec: ScenarioSpec, load_scale: float = 1.0):
+    """``spec -> (world, injector, profiler)``: the one place a spec's
+    planes are threaded into a live world, shared by :func:`run` and
+    every shard worker (which passes its shard count as
+    ``load_scale``)."""
+    profiler = (PhaseProfiler(config=spec.profile)
+                if spec.profile is not None else None)
+    world = _build_world(config=spec.world, policy=spec.policy,
+                         control_plane=spec.control_plane,
+                         unit_scheme=spec.unit_scheme,
+                         load_feedback=spec.load_feedback,
+                         load_scale=load_scale,
+                         profiler=profiler,
+                         resolver_policies=_resolver_policies_for(spec))
+    injector = (FaultInjector(world, spec.faults)
+                if spec.faults else None)
+    return world, injector, profiler
+
+
 def run_rollout(world: World,
                 config: Optional[RolloutConfig] = None,
                 observer=None,
@@ -435,23 +453,27 @@ def run_rollout(world: World,
             "workers=N cannot ship a live observer/injector to shard "
             "processes; compose a ScenarioSpec and use run(spec, "
             "workers=N)")
-    from repro.parallel import DEFAULT_SHARDS, run_sharded
+    return run(_spec_of_world(world, config or RolloutConfig()),
+               workers=workers, shards=shards).result
 
-    spec = ScenarioSpec(
+
+def _spec_of_world(world: World, config: RolloutConfig) -> ScenarioSpec:
+    """The spec that rebuilds ``world`` (every plane it was built
+    with), for shard workers to realize in their own processes."""
+    control_plane = world.control_plane
+    return ScenarioSpec(
         world=world.config,
-        rollout=config or RolloutConfig(),
-        control_plane=(world.control_plane.config
-                       if world.control_plane is not None else None),
-        unit_scheme=(getattr(world.control_plane, "unit_scheme", None)
-                     if world.control_plane is not None else None),
+        rollout=config,
+        control_plane=(control_plane.config
+                       if control_plane is not None else None),
+        unit_scheme=getattr(control_plane, "unit_scheme", None),
+        load_feedback=(world.load_tracker.config
+                       if world.load_tracker is not None else None),
         monitor=False,
         resolver_policies=(world.resolver_fleets.policies
                            if world.resolver_fleets is not None
                            else None),
     )
-    sharded = run_sharded(spec, workers=workers,
-                          n_shards=shards or DEFAULT_SHARDS)
-    return sharded.result
 
 
 def run(spec: Optional[ScenarioSpec] = None,
@@ -471,20 +493,10 @@ def run(spec: Optional[ScenarioSpec] = None,
                            n_shards=shards or DEFAULT_SHARDS)
     if shards is not None:
         raise ValueError("shards=N requires workers=N")
-    profiler = (PhaseProfiler(config=spec.profile)
-                if spec.profile is not None else None)
-    world = _build_world(config=spec.world, policy=spec.policy,
-                         control_plane=spec.control_plane,
-                         unit_scheme=spec.unit_scheme,
-                         load_feedback=spec.load_feedback,
-                         profiler=profiler,
-                         resolver_policies=_resolver_policies_for(spec))
-    injector = (FaultInjector(world, spec.faults)
-                if spec.faults else None)
+    world, injector, profiler = _realize(spec)
     monitor = _monitor_for_spec(spec) if spec.monitor else None
     result = _run_rollout(world, config=spec.rollout, observer=monitor,
-                          injector=injector,
-                          traffic=spec.traffic if spec.traffic else None)
+                          injector=injector, traffic=spec.traffic)
     return ScenarioRun(spec=spec, world=world, result=result,
                        monitor=monitor, injector=injector,
                        profiler=profiler)

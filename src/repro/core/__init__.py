@@ -18,8 +18,7 @@ The three request-routing policies of Section 6 are in
 (Equation 2), and client-aware NS-based (CANS).  Mapping units --
 per-LDNS, /x client blocks, BGP-CIDR-merged, per-/24 geo+AS, and
 routing-aware clusters -- are built by the pluggable ``UnitBuilder``
-registry in :mod:`repro.core.units` (Section 5.1;
-:mod:`repro.core.mapunits` remains as a deprecated shim).
+registry in :mod:`repro.core.units` (Section 5.1).
 """
 
 from repro.core.discovery import CandidateIndex, nearest_cluster
@@ -27,11 +26,6 @@ from repro.core.loadbalancer import (
     GlobalLoadBalancer,
     LoadBalancerConfig,
     LocalLoadBalancer,
-)
-from repro.core.mapunits import (
-    build_block_units,
-    build_ldns_units,
-    merge_units_by_cidr,
 )
 from repro.core.units import (
     MapUnit,
@@ -98,13 +92,10 @@ __all__ = [
     "TrafficClass",
     "UnitBuilder",
     "available_schemes",
-    "build_block_units",
-    "build_ldns_units",
     "build_ping_targets",
     "build_unit_index",
     "build_units",
     "get_builder",
-    "merge_units_by_cidr",
     "parse_unit_scheme",
     "register_builder",
 ]

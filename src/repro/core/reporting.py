@@ -111,8 +111,8 @@ def cluster_health(deployments: DeploymentPlan,
 def _world_registry(world) -> MetricsRegistry:
     """The world's metrics registry, built on the fly for bare worlds.
 
-    Worlds constructed by :func:`repro.simulation.world.build_world`
-    carry an observability plane; anything world-shaped but without one
+    Worlds constructed by :func:`repro.api.build_world` carry an
+    observability plane; anything world-shaped but without one
     (hand-wired test doubles) gets a throwaway registry with the same
     collectors attached, so both read identical metric names.
     """

@@ -1,4 +1,4 @@
-"""Pluggable mapping-unit construction (evolves ``repro.core.mapunits``).
+"""Pluggable mapping-unit construction.
 
 The unit *data model* and coverage analysis live in
 :mod:`repro.core.units.base`; construction strategies are

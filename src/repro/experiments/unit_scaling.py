@@ -36,8 +36,7 @@ from repro.api import run as run_scenario
 from repro.core.mapmaker import MapMakerConfig, TIERS, UNIT_TIERS
 from repro.experiments.base import ExperimentResult, ratio, render_result
 from repro.experiments.scales import get_scale, scale_names
-from repro.simulation.rollout import RolloutConfig, _run_rollout
-from repro.simulation.world import _build_world
+from repro.simulation.rollout import RolloutConfig
 
 EXPERIMENT_ID = "unit_scaling"
 TITLE = "Unit count vs mapping accuracy vs query rate, per scheme"
@@ -90,10 +89,8 @@ def _run_arm(spec: ScenarioSpec) -> Dict[str, Any]:
     granularity shows there -- the all-session medians are dominated
     by the NS-tier path every scheme shares.
     """
-    world = _build_world(config=spec.world,
-                         control_plane=spec.control_plane,
-                         unit_scheme=spec.unit_scheme)
-    result = _run_rollout(world, config=spec.rollout)
+    outcome = run_scenario(spec)
+    world, result = outcome.world, outcome.result
     snap = world.obs.registry.snapshot()
     counters = snap["counters"]
     sessions = sum(result.sessions_per_day.values())

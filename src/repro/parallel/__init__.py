@@ -4,14 +4,18 @@ The session loop is the simulator's wall-clock ceiling: the vectorized
 kernels cover mapping and scoring, but one Python process still walks
 every client session of every simulated day in sequence.  This package
 partitions the *client population* into closed sub-worlds (shards),
-runs them across worker processes, and merges their outputs back into
-one report -- byte-identical no matter how many workers ran, because
-the unit of determinism is the shard plan, not the process count.
+runs the one roll-out day loop (:mod:`repro.simulation.rollout`) over
+each slice across worker processes, and merges their outputs back
+into one report -- byte-identical no matter how many workers ran,
+because the unit of determinism is the shard plan, not the process
+count.
 
 * :mod:`repro.parallel.plan` -- the deterministic prefix partitioner
-  and the per-day session apportionment.
-* :mod:`repro.parallel.engine` -- the shard worker, the process pool,
-  and the monitor replay over merged per-day registries.
+  and the per-shard population slice (RNG stream, session quota,
+  block pick) the day loop runs over.
+* :mod:`repro.parallel.engine` -- the shard worker (build world, slice,
+  run the loop, package), the process pool, and the monitor replay
+  over merged per-day registries.
 * :mod:`repro.parallel.merge` -- the merge algebra for everything a
   shard produces (registries, RUM beacons, query logs, traces).
 

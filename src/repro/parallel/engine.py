@@ -12,13 +12,15 @@ sub-worlds (:mod:`repro.parallel.plan`) and executes them on up to
    functions of their seeds, so infrastructure (clusters, name
    servers, LDNS fleet, fault schedule, control plane) is replicated
    identically in every shard;
-2. replays the exact roll-out timeline (fault steps, control-plane
-   ticks, ECS tranche flips) while simulating **only its own blocks'
-   sessions**, drawn from a shard-local RNG seeded by
-   ``f"{seed}:shard:{index}"`` and paced by the shard's
-   largest-remainder session quota for each day;
-3. returns its registry, beacons, query log, traces, and -- when a
-   monitor is attached -- one registry clone per simulated day.
+2. runs the one roll-out day loop
+   (:func:`repro.simulation.rollout._run_rollout`) over **its own
+   slice of the population**
+   (:meth:`~repro.parallel.plan.ShardPlan.population_slice`): a
+   shard-local RNG seeded by ``f"{seed}:shard:{index}"``, the shard's
+   largest-remainder session quota for each day, and block picks
+   restricted to the shard's blocks;
+3. returns its result, registry, traces, and -- when a monitor is
+   attached -- one registry clone per simulated day.
 
 The parent merges everything in fixed shard order
 (:mod:`repro.parallel.merge`) and *replays the monitor* over the
@@ -31,21 +33,21 @@ Determinism contract
 ``workers`` only sizes the process pool; the shard plan (and hence
 every random draw) is fixed by ``n_shards``.  ``workers=1`` executes
 the same shards serially in-process, so reports are **byte-identical**
-across worker counts.  The legacy serial engine (``workers=None`` at
-the API layer) draws from one global RNG and remains the reference for
-existing golden fixtures; the sharded engine is its own determinism
-domain.
+across worker counts.  A serial run (``workers=None`` at the API
+layer) is the same loop over the whole population drawing from one
+``Random(seed)``; the timeline state it shares with every shard plan
+(session volume, ECS tranche, expectation groups) agrees exactly,
+while per-session draws belong to each plan's own RNG streams.
 """
 
 from __future__ import annotations
 
-import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.measurement.querylog import QueryLog
-from repro.measurement.rum import RumBeacon, RumCollector
+from repro.measurement.rum import RumBeacon
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import DISABLED_PROFILER, PhaseProfiler
 from repro.parallel.merge import (
@@ -56,14 +58,24 @@ from repro.parallel.merge import (
     merge_traces,
     sum_day_dicts,
 )
-from repro.parallel.plan import (
-    DEFAULT_SHARDS,
-    ShardPlan,
-    apportion,
-    plan_shards,
-)
+from repro.parallel.plan import DEFAULT_SHARDS, plan_shards
+from repro.simulation.rollout import RolloutResult, _run_rollout
 
-DAY_SECONDS = 86400.0
+
+class _DayCapture:
+    """``on_day`` observer feeding the parent's monitor replay: one
+    instrument-only registry clone per day (``clone()`` runs the
+    collectors first, so collector-backed gauges hold end-of-day
+    component state) plus the query log's cumulative totals."""
+
+    def __init__(self) -> None:
+        self.registries: Dict[int, MetricsRegistry] = {}
+        self.query_cums: Dict[int, Tuple[int, int]] = {}
+
+    def on_day(self, day: int, world, result) -> None:
+        self.registries[day] = world.obs.registry.clone()
+        self.query_cums[day] = (world.query_log.total_queries,
+                                world.query_log.ecs_queries)
 
 
 @dataclass
@@ -71,224 +83,56 @@ class ShardOutput:
     """Everything one shard worker ships back to the parent."""
 
     shard: int
+    result: RolloutResult
+    """The shard's own roll-out result (its beacons, query log, and
+    per-day tallies over its slice of the population)."""
     registry: MetricsRegistry
-    rum: RumCollector
-    query_log: QueryLog
     traces: List[Dict]
     trace_counts: Dict[str, int]
-    sessions_per_day: Dict[int, int]
-    requests_per_day: Dict[int, int]
-    failed_per_day: Dict[int, int]
-    degraded_per_day: Dict[int, int]
-    catchment_shifted_per_day: Dict[int, int]
-    ecs_resolvers_per_day: Dict[int, int]
-    high_expectation: List[str]
-    medians: Dict[str, float]
-    day_registries: Dict[int, MetricsRegistry] = field(
-        default_factory=dict)
-    day_query_cums: Dict[int, Tuple[int, int]] = field(
-        default_factory=dict)
+    capture: Optional[_DayCapture] = None
+    """Per-day registry clones, when a monitor will be replayed."""
     profiler: Optional[PhaseProfiler] = None
     """The shard's engine phase profile, when ``spec.profile`` opted
     in (phase trees pickle across the process boundary)."""
 
 
 def _shard_worker(payload: Tuple) -> ShardOutput:
-    """Run one shard end to end (executes inside a pool process).
-
-    A near-verbatim mirror of the serial day loop in
-    :func:`repro.simulation.rollout._run_rollout`; the deltas are
-    marked ``SHARD:`` -- the shard-local RNG, the apportioned session
-    quota, and the shard-restricted block pick.  Everything else
-    (fault steps, control-plane ticks, ECS flips, instrument writes)
-    replays the identical timeline in every shard.
-    """
+    """Run one shard end to end (executes inside a pool process):
+    build the world, slice the population, walk the shared day loop,
+    package the output."""
     (spec, shard, n_shards, capture_days, keep_beacons,
      pair_tracking) = payload
     # Imported here, not at module top: ``repro.api`` reaches into
-    # this package (lazily), and function-scope imports keep the edge
-    # acyclic in both directions.
-    from repro.cdn.server import DAILY_LOAD_RETENTION
-    from repro.faults import FaultInjector
-    from repro.simulation.world import _build_world
-    from repro.simulation.rollout import (
-        classify_expectation_groups,
-        split_expectation_groups,
-    )
-    from repro.simulation.session import simulate_session
-    from repro.topology.traffic import DayTraffic, day_weight
+    # this package (lazily), and a function-scope import keeps the
+    # edge acyclic in both directions.
+    from repro.api import _realize
 
-    from repro.api import _resolver_policies_for
-
-    profiler = (PhaseProfiler(config=spec.profile)
-                if spec.profile is not None else None)
-    # SHARD: each worker sees 1/n_shards of the demand, so observed
-    # load scales back up by n_shards to keep the utilization signal
-    # (and hence scoring penalties) aligned across worker counts.
-    world = _build_world(config=spec.world, policy=spec.policy,
-                         control_plane=spec.control_plane,
-                         unit_scheme=spec.unit_scheme,
-                         load_feedback=spec.load_feedback,
-                         load_scale=float(n_shards),
-                         profiler=profiler,
-                         resolver_policies=_resolver_policies_for(spec))
-    prof = world.obs.profiler
-    config = spec.rollout
-    injector = FaultInjector(world, spec.faults) if spec.faults else None
-    plan = plan_shards(world.internet, n_shards)
-    traffic = spec.traffic if spec.traffic else None
-    if traffic is not None:
-        blocks = world.internet.blocks
-        shard_blocks = [[blocks[i] for i in plan.block_indices[s]]
-                        for s in range(n_shards)]
-
-    # SHARD: one independent RNG per shard, seeded by (seed, shard).
-    # String seeds hash through SHA-512 inside random.Random, so the
-    # stream is stable across platforms and hash randomization.
-    rng = random.Random(f"{config.seed}:shard:{shard}")
-
-    with prof.phase("rollout.classify"):
-        medians = classify_expectation_groups(world)
-    high_expectation, _ = split_expectation_groups(
-        medians, config.expectation_threshold_miles)
-
-    world.disable_all_ecs()
-    if pair_tracking:
-        world.query_log.enable_pair_tracking()
-    public_ids = world.public_ldns_ids()
-
-    registry = world.obs.registry
-    rum = RumCollector()
-    output = ShardOutput(
-        shard=shard, registry=registry, rum=rum,
-        query_log=world.query_log, traces=[], trace_counts={},
-        sessions_per_day={}, requests_per_day={}, failed_per_day={},
-        degraded_per_day={}, catchment_shifted_per_day={},
-        ecs_resolvers_per_day={},
-        high_expectation=sorted(high_expectation), medians=medians)
-
-    for day in range(config.n_days):
-        with prof.phase("rollout.day"):
-            if injector is not None:
-                with prof.phase("faults.step"):
-                    injector.step(day)
-            if world.load_tracker is not None:
-                with prof.phase("loadfeedback.observe"):
-                    world.load_tracker.observe_day(world.deployments,
-                                                   registry)
-            world.deployments.decay_load(DAILY_LOAD_RETENTION)
-            if world.control_plane is not None:
-                with prof.phase("control_plane.tick"):
-                    world.control_plane.tick(day)
-
-            fraction = config.rollout_fraction(day)
-            n_enabled = int(round(fraction * len(public_ids)))
-            world.enable_ecs(public_ids[:n_enabled],
-                             source_prefix_len=config.ecs_source_len)
-            output.ecs_resolvers_per_day[day] = world.ecs_enabled_count()
-            registry.gauge("rollout.day", merge="max").set(day)
-            registry.gauge("rollout.ecs_resolvers", merge="max").set(
-                output.ecs_resolvers_per_day[day])
-
-            # SHARD: the global volume formula, apportioned by demand.
-            month = day // 30
-            sessions_global = int(round(
-                config.sessions_per_day
-                * (1.0 + config.monthly_growth * month)))
-            if traffic is not None:
-                # Volume scales by the *global* multiplier (identical in
-                # every worker), then apportions by surge-weighted shard
-                # demand so a shard holding the surging geo gets the extra
-                # sessions.
-                global_view = DayTraffic(traffic, day, world.internet.blocks)
-                sessions_global = max(1, int(round(
-                    sessions_global * global_view.volume_multiplier)))
-                weights = [day_weight(traffic, day, shard_blocks[s])
-                           for s in range(n_shards)]
-                quota = apportion(sessions_global, weights)[shard]
-                day_traffic = DayTraffic(traffic, day, shard_blocks[shard])
-            else:
-                quota = plan.sessions_for_day(sessions_global)[shard]
-                day_traffic = None
-            spacing = DAY_SECONDS / quota if quota else DAY_SECONDS
-
-            requests_today = 0
-            failed_today = 0
-            degraded_today = 0
-            shifted_today = 0
-            for index in range(quota):
-                now = day * DAY_SECONDS + index * spacing + rng.uniform(
-                    0, spacing * 0.5)
-                # SHARD: demand-weighted pick within this shard's blocks.
-                if day_traffic is not None:
-                    block = day_traffic.pick_block(rng)
-                    provider = day_traffic.pick_provider(rng, world.catalog)
-                    session = simulate_session(world, block, now, rng,
-                                               provider=provider)
-                else:
-                    block = plan.pick_block(shard, world.internet.blocks, rng)
-                    session = simulate_session(world, block, now, rng)
-                requests_today += session.requests
-                if session.failed:
-                    failed_today += 1
-                    continue
-                if session.degraded:
-                    degraded_today += 1
-                if session.catchment_shifted:
-                    shifted_today += 1
-                if keep_beacons:
-                    rum.record(RumBeacon(
-                        day=day,
-                        block=block.prefix,
-                        country=block.country,
-                        domain=session.domain,
-                        high_expectation=block.country in high_expectation,
-                        via_public_resolver=session.via_public_resolver,
-                        dns_ms=session.dns_ms,
-                        rtt_ms=session.rtt_ms,
-                        ttfb_ms=session.ttfb_ms,
-                        download_ms=session.download_ms,
-                        mapping_distance_miles=(
-                            session.mapping_distance_miles),
-                        server_ip=session.server_ip,
-                        ecs_used=session.ecs_used,
-                    ))
-            output.sessions_per_day[day] = quota
-            output.requests_per_day[day] = requests_today
-            output.failed_per_day[day] = failed_today
-            output.degraded_per_day[day] = degraded_today
-            output.catchment_shifted_per_day[day] = shifted_today
-            prof.count("sessions", quota)
-            prof.count("requests", requests_today)
-            registry.counter("rollout.sessions").inc(quota)
-            registry.counter("rollout.requests").inc(requests_today)
-            if failed_today:
-                registry.counter("rollout.failed_sessions").inc(failed_today)
-
-            if capture_days:
-                # One instrument-only clone per day feeds the parent's
-                # monitor replay; clone() runs the collectors first, so
-                # collector-backed gauges hold end-of-day component state.
-                output.day_registries[day] = registry.clone()
-                output.day_query_cums[day] = (
-                    world.query_log.total_queries,
-                    world.query_log.ecs_queries)
-
-    if injector is not None:
-        injector.finish()
+    # Each worker sees 1/n_shards of the demand, so observed load
+    # scales back up by n_shards to keep the utilization signal (and
+    # hence scoring penalties) aligned across worker counts.
+    world, injector, profiler = _realize(spec, load_scale=float(n_shards))
+    population = plan_shards(world.internet, n_shards).population_slice(
+        shard, world.internet.blocks, spec.rollout.seed)
+    capture = _DayCapture() if capture_days else None
+    result = _run_rollout(world, config=spec.rollout, observer=capture,
+                          injector=injector, traffic=spec.traffic,
+                          population=population,
+                          keep_beacons=keep_beacons,
+                          pair_tracking=pair_tracking)
 
     # Materialize collector gauges one last time, then detach the
     # world: only the registry's instrument state crosses the process
     # boundary (``MetricsRegistry.__getstate__`` drops collectors).
+    registry = world.obs.registry
     registry.collect()
     tracer = world.obs.tracer
-    output.traces = tracer.export()
-    output.trace_counts = {"started": tracer.started,
-                           "sampled": tracer.sampled,
-                           "dropped": tracer.dropped}
-    prof.count("spans_emitted", tracer.sampled)
-    output.profiler = profiler
-    return output
+    return ShardOutput(
+        shard=shard, result=result, registry=registry,
+        traces=tracer.export(),
+        trace_counts={"started": tracer.started,
+                      "sampled": tracer.sampled,
+                      "dropped": tracer.dropped},
+        capture=capture, profiler=profiler)
 
 
 # -- replay views ------------------------------------------------------------
@@ -439,28 +283,29 @@ def run_sharded(spec=None, *, workers: int = 1,
         merge_profiles(prof, [out.profiler for out in outputs])
 
     # -- merge, in fixed shard order --------------------------------------
-    from repro.simulation.rollout import RolloutResult
-
-    first = outputs[0]
+    results = [out.result for out in outputs]
+    first = results[0]
     with prof.phase("shard.merge"):
         result = RolloutResult(
             config=spec.rollout,
-            rum=merge_rum([out.rum for out in outputs]),
-            query_log=merge_query_logs(
-                [out.query_log for out in outputs]),
+            rum=merge_rum([r.rum for r in results]),
+            query_log=merge_query_logs([r.query_log for r in results]),
             sessions_per_day=sum_day_dicts(
-                out.sessions_per_day for out in outputs),
+                r.sessions_per_day for r in results),
             requests_per_day=sum_day_dicts(
-                out.requests_per_day for out in outputs),
+                r.requests_per_day for r in results),
             failed_sessions_per_day=sum_day_dicts(
-                out.failed_per_day for out in outputs),
+                r.failed_sessions_per_day for r in results),
             degraded_sessions_per_day=sum_day_dicts(
-                out.degraded_per_day for out in outputs),
+                r.degraded_sessions_per_day for r in results),
             catchment_shifted_per_day=sum_day_dicts(
-                out.catchment_shifted_per_day for out in outputs),
+                r.catchment_shifted_per_day for r in results),
+            # Timeline state is replicated, not additive: every shard
+            # computed the same values, so the first one speaks for all.
             ecs_resolvers_per_day=dict(first.ecs_resolvers_per_day),
-            high_expectation_countries=list(first.high_expectation),
-            median_public_distance=dict(first.medians),
+            high_expectation_countries=list(
+                first.high_expectation_countries),
+            median_public_distance=dict(first.median_public_distance),
         )
         registry = merge_registries([out.registry for out in outputs])
         traces = merge_traces([out.traces for out in outputs])
@@ -477,8 +322,8 @@ def run_sharded(spec=None, *, workers: int = 1,
         spec=spec, result=result, monitor=monitor, registry=registry,
         traces=traces, trace_counts=trace_counts, n_shards=n_shards,
         workers=workers,
-        shard_sessions=[sum(out.sessions_per_day.values())
-                        for out in outputs],
+        shard_sessions=[sum(r.sessions_per_day.values())
+                        for r in results],
         profiler=profiler)
 
 
@@ -497,9 +342,9 @@ def _replay_monitor(monitor, spec, outputs: List[ShardOutput],
     completed_cum = 0
     for day in range(spec.rollout.n_days):
         day_registry = merge_registries(
-            [out.day_registries[day] for out in outputs])
-        total = sum(out.day_query_cums[day][0] for out in outputs)
-        ecs = sum(out.day_query_cums[day][1] for out in outputs)
+            [out.capture.registries[day] for out in outputs])
+        total = sum(out.capture.query_cums[day][0] for out in outputs)
+        ecs = sum(out.capture.query_cums[day][1] for out in outputs)
         completed_cum += (result.sessions_per_day.get(day, 0)
                           - result.failed_sessions_per_day.get(day, 0))
         view = _ReplayResult(

@@ -17,19 +17,26 @@ timeline, name servers, cluster geometry -- is replicated identically
 everywhere.  Only client-driven activity differs per shard, and that
 is exactly the part the merge algebra can add back together.
 
-Per-day load: the serial engine draws ``sessions_today`` sessions from
-the global demand distribution.  Sharded, each shard must know its
-quota without coordinating, so the planner apportions the global count
-across shards by demand share with the largest-remainder method --
-deterministic, exact (quotas always sum to the global count), and
-stable under worker count.
+Per-day load: the day loop computes one global session count per day.
+Each shard must know its quota of it without coordinating, so the
+planner apportions the global count across shards by demand share with
+the largest-remainder method -- deterministic, exact (quotas always
+sum to the global count), and stable under worker count.
+:meth:`ShardPlan.population_slice` packages quota, block pick, and RNG
+stream as the :class:`~repro.simulation.rollout.PopulationSlice` the
+loop runs over; the whole population is the 1-shard case.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+import itertools
+import random
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
+
+from repro.simulation.rollout import PopulationSlice
+from repro.topology.traffic import day_weight
 
 #: Default shard count.  Fixed independently of ``workers`` so the
 #: shard plan -- and therefore every merged report byte -- is identical
@@ -91,11 +98,6 @@ class ShardPlan:
     demands: Tuple[float, ...]
     """Per shard: total client demand owned."""
 
-    # Derived per-shard pickers, built lazily (the plan is computed
-    # inside every worker, so nothing here crosses a process boundary).
-    _cum_demand: List[List[float]] = field(
-        default_factory=list, repr=False, compare=False)
-
     @property
     def total_demand(self) -> float:
         return sum(self.demands)
@@ -104,34 +106,43 @@ class ShardPlan:
         """Per-shard session quotas for one day's global count."""
         return apportion(sessions_today, self.demands)
 
-    def shard_cum_demand(self, shard: int,
-                         blocks: Sequence) -> List[float]:
-        """Cumulative demand over the shard's own blocks (for the
-        shard-local demand-weighted block pick)."""
-        while len(self._cum_demand) < self.n_shards:
-            self._cum_demand.append([])
-        cached = self._cum_demand[shard]
-        if not cached and self.block_indices[shard]:
-            running = 0.0
-            for index in self.block_indices[shard]:
-                running += blocks[index].demand
-                cached.append(running)
-        return cached
+    def population_slice(self, shard: int, blocks: Sequence,
+                         seed: int) -> PopulationSlice:
+        """The slice of ``blocks`` one shard worker's day loop serves.
 
-    def pick_block(self, shard: int, blocks: Sequence, rng):
-        """Demand-weighted block pick *within* one shard.
-
-        Mirrors :meth:`repro.topology.internet.Internet.pick_block`
-        (one uniform draw, bisect over cumulative demand) restricted to
-        the shard's own blocks.
+        * RNG: one independent stream per shard, seeded by (seed,
+          shard).  String seeds hash through SHA-512 inside
+          ``random.Random``, so the stream is stable across platforms
+          and hash randomization.
+        * Block pick: mirrors
+          :meth:`repro.topology.internet.Internet.pick_block` (one
+          uniform draw, bisect over cumulative demand) restricted to
+          the shard's own blocks.
+        * Quota: the global count apportioned by demand -- on a surge
+          day by surge-weighted demand, so a shard holding the surging
+          geo gets the extra sessions.
         """
-        indices = self.block_indices[shard]
-        if not indices:
-            raise ValueError(f"shard {shard} owns no client blocks")
-        cum = self.shard_cum_demand(shard, blocks)
-        target = rng.random() * cum[-1]
-        position = bisect.bisect_right(cum, target)
-        return blocks[indices[min(position, len(indices) - 1)]]
+        members = [[blocks[i] for i in indices]
+                   for indices in self.block_indices]
+        own = members[shard]
+        cum = list(itertools.accumulate(block.demand for block in own))
+
+        def pick_block(rng):
+            if not own:
+                raise ValueError(f"shard {shard} owns no client blocks")
+            position = bisect.bisect_right(cum, rng.random() * cum[-1])
+            return own[min(position, len(own) - 1)]
+
+        def quota(sessions_global: int, traffic, day: int) -> int:
+            if not traffic:
+                return self.sessions_for_day(sessions_global)[shard]
+            weights = [day_weight(traffic, day, shard_blocks)
+                       for shard_blocks in members]
+            return apportion(sessions_global, weights)[shard]
+
+        return PopulationSlice(
+            rng=random.Random(f"{seed}:shard:{shard}"),
+            blocks=own, pick_block=pick_block, quota=quota)
 
 
 def plan_shards(internet, n_shards: int = DEFAULT_SHARDS) -> ShardPlan:

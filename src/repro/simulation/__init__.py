@@ -10,12 +10,8 @@
 """
 
 from repro.simulation.session import SessionResult, simulate_session
-from repro.simulation.rollout import (
-    RolloutConfig,
-    RolloutResult,
-    run_rollout,
-)
-from repro.simulation.world import World, WorldConfig, build_world
+from repro.simulation.rollout import RolloutConfig, RolloutResult
+from repro.simulation.world import World, WorldConfig
 
 __all__ = [
     "RolloutConfig",
@@ -23,7 +19,5 @@ __all__ = [
     "SessionResult",
     "World",
     "WorldConfig",
-    "build_world",
-    "run_rollout",
     "simulate_session",
 ]

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import datetime
 import random
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.stats import weighted_quantile
 from repro.cdn.server import DAILY_LOAD_RETENTION
@@ -149,45 +148,57 @@ def split_expectation_groups(
     return high, set(medians) - high
 
 
-def classify_expectation_groups(
-    world: World,
-    threshold_miles: float = 1000.0,
-) -> Dict[str, float]:
+def classify_expectation_groups(world: World) -> Dict[str, float]:
     """Median client--public-LDNS distance per country (Section 4.1.1).
 
     Computed from NetSession pairing data exactly as the paper derives
-    its country split from Figure 8.
+    its country split from Figure 8; the caller applies the threshold
+    (:func:`split_expectation_groups`).
     """
     dataset = NetSessionCollector(world.internet).collect_ground_truth()
-    del threshold_miles  # classification threshold applied by caller
     return median_public_distances(
         dataset.observations,
         world.internet.public_resolver_ids(),
         {b.prefix: b.country for b in world.internet.blocks})
 
 
-def run_rollout(*, world: World,
-                config: Optional[RolloutConfig] = None,
-                observer=None) -> RolloutResult:
-    """Deprecated spelling of :func:`repro.api.run_rollout`.
+def _whole_quota(sessions_global: int, traffic, day: int) -> int:
+    return sessions_global
 
-    Kept as a keyword-only shim so existing callers keep working; new
-    code should compose a :class:`repro.api.ScenarioSpec` (or call
-    ``repro.api.run_rollout``) instead.
-    """
-    warnings.warn(
-        "repro.simulation.run_rollout is deprecated; use "
-        "repro.api.run_rollout (or repro.api.run with a ScenarioSpec)",
-        DeprecationWarning, stacklevel=2)
-    return _run_rollout(world, config=config, observer=observer)
+
+@dataclass
+class PopulationSlice:
+    """The part of the client population one pass of the day loop
+    serves -- everything that differs between the serial engine and a
+    shard worker.  The timeline walked over it is shared."""
+
+    rng: random.Random
+    """The slice's session RNG stream."""
+    blocks: Sequence
+    """The slice's client blocks, in world order (what a surge day's
+    :class:`~repro.topology.traffic.DayTraffic` view resolves over)."""
+    pick_block: Callable
+    """``rng -> block``: baseline demand-weighted pick in the slice."""
+    quota: Callable = _whole_quota
+    """``(sessions_global, traffic, day) -> int``: the slice's share
+    of one day's global session count."""
 
 
 def _run_rollout(world: World,
                  config: Optional[RolloutConfig] = None,
                  observer=None,
                  injector=None,
-                 traffic: Optional[TrafficSchedule] = None) -> RolloutResult:
+                 traffic: Optional[TrafficSchedule] = None,
+                 population: Optional[PopulationSlice] = None,
+                 keep_beacons: bool = True,
+                 pair_tracking: bool = True) -> RolloutResult:
     """Run the full roll-out timeline against a world.
+
+    The one day loop: the serial engine runs it over the whole
+    population, a shard worker over its ``population`` slice of a
+    world rebuilt from the same spec.  Everything but the slice (fault
+    steps, control-plane ticks, ECS flips, instrument writes) replays
+    identically in every shard.
 
     ``observer`` is an optional monitoring hook -- any object with an
     ``on_day(day, world, result)`` method (e.g.
@@ -206,9 +217,18 @@ def _run_rollout(world: World,
     each day's session volume, block picks, and provider picks flow
     through a :class:`~repro.topology.traffic.DayTraffic` view.  An
     empty/None schedule replays the legacy draw sequence bit-for-bit.
+
+    ``keep_beacons`` / ``pair_tracking`` are the sharded bench
+    harness's memory savers (see :func:`repro.parallel.run_sharded`).
     """
     config = config or RolloutConfig()
-    rng = random.Random(config.seed)
+    if population is None:
+        # The serial engine: every block, the full quota, one global
+        # RNG (shard slices come from ShardPlan.population_slice).
+        population = PopulationSlice(rng=random.Random(config.seed),
+                                     blocks=world.internet.blocks,
+                                     pick_block=world.internet.pick_block)
+    rng = population.rng
     profiler = world.obs.profiler
 
     with profiler.phase("rollout.classify"):
@@ -217,7 +237,8 @@ def _run_rollout(world: World,
         medians, config.expectation_threshold_miles)
 
     world.disable_all_ecs()
-    world.query_log.enable_pair_tracking()
+    if pair_tracking:
+        world.query_log.enable_pair_tracking()
     public_ids = world.public_ldns_ids()
 
     result = RolloutResult(
@@ -229,6 +250,7 @@ def _run_rollout(world: World,
     )
 
     registry = world.obs.registry
+    all_blocks = world.internet.blocks
     for day in range(config.n_days):
         with profiler.phase("rollout.day"):
             # --- fault schedule: break/recover targets for this day --------
@@ -267,15 +289,27 @@ def _run_rollout(world: World,
 
             # --- measurement volume grows month over month -----------------
             month = day // 30
-            sessions_today = int(round(
+            sessions_global = int(round(
                 config.sessions_per_day * (1.0 + config.monthly_growth * month)))
-            day_traffic = (DayTraffic(traffic, day, world.internet.blocks)
-                           if traffic else None)
-            if day_traffic is not None:
-                sessions_today = max(1, int(round(
-                    sessions_today * day_traffic.volume_multiplier)))
-            spacing = DAY_SECONDS / sessions_today
+            day_traffic = None
+            if traffic:
+                # Volume scales by the *global* multiplier (identical in
+                # every shard); the slice's quota then follows its
+                # surge-weighted share, and picks resolve over its own
+                # blocks (the whole population reuses the global view).
+                global_view = DayTraffic(traffic, day, all_blocks)
+                sessions_global = max(1, int(round(
+                    sessions_global * global_view.volume_multiplier)))
+                day_traffic = (
+                    global_view if population.blocks is all_blocks
+                    else DayTraffic(traffic, day, population.blocks))
+            sessions_today = population.quota(sessions_global, traffic, day)
+            spacing = (DAY_SECONDS / sessions_today if sessions_today
+                       else DAY_SECONDS)
 
+            # Bound once per day: the slice adds no per-session layer.
+            pick_block = (day_traffic.pick_block if day_traffic is not None
+                          else population.pick_block)
             requests_today = 0
             failed_today = 0
             degraded_today = 0
@@ -283,14 +317,11 @@ def _run_rollout(world: World,
             for index in range(sessions_today):
                 now = day * DAY_SECONDS + index * spacing + rng.uniform(
                     0, spacing * 0.5)
-                if day_traffic is not None:
-                    block = day_traffic.pick_block(rng)
-                    provider = day_traffic.pick_provider(rng, world.catalog)
-                    session = simulate_session(world, block, now, rng,
-                                               provider=provider)
-                else:
-                    block = world.internet.pick_block(rng)
-                    session = simulate_session(world, block, now, rng)
+                block = pick_block(rng)
+                provider = (day_traffic.pick_provider(rng, world.catalog)
+                            if day_traffic is not None else None)
+                session = simulate_session(world, block, now, rng,
+                                           provider=provider)
                 requests_today += session.requests
                 if session.failed:
                     # No page was loaded: nothing to beacon (real RUM
@@ -301,6 +332,8 @@ def _run_rollout(world: World,
                     degraded_today += 1
                 if session.catchment_shifted:
                     shifted_today += 1
+                if not keep_beacons:
+                    continue
                 result.rum.record(RumBeacon(
                     day=day,
                     block=block.prefix,

@@ -18,7 +18,6 @@ balancer choice of cluster for the client's LDNS").
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -206,21 +205,6 @@ class World:
 
     def public_ldns_ids(self) -> List[str]:
         return sorted(self.internet.public_resolver_ids())
-
-
-def build_world(*, config: Optional[WorldConfig] = None,
-                policy: Optional[MappingPolicy] = None) -> World:
-    """Deprecated spelling of :func:`repro.api.build_world`.
-
-    Kept as a keyword-only shim so existing callers keep working; new
-    code should compose a :class:`repro.api.ScenarioSpec` (or call
-    ``repro.api.build_world``) instead.
-    """
-    warnings.warn(
-        "repro.simulation.build_world is deprecated; use "
-        "repro.api.build_world (or repro.api.run with a ScenarioSpec)",
-        DeprecationWarning, stacklevel=2)
-    return _build_world(config=config, policy=policy)
 
 
 def _build_world(config: Optional[WorldConfig] = None,

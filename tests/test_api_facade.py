@@ -2,12 +2,10 @@
 
 Pins the API-redesign contracts:
 
-* the legacy ``repro.simulation`` spellings of ``build_world`` /
-  ``run_rollout`` are keyword-only shims that warn but produce results
-  identical to the canonical ``repro.api`` spellings (byte-for-byte at
-  the monitor-report level);
 * :class:`repro.api.ScenarioSpec` + :func:`repro.api.run` compose
-  world, roll-out, faults, and monitoring into one entrypoint;
+  world, roll-out, faults, and monitoring into one entrypoint, and
+  produce results identical to driving ``build_world`` +
+  ``run_rollout`` by hand (byte-for-byte at the monitor-report level);
 * ``python -m repro <subcommand>`` dispatches to every legacy CLI, and
   the legacy ``python -m repro.<module>`` spellings keep working with a
   stderr pointer while their stdout stays byte-identical.
@@ -17,7 +15,6 @@ import datetime
 import json
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -26,8 +23,6 @@ import repro.__main__ as repro_main
 from repro.api import ScenarioSpec, build_world, run, run_rollout
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.obs.monitor import RolloutMonitor
-from repro.simulation import rollout as rollout_mod
-from repro.simulation import world as world_mod
 from repro.simulation.rollout import RolloutConfig
 from repro.simulation.world import WorldConfig
 
@@ -44,45 +39,21 @@ SHORT = RolloutConfig(
 
 
 class TestDeprecatedShims:
-    def test_build_world_shim_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            world_mod.build_world(config=WorldConfig.tiny())
-
-    def test_run_rollout_shim_warns(self):
-        world = build_world(WorldConfig.tiny())
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            rollout_mod.run_rollout(world=world, config=SHORT)
-
-    def test_shims_are_keyword_only(self):
-        with pytest.raises(TypeError):
-            world_mod.build_world(WorldConfig.tiny())
-        world = build_world(WorldConfig.tiny())
-        with pytest.raises(TypeError):
-            rollout_mod.run_rollout(world, SHORT)
-
-    def test_canonical_spellings_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            world = build_world(WorldConfig.tiny())
-            run_rollout(world, SHORT)
+    """The shims are gone; what they pinned that is still a behaviour
+    -- facade == hand-driven -- stays, spelled canonically."""
 
     def test_legacy_and_api_paths_byte_identical(self):
-        """The acceptance property: old spelling, new spelling, same
-        bytes out of the monitor."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            world = world_mod.build_world(config=WorldConfig.tiny())
-            monitor = RolloutMonitor.for_config(SHORT)
-            legacy = rollout_mod.run_rollout(world=world, config=SHORT,
-                                             observer=monitor)
-        legacy_report = monitor.report({"path": "legacy"})
+        world = build_world(WorldConfig.tiny())
+        monitor = RolloutMonitor.for_config(SHORT)
+        by_hand = run_rollout(world, SHORT, observer=monitor)
+        by_hand_report = monitor.report({"path": "by hand"})
 
         outcome = run(ScenarioSpec(world=WorldConfig.tiny(),
                                    rollout=SHORT))
-        api_report = outcome.report({"path": "legacy"})
+        api_report = outcome.report({"path": "by hand"})
 
-        assert len(legacy.rum) == len(outcome.result.rum)
-        assert (json.dumps(legacy_report, sort_keys=True)
+        assert len(by_hand.rum) == len(outcome.result.rum)
+        assert (json.dumps(by_hand_report, sort_keys=True)
                 == json.dumps(api_report, sort_keys=True))
 
 

@@ -12,9 +12,13 @@ The headline contract is pinned three ways:
   reviewable fixture diff (regenerate with ``REGEN_GOLDEN=1``);
 * **plan algebra** -- the prefix partitioner and largest-remainder
   apportioner are pinned against hand-computed values, since every
-  byte above depends on them.
+  byte above depends on them;
+* **cross-engine agreement** -- serial and sharded runs walk one day
+  loop, so everything the timeline replicates (session volume, ECS
+  tranche, expectation groups) must agree exactly for any shard count.
 """
 
+import dataclasses
 import datetime
 import difflib
 import json
@@ -23,9 +27,16 @@ import random
 
 import pytest
 
-from repro.api import ScenarioSpec, build_world, run, run_rollout
+from repro.api import (
+    ScenarioSpec,
+    _spec_of_world,
+    build_world,
+    run,
+    run_rollout,
+)
 from repro.core.loadfeedback import LoadFeedbackConfig
 from repro.core.mapmaker import MapMakerConfig
+from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.faults.chaos import SoakConfig, _scenario_spec
 from repro.topology.traffic import TrafficSchedule, TrafficShape
 from repro.parallel import (
@@ -36,7 +47,7 @@ from repro.parallel import (
     shard_of_prefix,
 )
 from repro.simulation.rollout import RolloutConfig
-from repro.simulation.world import WorldConfig
+from repro.simulation.world import WorldConfig, _build_world
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -69,8 +80,6 @@ def _load_feedback_spec() -> ScenarioSpec:
     with the load-feedback loop on: the path where shard-local load
     accounting (scaled by ``n_shards``) must still merge and replay
     byte-identically."""
-    import dataclasses
-
     spec = _rollout_spec()
     return dataclasses.replace(
         spec,
@@ -116,6 +125,21 @@ def feedback_runs():
 @pytest.fixture(scope="module")
 def tiny_world():
     return build_world(WorldConfig.tiny())
+
+
+AGREEMENT_SPECS = {
+    "plain": {},
+    "surge": {"traffic": LOAD_FEEDBACK_SPEC.traffic},
+    "faults": {"faults": FaultSchedule((FaultEvent(
+        start_day=3, duration_days=4, target="ns:0",
+        kind=FaultKind.AUTH_OUTAGE),))},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(AGREEMENT_SPECS))
+def serial_run(request):
+    return run(dataclasses.replace(ROLLOUT_SPEC, monitor=False,
+                                   **AGREEMENT_SPECS[request.param]))
 
 
 # -- worker-count invariance -------------------------------------------------
@@ -173,6 +197,27 @@ class TestWorkerInvariance:
         assert 0.0 < demoted <= 1.0
         assert (feedback_runs[4].registry.snapshot()["gauges"]
                 ["mapping.load_demoted_share"] == demoted)
+
+
+# -- cross-engine agreement --------------------------------------------------
+
+class TestCrossEngineAgreement:
+    @pytest.mark.parametrize("shards", (1, 3, 8))
+    def test_sharded_run_replicates_the_serial_timeline(self, serial_run,
+                                                        shards):
+        """Sharding changes which slice of the population a worker
+        serves, never the timeline it walks."""
+        sharded = run(serial_run.spec, workers=1, shards=shards)
+        serial, merged = serial_run.result, sharded.result
+        assert merged.sessions_per_day == serial.sessions_per_day
+        assert merged.ecs_resolvers_per_day == serial.ecs_resolvers_per_day
+        assert (merged.high_expectation_countries
+                == serial.high_expectation_countries)
+        assert merged.median_public_distance == serial.median_public_distance
+        serial_gauges = serial_run.world.obs.registry.snapshot()["gauges"]
+        merged_gauges = sharded.registry.snapshot()["gauges"]
+        for name in ("rollout.day", "rollout.ecs_resolvers"):
+            assert merged_gauges[name] == serial_gauges[name]
 
 
 # -- golden fixtures ---------------------------------------------------------
@@ -325,9 +370,20 @@ class TestShardPlan:
         plan = plan_shards(internet, 4)
         rng = random.Random(3)
         own = {internet.blocks[i].prefix for i in plan.block_indices[2]}
+        population = plan.population_slice(2, internet.blocks, seed=5)
         for _ in range(64):
-            block = plan.pick_block(2, internet.blocks, rng)
-            assert block.prefix in own
+            assert population.pick_block(rng).prefix in own
+
+    def test_one_shard_slice_gets_the_global_quota(self, tiny_world):
+        """The 1-shard plan is the whole population: every block, and
+        the full session count on baseline and surge days alike."""
+        internet = tiny_world.internet
+        whole = plan_shards(internet, 1).population_slice(
+            0, internet.blocks, seed=5)
+        assert whole.blocks == internet.blocks
+        for day in range(ROLLOUT_SPEC.rollout.n_days):
+            for traffic in (None, LOAD_FEEDBACK_SPEC.traffic):
+                assert whole.quota(1234, traffic, day) == 1234
 
     def test_session_quotas_follow_demand(self, tiny_world):
         plan = plan_shards(tiny_world.internet, 4)
@@ -363,6 +419,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="observer"):
             run_rollout(tiny_world, ROLLOUT_SPEC.rollout,
                         observer=object(), workers=2)
+
+    def test_run_rollout_ships_every_world_plane_to_the_shards(self):
+        """Regression: the spec derived from a carrier world dropped
+        its load-feedback config, so ``run_rollout(world, workers=N)``
+        silently ran load-blind."""
+        spec = dataclasses.replace(
+            LOAD_FEEDBACK_SPEC, monitor=False, traffic=TrafficSchedule())
+        world = _build_world(config=spec.world,
+                             control_plane=spec.control_plane,
+                             load_feedback=spec.load_feedback)
+        assert _spec_of_world(world, spec.rollout) == spec
 
     def test_default_shard_count_is_eight(self):
         assert DEFAULT_SHARDS == 8

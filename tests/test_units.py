@@ -1,13 +1,10 @@
 """Tests for the pluggable unit-construction layer (repro.core.units).
 
-Covers the builder registry and scheme grammar, byte-parity of the
-deprecated ``repro.core.mapunits`` shims, determinism of the
+Covers the builder registry and scheme grammar, determinism of the
 routing-aware clustering, coverage/cohesion edge cases, and the
 ``ru:`` key path through the map maker's compile and the degradation
 ladder.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -131,39 +128,6 @@ class TestSchemeGrammar:
     def test_invalid_specs(self, spec):
         with pytest.raises(ValueError):
             parse_unit_scheme(spec)
-
-
-class TestDeprecatedShims:
-    def test_ldns_shim_warns_and_matches(self, net):
-        from repro.core import mapunits
-
-        with pytest.warns(DeprecationWarning, match="repro.core.units"):
-            old = mapunits.build_ldns_units(net)
-        new = build_units("ldns", net)
-        assert _unit_fingerprint(old) == _unit_fingerprint(new)
-
-    def test_block_shim_warns_and_matches(self, net):
-        from repro.core import mapunits
-
-        with pytest.warns(DeprecationWarning, match="repro.core.units"):
-            old = mapunits.build_block_units(net, 20)
-        new = build_units("block", net, prefix_len=20)
-        assert _unit_fingerprint(old) == _unit_fingerprint(new)
-
-    def test_merge_shim_warns_and_matches(self, net):
-        from repro.core import mapunits
-
-        with pytest.warns(DeprecationWarning, match="repro.core.units"):
-            old = mapunits.merge_units_by_cidr(net, 24)
-        new = build_units("bgp_merged", net, prefix_len=24)
-        assert _unit_fingerprint(old) == _unit_fingerprint(new)
-
-    def test_canonical_path_does_not_warn(self, net):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            build_units("ldns", net)
-            build_units("block", net, prefix_len=24)
-            build_units("bgp_merged", net, prefix_len=24)
 
 
 class TestBuilders:
