@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,8 @@ class LoadBalancerConfig:
             raise ValueError("utilization ceiling must be in (0, 1]")
         if self.servers_per_answer < 1:
             raise ValueError("must return at least one server")
+        if self.candidate_limit < 1:
+            raise ValueError("must score at least one candidate")
 
 
 class GlobalLoadBalancer:
@@ -122,16 +124,15 @@ class GlobalLoadBalancer:
                           ranked: Sequence[Cluster]) -> Optional[Cluster]:
         if not ranked:
             return None
-        for index, cluster in enumerate(
-                ranked[: max(self.config.candidate_limit, 1)]):
+        considered = ranked[: self.config.candidate_limit]
+        for index, cluster in enumerate(considered):
             if cluster.utilization < self.config.utilization_ceiling:
                 if index > 0:
                     self.spillovers += 1
                 return cluster
         # Everything over the ceiling: degrade gracefully to the
         # least-loaded candidate rather than failing the resolution.
-        fallback = min(ranked[: self.config.candidate_limit],
-                       key=lambda c: c.utilization)
+        fallback = min(considered, key=lambda c: c.utilization)
         self.spillovers += 1
         # Created lazily: fault-free runs at fixture scale never
         # saturate every candidate, so snapshots there are unchanged.
@@ -239,12 +240,20 @@ class LocalLoadBalancer:
 
     def __init__(self, config: Optional[LoadBalancerConfig] = None) -> None:
         self.config = config or LoadBalancerConfig()
+        # Rendezvous weights are a pure function of (provider, server
+        # address); bounded by providers x servers.
+        self._weights: Dict[Tuple[str, int], float] = {}
 
-    @staticmethod
-    def _weight(provider_key: str, server: EdgeServer) -> float:
-        digest = hashlib.blake2b(
-            f"{provider_key}|{server.ip}".encode(), digest_size=8).digest()
-        return int.from_bytes(digest, "big") / float(1 << 64)
+    def _weight(self, provider_key: str, server: EdgeServer) -> float:
+        key = (provider_key, server.ip)
+        weight = self._weights.get(key)
+        if weight is None:
+            digest = hashlib.blake2b(
+                f"{provider_key}|{server.ip}".encode(),
+                digest_size=8).digest()
+            weight = self._weights[key] = (
+                int.from_bytes(digest, "big") / float(1 << 64))
+        return weight
 
     def pick_servers(self, cluster: Cluster,
                      provider_key: str) -> List[EdgeServer]:

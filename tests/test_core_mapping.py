@@ -213,6 +213,12 @@ class TestGlobalLoadBalancer:
             LoadBalancerConfig(utilization_ceiling=0)
         with pytest.raises(ValueError):
             LoadBalancerConfig(servers_per_answer=0)
+        # candidate_limit=0 used to pass construction and then raise
+        # "min() arg is an empty sequence" from the all-over-ceiling
+        # fallback on a saturated world.
+        with pytest.raises(ValueError):
+            LoadBalancerConfig(candidate_limit=0)
+        assert LoadBalancerConfig(candidate_limit=1).candidate_limit == 1
 
 
 class TestLocalLoadBalancer:
@@ -228,6 +234,20 @@ class TestLocalLoadBalancer:
         a = [s.ip for s in llb.pick_servers(cluster, "provider0")]
         b = [s.ip for s in llb.pick_servers(cluster, "provider0")]
         assert a == b
+
+    def test_weight_memo_keeps_the_fresh_balancers_order(self, plan):
+        # Weights are hashed once per (provider, server) and per
+        # instance; a warmed balancer must answer like a fresh one.
+        warmed = LocalLoadBalancer(LoadBalancerConfig(servers_per_answer=4))
+        cluster = next(c for c in plan.clusters.values()
+                       if len(c.servers) >= 4)
+        for provider in ("provider0", "provider1", "provider0"):
+            fresh = LocalLoadBalancer(
+                LoadBalancerConfig(servers_per_answer=4))
+            assert ([s.ip for s in warmed.pick_servers(cluster, provider)]
+                    == [s.ip for s in fresh.pick_servers(cluster, provider)])
+        assert len(warmed._weights) == 2 * len(cluster.servers)
+        assert not LocalLoadBalancer()._weights
 
     def test_different_providers_spread(self, plan):
         llb = LocalLoadBalancer(LoadBalancerConfig(servers_per_answer=1))
