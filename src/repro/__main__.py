@@ -2,15 +2,7 @@
 
 Subcommands share the ``--seed`` / ``--format`` / ``--out`` flag
 conventions; everything after the subcommand name is handed to the
-subcommand's own parser unchanged, so existing invocations translate
-mechanically::
-
-    python -m repro.obs.monitor --seed 7      (deprecated spelling)
-    python -m repro monitor --seed 7          (canonical spelling)
-
-The old ``python -m repro.<module>`` entrypoints keep working and
-print a pointer to the new spelling on stderr (stdout stays
-byte-identical for consumers that parse it).
+subcommand's own parser unchanged.
 
 Exit-code contract (pinned by ``tests/test_cli_exit_codes.py``):
 

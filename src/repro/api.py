@@ -39,7 +39,7 @@ from typing import Dict, List, Optional
 
 from repro.core.loadfeedback import LoadFeedbackConfig
 from repro.core.mapmaker import MapMakerConfig
-from repro.core.policies import MappingPolicy
+from repro.core.policies import EUMappingPolicy, MappingPolicy
 from repro.faults import FaultInjector, FaultKind, FaultSchedule
 from repro.obs.monitor import RolloutMonitor
 from repro.obs.profile import PhaseProfiler, ProfileConfig
@@ -461,9 +461,18 @@ def _spec_of_world(world: World, config: RolloutConfig) -> ScenarioSpec:
     """The spec that rebuilds ``world`` (every plane it was built
     with), for shard workers to realize in their own processes."""
     control_plane = world.control_plane
+    # A rebuild wires EU mapping at the default scope; any other
+    # policy rides along so run_sharded refuses it instead of the
+    # shards silently running the default.
+    policy = world.mapping.policy
+    rebuilt = EUMappingPolicy(world.internet.geodb)
+    if (type(policy) is EUMappingPolicy
+            and policy.scope_prefix_len == rebuilt.scope_prefix_len):
+        policy = None
     return ScenarioSpec(
         world=world.config,
         rollout=config,
+        policy=policy,
         control_plane=(control_plane.config
                        if control_plane is not None else None),
         unit_scheme=getattr(control_plane, "unit_scheme", None),

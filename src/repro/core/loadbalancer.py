@@ -22,8 +22,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
-import numpy as np
-
 from repro.cdn.deployments import Cluster, DeploymentPlan
 from repro.cdn.server import EdgeServer
 from repro.core.policies import MapTarget
@@ -138,95 +136,6 @@ class GlobalLoadBalancer:
         # saturate every candidate, so snapshots there are unchanged.
         self.obs.registry.counter("lb.overloaded_picks").inc()
         return fallback
-
-    # -- batch path -------------------------------------------------------
-
-    def rank_clusters_batch(
-        self, targets: Sequence[MapTarget]
-    ) -> List[List[Cluster]]:
-        """Ranked candidate lists for many point targets at once.
-
-        One score-matrix pass through :meth:`Scorer.score_targets`
-        replaces ``len(targets) x len(live)`` scalar scoring calls.
-        Per-target output is identical to :meth:`rank_clusters`
-        (including the ``(score, cluster_id)`` tie break and the
-        candidate-index pre-cut); aggregate targets fall back to the
-        scalar path.
-        """
-        live, scores, position = self._score_matrix(targets)
-        out: List[List[Cluster]] = []
-        for column, target in enumerate(targets):
-            if target.is_aggregate:
-                out.append(self.rank_clusters(target))
-                continue
-            out.append(self._ranked_column(target, live, scores,
-                                           position, column))
-        return out
-
-    def pick_clusters_batch(
-        self, targets: Sequence[MapTarget]
-    ) -> List[Optional[Cluster]]:
-        """Batch :meth:`pick_cluster`: one score matrix, then the same
-        headroom walk per target.  Decision/spillover counters advance
-        exactly as the per-query path would."""
-        live, scores, position = self._score_matrix(targets)
-        out: List[Optional[Cluster]] = []
-        for column, target in enumerate(targets):
-            if target.is_aggregate:
-                out.append(self.pick_cluster(target))
-                continue
-            self.decisions += 1
-            ranked = self._ranked_column(target, live, scores, position,
-                                         column)
-            out.append(self._pick_from_ranked(ranked))
-        return out
-
-    def _score_matrix(
-        self, targets: Sequence[MapTarget]
-    ) -> Tuple[List[Cluster], np.ndarray, dict]:
-        """Live clusters (cluster_id order), their score matrix over
-        the point targets, and a cluster_id -> row index map."""
-        live = sorted(self.deployments.live_clusters(),
-                      key=lambda c: c.cluster_id)
-        point_targets = [t for t in targets if not t.is_aggregate]
-        if live and point_targets:
-            point_scores = self.scorer.score_targets(live, point_targets)
-        else:
-            point_scores = np.empty((len(live), len(point_targets)))
-        # Re-expand to one column per input target (aggregate columns
-        # are never read; they go through the scalar path).
-        scores = np.empty((len(live), len(targets)))
-        point_column = 0
-        for column, target in enumerate(targets):
-            if target.is_aggregate:
-                continue
-            scores[:, column] = point_scores[:, point_column]
-            point_column += 1
-        position = {c.cluster_id: row for row, c in enumerate(live)}
-        return live, scores, position
-
-    def _ranked_column(self, target: MapTarget, live: List[Cluster],
-                       scores: np.ndarray, position: dict,
-                       column: int) -> List[Cluster]:
-        """One target's ranked list from the precomputed score matrix.
-
-        Restricting the score row to the candidate subset (already in
-        cluster_id order) and stable-argsorting reproduces the scalar
-        ``(score, cluster_id)`` ordering bit-for-bit.
-        """
-        if self.candidate_index is not None:
-            candidates = sorted(
-                (c for c in self.candidate_index.candidates(target)
-                 if c.alive),
-                key=lambda c: c.cluster_id)
-            if not candidates:
-                candidates = live
-        else:
-            candidates = live
-        rows = np.fromiter((position[c.cluster_id] for c in candidates),
-                           dtype=np.int64, count=len(candidates))
-        order = np.argsort(scores[rows, column], kind="stable")
-        return [candidates[i] for i in order]
 
 
 class LocalLoadBalancer:

@@ -90,7 +90,7 @@ class EUMappingPolicy:
     (paper Section 2.1: "the name server can return a resolution that
     is valid for a superset of the client's /x IP block").  Returning a
     scope shorter than /24 trades mapping precision for cache reuse --
-    the ablation in ``benchmarks/test_ablation_scope.py`` sweeps this.
+    the ablation in ``tests/test_ablations.py`` sweeps this.
     """
 
     name = "eu"

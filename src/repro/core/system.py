@@ -23,7 +23,7 @@ without a control plane keep the per-query scoring path unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cdn.content import ContentCatalog
 from repro.cdn.deployments import Cluster, DeploymentPlan
@@ -177,40 +177,6 @@ class MappingSystem:
             return None, ()
         servers = self.local_lb.pick_servers(cluster, provider_name)
         return cluster, tuple(s.ip for s in servers)
-
-    # -- batch prefill (the periodic scoring pipeline) --------------------
-
-    def prefill_decisions(self, targets: Sequence[MapTarget],
-                          now: float) -> int:
-        """Warm the decision cache for many targets in one matrix pass.
-
-        This is the production shape of the scoring pipeline: score the
-        top-demand mapping units cluster x target in batch (Section
-        2.2's periodic pipeline), so the real-time name-server path
-        finds a fresh decision and never runs scalar scoring per query.
-        Targets with a live cached decision are left untouched; the
-        rest go through :meth:`GlobalLoadBalancer.pick_clusters_batch`,
-        which picks exactly what the per-query path would have.
-        Returns the number of decisions (re)filled.
-        """
-        stale = []
-        for target in targets:
-            decision = self._decisions.get(target)
-            if decision is not None and now < decision.expires_at and (
-                    decision.cluster.alive):
-                continue
-            stale.append(target)
-        if not stale:
-            return 0
-        filled = 0
-        clusters = self.global_lb.pick_clusters_batch(stale)
-        for target, cluster in zip(stale, clusters):
-            if cluster is None:
-                continue
-            self._decisions[target] = _Decision(
-                cluster=cluster, expires_at=now + self.decision_ttl)
-            filled += 1
-        return filled
 
     # -- internals ---------------------------------------------------------
 

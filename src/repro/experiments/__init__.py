@@ -6,7 +6,7 @@ a named scale (``tiny`` / ``small`` / ``paper``), returns an
 rows, headline summary numbers, and *shape checks* comparing the
 measured behaviour against the paper's qualitative claims.
 
-``python -m repro.experiments.cli run fig13 --scale small`` renders a
+``python -m repro experiment run fig13 --scale small`` renders a
 figure's data as an ASCII table; ``run all`` regenerates everything
 (this is how EXPERIMENTS.md is produced).
 """

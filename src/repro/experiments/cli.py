@@ -143,9 +143,3 @@ def main(argv: List[str] | None = None) -> int:
 
     parser.error(f"unknown command {args.command}")
     return 2
-
-
-if __name__ == "__main__":
-    print("note: 'python -m repro.experiments.cli' is deprecated; "
-          "use 'python -m repro experiment'", file=sys.stderr)
-    sys.exit(main())

@@ -1,12 +1,8 @@
 """Named scales for experiments.
 
-``tiny`` runs in seconds (unit tests and benches), ``small`` in a few
+``tiny`` runs in seconds (the tier-1 figure gate), ``small`` in a few
 minutes (interactive exploration), ``paper`` is the configuration the
-EXPERIMENTS.md numbers were recorded at.  ``large`` stresses *volume*
-rather than world size: one simulated day of 2^20 (~1.05M)
-client-block sessions over the tiny world -- the workload the sharded
-engine (``repro.parallel``) and its worker-scaling bench
-(``repro.bench.shard_scaling``) are sized against.
+EXPERIMENTS.md numbers were recorded at.
 """
 
 from __future__ import annotations
@@ -88,30 +84,6 @@ _SCALES = {
         fig25=Fig25Spec(universe_size=320, n_targets=800,
                         n_client_samples=1500, n_runs=10,
                         deployment_counts=(10, 20, 40, 80, 160, 320)),
-    ),
-    "large": ScaleSpec(
-        name="large",
-        internet=InternetConfig.tiny(),
-        world=WorldConfig.tiny(),
-        # One day at 2^20 sessions: a serial run takes ~10 minutes at
-        # ~1.5k sessions/s, so anything longer would make the
-        # worker-scaling bench (three runs of this) impractical.
-        rollout=RolloutConfig(
-            start_date=datetime.date(2014, 3, 1),
-            end_date=datetime.date(2014, 3, 1),
-            rollout_start=datetime.date(2014, 3, 1),
-            rollout_end=datetime.date(2014, 3, 1),
-            sessions_per_day=1_048_576,
-            seed=99,
-        ),
-        dnsload_before=DnsLoadConfig(lookups_per_day=70_000, n_days=1,
-                                     start_day=0, seed=1),
-        dnsload_after=DnsLoadConfig(lookups_per_day=70_000, n_days=1,
-                                    start_day=3, seed=2),
-        dnsload_ttl=1800,
-        fig25=Fig25Spec(universe_size=160, n_targets=300,
-                        n_client_samples=500, n_runs=4,
-                        deployment_counts=(10, 20, 40, 80, 160)),
     ),
     "paper": ScaleSpec(
         name="paper",

@@ -99,7 +99,7 @@ def get_dnsload(scale_name: str) -> DnsLoadArtifacts:
     )
     world = build_world(world_config)
     world.disable_all_ecs()
-    world.query_log.enable_pair_tracking()
+    world.query_log.track_pairs()
     day = 86400.0
 
     before_cfg = spec.dnsload_before

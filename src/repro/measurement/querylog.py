@@ -41,7 +41,7 @@ class QueryLog:
     _buckets_total: Dict[int, int] = field(default_factory=dict)
     _buckets_public: Dict[int, int] = field(default_factory=dict)
     _pair_counts: List[Tuple[float, PairKey]] = field(default_factory=list)
-    _pair_tracking: bool = False
+    _track_pairs: bool = False
 
     # -- QuerySink interface ------------------------------------------------
 
@@ -59,17 +59,14 @@ class QueryLog:
         if src_ip in self.public_resolver_ips:
             self._buckets_public[bucket] = self._buckets_public.get(
                 bucket, 0) + 1
-        if self._pair_tracking:
+        if self._track_pairs:
             self._pair_counts.append(
                 (now, PairKey(message.question.name, src_ip)))
 
     # -- pair tracking (Figure 24) -----------------------------------------
 
-    def enable_pair_tracking(self) -> None:
-        self._pair_tracking = True
-
-    def disable_pair_tracking(self) -> None:
-        self._pair_tracking = False
+    def track_pairs(self) -> None:
+        self._track_pairs = True
 
     def pair_counts(self, t_lo: float,
                     t_hi: float) -> Dict[PairKey, int]:

@@ -13,7 +13,7 @@ mapping distance, RTT/TTFB deltas, DNS query-rate inflation, Sections
   load-balancer pick), deterministic and bounded.
 * :mod:`~repro.obs.collect` -- snapshot-time collectors turning
   component-internal counters into canonical registry metrics.
-* ``python -m repro.obs.dump`` -- CLI that runs a scenario and dumps
+* ``python -m repro dump`` -- CLI that runs a scenario and dumps
   the metrics snapshot plus sample traces.
 
 One :class:`Observability` instance is wired through a

@@ -1,4 +1,4 @@
-"""``python -m repro.obs.dump`` -- run a scenario, dump metrics + traces.
+"""``python -m repro dump`` -- run a scenario, dump metrics + traces.
 
 Operator-facing observability CLI: builds a world, drives a
 deterministic batch of client sessions through the full DNS + download
@@ -7,10 +7,10 @@ traces.
 
 Usage::
 
-    PYTHONPATH=src python -m repro.obs.dump --scale tiny --sessions 25
-    PYTHONPATH=src python -m repro.obs.dump --format text
-    PYTHONPATH=src python -m repro.obs.dump --format prom   # scrapable
-    PYTHONPATH=src python -m repro.obs.dump --traces 2 --out obs.json
+    PYTHONPATH=src python -m repro dump --scale tiny --sessions 25
+    PYTHONPATH=src python -m repro dump --format text
+    PYTHONPATH=src python -m repro dump --format prom   # scrapable
+    PYTHONPATH=src python -m repro dump --traces 2 --out obs.json
 
 The JSON payload is ``{"scenario": {...}, "metrics": {...},
 "traces": [...]}`` with sorted keys and rounded floats, so two runs
@@ -86,7 +86,7 @@ def build_payload(world, scenario: dict, n_traces: int) -> dict:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.dump", description=__doc__,
+        prog="python -m repro dump", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--scale", default="tiny", choices=scale_names())
     parser.add_argument("--sessions", type=int, default=25)
@@ -165,11 +165,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-if __name__ == "__main__":
-    import sys as _sys
-
-    print("note: 'python -m repro.obs.dump' is deprecated; "
-          "use 'python -m repro dump'", file=_sys.stderr)
-    raise SystemExit(main())

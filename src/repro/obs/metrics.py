@@ -17,7 +17,7 @@ zero-dependency (stdlib + the numpy already underpinning the kernels)
 
 Two usage styles coexist:
 
-* **Direct instruments** for event-driven paths (sessions, benches):
+* **Direct instruments** for event-driven paths (sessions):
   ``registry.counter("sessions").inc()``.
 * **Collectors** for component-internal state: a collector is a
   callable run at snapshot time that writes gauges into the registry,

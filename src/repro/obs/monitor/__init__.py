@@ -11,7 +11,7 @@ all three into :func:`repro.simulation.rollout.run_rollout`.
 
 Run the seeded scenario from the command line::
 
-    PYTHONPATH=src python -m repro.obs.monitor --seed 7 --format json
+    PYTHONPATH=src python -m repro monitor --seed 7 --format json
 """
 
 from __future__ import annotations

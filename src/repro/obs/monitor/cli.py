@@ -1,4 +1,4 @@
-"""``python -m repro.obs.monitor`` -- monitored roll-out report.
+"""``python -m repro monitor`` -- monitored roll-out report.
 
 Drives the seeded Section 4 roll-out scenario with a
 :class:`~repro.obs.monitor.driver.RolloutMonitor` attached and emits
@@ -6,9 +6,9 @@ the deterministic ``{series, cohorts, alerts}`` report.
 
 Usage::
 
-    PYTHONPATH=src python -m repro.obs.monitor --seed 7 --format json
-    PYTHONPATH=src python -m repro.obs.monitor --format text
-    PYTHONPATH=src python -m repro.obs.monitor --sessions-per-day 40 \
+    PYTHONPATH=src python -m repro monitor --seed 7 --format json
+    PYTHONPATH=src python -m repro monitor --format text
+    PYTHONPATH=src python -m repro monitor --sessions-per-day 40 \
         --out monitor_report.json
 
 Two runs with the same arguments produce byte-identical output; the
@@ -92,7 +92,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.experiments.scales import scale_names
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.monitor", description=__doc__,
+        prog="python -m repro monitor", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--scale", default="tiny", choices=scale_names())
     parser.add_argument("--seed", type=int, default=7)

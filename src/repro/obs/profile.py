@@ -17,7 +17,7 @@ Two strictly separated signal families live in one tree:
   shard plan: byte-identical across runs, machines, and worker counts.
   The golden fixture pins them.
 * **Wall-clock timings** -- ``wall_s`` / ``self_wall_s`` per phase.
-  Reported (hotspot tables, flamegraphs, bench/v3 breakdowns), never
+  Reported (hotspot tables, flamegraphs), never
   golden-pinned.  The ``profile/v1`` document *declares* which fields
   are timing (``timing_fields``) and which top-level sections are
   host-dependent (``volatile_fields``), so
@@ -47,6 +47,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from dataclasses import dataclass
@@ -422,7 +424,7 @@ def render_hotspot_table(rows: Sequence[Dict]) -> List[str]:
     return lines
 
 
-# -- export: prometheus + bench integration ----------------------------------
+# -- export: prometheus ------------------------------------------------------
 
 def render_profile_prom(root: PhaseNode) -> List[str]:
     """The ``profile_*`` counter families for Prometheus exposition.
@@ -453,27 +455,6 @@ def render_profile_prom(root: PhaseNode) -> List[str]:
     return out
 
 
-def flatten_phases(root: PhaseNode) -> Dict[str, Dict]:
-    """Per-phase breakdown keyed by ``;``-joined path (bench/v3).
-
-    The root node itself is omitted (its path would name every run the
-    same); every recorded phase below it gets one row.
-    """
-    out: Dict[str, Dict] = {}
-    for path, node in root.walk():
-        if len(path) < 2:
-            continue
-        out[";".join(path[1:])] = {
-            "calls": node.calls,
-            "work": {key: _export_number(node.work[key])
-                     for key in sorted(node.work)},
-            "wall_s": round(node.wall_s, EXPORT_WALL_DECIMALS),
-            "self_wall_s": round(node.self_wall_s,
-                                 EXPORT_WALL_DECIMALS),
-        }
-    return out
-
-
 # -- CLI: python -m repro profile --------------------------------------------
 
 def _profile_config(text: str) -> ProfileConfig:
@@ -486,10 +467,21 @@ def _profile_config(text: str) -> ProfileConfig:
             f"bad profile config: {exc}") from None
 
 
+def host_fingerprint() -> Dict:
+    """Where a profile was measured (wall-clock is host-relative)."""
+    affinity = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else None)
+    return {
+        "cpus": os.cpu_count(),
+        "cpus_available": affinity,
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+    }
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     # Function-scope imports: the module itself stays stdlib-only so
     # ``repro.obs`` can import it without cycles.
-    from repro.bench.perf_report import host_fingerprint
     from repro.experiments.scales import get_scale, scale_names
     from repro.simulation.cli import positive_int
 

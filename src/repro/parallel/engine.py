@@ -100,8 +100,7 @@ def _shard_worker(payload: Tuple) -> ShardOutput:
     """Run one shard end to end (executes inside a pool process):
     build the world, slice the population, walk the shared day loop,
     package the output."""
-    (spec, shard, n_shards, capture_days, keep_beacons,
-     pair_tracking) = payload
+    spec, shard, n_shards, capture_days = payload
     # Imported here, not at module top: ``repro.api`` reaches into
     # this package (lazily), and a function-scope import keeps the
     # edge acyclic in both directions.
@@ -116,9 +115,7 @@ def _shard_worker(payload: Tuple) -> ShardOutput:
     capture = _DayCapture() if capture_days else None
     result = _run_rollout(world, config=spec.rollout, observer=capture,
                           injector=injector, traffic=spec.traffic,
-                          population=population,
-                          keep_beacons=keep_beacons,
-                          pair_tracking=pair_tracking)
+                          population=population)
 
     # Materialize collector gauges one last time, then detach the
     # world: only the registry's instrument state crosses the process
@@ -237,17 +234,8 @@ def _validate_parallelism(value, name: str) -> int:
 
 
 def run_sharded(spec=None, *, workers: int = 1,
-                n_shards: int = DEFAULT_SHARDS,
-                keep_beacons: bool = True,
-                pair_tracking: bool = True) -> ShardedRun:
-    """Execute one scenario sharded across worker processes.
-
-    ``keep_beacons`` / ``pair_tracking`` exist for the bench harness:
-    at millions of sessions per day the beacon list and pair-row log
-    dominate memory and inter-process transfer without affecting the
-    wall-clock being measured.  Leave both True for report-producing
-    runs.
-    """
+                n_shards: int = DEFAULT_SHARDS) -> ShardedRun:
+    """Execute one scenario sharded across worker processes."""
     from repro.api import ScenarioSpec, _monitor_for_spec
 
     spec = spec or ScenarioSpec()
@@ -256,8 +244,9 @@ def run_sharded(spec=None, *, workers: int = 1,
     if spec.policy is not None:
         raise ValueError(
             "sharded execution rebuilds the world in each worker and "
-            "cannot ship a live policy object; pass policy=None (the "
-            "default mapping) or run serially (workers=None)")
+            f"cannot ship a live {type(spec.policy).__name__} policy "
+            "object; pass policy=None (the default mapping) or run "
+            "serially (workers=None)")
 
     profiler = (PhaseProfiler(config=spec.profile)
                 if spec.profile is not None else None)
@@ -266,8 +255,8 @@ def run_sharded(spec=None, *, workers: int = 1,
     capture_days = spec.monitor
     with prof.phase("shard.plan"):
         prof.count("shards", n_shards)
-        payloads = [(spec, shard, n_shards, capture_days, keep_beacons,
-                     pair_tracking) for shard in range(n_shards)]
+        payloads = [(spec, shard, n_shards, capture_days)
+                    for shard in range(n_shards)]
     with prof.phase("shard.execute"):
         if workers == 1:
             outputs = [_shard_worker(payload) for payload in payloads]

@@ -63,8 +63,8 @@ def merge_query_logs(logs: Sequence[QueryLog]) -> QueryLog:
         public_resolver_ips=set(first.public_resolver_ips),
         bucket_seconds=first.bucket_seconds,
     )
-    if first._pair_tracking:
-        merged.enable_pair_tracking()
+    if first._track_pairs:
+        merged.track_pairs()
     for log in logs:
         merged.merge(log)
     return merged

@@ -327,9 +327,3 @@ def main(argv: List[str] | None = None) -> int:
         "status": _cmd_status,
     }
     return handlers[args.command](args)
-
-
-if __name__ == "__main__":
-    print("note: 'python -m repro.simulation.cli' is deprecated; "
-          "use 'python -m repro sim'", file=sys.stderr)
-    sys.exit(main())

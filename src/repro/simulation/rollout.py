@@ -189,9 +189,8 @@ def _run_rollout(world: World,
                  observer=None,
                  injector=None,
                  traffic: Optional[TrafficSchedule] = None,
-                 population: Optional[PopulationSlice] = None,
-                 keep_beacons: bool = True,
-                 pair_tracking: bool = True) -> RolloutResult:
+                 population: Optional[PopulationSlice] = None
+                 ) -> RolloutResult:
     """Run the full roll-out timeline against a world.
 
     The one day loop: the serial engine runs it over the whole
@@ -217,9 +216,6 @@ def _run_rollout(world: World,
     each day's session volume, block picks, and provider picks flow
     through a :class:`~repro.topology.traffic.DayTraffic` view.  An
     empty/None schedule replays the legacy draw sequence bit-for-bit.
-
-    ``keep_beacons`` / ``pair_tracking`` are the sharded bench
-    harness's memory savers (see :func:`repro.parallel.run_sharded`).
     """
     config = config or RolloutConfig()
     if population is None:
@@ -237,8 +233,7 @@ def _run_rollout(world: World,
         medians, config.expectation_threshold_miles)
 
     world.disable_all_ecs()
-    if pair_tracking:
-        world.query_log.enable_pair_tracking()
+    world.query_log.track_pairs()
     public_ids = world.public_ldns_ids()
 
     result = RolloutResult(
@@ -332,8 +327,6 @@ def _run_rollout(world: World,
                     degraded_today += 1
                 if session.catchment_shifted:
                     shifted_today += 1
-                if not keep_beacons:
-                    continue
                 result.rum.record(RumBeacon(
                     day=day,
                     block=block.prefix,

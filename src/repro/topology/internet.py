@@ -96,7 +96,7 @@ class InternetConfig:
     """Knobs of the topology generator.
 
     The class methods give the three standard scales: ``tiny`` for unit
-    tests, ``small`` for benches, ``paper`` for the EXPERIMENTS.md runs.
+    tests, ``small`` for exploration, ``paper`` for the EXPERIMENTS.md runs.
     """
 
     n_client_blocks: int = 6000

@@ -129,15 +129,3 @@ class TestLegacyEntrypoints:
         proc = _spawn(["repro"])
         assert proc.returncode == 2
         assert "usage: python -m repro" in proc.stdout
-
-    def test_legacy_dump_points_to_new_spelling(self):
-        """Old spelling still works, stderr points forward, stdout is
-        byte-identical to the canonical spelling."""
-        args = ["--sessions", "2", "--traces", "0", "--seed", "5"]
-        legacy = _spawn(["repro.obs.dump", *args])
-        unified = _spawn(["repro", "dump", *args])
-        assert legacy.returncode == 0 and unified.returncode == 0
-        assert "deprecated" in legacy.stderr
-        assert "python -m repro dump" in legacy.stderr
-        assert "deprecated" not in unified.stderr
-        assert legacy.stdout == unified.stdout

@@ -3,8 +3,7 @@
 Covers the vectorized hot paths wired in on top of the
 :mod:`repro.net.batch` kernels: TargetGrid nearest-target lookups
 (scalar scan as oracle), MeasurementService batch RTTs and cache
-coherence, Scorer.score_targets, GlobalLoadBalancer batch rank/pick,
-MappingSystem.prefill_decisions, and the canonical weighted-quantile
+coherence, Scorer.score_targets, and the canonical weighted-quantile
 implementation.
 """
 
@@ -19,8 +18,6 @@ from repro.analysis.stats import (
     weighted_quantiles,
 )
 from repro.cdn.deployments import build_deployments
-from repro.core.discovery import CandidateIndex
-from repro.core.loadbalancer import GlobalLoadBalancer, LoadBalancerConfig
 from repro.core.measurement import (
     MeasurementService,
     TargetGrid,
@@ -162,93 +159,6 @@ class TestBatchScoring:
         with pytest.raises(ValueError):
             scorer.score_targets(list(deployments.clusters.values()),
                                  [aggregate])
-
-
-class TestBatchLoadBalancer:
-    def _lb(self, net, deployments, with_index=False):
-        scorer = Scorer(MeasurementService(net.geodb))
-        index = (CandidateIndex(deployments) if with_index else None)
-        return GlobalLoadBalancer(deployments, scorer,
-                                  LoadBalancerConfig(),
-                                  candidate_index=index)
-
-    def test_rank_batch_matches_scalar(self, net, deployments, targets):
-        lb = self._lb(net, deployments)
-        map_targets = [MapTarget(geo=t.geo, asn=t.asn)
-                       for t in targets[:40]]
-        ranked_batch = lb.rank_clusters_batch(map_targets)
-        for target, ranked in zip(map_targets, ranked_batch):
-            scalar = lb.rank_clusters(target)
-            assert [c.cluster_id for c in ranked] == [
-                c.cluster_id for c in scalar]
-
-    def test_rank_batch_with_candidate_index(self, net, deployments,
-                                             targets):
-        lb = self._lb(net, deployments, with_index=True)
-        map_targets = [MapTarget(geo=t.geo, asn=t.asn)
-                       for t in targets[:40]]
-        ranked_batch = lb.rank_clusters_batch(map_targets)
-        for target, ranked in zip(map_targets, ranked_batch):
-            scalar = lb.rank_clusters(target)
-            assert [c.cluster_id for c in ranked] == [
-                c.cluster_id for c in scalar]
-
-    def test_pick_batch_matches_scalar(self, net, deployments, targets):
-        map_targets = [MapTarget(geo=t.geo, asn=t.asn)
-                       for t in targets[:40]]
-        lb_a = self._lb(net, deployments)
-        lb_b = self._lb(net, deployments)
-        picked_batch = lb_a.pick_clusters_batch(map_targets)
-        picked_scalar = [lb_b.pick_cluster(t) for t in map_targets]
-        assert [c.cluster_id for c in picked_batch] == [
-            c.cluster_id for c in picked_scalar]
-        assert lb_a.decisions == lb_b.decisions == len(map_targets)
-        assert lb_a.spillovers == lb_b.spillovers
-
-
-class TestPrefill:
-    def test_prefilled_decisions_match_per_query(self, net, deployments,
-                                                 targets):
-        from repro.cdn.content import build_catalog
-        from repro.core.policies import EUMappingPolicy
-        from repro.core.system import MappingSystem
-
-        def build_system():
-            scorer = Scorer(MeasurementService(net.geodb))
-            return MappingSystem(
-                deployments, build_catalog(5, seed=3),
-                EUMappingPolicy(net.geodb), scorer)
-
-        map_targets = [MapTarget(geo=t.geo, asn=t.asn)
-                       for t in targets[:30]]
-        prefilled = build_system()
-        filled = prefilled.prefill_decisions(map_targets, now=0.0)
-        assert filled == len(map_targets)
-
-        per_query = build_system()
-        for target in map_targets:
-            want = per_query._pick_cluster(target, now=0.0)
-            got = prefilled._pick_cluster(target, now=1.0)
-            assert got.cluster_id == want.cluster_id
-        # Every post-prefill lookup inside the TTL is a cache hit.
-        assert prefilled.stats.decision_cache_hits == len(map_targets)
-        assert prefilled.stats.decision_cache_misses == 0
-
-    def test_prefill_skips_fresh_entries(self, net, deployments, targets):
-        from repro.cdn.content import build_catalog
-        from repro.core.policies import EUMappingPolicy
-        from repro.core.system import MappingSystem
-
-        scorer = Scorer(MeasurementService(net.geodb))
-        system = MappingSystem(deployments, build_catalog(5, seed=3),
-                               EUMappingPolicy(net.geodb), scorer)
-        map_targets = [MapTarget(geo=t.geo, asn=t.asn)
-                       for t in targets[:10]]
-        assert system.prefill_decisions(map_targets, now=0.0) == 10
-        # Within the TTL nothing is refilled...
-        assert system.prefill_decisions(map_targets, now=30.0) == 0
-        # ...after expiry everything is.
-        assert system.prefill_decisions(map_targets, now=120.0) == 10
 
 
 class TestWeightedQuantiles:

@@ -1,11 +1,8 @@
-"""Tests for the experiment harness, registry, CLI, and cheap figures.
-
-The expensive figures (roll-out, DNS-load) are exercised end-to-end by
-the benchmark suite; here we cover the harness machinery plus the
-figures that run in well under a second at tiny scale.
+"""Tests for the experiment harness, registry and CLI, plus the
+paper-figure gate: every registered experiment runs at tiny scale and
+must pass its shape checks (the roll-out and DNS-load families share
+the runs memoized in ``repro.experiments.shared``).
 """
-
-import io
 
 import pytest
 
@@ -28,9 +25,6 @@ ALL_FIGURES = [
     "fig25", "ext-adoption", "degradation", "load_tradeoff",
     "unit_scaling", "resolver_matrix",
 ]
-
-CHEAP_FIGURES = ["fig05", "fig06", "fig07", "fig08", "fig09", "fig10",
-                 "fig11", "fig21", "fig22", "fig25"]
 
 
 class TestRegistry:
@@ -55,12 +49,7 @@ class TestRegistry:
 
 class TestScales:
     def test_known_scales(self):
-        assert scale_names() == ["large", "paper", "small", "tiny"]
-
-    def test_large_is_a_volume_scale(self):
-        large = get_scale("large")
-        assert large.rollout.sessions_per_day >= 1_000_000
-        assert large.rollout.n_days == 1
+        assert scale_names() == ["paper", "small", "tiny"]
 
     def test_scales_ordered_by_size(self):
         tiny = get_scale("tiny")
@@ -134,22 +123,23 @@ class TestSharedCaches:
         assert r1 != r3
 
 
-@pytest.mark.parametrize("experiment_id", CHEAP_FIGURES)
-def test_cheap_experiments_pass_at_tiny(experiment_id):
-    """Every Section 3/5/6 figure runs and passes its shape checks."""
-    result = get_experiment(experiment_id).run("tiny")
+@pytest.mark.parametrize("experiment_id", experiment_ids())
+def test_experiment_passes_at_tiny(experiment_id, tiny_result):
+    """Every registered experiment runs and passes its shape checks."""
+    result = tiny_result(experiment_id)
+    assert result.experiment_id == experiment_id
     assert result.scale == "tiny"
     assert result.rows, "experiment produced no rows"
     failed = [str(c) for c in result.checks if not c.passed]
     assert result.passed, "\n".join(failed)
 
 
-def test_load_tradeoff_experiment_passes_at_tiny():
+def test_load_tradeoff_experiment_passes_at_tiny(tiny_result):
     """The load-feedback trade: a flash crowd with feedback on must
     relieve overload (fewer all-candidates-over-ceiling picks, a
     flatter peak p95 utilization) at a bounded distance cost, and the
     load-aware run must shard deterministically (workers=1 == 4)."""
-    result = get_experiment("load_tradeoff").run("tiny")
+    result = tiny_result("load_tradeoff")
     failed = [str(c) for c in result.checks if not c.passed]
     assert result.passed, "\n".join(failed)
     by_arm = {row["arm"]: row for row in result.rows}
@@ -159,12 +149,12 @@ def test_load_tradeoff_experiment_passes_at_tiny():
     assert 1.0 <= result.summary["distance_ratio"] <= 2.25
 
 
-def test_unit_scaling_experiment_passes_at_tiny():
+def test_unit_scaling_experiment_passes_at_tiny(tiny_result):
     """The Section 5 axes over the pluggable unit API: routing-aware
     clustering must reach near-geo_as ECS-cohort accuracy from an
     ldns-scale unit budget, beat ldns at the matched count, and shard
     deterministically (workers=1 == 4)."""
-    result = get_experiment("unit_scaling").run("tiny")
+    result = tiny_result("unit_scaling")
     failed = [str(c) for c in result.checks if not c.passed]
     assert result.passed, "\n".join(failed)
     by_scheme = {row["scheme"]: row for row in result.rows}

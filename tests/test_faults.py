@@ -553,10 +553,8 @@ class TestFaultScenario:
 
 
 class TestDegradationExperiment:
-    def test_tiny_scale_passes_every_check(self):
-        from repro.experiments import degradation
-
-        result = degradation.run("tiny")
+    def test_tiny_scale_passes_every_check(self, tiny_result):
+        result = tiny_result("degradation")
         assert result.passed, [str(c) for c in result.checks
                                if not c.passed]
         kinds = [row["kind"] for row in result.rows]

@@ -194,9 +194,9 @@ class TestQueryLog:
         log.record_query(16.0, 100, 50, query)
         assert log.series() == [(0, 0.1), (1, 0.2)]
 
-    def test_pair_tracking(self):
+    def test_pair_counts_in_window(self):
         log = self.make_log()
-        log.enable_pair_tracking()
+        log.track_pairs()
         query = make_query("a.cdn.example")
         log.record_query(1.0, 100, 50, query)
         log.record_query(2.0, 100, 50, query)

@@ -165,7 +165,7 @@ def test_histogram_compaction_is_order_insensitive(seed):
 def _random_query_log(rng: random.Random,
                       events: int) -> QueryLog:
     log = QueryLog(authoritative_ips={1}, public_resolver_ips={2})
-    log.enable_pair_tracking()
+    log.track_pairs()
     _replay_queries(log, rng, events)
     return log
 
@@ -218,7 +218,7 @@ def test_query_log_empty_is_identity(seed):
     rng = random.Random(6000 + seed)
     log = _random_query_log(rng, rng.randint(5, 40))
     empty = QueryLog(authoritative_ips={1}, public_resolver_ips={2})
-    empty.enable_pair_tracking()
+    empty.track_pairs()
     merged = merge_query_logs([log, empty])
     assert merged.total_queries == log.total_queries
     assert merged.series() == log.series()
@@ -238,7 +238,7 @@ def test_query_log_shard_split_equals_union(seed):
 
     def _fresh():
         log = QueryLog(authoritative_ips={1}, public_resolver_ips={2})
-        log.enable_pair_tracking()
+        log.track_pairs()
         return log
 
     shards = [_fresh() for _ in range(n_shards)]

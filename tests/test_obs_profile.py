@@ -37,7 +37,6 @@ from repro.obs.profile import (
     deterministic_json,
     deterministic_view,
     export_tree,
-    flatten_phases,
     hotspot_rows,
     render_hotspot_table,
     render_profile_prom,
@@ -305,11 +304,6 @@ class TestExports:
         assert ('profile_phase_work_total{phase="engine;outer",'
                 'unit="units"} 2') in lines
         assert not any("wall" in line for line in lines)
-
-    def test_flatten_phases_omits_root(self):
-        flat = flatten_phases(self._small_profiler().root)
-        assert set(flat) == {"outer", "outer;inner"}
-        assert flat["outer"]["calls"] == 1
 
 
 # -- engine integration ------------------------------------------------------

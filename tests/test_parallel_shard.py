@@ -36,6 +36,7 @@ from repro.api import (
 )
 from repro.core.loadfeedback import LoadFeedbackConfig
 from repro.core.mapmaker import MapMakerConfig
+from repro.core.policies import EUMappingPolicy, NSMappingPolicy
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.faults.chaos import SoakConfig, _scenario_spec
 from repro.topology.traffic import TrafficSchedule, TrafficShape
@@ -430,6 +431,23 @@ class TestValidation:
                              control_plane=spec.control_plane,
                              load_feedback=spec.load_feedback)
         assert _spec_of_world(world, spec.rollout) == spec
+
+    def test_run_rollout_refuses_a_world_whose_policy_was_swapped(self):
+        """Regression: the derived spec never carried the world's
+        mapping policy, so the shards of an NS (or rescoped EU) world
+        silently ran the default EU mapping."""
+        world = build_world(WorldConfig.tiny())
+        geodb = world.internet.geodb
+        for policy in (NSMappingPolicy(geodb),
+                       EUMappingPolicy(geodb, scope_prefix_len=20)):
+            world.set_policy(policy)
+            with pytest.raises(ValueError,
+                               match=type(policy).__name__):
+                run_rollout(world, ROLLOUT_SPEC.rollout, workers=1)
+        world.set_policy(EUMappingPolicy(geodb))
+        result = run_rollout(world, ROLLOUT_SPEC.rollout, workers=1,
+                             shards=2)
+        assert len(result.rum) > 0
 
     def test_default_shard_count_is_eight(self):
         assert DEFAULT_SHARDS == 8
