@@ -29,6 +29,13 @@ _MAX_RINGS = int(180 // _CELL_DEG) + 1
 Cell = Tuple[int, int]
 
 
+def _wrap_column(column: int) -> int:
+    """Longitude column folded into ``-_LON_CELLS/2 .. _LON_CELLS/2 - 1``:
+    lon 180.0 is the same meridian as lon -180.0, and a ring that walks
+    off one edge of the grid comes back on the other."""
+    return (column + _LON_CELLS // 2) % _LON_CELLS - _LON_CELLS // 2
+
+
 class CandidateIndex:
     """Spatial pre-cut over clusters for candidate selection.
 
@@ -58,7 +65,8 @@ class CandidateIndex:
 
     @staticmethod
     def _cell(geo: GeoPoint) -> Cell:
-        return (int(geo.lat // _CELL_DEG), int(geo.lon // _CELL_DEG))
+        return (int(geo.lat // _CELL_DEG),
+                _wrap_column(int(geo.lon // _CELL_DEG)))
 
     def candidates(self, target: MapTarget) -> List[Cluster]:
         """Candidate clusters for a mapping target, as a fresh list.
@@ -111,9 +119,7 @@ class CandidateIndex:
         for ring in range(_MAX_RINGS):
             before = len(found)
             for dy, dx in _ring_offsets(ring):
-                cell = (home[0] + dy,
-                        (home[1] + dx + _LON_CELLS // 2) % _LON_CELLS
-                        - _LON_CELLS // 2)
+                cell = (home[0] + dy, _wrap_column(home[1] + dx))
                 # Rings wider than the grid wrap onto themselves.
                 if cell in visited:
                     continue

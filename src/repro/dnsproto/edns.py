@@ -7,10 +7,20 @@ for privacy) inside its query, and the authoritative answers with a
 "SCOPE PREFIX-LENGTH" /y declaring the block of clients for which the
 answer may be cached and reused, where y <= x is allowed to widen the
 answer's applicability.
+
+Which layer owns which check.  This module owns what RFC 6891/7871 say
+about the *contents* of OPT: EDNS version 0, the option TLVs adding up
+to RDLENGTH, at most one ECS option per family, a known family, SOURCE
+within the family's width, exactly the address bytes SOURCE calls for
+and no address bit beyond it.  SCOPE's range is checked by the option
+dataclasses themselves, so it holds however the object was built.  The
+fixed layouts are module-level ``struct.Struct``s; ``struct.error``
+becomes :class:`WireFormatError` where it is caught.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -23,6 +33,55 @@ from repro.dnsproto.types import (
 )
 from repro.dnsproto.wire import WireFormatError, WireReader, WireWriter
 from repro.net.ipv4 import Prefix, mask_of
+
+#: Root owner, TYPE, CLASS (= UDP payload size), TTL (= extended rcode,
+#: version, flags), RDLENGTH.
+_OPT_FIXED = struct.Struct("!BHHIH")
+#: OPTION-CODE, OPTION-LENGTH.
+_OPTION_HEADER = struct.Struct("!HH")
+#: FAMILY, SOURCE PREFIX-LENGTH, SCOPE PREFIX-LENGTH.
+_ECS_FIXED = struct.Struct("!HBB")
+
+
+def _encode_option(code: int, body: bytes) -> bytes:
+    try:
+        return _OPTION_HEADER.pack(code, len(body)) + body
+    except struct.error as exc:
+        raise WireFormatError(f"option field out of range: {exc}") from None
+
+
+def _encode_ecs(family: int, source_len: int, scope_len: int,
+                address: bytes) -> bytes:
+    try:
+        fixed = _ECS_FIXED.pack(family, source_len, scope_len)
+    except struct.error as exc:
+        raise WireFormatError(f"ECS field out of range: {exc}") from None
+    return fixed + address[:(source_len + 7) // 8]
+
+
+def _decode_ecs(data: bytes, family: int, width: int) -> Tuple[int, int, int]:
+    """Split an ECS option body into (address, source, scope).
+
+    ``width`` is the family's address size in bits.  The address comes
+    back left-aligned in that width.
+    """
+    try:
+        got_family, source_len, scope_len = _ECS_FIXED.unpack_from(data)
+    except struct.error:
+        raise WireFormatError("truncated ECS option") from None
+    if got_family != family:
+        raise WireFormatError(
+            f"unsupported ECS family {got_family} (expected {family})")
+    if source_len > width:
+        raise WireFormatError(f"bad ECS source length {source_len}")
+    raw = data[_ECS_FIXED.size:]
+    addr_bytes = (source_len + 7) // 8
+    if len(raw) < addr_bytes:
+        raise WireFormatError("truncated ECS address")
+    if len(raw) > addr_bytes:
+        raise WireFormatError("trailing bytes in ECS option")
+    address = int.from_bytes(raw, "big") << (width - 8 * addr_bytes)
+    return address, source_len, scope_len
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,31 +127,14 @@ class ClientSubnetOption:
     def encode(self) -> bytes:
         """Encode to option wire format (without the option TLV header)."""
         source_len = self.prefix.length
-        addr_bytes = (source_len + 7) // 8
         address = self.prefix.network & mask_of(source_len)
-        payload = WireWriter()
-        payload.u16(ECS_FAMILY_IPV4)
-        payload.u8(source_len)
-        payload.u8(self.scope_prefix_len)
-        payload.write(address.to_bytes(4, "big")[:addr_bytes])
-        return payload.getvalue()
+        return _encode_ecs(ECS_FAMILY_IPV4, source_len,
+                           self.scope_prefix_len, address.to_bytes(4, "big"))
 
     @classmethod
     def decode(cls, data: bytes) -> "ClientSubnetOption":
-        reader = WireReader(data)
-        family = reader.u16()
-        if family != ECS_FAMILY_IPV4:
-            raise WireFormatError(
-                f"unsupported ECS family {family} (IPv4 only)")
-        source_len = reader.u8()
-        scope_len = reader.u8()
-        if source_len > 32:
-            raise WireFormatError(f"bad ECS source length {source_len}")
-        addr_bytes = (source_len + 7) // 8
-        raw = reader.read(addr_bytes)
-        if reader.remaining:
-            raise WireFormatError("trailing bytes in ECS option")
-        address = int.from_bytes(raw + b"\x00" * (4 - len(raw)), "big")
+        address, source_len, scope_len = _decode_ecs(
+            data, ECS_FAMILY_IPV4, 32)
         if address & ~mask_of(source_len) & 0xFFFFFFFF:
             # RFC 7871 Section 6: bits beyond SOURCE PREFIX-LENGTH must
             # be zero; anything else gets FORMERR.
@@ -139,30 +181,13 @@ class ClientSubnetV6Option:
                                     scope_prefix_len)
 
     def encode(self) -> bytes:
-        addr_bytes = (self.source_prefix_len + 7) // 8
-        payload = WireWriter()
-        payload.u16(ECS_FAMILY_IPV6)
-        payload.u8(self.source_prefix_len)
-        payload.u8(self.scope_prefix_len)
-        payload.write(self.address.to_bytes(16, "big")[:addr_bytes])
-        return payload.getvalue()
+        return _encode_ecs(ECS_FAMILY_IPV6, self.source_prefix_len,
+                           self.scope_prefix_len,
+                           self.address.to_bytes(16, "big"))
 
     @classmethod
     def decode(cls, data: bytes) -> "ClientSubnetV6Option":
-        reader = WireReader(data)
-        family = reader.u16()
-        if family != ECS_FAMILY_IPV6:
-            raise WireFormatError(f"not a v6 ECS option: family {family}")
-        source_len = reader.u8()
-        scope_len = reader.u8()
-        if source_len > 128:
-            raise WireFormatError(f"bad v6 source length {source_len}")
-        addr_bytes = (source_len + 7) // 8
-        raw = reader.read(addr_bytes)
-        if reader.remaining:
-            raise WireFormatError("trailing bytes in v6 ECS option")
-        address = int.from_bytes(raw + b"\x00" * (16 - len(raw)), "big")
-        return cls(address, source_len, scope_len)
+        return cls(*_decode_ecs(data, ECS_FAMILY_IPV6, 128))
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,31 +215,24 @@ class OptRecord:
 
     def encode(self, writer: WireWriter) -> None:
         opts = self.options
-        writer.u8(0)  # root owner name
-        writer.u16(QType.OPT)
-        writer.u16(opts.payload_size)
         ttl = (opts.extended_rcode << 24) | (opts.version << 16)
         if opts.dnssec_ok:
             ttl |= 0x8000
-        writer.u32(ttl)
-        rdata = WireWriter()
+        rdata = b""
         if opts.client_subnet is not None:
-            body = opts.client_subnet.encode()
-            rdata.u16(EDNS_CLIENT_SUBNET)
-            rdata.u16(len(body))
-            rdata.write(body)
+            rdata = _encode_option(EDNS_CLIENT_SUBNET,
+                                   opts.client_subnet.encode())
         if opts.client_subnet_v6 is not None:
-            body = opts.client_subnet_v6.encode()
-            rdata.u16(EDNS_CLIENT_SUBNET)
-            rdata.u16(len(body))
-            rdata.write(body)
+            rdata += _encode_option(EDNS_CLIENT_SUBNET,
+                                    opts.client_subnet_v6.encode())
         for code, body in opts.unknown_options:
-            rdata.u16(code)
-            rdata.u16(len(body))
-            rdata.write(body)
-        payload = rdata.getvalue()
-        writer.u16(len(payload))
-        writer.write(payload)
+            rdata += _encode_option(code, body)
+        try:
+            writer.buf += _OPT_FIXED.pack(
+                0, QType.OPT, opts.payload_size, ttl, len(rdata))
+        except struct.error as exc:
+            raise WireFormatError(f"OPT field out of range: {exc}") from None
+        writer.buf += rdata
 
     @classmethod
     def decode_body(cls, reader: WireReader, rclass: int,
@@ -225,14 +243,21 @@ class OptRecord:
         if version != 0:
             raise WireFormatError(f"unsupported EDNS version {version}")
         dnssec_ok = bool(ttl & 0x8000)
-        end = reader.pos + rdlength
+        data = reader.data
+        pos = reader.pos
+        end = pos + rdlength
         client_subnet: Optional[ClientSubnetOption] = None
         client_subnet_v6: Optional[ClientSubnetV6Option] = None
         unknown: List[Tuple[int, bytes]] = []
-        while reader.pos < end:
-            code = reader.u16()
-            length = reader.u16()
-            body = reader.read(length)
+        while pos < end:
+            try:
+                code, length = _OPTION_HEADER.unpack_from(data, pos)
+            except struct.error:
+                raise WireFormatError("truncated message (option)") from None
+            pos += _OPTION_HEADER.size + length
+            if pos > reader.end:
+                raise WireFormatError("truncated message (option body)")
+            body = data[pos - length:pos]
             if code == EDNS_CLIENT_SUBNET:
                 if len(body) < 2:
                     raise WireFormatError("ECS option too short")
@@ -247,14 +272,11 @@ class OptRecord:
                     client_subnet = ClientSubnetOption.decode(body)
             else:
                 unknown.append((code, body))
-        if reader.pos != end:
+        if pos != end:
             raise WireFormatError("OPT rdata length mismatch")
-        return cls(EdnsOptions(
-            payload_size=rclass,
-            extended_rcode=extended_rcode,
-            version=version,
-            dnssec_ok=dnssec_ok,
-            client_subnet=client_subnet,
-            client_subnet_v6=client_subnet_v6,
-            unknown_options=tuple(unknown),
-        ))
+        reader.pos = pos
+        # Positional: keyword binding is a third of this constructor's
+        # cost, and the field order is the dataclass above.
+        return cls(EdnsOptions(rclass, extended_rcode, version, dnssec_ok,
+                               client_subnet, client_subnet_v6,
+                               tuple(unknown)))

@@ -5,11 +5,25 @@ EDNS0 via the OPT pseudo-record.  The in-memory transport still encodes
 every message to bytes and decodes on receipt, so protocol details
 (compression, ECS validation, truncation of malformed input) are
 exercised on every simulated query.
+
+Which layer owns which check.  This module owns *framing*: the section
+counts, the fixed record header, RDLENGTH agreeing with the rdata
+decoded, where OPT may appear (once, owned by the root) and that
+nothing trails the last record.  The fixed layouts are module-level
+``struct.Struct``s, packed and unpacked in one call each; a
+``struct.error`` (message too short, field does not fit) becomes
+:class:`WireFormatError` where it is caught.  Name rules belong to
+:mod:`repro.dnsproto.name`, rdata and option contents to
+:mod:`repro.dnsproto.rdata` and :mod:`repro.dnsproto.edns`, and value
+ranges that hold for the object as well as the wire (TTL, addresses,
+prefix lengths) to the dataclasses' ``__post_init__``.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
 from repro.dnsproto.edns import ClientSubnetOption, EdnsOptions, OptRecord
@@ -17,6 +31,15 @@ from repro.dnsproto.name import decode_name, encode_name, normalize_name
 from repro.dnsproto.rdata import Rdata, decode_rdata
 from repro.dnsproto.types import Opcode, QClass, QType, Rcode
 from repro.dnsproto.wire import WireFormatError, WireReader, WireWriter
+
+#: ID, flags, QDCOUNT, ANCOUNT, NSCOUNT, ARCOUNT (RFC 1035 4.1.1).
+_HEADER = struct.Struct("!HHHHHH")
+#: QTYPE, QCLASS after a question's name.
+_QUESTION_TAIL = struct.Struct("!HH")
+#: TYPE, CLASS, TTL, RDLENGTH after a record's owner name.
+_RR_FIXED = struct.Struct("!HHIH")
+_RDLENGTH = struct.Struct("!H")
+_OPT_RTYPE = int(QType.OPT).to_bytes(2, "big")
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,9 +70,12 @@ class Flags:
         value |= self.rcode & 0xF
         return value
 
-    @classmethod
-    def decode(cls, value: int) -> "Flags":
-        return cls(
+    @staticmethod
+    @lru_cache(maxsize=1024)
+    def decode(value: int) -> "Flags":
+        """The flags of a header word; one shared (frozen) instance
+        per word while it stays in the memo."""
+        return Flags(
             qr=bool(value & 0x8000),
             opcode=(value >> 11) & 0xF,
             aa=bool(value & 0x0400),
@@ -74,13 +100,22 @@ class Question:
     def encode(self, writer: WireWriter,
                compress: Optional[Dict[str, int]]) -> None:
         encode_name(writer, self.name, compress)
-        writer.u16(self.qtype)
-        writer.u16(self.qclass)
+        try:
+            writer.buf += _QUESTION_TAIL.pack(self.qtype, self.qclass)
+        except struct.error as exc:
+            raise WireFormatError(
+                f"question field out of range: {exc}") from None
 
     @classmethod
     def decode(cls, reader: WireReader) -> "Question":
         name = decode_name(reader)
-        return cls(name, reader.u16(), reader.u16())
+        try:
+            qtype, qclass = _QUESTION_TAIL.unpack_from(reader.data,
+                                                       reader.pos)
+        except struct.error:
+            raise WireFormatError("truncated message (question)") from None
+        reader.pos += _QUESTION_TAIL.size
+        return cls(name, qtype, qclass)
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,22 +140,27 @@ class ResourceRecord:
     def encode(self, writer: WireWriter,
                compress: Optional[Dict[str, int]]) -> None:
         encode_name(writer, self.name, compress)
-        writer.u16(self.rtype)
-        writer.u16(self.rclass)
-        writer.u32(self.ttl)
-        rdlength_at = writer.offset
-        writer.u16(0)  # placeholder, patched below
-        rdata_start = writer.offset
-        self.rdata.encode(writer, compress)
-        writer.patch_u16(rdlength_at, writer.offset - rdata_start)
+        buf = writer.buf
+        try:
+            # RDLENGTH is a placeholder, patched once the rdata is out.
+            buf += _RR_FIXED.pack(self.rtype, self.rclass, self.ttl, 0)
+            rdata_start = len(buf)
+            self.rdata.encode(writer, compress)
+            _RDLENGTH.pack_into(buf, rdata_start - _RDLENGTH.size,
+                                len(buf) - rdata_start)
+        except struct.error as exc:
+            raise WireFormatError(
+                f"record field out of range: {exc}") from None
 
     @classmethod
     def decode(cls, reader: WireReader) -> "ResourceRecord":
         name = decode_name(reader)
-        rtype = reader.u16()
-        rclass = reader.u16()
-        ttl = reader.u32()
-        rdlength = reader.u16()
+        try:
+            rtype, rclass, ttl, rdlength = _RR_FIXED.unpack_from(
+                reader.data, reader.pos)
+        except struct.error:
+            raise WireFormatError("truncated message (record)") from None
+        reader.pos += _RR_FIXED.size
         rdata = decode_rdata(reader, rtype, rdlength)
         return cls(name, rtype, ttl, rdata, rclass)
 
@@ -166,13 +206,14 @@ class Message:
     def encode(self) -> bytes:
         writer = WireWriter()
         compress: Dict[str, int] = {}
-        writer.u16(self.msg_id)
-        writer.u16(self.flags.encode())
-        writer.u16(len(self.questions))
-        writer.u16(len(self.answers))
-        writer.u16(len(self.authorities))
-        n_additional = len(self.additionals) + (1 if self.opt else 0)
-        writer.u16(n_additional)
+        try:
+            writer.buf += _HEADER.pack(
+                self.msg_id, self.flags.encode(), len(self.questions),
+                len(self.answers), len(self.authorities),
+                len(self.additionals) + (1 if self.opt else 0))
+        except struct.error as exc:
+            raise WireFormatError(
+                f"header field out of range: {exc}") from None
         for question in self.questions:
             question.encode(writer, compress)
         for record in self.answers:
@@ -188,34 +229,45 @@ class Message:
     @classmethod
     def decode(cls, data: bytes) -> "Message":
         reader = WireReader(data)
-        msg_id = reader.u16()
-        flags = Flags.decode(reader.u16())
-        qdcount = reader.u16()
-        ancount = reader.u16()
-        nscount = reader.u16()
-        arcount = reader.u16()
+        data = reader.data
+        try:
+            (msg_id, flag_word, qdcount, ancount, nscount,
+             arcount) = _HEADER.unpack_from(data, 0)
+        except struct.error:
+            raise WireFormatError("truncated message (header)") from None
+        reader.pos = _HEADER.size
+        flags = Flags.decode(flag_word)
         questions = [Question.decode(reader) for _ in range(qdcount)]
-        answers = [ResourceRecord.decode(reader) for _ in range(ancount)]
-        authorities = [ResourceRecord.decode(reader) for _ in range(nscount)]
+        # A comprehension costs a call even over an empty range, and
+        # most messages have an empty answer or authority section.
+        answers = ([ResourceRecord.decode(reader) for _ in range(ancount)]
+                   if ancount else [])
+        authorities = ([ResourceRecord.decode(reader)
+                        for _ in range(nscount)] if nscount else [])
         additionals: List[ResourceRecord] = []
         opt: Optional[OptRecord] = None
         for _ in range(arcount):
             mark = reader.pos
             name = decode_name(reader)
-            rtype = reader.u16()
-            if rtype == QType.OPT:
-                if name:
-                    raise WireFormatError("OPT owner name must be root")
-                if opt is not None:
-                    raise WireFormatError("duplicate OPT record")
-                rclass = reader.u16()
-                ttl = reader.u32()
-                rdlength = reader.u16()
-                opt = OptRecord.decode_body(reader, rclass, ttl, rdlength)
-            else:
-                reader.seek(mark)
+            fixed_at = reader.pos
+            if data[fixed_at:fixed_at + 2] != _OPT_RTYPE:
+                # Not OPT (or too short to tell, which the record
+                # decoder reports): an ordinary additional record.
+                reader.pos = mark
                 additionals.append(ResourceRecord.decode(reader))
-        if reader.remaining:
+                continue
+            if name:
+                raise WireFormatError("OPT owner name must be root")
+            if opt is not None:
+                raise WireFormatError("duplicate OPT record")
+            try:
+                _rtype, rclass, ttl, rdlength = _RR_FIXED.unpack_from(
+                    data, fixed_at)
+            except struct.error:
+                raise WireFormatError("truncated message (OPT)") from None
+            reader.pos = fixed_at + _RR_FIXED.size
+            opt = OptRecord.decode_body(reader, rclass, ttl, rdlength)
+        if reader.pos != reader.end:
             raise WireFormatError(
                 f"{reader.remaining} trailing bytes after message")
         return cls(msg_id, flags, questions, answers, authorities,

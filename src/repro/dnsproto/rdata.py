@@ -196,7 +196,7 @@ def decode_rdata(reader: WireReader, rtype: int, rdlength: int) -> Rdata:
     silently desynchronize the section parse.
     """
     end = reader.pos + rdlength
-    if end > reader.pos + reader.remaining:
+    if end > reader.end:
         raise WireFormatError("rdata extends past message end")
     decoder = Rdata.decoder_for(rtype)
     if decoder is None:

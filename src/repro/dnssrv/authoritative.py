@@ -199,10 +199,18 @@ class AuthoritativeServer:
                     rcode=answer.rcode,
                     scope_prefix_len=answer.scope_prefix_len,
                 )
+            try:
+                encoded = response.encode()
+            except WireFormatError:
+                # The zone handed us something the wire cannot carry
+                # (an over-long label, an empty TXT): our fault, not
+                # the querier's.
+                response = make_response(query, rcode=Rcode.SERVFAIL,
+                                         authoritative=False)
+                encoded = response.encode()
             self.responses_sent += 1
             span.set(rcode=int(response.flags.rcode),
                      answers=len(response.answers))
-            encoded = response.encode()
             if not tcp and len(encoded) > self._udp_limit(query):
                 # RFC 1035 4.2.1: signal truncation; the resolver
                 # retries over TCP.  The truncated reply carries no

@@ -163,18 +163,24 @@ class RingWalkOracle:
         self.cells = {}
         self.by_asn = {}
         for cluster in plan.clusters.values():
-            cell = (int(cluster.geo.lat // 10.0),
-                    int(cluster.geo.lon // 10.0))
-            self.cells.setdefault(cell, []).append(cluster)
+            self.cells.setdefault(self.cell_of(cluster.geo),
+                                  []).append(cluster)
             self.by_asn.setdefault(cluster.asn, []).append(cluster)
         self.all = list(plan.clusters.values())
+
+    @staticmethod
+    def cell_of(geo):
+        # Column wrapped like the walk below wraps it: lon 180.0 is
+        # column -18, not a 37th column the walk never visits.
+        return (int(geo.lat // 10.0),
+                int((geo.lon // 10.0 + 18) % 36 - 18))
 
     def candidates(self, target):
         if len(self.all) <= self.k_nearest:
             return list(self.all)
         found = []
         seen = set()
-        home = (int(target.geo.lat // 10.0), int(target.geo.lon // 10.0))
+        home = self.cell_of(target.geo)
         for ring in range(19):
             added = False
             for dy in range(-ring, ring + 1):
@@ -396,6 +402,20 @@ class TestDifferentialCasesCoverTheirEdges:
             return any(abs(c.geo.lon - t.geo.lon) > 180.0
                        for c in oracle.candidates(t)[: index.k_nearest])
         assert self._seen("antimeridian", crosses)
+
+    def test_cluster_on_the_antimeridian_is_found(self):
+        # lon exactly 180.0 used to land in a 37th grid column that no
+        # ring search visits, so the cluster was nobody's candidate.
+        rng = random.Random("lon-180")
+        points = [(10.0, 180.0)] + [
+            (rng.uniform(-60.0, 60.0), rng.uniform(-60.0, 60.0))
+            for _ in range(20)]
+        plan = _plan_from(points, rng)
+        index = CandidateIndex(plan, k_nearest=4)
+        target = MapTarget(geo=GeoPoint(10.0, -179.9), asn=_ASNS[0])
+        assert _ids(index.candidates(target))[0] == "c0000"
+        assert (_ids(index.candidates(target))
+                == _ids(RingWalkOracle(plan, 4).candidates(target)))
 
 
 class TestDiscoveryWorkCounts:

@@ -1,0 +1,124 @@
+"""What the codec's memos cost and hold, counted rather than timed.
+
+The compiled codec validates a name once per distinct name and a wire
+label once per distinct label.  These tests pin that with the memos'
+own counters, and pin what keeps the memos safe: a name that fails
+validation is never remembered, and no input stream grows them past
+their bound.
+"""
+
+import random
+
+import pytest
+
+from repro.dnsproto import Flags, Message, WireFormatError, make_query
+from repro.dnsproto.name import _label_text, _name_plan, encode_name
+from repro.dnsproto.wire import WireWriter
+from repro.dnssrv import AuthoritativeServer
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    for memo in (_name_plan, _label_text, Flags.decode):
+        memo.cache_clear()
+
+
+def _encode(name):
+    writer = WireWriter()
+    encode_name(writer, name, {})
+    return writer.getvalue()
+
+
+class TestNamePlan:
+    def test_second_encode_validates_nothing(self):
+        first = _encode("www.cdn.example")
+        assert _name_plan.cache_info()[:2] == (0, 1)  # hits, misses
+        assert _encode("www.cdn.example") == first
+        assert _name_plan.cache_info()[:2] == (1, 1)
+
+    def test_a_message_plans_each_distinct_name_once(self):
+        query = make_query("www.cdn.example")
+        query.encode()
+        misses = _name_plan.cache_info().misses
+        for _ in range(5):
+            query.encode()
+        assert _name_plan.cache_info().misses == misses
+
+    @pytest.mark.parametrize("name", [
+        "a" * 64 + ".com",               # label over 63 bytes
+        ".".join(["a" * 60] * 5),        # name over 255 bytes
+        "a..b",                          # empty label
+        "caf\xe9.example",               # not ASCII
+    ], ids=["label-64", "name-305", "empty-label", "non-ascii"])
+    def test_bad_name_raises_every_time_and_is_not_kept(self, name):
+        for _ in range(2):
+            with pytest.raises(WireFormatError):
+                _encode(name)
+        info = _name_plan.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+
+class TestLabelText:
+    def test_second_decode_validates_nothing(self):
+        wire = make_query("www.cdn.example").encode()
+        Message.decode(wire)
+        assert _label_text.cache_info()[:2] == (0, 3)
+        Message.decode(wire)
+        assert _label_text.cache_info()[:2] == (3, 3)
+
+    def test_label_text_is_shared(self):
+        assert _label_text(b"Example") is _label_text(b"Example")
+        assert _label_text(b"Example") == "example"
+
+    def test_bad_label_raises_every_time_and_is_not_kept(self):
+        for raw in (b"w.w", b"w\xffw"):
+            for _ in range(2):
+                with pytest.raises(WireFormatError):
+                    _label_text(raw)
+        assert _label_text.cache_info().currsize == 0
+
+
+class TestMemosStayBounded:
+    def test_more_distinct_names_than_the_bound(self):
+        bound = _name_plan.cache_info().maxsize
+        assert bound == _label_text.cache_info().maxsize
+        for number in range(bound + 500):
+            wire = make_query(f"host{number}.cdn.example").encode()
+            assert Message.decode(wire).question.name == (
+                f"host{number}.cdn.example")
+        assert _name_plan.cache_info().currsize == bound
+        assert _label_text.cache_info().currsize == bound
+
+    def test_hostile_queries(self):
+        # The fuzz suite's random-bytes run with enough draws to
+        # overflow a memo that kept everything it saw.  The server
+        # echoes the question back, so hostile names reach the encode
+        # memo too.
+        rng = random.Random(15)
+        server = AuthoritativeServer(1)
+        header = b"\x00\x01\x01\x00\x00\x01\x00\x00\x00\x00\x00\x00"
+        for _ in range(20000):
+            label = bytes(rng.randrange(0x80)
+                          for _ in range(rng.randrange(2, 8)))
+            server.handle_query(
+                header + bytes((len(label),)) + label
+                + b"\x00\x00\x01\x00\x01", src_ip=42, now=0.0)
+            server.handle_query(rng.randbytes(rng.randrange(64)),
+                                src_ip=42, now=0.0)
+        answered = server.queries_received - server.formerr_count
+        for memo in (_name_plan, _label_text):
+            info = memo.cache_info()
+            assert answered > info.maxsize == info.currsize
+
+
+class TestFlagsInterning:
+    def test_same_word_same_object(self):
+        for word in (0x0100, 0x8400, 0x8583, 0xFFFF):
+            assert Flags.decode(word) is Flags.decode(word)
+            assert Flags.decode(word).encode() == word & 0xFF8F
+
+    def test_every_header_word_stays_within_the_bound(self):
+        for word in range(0x10000):
+            Flags.decode(word)
+        info = Flags.decode.cache_info()
+        assert info.currsize == info.maxsize

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.dnsproto.message import ResourceRecord
-from repro.dnsproto.rdata import ARdata, TXTRdata
+from repro.dnsproto.message import Message, ResourceRecord, make_query
+from repro.dnsproto.rdata import ARdata, CNAMERdata, TXTRdata
 from repro.dnsproto.types import QType, Rcode
 from repro.dnssrv import (
     AuthoritativeServer,
@@ -152,3 +152,41 @@ class TestNegativeCaching:
         far.recover()
         result = ldns.resolve("a.cdn.example", QType.A, CLIENT, 1)
         assert result.rcode == Rcode.NOERROR
+
+
+class TestUnencodableAnswers:
+    """A zone whose records the wire cannot carry is the server's
+    fault: it answers SERVFAIL, it does not raise into the roll-out."""
+
+    UNENCODABLE = {
+        "cname-label-over-63": ResourceRecord(
+            "bad.cdn.example", QType.CNAME, 60,
+            CNAMERdata("x" * 64 + ".cdn.example")),
+        "txt-without-strings": ResourceRecord(
+            "bad.cdn.example", QType.TXT, 60, TXTRdata(())),
+    }
+
+    @pytest.mark.parametrize("record", UNENCODABLE.values(),
+                             ids=UNENCODABLE.keys())
+    def test_server_answers_servfail(self, record):
+        server = AuthoritativeServer(AUTH_NEAR)
+        server.attach_zone("cdn.example", StaticZone().add(record))
+        wire = make_query("bad.cdn.example", record.rtype,
+                          msg_id=77).encode()
+        response = Message.decode(server.handle_query(wire, LDNS_IP, 0.0))
+        assert response.msg_id == 77
+        assert response.flags.rcode == Rcode.SERVFAIL
+        assert not response.answers
+        assert response.question.name == "bad.cdn.example"
+        assert server.responses_sent == 1
+
+    @pytest.mark.parametrize("record", UNENCODABLE.values(),
+                             ids=UNENCODABLE.keys())
+    def test_resolver_reports_servfail(self, world, record):
+        _network, ldns, near, far = world
+        zone = StaticZone().add(record)
+        for server in (near, far):
+            server.attach_zone("cdn.example", zone)
+        result = ldns.resolve("bad.cdn.example", record.rtype, CLIENT,
+                              now=0)
+        assert result.rcode == Rcode.SERVFAIL
