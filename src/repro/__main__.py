@@ -42,9 +42,6 @@ _SUBCOMMANDS = {
     "resolver_matrix": ("repro.experiments.resolver_matrix",
                         "ECS policy matrix + PoP-outage catchment "
                         "shifts on the anycast resolver plane"),
-    "profile": ("repro.obs.profile",
-                "engine self-profile: phase tree, flamegraph stacks, "
-                "hotspots"),
 }
 
 

@@ -42,7 +42,6 @@ from repro.core.mapmaker import MapMakerConfig
 from repro.core.policies import EUMappingPolicy, MappingPolicy
 from repro.faults import FaultInjector, FaultKind, FaultSchedule
 from repro.obs.monitor import RolloutMonitor
-from repro.obs.profile import PhaseProfiler, ProfileConfig
 from repro.obs.monitor.driver import (
     control_plane_rules,
     default_rollout_rules,
@@ -101,13 +100,6 @@ class ScenarioSpec:
     smoothed utilization daily and the scorer penalizes (and past the
     overload threshold, demotes) hot clusters.  None keeps scoring
     load-blind, pinning every existing golden fixture."""
-    profile: Optional[ProfileConfig] = None
-    """Opt into engine self-profiling: the run records a hierarchical
-    phase tree (world build, day loop, session/DNS, scorer, mapmaker,
-    shard plan/execute/merge) exposed as ``ScenarioRun.profiler`` /
-    ``ShardedRun.profiler``.  None (the default) wires the shared
-    disabled profiler -- a pure no-op, so every unprofiled output
-    stays byte-identical."""
     resolver_policies: Optional[ResolverPolicySet] = None
     """Opt into the resolver plane: public providers become live
     anycast PoP fleets with per-provider ECS policy (whitelist on/off,
@@ -144,8 +136,6 @@ class ScenarioSpec:
             doc["traffic"] = len(self.traffic)
         if self.load_feedback is not None:
             doc["load_feedback"] = True
-        if self.profile is not None:
-            doc["profile"] = True
         if self.resolver_policies is not None:
             doc["resolver_policies"] = True
         return doc
@@ -184,8 +174,6 @@ class ScenarioSpec:
             doc["traffic"] = self.traffic.to_dict()
         if self.load_feedback is not None:
             doc["load_feedback"] = self.load_feedback.to_dict()
-        if self.profile is not None:
-            doc["profile"] = self.profile.to_dict()
         if self.resolver_policies is not None:
             doc["resolver_policies"] = self.resolver_policies.to_dict()
         return doc
@@ -213,14 +201,11 @@ class ScenarioSpec:
             raise ValueError(
                 f"unsupported scenario schema_version: {version!r} "
                 f"(this build reads version {_SCHEMA_VERSION})")
-        known = {"schema", "schema_version", "world", "rollout",
-                 "monitor", "faults", "control_plane", "unit_scheme",
-                 "traffic", "load_feedback", "profile",
-                 "resolver_policies"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(
-                f"unknown scenario fields: {sorted(unknown)}")
+        _reject_unknown(
+            doc, ("schema", "schema_version", "world", "rollout",
+                  "monitor", "faults", "control_plane", "unit_scheme",
+                  "traffic", "load_feedback", "resolver_policies"),
+            "scenario")
         kwargs: Dict = {}
         if "world" in doc:
             kwargs["world"] = _world_from_dict(doc["world"])
@@ -231,6 +216,10 @@ class ScenarioSpec:
         if "faults" in doc:
             kwargs["faults"] = FaultSchedule.from_dict(doc["faults"])
         if "control_plane" in doc:
+            _reject_unknown(
+                doc["control_plane"],
+                [f.name for f in dataclasses.fields(MapMakerConfig)],
+                "control_plane")
             kwargs["control_plane"] = MapMakerConfig(
                 **doc["control_plane"])
         if "unit_scheme" in doc:
@@ -240,8 +229,6 @@ class ScenarioSpec:
         if "load_feedback" in doc:
             kwargs["load_feedback"] = LoadFeedbackConfig.from_dict(
                 doc["load_feedback"])
-        if "profile" in doc:
-            kwargs["profile"] = ProfileConfig.from_dict(doc["profile"])
         if "resolver_policies" in doc:
             kwargs["resolver_policies"] = ResolverPolicySet.from_dict(
                 doc["resolver_policies"])
@@ -274,6 +261,8 @@ _ROLLOUT_SCALARS = ("sessions_per_day", "monthly_growth",
 
 
 def _reject_unknown(doc: Dict, known, what: str) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
     unknown = set(doc) - set(known)
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
@@ -346,8 +335,6 @@ class ScenarioRun:
     result: RolloutResult
     monitor: Optional[RolloutMonitor]
     injector: Optional[FaultInjector]
-    profiler: Optional[PhaseProfiler] = None
-    """The engine phase profile, when ``spec.profile`` opted in."""
 
     def report(self, scenario: Optional[Dict] = None) -> Dict:
         """The monitor's deterministic report document."""
@@ -408,22 +395,19 @@ def _monitor_for_spec(spec: ScenarioSpec) -> RolloutMonitor:
 
 
 def _realize(spec: ScenarioSpec, load_scale: float = 1.0):
-    """``spec -> (world, injector, profiler)``: the one place a spec's
+    """``spec -> (world, injector)``: the one place a spec's
     planes are threaded into a live world, shared by :func:`run` and
     every shard worker (which passes its shard count as
     ``load_scale``)."""
-    profiler = (PhaseProfiler(config=spec.profile)
-                if spec.profile is not None else None)
     world = _build_world(config=spec.world, policy=spec.policy,
                          control_plane=spec.control_plane,
                          unit_scheme=spec.unit_scheme,
                          load_feedback=spec.load_feedback,
                          load_scale=load_scale,
-                         profiler=profiler,
                          resolver_policies=_resolver_policies_for(spec))
     injector = (FaultInjector(world, spec.faults)
                 if spec.faults else None)
-    return world, injector, profiler
+    return world, injector
 
 
 def run_rollout(world: World,
@@ -502,10 +486,9 @@ def run(spec: Optional[ScenarioSpec] = None,
                            n_shards=shards or DEFAULT_SHARDS)
     if shards is not None:
         raise ValueError("shards=N requires workers=N")
-    world, injector, profiler = _realize(spec)
+    world, injector = _realize(spec)
     monitor = _monitor_for_spec(spec) if spec.monitor else None
     result = _run_rollout(world, config=spec.rollout, observer=monitor,
                           injector=injector, traffic=spec.traffic)
     return ScenarioRun(spec=spec, world=world, result=result,
-                       monitor=monitor, injector=injector,
-                       profiler=profiler)
+                       monitor=monitor, injector=injector)

@@ -141,18 +141,11 @@ class MapPublicationService:
 
     def publish_from(self, maker: MapMaker, day: int) -> bool:
         """Compile and submit one map through the checksum gate."""
-        profiler = self.obs.profiler
-        with profiler.phase("mapmaker.compile"):
-            entries = compile_entries(
-                self.deployments, self.scorer, self.internet,
-                top_clusters=self.config.top_clusters,
-                max_eu_units=self.config.max_eu_units,
-                units=self.units)
-            profiler.count("entries", len(entries))
-        with profiler.phase("mapmaker.publish"):
-            return self._publish(maker, day, entries)
-
-    def _publish(self, maker: MapMaker, day: int, entries) -> bool:
+        entries = compile_entries(
+            self.deployments, self.scorer, self.internet,
+            top_clusters=self.config.top_clusters,
+            max_eu_units=self.config.max_eu_units,
+            units=self.units)
         candidate = PublishedMap.build(self._version + 1, day, entries)
         if maker.corrupting:
             # Model bit-rot between compile and publish: the payload

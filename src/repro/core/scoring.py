@@ -21,7 +21,6 @@ import numpy as np
 from repro.cdn.deployments import Cluster
 from repro.core.measurement import MeasurementService
 from repro.core.policies import MapTarget
-from repro.obs import NOOP
 
 
 class TrafficClass(enum.Enum):
@@ -66,10 +65,6 @@ class Scorer:
         self.measurement = measurement
         self.weights = ScoringWeights.for_class(traffic)
         self.traffic = traffic
-        self.obs = NOOP
-        """Observability handle; ``_build_world`` swaps in the world's
-        (standalone scorers keep the shared no-op, so batch scoring is
-        always safe to profile-instrument)."""
         self.load_tracker = None
         """Optional :class:`repro.core.loadfeedback.ClusterLoadTracker`.
         When attached, every score grows that cluster's load penalty
@@ -136,19 +131,15 @@ class Scorer:
                     "score_weighted for aggregate targets")
         if not clusters or not targets:
             return np.empty((len(clusters), len(targets)))
-        profiler = self.obs.profiler
-        with profiler.phase("scorer.score_targets"):
-            profiler.count("pairs", len(clusters) * len(targets))
-            rtt = self.measurement.rtt_matrix_to_targets(clusters,
-                                                         targets)
-            scores = self.scores_from_rtt(rtt)
-            if self.load_tracker is not None:
-                # One penalty per cluster row; elementwise float64 adds
-                # keep the batch path bit-identical to the scalar one.
-                penalties = np.array(
-                    [self.load_tracker.penalty_ms(c.cluster_id)
-                     for c in clusters], dtype=float)
-                scores = scores + penalties[:, None]
+        rtt = self.measurement.rtt_matrix_to_targets(clusters, targets)
+        scores = self.scores_from_rtt(rtt)
+        if self.load_tracker is not None:
+            # One penalty per cluster row; elementwise float64 adds
+            # keep the batch path bit-identical to the scalar one.
+            penalties = np.array(
+                [self.load_tracker.penalty_ms(c.cluster_id)
+                 for c in clusters], dtype=float)
+            scores = scores + penalties[:, None]
         return scores
 
     def score_weighted(self, cluster: Cluster,

@@ -129,10 +129,9 @@ class MappingSystem:
         self.stats.resolutions += 1
         if ecs is not None:
             self.stats.ecs_resolutions += 1
-        with self.obs.profiler.phase("mapping.decide"), \
-                self.obs.tracer.span("mapping.decision", qname=qname,
-                                     policy=self.policy.name,
-                                     ecs=ecs is not None) as span:
+        with self.obs.tracer.span("mapping.decision", qname=qname,
+                                  policy=self.policy.name,
+                                  ecs=ecs is not None) as span:
             context = ResolutionContext(qname=qname, ldns_ip=src_ip,
                                         ecs=ecs)
             target = self.policy.target(context)

@@ -171,9 +171,8 @@ class AuthoritativeServer:
         self.queries_received += 1
         if tcp:
             self.tcp_queries += 1
-        with self.obs.profiler.phase("dns.authoritative"), \
-                self.obs.tracer.span("authoritative",
-                                     server=self.server_name) as span:
+        with self.obs.tracer.span("authoritative",
+                                  server=self.server_name) as span:
             try:
                 query = Message.decode(wire)
             except WireFormatError:

@@ -191,9 +191,8 @@ class RecursiveResolver:
         any_stale = False
         rcode = Rcode.NOERROR
 
-        with self.obs.profiler.phase("dns.recursive"), \
-                self.obs.tracer.span("recursive", resolver=self.name,
-                                     qname=qname) as span:
+        with self.obs.tracer.span("recursive", resolver=self.name,
+                                  qname=qname) as span:
             current = qname
             for _ in range(_MAX_CNAME_CHAIN):
                 step = self._resolve_step(current, qtype, client_ip, now)

@@ -73,17 +73,6 @@ class StubResolver:
         the behaviour of clients configured with a public resolver as
         secondary.  No fallback (or a dead one) means SERVFAIL.
         """
-        with self.network.obs.profiler.phase("dns.stub"):
-            return self._resolve(qname, ldns, now, qtype, fallback)
-
-    def _resolve(
-        self,
-        qname: str,
-        ldns: RecursiveResolver,
-        now: float,
-        qtype: int,
-        fallback: Optional[RecursiveResolver],
-    ) -> Resolution:
         client_hop_ms = self.network.rtt_ms(self.client_ip, ldns.ip)
         if not getattr(ldns, "alive", True):
             self.network.obs.tracer.event(
@@ -95,7 +84,7 @@ class StubResolver:
                     records=(), rcode=Rcode.SERVFAIL,
                     dns_time_ms=burned, ldns_cache_hit=False,
                     upstream_queries=0, failed_over=True)
-            inner = self._resolve(qname, fallback, now, qtype, None)
+            inner = self.resolve(qname, fallback, now, qtype)
             return Resolution(
                 records=inner.records,
                 rcode=inner.rcode,

@@ -33,29 +33,15 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.profile import (
-    DISABLED_PROFILER,
-    NULL_PHASE,
-    PhaseProfiler,
-    ProfileConfig,
-)
 from repro.obs.tracing import NULL_SPAN, QueryTracer, Span
 
 
 @dataclass
 class Observability:
-    """The bundle every instrumented component receives.
-
-    ``registry`` and ``tracer`` watch the *simulated* system;
-    ``profiler`` watches the *engine* itself (phase tree, self-time).
-    The profiler defaults to the shared disabled instance -- safe to
-    share because a disabled profiler never mutates -- and only
-    ``_build_world`` swaps in a live one when the scenario opts in.
-    """
+    """The bundle every instrumented component receives."""
 
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     tracer: QueryTracer = field(default_factory=QueryTracer)
-    profiler: PhaseProfiler = DISABLED_PROFILER
 
     @classmethod
     def disabled(cls) -> "Observability":
@@ -69,16 +55,12 @@ NOOP = Observability.disabled()
 
 __all__ = [
     "Counter",
-    "DISABLED_PROFILER",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NOOP",
-    "NULL_PHASE",
     "NULL_SPAN",
     "Observability",
-    "PhaseProfiler",
-    "ProfileConfig",
     "QueryTracer",
     "Span",
     "register_world_collectors",

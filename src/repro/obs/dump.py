@@ -27,28 +27,25 @@ import sys
 from typing import List, Optional
 
 from repro.experiments.scales import get_scale, scale_names
-from repro.simulation.cli import profile_config
+from repro.simulation.cli import positive_int
 
 
 def run_scenario(scale: str = "tiny", sessions: int = 25, seed: int = 7,
-                 ecs: bool = True, sample_every: int = 1, profile=None):
+                 ecs: bool = True, sample_every: int = 1):
     """Build a world and drive ``sessions`` deterministic sessions.
 
     Returns the world, with its registry populated and its tracer
-    holding one trace per sampled session.  ``profile`` (a
-    :class:`repro.obs.profile.ProfileConfig`) additionally attaches a
-    live phase profiler to the world's observability bundle.
+    holding one trace per sampled session.
     """
     from repro.simulation.session import simulate_session
     from repro.api import build_world
 
+    # Set by assignment below, which skips QueryTracer's own check.
+    if sample_every < 1:
+        raise ValueError("sample_every must be >= 1")
     spec = get_scale(scale)
     world = build_world(spec.world)
     world.obs.tracer.sample_every = sample_every
-    if profile is not None:
-        from repro.obs.profile import PhaseProfiler
-
-        world.obs.profiler = PhaseProfiler(config=profile)
     if ecs:
         world.enable_ecs(world.public_ldns_ids())
     rng = random.Random(seed)
@@ -59,29 +56,15 @@ def run_scenario(scale: str = "tiny", sessions: int = 25, seed: int = 7,
 
 
 def build_payload(world, scenario: dict, n_traces: int) -> dict:
-    """JSON-ready dump: scenario echo, metrics snapshot, traces.
-
-    When a live profiler is attached (``--profile``), the payload
-    gains a ``profile`` section holding the *deterministic view* of
-    the phase tree -- work counters and structure only -- so the dump
-    keeps its byte-identical-across-runs property even while
-    profiling.
-    """
+    """JSON-ready dump: scenario echo, metrics snapshot, traces."""
     traces = world.obs.tracer.export()
     if n_traces >= 0:
         traces = traces[:n_traces]
-    payload = {
+    return {
         "scenario": scenario,
         "metrics": world.obs.registry.snapshot(),
         "traces": traces,
     }
-    profiler = world.obs.profiler
-    if profiler.enabled:
-        from repro.obs.profile import build_document, deterministic_view
-
-        payload["profile"] = deterministic_view(
-            build_document(profiler))
-    return payload
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -89,11 +72,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro dump", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--scale", default="tiny", choices=scale_names())
-    parser.add_argument("--sessions", type=int, default=25)
+    parser.add_argument("--sessions", type=positive_int, default=25)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--no-ecs", action="store_true",
                         help="leave every LDNS without client-subnet")
-    parser.add_argument("--sample-every", type=int, default=1,
+    parser.add_argument("--sample-every", type=positive_int, default=1,
                         help="trace every Nth session")
     parser.add_argument("--traces", type=int, default=3,
                         help="traces to include (-1 = all retained)")
@@ -101,23 +84,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default="json",
                         help="json payload, human-readable table, or "
                              "Prometheus text exposition")
-    parser.add_argument("--profile", type=profile_config, nargs="?",
-                        const="{}", default=None, metavar="JSON",
-                        help="also profile the engine: adds the "
-                             "profile_* prom families / the hotspot "
-                             "table / a 'profile' json section")
     parser.add_argument("--out", default=None,
                         help="write to this path instead of stdout")
     args = parser.parse_args(argv)
-    if args.sessions < 1:
-        parser.error("need at least one session")
 
     print(f"running {args.sessions} sessions (scale={args.scale})...",
           file=sys.stderr)
     world = run_scenario(scale=args.scale, sessions=args.sessions,
                          seed=args.seed, ecs=not args.no_ecs,
-                         sample_every=args.sample_every,
-                         profile=args.profile)
+                         sample_every=args.sample_every)
     scenario = {
         "scale": args.scale,
         "sessions": args.sessions,
@@ -137,23 +112,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"sampled={tracer.sampled} dropped={tracer.dropped}",
         ]
         lines.extend(world.obs.registry.render_lines())
-        if args.profile is not None:
-            from repro.obs.profile import (hotspot_rows,
-                                           render_hotspot_table)
-
-            lines.append("")
-            lines.append("engine hotspots (self wall-clock):")
-            lines.extend(render_hotspot_table(hotspot_rows(
-                world.obs.profiler.root, limit=args.profile.hotspots)))
         text = "\n".join(lines) + "\n"
     elif args.format == "prom":
-        prom_lines = list(world.obs.registry.render_prom())
-        if args.profile is not None:
-            from repro.obs.profile import render_profile_prom
-
-            prom_lines.extend(
-                render_profile_prom(world.obs.profiler.root))
-        text = "\n".join(prom_lines) + "\n"
+        text = "\n".join(world.obs.registry.render_prom()) + "\n"
     else:
         payload = build_payload(world, scenario, args.traces)
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

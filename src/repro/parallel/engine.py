@@ -49,9 +49,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.measurement.querylog import QueryLog
 from repro.measurement.rum import RumBeacon
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import DISABLED_PROFILER, PhaseProfiler
 from repro.parallel.merge import (
-    merge_profiles,
     merge_query_logs,
     merge_registries,
     merge_rum,
@@ -91,9 +89,6 @@ class ShardOutput:
     trace_counts: Dict[str, int]
     capture: Optional[_DayCapture] = None
     """Per-day registry clones, when a monitor will be replayed."""
-    profiler: Optional[PhaseProfiler] = None
-    """The shard's engine phase profile, when ``spec.profile`` opted
-    in (phase trees pickle across the process boundary)."""
 
 
 def _shard_worker(payload: Tuple) -> ShardOutput:
@@ -109,7 +104,7 @@ def _shard_worker(payload: Tuple) -> ShardOutput:
     # Each worker sees 1/n_shards of the demand, so observed load
     # scales back up by n_shards to keep the utilization signal (and
     # hence scoring penalties) aligned across worker counts.
-    world, injector, profiler = _realize(spec, load_scale=float(n_shards))
+    world, injector = _realize(spec, load_scale=float(n_shards))
     population = plan_shards(world.internet, n_shards).population_slice(
         shard, world.internet.blocks, spec.rollout.seed)
     capture = _DayCapture() if capture_days else None
@@ -129,7 +124,7 @@ def _shard_worker(payload: Tuple) -> ShardOutput:
         trace_counts={"started": tracer.started,
                       "sampled": tracer.sampled,
                       "dropped": tracer.dropped},
-        capture=capture, profiler=profiler)
+        capture=capture)
 
 
 # -- replay views ------------------------------------------------------------
@@ -210,10 +205,6 @@ class ShardedRun:
     workers: int
     shard_sessions: List[int]
     """Total sessions simulated per shard (the load-split record)."""
-    profiler: Optional[PhaseProfiler] = None
-    """The merged engine phase profile (parent plan/execute/merge
-    phases with every worker tree grafted under ``shard.workers``),
-    when ``spec.profile`` opted in."""
 
     def report(self, scenario: Optional[Dict] = None) -> Dict:
         """The monitor's deterministic report document."""
@@ -248,72 +239,59 @@ def run_sharded(spec=None, *, workers: int = 1,
             "object; pass policy=None (the default mapping) or run "
             "serially (workers=None)")
 
-    profiler = (PhaseProfiler(config=spec.profile)
-                if spec.profile is not None else None)
-    prof = profiler if profiler is not None else DISABLED_PROFILER
-
     capture_days = spec.monitor
-    with prof.phase("shard.plan"):
-        prof.count("shards", n_shards)
-        payloads = [(spec, shard, n_shards, capture_days)
-                    for shard in range(n_shards)]
-    with prof.phase("shard.execute"):
-        if workers == 1:
-            outputs = [_shard_worker(payload) for payload in payloads]
-        else:
-            with ProcessPoolExecutor(
-                    max_workers=min(workers, n_shards)) as pool:
-                futures = [pool.submit(_shard_worker, payload)
-                           for payload in payloads]
-                outputs = [future.result() for future in futures]
-        # Worker trees graft in fixed shard order, so the merged
-        # profile -- structure *and* float accumulation -- is
-        # independent of pool scheduling.
-        merge_profiles(prof, [out.profiler for out in outputs])
+    payloads = [(spec, shard, n_shards, capture_days)
+                for shard in range(n_shards)]
+    if workers == 1:
+        outputs = [_shard_worker(payload) for payload in payloads]
+    else:
+        with ProcessPoolExecutor(
+                max_workers=min(workers, n_shards)) as pool:
+            futures = [pool.submit(_shard_worker, payload)
+                       for payload in payloads]
+            outputs = [future.result() for future in futures]
 
     # -- merge, in fixed shard order --------------------------------------
     results = [out.result for out in outputs]
     first = results[0]
-    with prof.phase("shard.merge"):
-        result = RolloutResult(
-            config=spec.rollout,
-            rum=merge_rum([r.rum for r in results]),
-            query_log=merge_query_logs([r.query_log for r in results]),
-            sessions_per_day=sum_day_dicts(
-                r.sessions_per_day for r in results),
-            requests_per_day=sum_day_dicts(
-                r.requests_per_day for r in results),
-            failed_sessions_per_day=sum_day_dicts(
-                r.failed_sessions_per_day for r in results),
-            degraded_sessions_per_day=sum_day_dicts(
-                r.degraded_sessions_per_day for r in results),
-            catchment_shifted_per_day=sum_day_dicts(
-                r.catchment_shifted_per_day for r in results),
-            # Timeline state is replicated, not additive: every shard
-            # computed the same values, so the first one speaks for all.
-            ecs_resolvers_per_day=dict(first.ecs_resolvers_per_day),
-            high_expectation_countries=list(
-                first.high_expectation_countries),
-            median_public_distance=dict(first.median_public_distance),
-        )
-        registry = merge_registries([out.registry for out in outputs])
-        traces = merge_traces([out.traces for out in outputs])
-        trace_counts = {
-            key: sum(out.trace_counts.get(key, 0) for out in outputs)
-            for key in ("started", "sampled", "dropped")}
+    result = RolloutResult(
+        config=spec.rollout,
+        rum=merge_rum([r.rum for r in results]),
+        query_log=merge_query_logs([r.query_log for r in results]),
+        sessions_per_day=sum_day_dicts(
+            r.sessions_per_day for r in results),
+        requests_per_day=sum_day_dicts(
+            r.requests_per_day for r in results),
+        failed_sessions_per_day=sum_day_dicts(
+            r.failed_sessions_per_day for r in results),
+        degraded_sessions_per_day=sum_day_dicts(
+            r.degraded_sessions_per_day for r in results),
+        catchment_shifted_per_day=sum_day_dicts(
+            r.catchment_shifted_per_day for r in results),
+        # Timeline state is replicated, not additive: every shard
+        # computed the same values, so the first one speaks for all.
+        ecs_resolvers_per_day=dict(first.ecs_resolvers_per_day),
+        high_expectation_countries=list(
+            first.high_expectation_countries),
+        median_public_distance=dict(first.median_public_distance),
+    )
+    registry = merge_registries([out.registry for out in outputs])
+    traces = merge_traces([out.traces for out in outputs])
+    trace_counts = {
+        key: sum(out.trace_counts.get(key, 0) for out in outputs)
+        for key in ("started", "sampled", "dropped")}
 
-        monitor = None
-        if spec.monitor:
-            monitor = _monitor_for_spec(spec)
-            _replay_monitor(monitor, spec, outputs, result)
+    monitor = None
+    if spec.monitor:
+        monitor = _monitor_for_spec(spec)
+        _replay_monitor(monitor, spec, outputs, result)
 
     return ShardedRun(
         spec=spec, result=result, monitor=monitor, registry=registry,
         traces=traces, trace_counts=trace_counts, n_shards=n_shards,
         workers=workers,
         shard_sessions=[sum(r.sessions_per_day.values())
-                        for r in results],
-        profiler=profiler)
+                        for r in results])
 
 
 def _replay_monitor(monitor, spec, outputs: List[ShardOutput],

@@ -14,21 +14,16 @@ every exported byte -- is identical no matter how many processes ran:
   (totals and per-bucket counts add, pair rows concatenate);
 * **traces** -- span trees concatenate in shard order (each tree is
   already internally ordered by its per-trace span ids);
-* **per-day tallies** -- plain integer sums;
-* **phase profiles** -- worker trees graft under the parent's
-  ``shard.workers`` phase (calls/work sum by phase name, structure is
-  the union -- fixed by the shard plan, so the merged structural view
-  is byte-identical for any worker count).
+* **per-day tallies** -- plain integer sums.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.measurement.querylog import QueryLog
 from repro.measurement.rum import RumCollector
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import PhaseProfiler
 
 
 def merge_registries(
@@ -76,22 +71,6 @@ def merge_traces(exports: Sequence[List[Dict]]) -> List[Dict]:
     for export in exports:
         merged.extend(export)
     return merged
-
-
-def merge_profiles(
-        parent: PhaseProfiler,
-        profilers: Sequence[Optional[PhaseProfiler]]) -> None:
-    """Graft worker phase profiles under the parent's current scope.
-
-    Each worker tree lands under one ``shard.workers`` node (its
-    ``calls`` counts grafted shards); matching phases sum their calls
-    and work counters.  Folding in fixed shard order keeps wall-clock
-    float accumulation -- and hence every exported byte of the timing
-    view too -- independent of pool scheduling.
-    """
-    for profiler in profilers:
-        if profiler is not None:
-            parent.graft("shard.workers", profiler)
 
 
 def sum_day_dicts(dicts: Iterable[Dict[int, int]]) -> Dict[int, int]:

@@ -28,8 +28,8 @@ from repro.topology.traffic import TrafficSchedule
 
 
 def positive_int(text: str) -> int:
-    """argparse type for worker/shard counts: a strictly positive
-    integer, rejected with exit code 2 (the usage-error contract)
+    """argparse type for counts (workers, shards, sessions): a strictly
+    positive integer, rejected with exit code 2 (the usage-error contract)
     otherwise."""
     try:
         value = int(text)
@@ -90,19 +90,6 @@ def resolver_faults(text: str):
             f"bad resolver faults: non-resolver-plane kinds {stray} "
             f"(use the scenario API for mixed schedules)")
     return schedule
-
-
-def profile_config(text: str):
-    """argparse type for ``--profile``: an optional JSON config object
-    (bare ``--profile`` means defaults), validated up front so a
-    malformed payload is a usage error (exit code 2)."""
-    from repro.obs.profile import ProfileConfig
-
-    try:
-        return ProfileConfig.from_json(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"bad profile config: {exc}") from None
 
 
 def unit_scheme_spec(text: str) -> str:
@@ -169,7 +156,6 @@ def _cmd_rollout(args) -> int:
                         load_feedback=load_feedback,
                         control_plane=control_plane,
                         unit_scheme=args.unit_scheme,
-                        profile=args.profile,
                         faults=args.resolver_faults or FaultSchedule())
     if args.workers is not None:
         # --workers only sizes the pool: --workers 1 and --workers 8
@@ -195,15 +181,6 @@ def _cmd_rollout(args) -> int:
         mean_a = sum(after) / len(after) if after else float("nan")
         print(f"  {metric:<26} {mean_b:10.1f} -> {mean_a:10.1f} "
               f"({mean_b / mean_a if mean_a else 0:5.2f}x)")
-    if outcome.profiler is not None:
-        from repro.obs.profile import hotspot_rows, render_hotspot_table
-
-        print()
-        print("engine hotspots (self wall-clock):")
-        rows = hotspot_rows(outcome.profiler.root,
-                            limit=args.profile.hotspots)
-        for line in render_hotspot_table(rows):
-            print(f"  {line}")
     return 0
 
 
@@ -295,11 +272,6 @@ def main(argv: List[str] | None = None) -> int:
                               "(pop_outage / anycast_flap / "
                               "ecs_whitelist_revoke events; activates "
                               "the anycast PoP fleet model)")
-    rollout.add_argument("--profile", type=profile_config, nargs="?",
-                         const="{}", default=None, metavar="JSON",
-                         help="profile the engine itself and print the "
-                              "hotspot table (optional JSON config, "
-                              "e.g. '{\"hotspots\": 5}')")
 
     dnsload = sub.add_parser("dnsload", help="drive DNS-only load")
     add_common(dnsload)

@@ -225,10 +225,8 @@ def _run_rollout(world: World,
                                      blocks=world.internet.blocks,
                                      pick_block=world.internet.pick_block)
     rng = population.rng
-    profiler = world.obs.profiler
 
-    with profiler.phase("rollout.classify"):
-        medians = classify_expectation_groups(world)
+    medians = classify_expectation_groups(world)
     high_expectation, _ = split_expectation_groups(
         medians, config.expectation_threshold_miles)
 
@@ -247,118 +245,109 @@ def _run_rollout(world: World,
     registry = world.obs.registry
     all_blocks = world.internet.blocks
     for day in range(config.n_days):
-        with profiler.phase("rollout.day"):
-            # --- fault schedule: break/recover targets for this day --------
-            if injector is not None:
-                with profiler.phase("faults.step"):
-                    injector.step(day)
+        # --- fault schedule: break/recover targets for this day --------
+        if injector is not None:
+            injector.step(day)
 
-            # --- load feedback: report yesterday's heat, then age it -------
-            # Observed before the control plane ticks, so a map compiled
-            # today scores against the freshest smoothed utilization.
-            if world.load_tracker is not None:
-                with profiler.phase("loadfeedback.observe"):
-                    world.load_tracker.observe_day(world.deployments,
-                                                   registry)
-            world.deployments.decay_load(DAILY_LOAD_RETENTION)
+        # --- load feedback: report yesterday's heat, then age it -------
+        # Observed before the control plane ticks, so a map compiled
+        # today scores against the freshest smoothed utilization.
+        if world.load_tracker is not None:
+            world.load_tracker.observe_day(world.deployments, registry)
+        world.deployments.decay_load(DAILY_LOAD_RETENTION)
 
-            # --- control plane: makers compile/publish, watchdog runs ------
-            # Ticked after the injector so a maker killed today misses
-            # today's publication, exactly like a real mid-cycle crash.
-            if world.control_plane is not None:
-                with profiler.phase("control_plane.tick"):
-                    world.control_plane.tick(day)
+        # --- control plane: makers compile/publish, watchdog runs ------
+        # Ticked after the injector so a maker killed today misses
+        # today's publication, exactly like a real mid-cycle crash.
+        if world.control_plane is not None:
+            world.control_plane.tick(day)
 
-            # --- roll-out progress: flip the next tranche of resolvers ----
-            fraction = config.rollout_fraction(day)
-            n_enabled = int(round(fraction * len(public_ids)))
-            world.enable_ecs(public_ids[:n_enabled],
-                             source_prefix_len=config.ecs_source_len)
-            result.ecs_resolvers_per_day[day] = world.ecs_enabled_count()
-            # Roll-out progress is replicated state, not activity: every
-            # shard of a sharded run walks the identical timeline, so these
-            # merge by max instead of multiply-counting.
-            registry.gauge("rollout.day", merge="max").set(day)
-            registry.gauge("rollout.ecs_resolvers", merge="max").set(
-                result.ecs_resolvers_per_day[day])
+        # --- roll-out progress: flip the next tranche of resolvers ----
+        fraction = config.rollout_fraction(day)
+        n_enabled = int(round(fraction * len(public_ids)))
+        world.enable_ecs(public_ids[:n_enabled],
+                         source_prefix_len=config.ecs_source_len)
+        result.ecs_resolvers_per_day[day] = world.ecs_enabled_count()
+        # Roll-out progress is replicated state, not activity: every
+        # shard of a sharded run walks the identical timeline, so these
+        # merge by max instead of multiply-counting.
+        registry.gauge("rollout.day", merge="max").set(day)
+        registry.gauge("rollout.ecs_resolvers", merge="max").set(
+            result.ecs_resolvers_per_day[day])
 
-            # --- measurement volume grows month over month -----------------
-            month = day // 30
-            sessions_global = int(round(
-                config.sessions_per_day * (1.0 + config.monthly_growth * month)))
-            day_traffic = None
-            if traffic:
-                # Volume scales by the *global* multiplier (identical in
-                # every shard); the slice's quota then follows its
-                # surge-weighted share, and picks resolve over its own
-                # blocks (the whole population reuses the global view).
-                global_view = DayTraffic(traffic, day, all_blocks)
-                sessions_global = max(1, int(round(
-                    sessions_global * global_view.volume_multiplier)))
-                day_traffic = (
-                    global_view if population.blocks is all_blocks
-                    else DayTraffic(traffic, day, population.blocks))
-            sessions_today = population.quota(sessions_global, traffic, day)
-            spacing = (DAY_SECONDS / sessions_today if sessions_today
-                       else DAY_SECONDS)
+        # --- measurement volume grows month over month -----------------
+        month = day // 30
+        sessions_global = int(round(
+            config.sessions_per_day * (1.0 + config.monthly_growth * month)))
+        day_traffic = None
+        if traffic:
+            # Volume scales by the *global* multiplier (identical in
+            # every shard); the slice's quota then follows its
+            # surge-weighted share, and picks resolve over its own
+            # blocks (the whole population reuses the global view).
+            global_view = DayTraffic(traffic, day, all_blocks)
+            sessions_global = max(1, int(round(
+                sessions_global * global_view.volume_multiplier)))
+            day_traffic = (
+                global_view if population.blocks is all_blocks
+                else DayTraffic(traffic, day, population.blocks))
+        sessions_today = population.quota(sessions_global, traffic, day)
+        spacing = (DAY_SECONDS / sessions_today if sessions_today
+                   else DAY_SECONDS)
 
-            # Bound once per day: the slice adds no per-session layer.
-            pick_block = (day_traffic.pick_block if day_traffic is not None
-                          else population.pick_block)
-            requests_today = 0
-            failed_today = 0
-            degraded_today = 0
-            shifted_today = 0
-            for index in range(sessions_today):
-                now = day * DAY_SECONDS + index * spacing + rng.uniform(
-                    0, spacing * 0.5)
-                block = pick_block(rng)
-                provider = (day_traffic.pick_provider(rng, world.catalog)
-                            if day_traffic is not None else None)
-                session = simulate_session(world, block, now, rng,
-                                           provider=provider)
-                requests_today += session.requests
-                if session.failed:
-                    # No page was loaded: nothing to beacon (real RUM
-                    # only reports from pages that rendered).
-                    failed_today += 1
-                    continue
-                if session.degraded:
-                    degraded_today += 1
-                if session.catchment_shifted:
-                    shifted_today += 1
-                result.rum.record(RumBeacon(
-                    day=day,
-                    block=block.prefix,
-                    country=block.country,
-                    domain=session.domain,
-                    high_expectation=block.country in high_expectation,
-                    via_public_resolver=session.via_public_resolver,
-                    dns_ms=session.dns_ms,
-                    rtt_ms=session.rtt_ms,
-                    ttfb_ms=session.ttfb_ms,
-                    download_ms=session.download_ms,
-                    mapping_distance_miles=session.mapping_distance_miles,
-                    server_ip=session.server_ip,
-                    ecs_used=session.ecs_used,
-                ))
-            result.sessions_per_day[day] = sessions_today
-            result.requests_per_day[day] = requests_today
-            result.failed_sessions_per_day[day] = failed_today
-            result.degraded_sessions_per_day[day] = degraded_today
-            result.catchment_shifted_per_day[day] = shifted_today
-            profiler.count("sessions", sessions_today)
-            profiler.count("requests", requests_today)
-            registry.counter("rollout.sessions").inc(sessions_today)
-            registry.counter("rollout.requests").inc(requests_today)
-            if failed_today:
-                registry.counter("rollout.failed_sessions").inc(failed_today)
+        # Bound once per day: the slice adds no per-session layer.
+        pick_block = (day_traffic.pick_block if day_traffic is not None
+                      else population.pick_block)
+        requests_today = 0
+        failed_today = 0
+        degraded_today = 0
+        shifted_today = 0
+        for index in range(sessions_today):
+            now = day * DAY_SECONDS + index * spacing + rng.uniform(
+                0, spacing * 0.5)
+            block = pick_block(rng)
+            provider = (day_traffic.pick_provider(rng, world.catalog)
+                        if day_traffic is not None else None)
+            session = simulate_session(world, block, now, rng,
+                                       provider=provider)
+            requests_today += session.requests
+            if session.failed:
+                # No page was loaded: nothing to beacon (real RUM
+                # only reports from pages that rendered).
+                failed_today += 1
+                continue
+            if session.degraded:
+                degraded_today += 1
+            if session.catchment_shifted:
+                shifted_today += 1
+            result.rum.record(RumBeacon(
+                day=day,
+                block=block.prefix,
+                country=block.country,
+                domain=session.domain,
+                high_expectation=block.country in high_expectation,
+                via_public_resolver=session.via_public_resolver,
+                dns_ms=session.dns_ms,
+                rtt_ms=session.rtt_ms,
+                ttfb_ms=session.ttfb_ms,
+                download_ms=session.download_ms,
+                mapping_distance_miles=session.mapping_distance_miles,
+                server_ip=session.server_ip,
+                ecs_used=session.ecs_used,
+            ))
+        result.sessions_per_day[day] = sessions_today
+        result.requests_per_day[day] = requests_today
+        result.failed_sessions_per_day[day] = failed_today
+        result.degraded_sessions_per_day[day] = degraded_today
+        result.catchment_shifted_per_day[day] = shifted_today
+        registry.counter("rollout.sessions").inc(sessions_today)
+        registry.counter("rollout.requests").inc(requests_today)
+        if failed_today:
+            registry.counter("rollout.failed_sessions").inc(failed_today)
 
-            if observer is not None:
-                with profiler.phase("monitor.observe"):
-                    observer.on_day(day, world, result)
+        if observer is not None:
+            observer.on_day(day, world, result)
 
     if injector is not None:
         injector.finish()
-    profiler.count("spans_emitted", world.obs.tracer.sampled)
     return result

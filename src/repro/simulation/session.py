@@ -109,12 +109,11 @@ def simulate_session(
     client_ip = block.prefix.network | rng.randint(1, 254)
 
     tracer = world.obs.tracer
-    with world.obs.profiler.phase("session"):
-        with tracer.trace("session", block=str(block.prefix),
-                          provider=provider.name) as root:
-            result = _run_session(world, block, now, rng, provider,
-                                  page, client_ip, account_load, root)
-        _record_session_metrics(world.obs.registry, block, result)
+    with tracer.trace("session", block=str(block.prefix),
+                      provider=provider.name) as root:
+        result = _run_session(world, block, now, rng, provider, page,
+                              client_ip, account_load, root)
+    _record_session_metrics(world.obs.registry, block, result)
     return result
 
 
@@ -151,9 +150,8 @@ def _run_session(world, block, now, rng, provider, page, client_ip,
     stub = StubResolver(client_ip, world.network)
     tracer = world.obs.tracer
     with tracer.span("dns", resolver=resolver_id) as dns_span:
-        with world.obs.profiler.phase("dns.resolve"):
-            resolution = stub.resolve(provider.domain, ldns, now,
-                                      fallback=fallback)
+        resolution = stub.resolve(provider.domain, ldns, now,
+                                  fallback=fallback)
         dns_span.set(dns_ms=resolution.dns_time_ms,
                      cache_hit=resolution.ldns_cache_hit,
                      upstream_queries=resolution.upstream_queries)

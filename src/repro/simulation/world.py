@@ -212,7 +212,6 @@ def _build_world(config: Optional[WorldConfig] = None,
                  control_plane: Optional[MapMakerConfig] = None,
                  load_feedback: Optional[LoadFeedbackConfig] = None,
                  load_scale: float = 1.0,
-                 profiler=None,
                  unit_scheme: Optional[str] = None,
                  resolver_policies: Optional[ResolverPolicySet] = None,
                  ) -> World:
@@ -235,12 +234,6 @@ def _build_world(config: Optional[WorldConfig] = None,
     multiplies observed load -- shard workers pass their shard count,
     since each sees only its own slice of the global demand.
 
-    ``profiler`` opts into engine self-profiling: the whole build
-    records under a ``world.build`` phase (control-plane bootstrap
-    compile/publish nests inside) and every component shares the
-    profiler through ``world.obs``.  None wires the shared disabled
-    profiler -- a pure no-op on every hot path.
-
     ``resolver_policies`` opts into the resolver plane: public
     deployments become live anycast PoPs (``world.resolver_fleets``)
     whose health gates session routing, and each provider's
@@ -251,23 +244,9 @@ def _build_world(config: Optional[WorldConfig] = None,
     config = config or WorldConfig.small()
     rng = random.Random(config.seed ^ 0xC0FFEE)
     obs = Observability()
-    if profiler is not None:
-        obs.profiler = profiler
     if unit_scheme is not None and control_plane is None:
         raise ValueError(
             "unit_scheme requires a control plane (control_plane=...)")
-    with obs.profiler.phase("world.build"):
-        return _wire_world(config, policy, control_plane,
-                           load_feedback, load_scale, rng, obs,
-                           unit_scheme, resolver_policies)
-
-
-def _wire_world(config: WorldConfig, policy, control_plane,
-                load_feedback, load_scale: float,
-                rng: random.Random, obs: Observability,
-                unit_scheme: Optional[str] = None,
-                resolver_policies: Optional[ResolverPolicySet] = None,
-                ) -> World:
 
     internet = build_internet(config.internet, seed=config.seed)
     network = Network(internet.geodb, LatencyModel(), obs=obs)
@@ -286,7 +265,6 @@ def _wire_world(config: WorldConfig, policy, control_plane,
 
     measurement = MeasurementService(internet.geodb)
     scorer = Scorer(measurement, TrafficClass.WEB)
-    scorer.obs = obs
     load_tracker: Optional[ClusterLoadTracker] = None
     if load_feedback is not None:
         load_tracker = ClusterLoadTracker(load_feedback,

@@ -234,67 +234,35 @@ class TestResolverFaultsValidation:
         assert "--resolver" in out
 
 
-class TestProfileValidation:
-    """``python -m repro profile`` and every ``--profile`` flag join
-    the usage-error contract: unknown scenarios, malformed profiler
-    configs, and bad formats all exit 2 before any world is built."""
+class TestDumpValidation:
+    """``dump`` counts join the usage-error contract: a zero or
+    negative ``--sessions`` / ``--sample-every`` exits 2 before any
+    world is built (a zero stride would divide by zero mid-run in the
+    tracer)."""
 
-    def test_profile_is_registered(self):
-        assert _SUBCOMMANDS["profile"][0] == "repro.obs.profile"
-
-    def test_unknown_scenario_exits_two(self):
-        code, _, err = _run(["profile", "galactic"])
-        assert code == 2
-        assert "unknown scenario" in err
-
-    @pytest.mark.parametrize("value", [
-        "not json",
-        "[1, 2]",                       # array, not an object
-        '{"hotspotz": 3}',              # unknown field
-        '{"hotspots": "many"}',         # non-integer value
-        '{"max_depth": 0}',             # out of range
-        '{"hotspots": 0}',
-    ], ids=["not-json", "not-an-object", "unknown-field",
-            "non-integer", "bad-max-depth", "bad-hotspots"])
-    def test_profile_cli_rejects_malformed_config(self, value):
-        code, _, err = _run(["profile", "tiny", "--profile", value])
-        assert code == 2
-        assert "bad profile config" in err
-
-    @pytest.mark.parametrize("value", ["not json", '{"hotspotz": 1}',
-                                       '{"max_depth": -2}'])
-    def test_sim_rollout_rejects_malformed_profile(self, value):
-        code, _, err = _run(["sim", "rollout", "--profile", value])
-        assert code == 2
-        assert "bad profile config" in err
-
-    @pytest.mark.parametrize("value", ["not json", '{"hotspots": 0}'])
-    def test_dump_rejects_malformed_profile(self, value):
-        code, _, err = _run(["dump", "--profile", value])
-        assert code == 2
-        assert "bad profile config" in err
-
-    def test_bad_format_exits_two(self):
-        code, _, err = _run(["profile", "tiny", "--format", "svg"])
-        assert code == 2
-        assert "invalid choice" in err
-
-    @pytest.mark.parametrize("value", ["0", "-2", "abc"])
-    def test_bad_workers_exit_two(self, value):
-        code, _, err = _run(["profile", "tiny", "--workers", value])
+    @pytest.mark.parametrize("flag", ["--sessions", "--sample-every"])
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_dump_rejects_non_positive_counts(self, flag, value):
+        code, _, err = _run(["dump", flag, value])
         assert code == 2
         assert "positive integer" in err
 
-    def test_profile_flags_are_advertised(self):
-        code, out, _ = _run(["profile", "--help"])
-        assert code == 0
-        for flag in ("--workers", "--shards", "--sessions",
-                     "--profile", "--format", "--out"):
-            assert flag in out, flag
-        assert "collapsed" in out
-        code, out, _ = _run(["sim", "rollout", "--help"])
-        assert code == 0
-        assert "--profile" in out
-        code, out, _ = _run(["dump", "--help"])
-        assert code == 0
-        assert "--profile" in out
+
+class TestNoProfileSurface:
+    """The engine does not time itself (``perfbench --trace`` owns
+    timing attribution): a ``profile`` subcommand or ``--profile`` flag
+    is a usage error, not a silently ignored option."""
+
+    def test_profile_subcommand_is_unknown(self):
+        code, _, err = _run(["profile", "tiny"])
+        assert code == 2
+        assert "unknown subcommand 'profile'" in err
+        listing = err.split("subcommands:")[1]
+        assert "profile" not in listing
+
+    @pytest.mark.parametrize("argv", [["sim", "rollout", "--profile"],
+                                      ["dump", "--profile"]])
+    def test_profile_flags_are_unknown(self, argv):
+        code, _, err = _run(argv)
+        assert code == 2
+        assert "unrecognized arguments: --profile" in err

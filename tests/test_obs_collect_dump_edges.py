@@ -3,12 +3,10 @@
 The happy paths ride every golden-trace test; these pin the corners:
 an empty registry renders empty (not crashing) output, non-finite
 cluster utilization cannot poison the fleet-mean gauge into NaN,
-dumps with tracing effectively off still emit well-formed payloads,
-and ``--profile`` attaches the ``profile_*`` families / hotspot table
-/ deterministic ``profile`` json section.
+and dumps with tracing effectively off still emit well-formed
+payloads.
 """
 
-import json
 import math
 
 import pytest
@@ -16,7 +14,6 @@ import pytest
 from repro.obs.collect import register_world_collectors
 from repro.obs.dump import build_payload, main, run_scenario
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import ProfileConfig
 
 
 class TestEmptyRegistry:
@@ -106,47 +103,6 @@ class TestTracelessDump:
         out = capsys.readouterr().out
         assert "traces     retained=1 sampled=1" in out
 
-
-class TestDumpProfile:
-    def test_unprofiled_payload_has_no_profile_key(self):
-        world = run_scenario(sessions=2)
-        assert "profile" not in build_payload(world, {}, 1)
-
-    def test_profiled_payload_is_deterministic_view(self):
-        world = run_scenario(sessions=2,
-                             profile=ProfileConfig(hotspots=3))
-        payload = build_payload(world, {}, 1)
-        profile = payload["profile"]
-        assert profile["schema"] == "profile/v1"
-        assert "run" not in profile and "hotspots" not in profile
-        assert "wall_s" not in profile["tree"]
-        names = {child["name"]
-                 for child in profile["tree"]["children"]}
-        assert "session" in names
-
-    def test_prom_format_gains_profile_families(self, capsys):
-        assert main(["--sessions", "2", "--format", "prom",
-                     "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "profile_phase_calls_total" in out
-        assert 'phase="engine;session"' in out
-
-    def test_prom_format_without_profile_unchanged(self, capsys):
-        assert main(["--sessions", "2", "--format", "prom"]) == 0
-        assert "profile_" not in capsys.readouterr().out
-
-    def test_text_format_prints_hotspot_table(self, capsys):
-        assert main(["--sessions", "2", "--format", "text",
-                     "--profile", '{"hotspots": 2}']) == 0
-        out = capsys.readouterr().out
-        assert "engine hotspots (self wall-clock):" in out
-        assert "phase" in out and "self_s" in out
-
-    def test_json_byte_identical_across_profiled_runs(self, capsys):
-        argv = ["--sessions", "3", "--profile"]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert first == second
-        assert "profile" in json.loads(first)
+    def test_run_scenario_rejects_non_positive_stride(self):
+        with pytest.raises(ValueError, match="sample_every"):
+            run_scenario(sessions=1, sample_every=0)
