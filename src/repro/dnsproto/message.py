@@ -40,6 +40,8 @@ _QUESTION_TAIL = struct.Struct("!HH")
 _RR_FIXED = struct.Struct("!HHIH")
 _RDLENGTH = struct.Struct("!H")
 _OPT_RTYPE = int(QType.OPT).to_bytes(2, "big")
+#: Writes a field of a frozen dataclass instance under construction.
+_set_slot = object.__setattr__
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,8 +136,23 @@ class ResourceRecord:
             raise WireFormatError(f"TTL out of range: {self.ttl}")
 
     def with_ttl(self, ttl: int) -> "ResourceRecord":
-        """Copy with a different TTL (cache aging)."""
-        return replace(self, ttl=ttl)
+        """This record under another TTL (cache aging); the record
+        itself when the TTL does not change.
+
+        A copy skips ``__post_init__``: the owner name is already
+        canonical, so only the TTL needs its range check.
+        """
+        if ttl == self.ttl:
+            return self
+        if ttl < 0 or ttl > 0x7FFFFFFF:
+            raise WireFormatError(f"TTL out of range: {ttl}")
+        copy = object.__new__(ResourceRecord)
+        _set_slot(copy, "name", self.name)
+        _set_slot(copy, "rtype", self.rtype)
+        _set_slot(copy, "ttl", ttl)
+        _set_slot(copy, "rdata", self.rdata)
+        _set_slot(copy, "rclass", self.rclass)
+        return copy
 
     def encode(self, writer: WireWriter,
                compress: Optional[Dict[str, int]]) -> None:

@@ -10,18 +10,23 @@ semantics exactly:
 * An answer with SCOPE /y matches only clients whose address shares its
   first y bits with the query address ("the cached resolution is only
   valid for the IP block for which it was provided", paper Section 2.1).
-* Entries expire at their TTL; later lookups return records aged to the
-  remaining TTL.
+* Entries expire at their TTL; whoever reads a cached answer's records
+  sees them aged to the remaining TTL.
 * On lookup, the longest matching scope wins (most specific answer).
 
 A popular domain queried by clients in k distinct answer scopes thus
 occupies k entries and generates up to k upstream queries per TTL --
 the mechanism behind the paper's 8x query-rate increase (Figure 23).
 
-Internally entries are held per (name, type) in a dict keyed by scope,
-with the set of scope lengths tracked per name, so a lookup costs one
-dict probe per distinct scope length in use (one, in the common case)
-rather than a scan over all cached blocks of a popular name.
+Internally entries are held per (name, type) in a dict keyed by
+``(network, length)``, with the scope lengths in use tracked per name,
+so a lookup costs one dict probe per distinct scope length (one, in the
+common case) rather than a scan over all cached blocks of a popular
+name.  A probe masks the client address itself and looks up the plain
+tuple -- no :class:`Prefix` is built or validated -- and a live hit
+that walked past nothing expired returns straight away.  A hit hands
+out the entry as stored: aging the records' TTLs is the reader's job
+(:func:`aged`), done when and if somebody reads them.
 """
 
 from __future__ import annotations
@@ -30,7 +35,22 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.dnsproto.message import ResourceRecord
-from repro.net.ipv4 import Prefix, prefix_of
+from repro.net.ipv4 import Prefix, mask_of, prefix_of
+
+#: What a :class:`_NameSlot` keys an entry by: ``(network, length)`` of
+#: its scope, None for the global entry.
+_ScopeKey = Optional[Tuple[int, int]]
+
+
+def aged(records: Tuple[ResourceRecord, ...],
+         elapsed: int) -> Tuple[ResourceRecord, ...]:
+    """``records`` after ``elapsed`` whole seconds in cache: TTLs count
+    down to zero and stay there.  The tuple itself when no second has
+    passed, so unread or fresh answers cost nothing."""
+    if elapsed <= 0:
+        return records
+    return tuple(record.with_ttl(max(0, record.ttl - elapsed))
+                 for record in records)
 
 
 @dataclass
@@ -66,11 +86,7 @@ class CacheEntry:
 
     def aged_records(self, now: float) -> Tuple[ResourceRecord, ...]:
         """Records with TTLs reduced by the time spent in cache."""
-        elapsed = max(0, int(now - self.stored_at))
-        return tuple(
-            record.with_ttl(max(0, record.ttl - elapsed))
-            for record in self.records
-        )
+        return aged(self.records, int(now - self.stored_at))
 
     def stale_records(self, ttl: int) -> Tuple[ResourceRecord, ...]:
         """Expired records revived under a short serve-stale TTL
@@ -118,57 +134,68 @@ class CacheStats:
 class _NameSlot:
     """Entries for one (name, type): scope-keyed dict + length index."""
 
-    __slots__ = ("entries", "lengths")
+    __slots__ = ("entries", "lengths", "probe")
 
     def __init__(self) -> None:
-        self.entries: Dict[Optional[Prefix], CacheEntry] = {}
+        self.entries: Dict[_ScopeKey, CacheEntry] = {}
         self.lengths: Dict[int, int] = {}
+        self.probe: List[Tuple[int, int]] = []
+        """``(length, mask)`` of every scope length in use, longest
+        first: the order a lookup probes in."""
 
     def put(self, entry: CacheEntry) -> bool:
         """Insert/replace; returns True if a new slot was used."""
-        is_new = entry.scope not in self.entries
-        self.entries[entry.scope] = entry
-        if is_new and entry.scope is not None:
-            self.lengths[entry.scope.length] = self.lengths.get(
-                entry.scope.length, 0) + 1
+        scope = entry.scope
+        key = None if scope is None else (scope.network, scope.length)
+        is_new = key not in self.entries
+        self.entries[key] = entry
+        if is_new and scope is not None:
+            count = self.lengths.get(scope.length, 0)
+            self.lengths[scope.length] = count + 1
+            if not count:
+                self._reindex()
         return is_new
 
-    def remove(self, scope: Optional[Prefix]) -> bool:
-        entry = self.entries.pop(scope, None)
+    def remove(self, key: _ScopeKey) -> bool:
+        entry = self.entries.pop(key, None)
         if entry is None:
             return False
-        if scope is not None:
-            count = self.lengths.get(scope.length, 0) - 1
+        if key is not None:
+            length = key[1]
+            count = self.lengths.get(length, 0) - 1
             if count <= 0:
-                self.lengths.pop(scope.length, None)
+                self.lengths.pop(length, None)
+                self._reindex()
             else:
-                self.lengths[scope.length] = count
+                self.lengths[length] = count
         return True
 
-    def best_match(self, client_addr: Optional[int],
-                   now: float) -> Tuple[Optional[CacheEntry], List]:
-        """Most specific live match plus any expired entries found."""
-        expired: List = []
-        best: Optional[CacheEntry] = None
+    def _reindex(self) -> None:
+        self.probe = [(length, mask_of(length))
+                      for length in sorted(self.lengths, reverse=True)]
+
+    def best_match(
+        self, client_addr: Optional[int], now: float,
+    ) -> Tuple[Optional[CacheEntry], Tuple[_ScopeKey, ...]]:
+        """Most specific live match plus the keys of any expired
+        entries walked past on the way to it."""
+        entries = self.entries
+        expired: Tuple[_ScopeKey, ...] = ()
         if client_addr is not None:
-            for length in sorted(self.lengths, reverse=True):
-                scope = prefix_of(client_addr, length)
-                entry = self.entries.get(scope)
+            for length, mask in self.probe:
+                key = (client_addr & mask, length)
+                entry = entries.get(key)
                 if entry is None:
                     continue
-                if not entry.alive(now):
-                    expired.append(scope)
-                    continue
-                best = entry
-                break
-        if best is None:
-            entry = self.entries.get(None)
-            if entry is not None:
-                if entry.alive(now):
-                    best = entry
-                else:
-                    expired.append(None)
-        return best, expired
+                if now < entry.expires_at:
+                    return entry, expired
+                expired += (key,)
+        entry = entries.get(None)
+        if entry is not None:
+            if now < entry.expires_at:
+                return entry, expired
+            expired += (None,)
+        return None, expired
 
 
 @dataclass
@@ -201,18 +228,19 @@ class EcsAwareCache:
             self.stats.misses += 1
             return None
         best, expired = slot.best_match(client_addr, now)
-        for scope in expired:
-            entry = slot.entries.get(scope)
-            if (entry is not None and self.serve_stale_window > 0
-                    and now < entry.expires_at + self.serve_stale_window):
-                # Keep the expired entry around as a stale fallback
-                # until the serve-stale window closes.
-                continue
-            if slot.remove(scope):
+        if expired:
+            for key in expired:
+                entry = slot.entries[key]
+                if (self.serve_stale_window > 0 and now
+                        < entry.expires_at + self.serve_stale_window):
+                    # Keep the expired entry around as a stale fallback
+                    # until the serve-stale window closes.
+                    continue
+                slot.remove(key)
                 self._size -= 1
                 self.stats.expirations += 1
-        if not slot.entries:
-            del self._store[(qname, qtype)]
+            if not slot.entries:
+                del self._store[(qname, qtype)]
         if best is None:
             self.stats.misses += 1
             return None
@@ -246,9 +274,8 @@ class EcsAwareCache:
 
         best: Optional[CacheEntry] = None
         if client_addr is not None:
-            for length in sorted(slot.lengths, reverse=True):
-                scope = prefix_of(client_addr, length)
-                entry = slot.entries.get(scope)
+            for length, mask in slot.probe:
+                entry = slot.entries.get((client_addr & mask, length))
                 if entry is not None and usable(entry):
                     best = entry
                     break

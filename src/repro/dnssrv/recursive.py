@@ -21,7 +21,7 @@ cache machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.dnsproto.edns import ClientSubnetOption
 from repro.dnsproto.message import (
@@ -34,12 +34,18 @@ from repro.dnsproto.name import normalize_name
 from repro.dnsproto.rdata import CNAMERdata
 from repro.dnsproto.types import QType, Rcode
 from repro.dnsproto.wire import WireFormatError
-from repro.dnssrv.cache import EcsAwareCache
+from repro.dnssrv.cache import EcsAwareCache, aged
 from repro.dnssrv.transport import AuthorityDirectory, Network
 from repro.net.ipv4 import Prefix, prefix_of
 from repro.obs import NOOP, NULL_SPAN, Observability
 
 _MAX_CNAME_CHAIN = 8
+# Reading a member off an enum class goes through the metaclass, about
+# 0.1 us a time; the hit loop compares against these on every step.
+_NOERROR = Rcode.NOERROR
+_SERVFAIL = Rcode.SERVFAIL
+_A = QType.A
+_CNAME = QType.CNAME
 _DEFAULT_NEGATIVE_TTL = 30
 #: Extra wait burned on a server that never answers (retry timer).
 #: Retries against the same server back off exponentially from here.
@@ -49,33 +55,86 @@ _TIMEOUT_PENALTY_MS = 400.0
 _STALE_TTL = 30
 
 
-@dataclass
-class RecursionResult:
-    """Outcome of one client resolution at the LDNS."""
+#: One step of a resolution: the records as the cache stores them and
+#: the whole seconds they had spent there when the resolver read them
+#: (0 for a step answered upstream).
+Step = Tuple[Tuple[ResourceRecord, ...], int]
 
-    records: Tuple[ResourceRecord, ...]
-    rcode: int
-    cache_hit: bool
-    """True when no upstream query was needed at all."""
-    upstream_queries: int
-    upstream_rtt_ms: float
-    """Total time spent talking to authoritative servers."""
-    stale: bool = False
-    """True when any step was answered from an expired cache entry
-    because every authority was unreachable (RFC 8767 serve-stale)."""
+
+class AgedAnswer:
+    """Answer records as the cache holds them, aged when read.
+
+    A hit keeps the stored tuple and its age instead of copying every
+    record under a reduced TTL that most callers never look at.  Both
+    are fixed at resolve time and record tuples are immutable, so
+    whenever :attr:`records` is first read it shows the TTLs the client
+    was owed at that moment -- a later eviction or overwrite of the
+    cache entry cannot change them.
+    """
+
+    __slots__ = ("steps", "_records")
+
+    def __init__(self, steps: Sequence[Step]) -> None:
+        self.steps = steps
+        self._records: Optional[Tuple[ResourceRecord, ...]] = None
+
+    @property
+    def records(self) -> Tuple[ResourceRecord, ...]:
+        """The answer chain in order, TTLs reduced by the time each
+        step had spent in cache; built on first read, then kept."""
+        records = self._records
+        if records is None:
+            steps = self.steps
+            if len(steps) == 1:
+                records = aged(*steps[0])
+            else:
+                records = tuple(record for step in steps
+                                for record in aged(*step))
+            self._records = records
+        return records
 
     @property
     def addresses(self) -> List[int]:
         """A-record addresses in answer order."""
-        return [record.rdata.address for record in self.records
-                if record.rtype == QType.A]
+        return [record.rdata.address for records, _ in self.steps
+                for record in records if record.rtype == _A]
+
+    def __repr__(self) -> str:
+        fields = [f"{name}={getattr(self, name)!r}"
+                  for name in type(self).__slots__]
+        return (f"{type(self).__name__}({', '.join(fields)}, "
+                f"records={self.records!r})")
+
+
+class RecursionResult(AgedAnswer):
+    """Outcome of one client resolution at the LDNS."""
+
+    __slots__ = ("rcode", "cache_hit", "upstream_queries",
+                 "upstream_rtt_ms", "stale")
+
+    def __init__(self, steps: Sequence[Step], rcode: int,
+                 cache_hit: bool, upstream_queries: int,
+                 upstream_rtt_ms: float,
+                 stale: bool = False) -> None:
+        AgedAnswer.__init__(self, steps)
+        self.rcode = rcode
+        self.cache_hit = cache_hit
+        """True when no upstream query was needed at all."""
+        self.upstream_queries = upstream_queries
+        self.upstream_rtt_ms = upstream_rtt_ms
+        """Total time spent talking to authoritative servers."""
+        self.stale = stale
+        """True when any step was answered from an expired cache entry
+        because every authority was unreachable (RFC 8767
+        serve-stale)."""
 
 
 @dataclass
 class _StepResult:
+    """One step of the chain that had to go upstream."""
+
     records: Tuple[ResourceRecord, ...]
     rcode: int
-    hit: bool
     queries: int
     rtt_ms: float
     stale: bool = False
@@ -181,50 +240,78 @@ class RecursiveResolver:
 
     def resolve(self, qname: str, qtype: int, client_ip: int,
                 now: float) -> RecursionResult:
-        """Resolve a name on behalf of a client, chasing CNAMEs."""
+        """Resolve a name on behalf of a client, chasing CNAMEs.
+
+        A step the cache answers costs the lookup and a pair kept for
+        :class:`AgedAnswer`; only a miss opens a span of its own and
+        goes upstream.  Span attributes are computed while a trace is
+        open and not otherwise.
+        """
         self.client_queries += 1
         qname = normalize_name(qname)
-        all_records: List[ResourceRecord] = []
+        tracer = self.obs.tracer
+        traced = tracer.active
+        cache_addr = client_ip if self._ecs_active else None
+        steps: List[Step] = []
         total_queries = 0
         total_rtt = 0.0
         every_step_hit = True
         any_stale = False
-        rcode = Rcode.NOERROR
+        rcode = _NOERROR
 
-        with self.obs.tracer.span("recursive", resolver=self.name,
-                                  qname=qname) as span:
+        with (tracer.span("recursive", resolver=self.name, qname=qname)
+              if traced else NULL_SPAN) as span:
             current = qname
+            visited = [qname]
             for _ in range(_MAX_CNAME_CHAIN):
-                step = self._resolve_step(current, qtype, client_ip, now)
-                total_queries += step.queries
-                total_rtt += step.rtt_ms
-                every_step_hit = every_step_hit and step.hit
-                any_stale = any_stale or step.stale
-                rcode = step.rcode
-                all_records.extend(step.records)
-                if step.rcode != Rcode.NOERROR:
+                entry = self.cache.lookup(current, qtype, cache_addr, now)
+                if entry is not None:
+                    records = entry.records
+                    rcode = entry.rcode
+                    steps.append((records, int(now - entry.stored_at)))
+                    if traced:
+                        tracer.event(
+                            "step", qname=current, cache="hit",
+                            scope=(str(entry.scope)
+                                   if entry.scope is not None else None))
+                else:
+                    every_step_hit = False
+                    with (tracer.span("step", qname=current, cache="miss")
+                          if traced else NULL_SPAN) as step_span:
+                        step = self._query_upstream(
+                            current, qtype, client_ip, now, step_span)
+                    records = step.records
+                    rcode = step.rcode
+                    steps.append((records, 0))
+                    total_queries += step.queries
+                    total_rtt += step.rtt_ms
+                    any_stale = any_stale or step.stale
+                if rcode != _NOERROR:
                     break
-                target = _cname_target(step.records, current)
-                if target is None or qtype == QType.CNAME:
+                target = _cname_target(records, current)
+                if target is None or qtype == _CNAME:
                     break
-                if _has_answer(step.records, target, qtype):
+                if _has_answer(records, target, qtype):
                     break
+                if target in visited:
+                    # The chain bites its tail: no answer to be had.
+                    steps, rcode = (), _SERVFAIL
+                    break
+                visited.append(target)
                 current = target
-            span.set(cache_hit=every_step_hit, rcode=int(rcode),
-                     upstream_queries=total_queries,
-                     upstream_rtt_ms=total_rtt)
-            if any_stale:
-                span.set(stale=True)
-        if rcode == Rcode.SERVFAIL:
+            else:
+                # Still a CNAME after the last step we will chase.
+                steps, rcode = (), _SERVFAIL
+            if traced:
+                span.set(cache_hit=every_step_hit, rcode=int(rcode),
+                         upstream_queries=total_queries,
+                         upstream_rtt_ms=total_rtt)
+                if any_stale:
+                    span.set(stale=True)
+        if rcode == _SERVFAIL:
             self.servfail_responses += 1
-        return RecursionResult(
-            records=tuple(all_records),
-            rcode=rcode,
-            cache_hit=every_step_hit,
-            upstream_queries=total_queries,
-            upstream_rtt_ms=total_rtt,
-            stale=any_stale,
-        )
+        return RecursionResult(steps, rcode, every_step_hit,
+                               total_queries, total_rtt, any_stale)
 
     def handle_query(self, wire: bytes, src_ip: int, now: float,
                      tcp: bool = False) -> Optional[bytes]:
@@ -235,7 +322,9 @@ class RecursiveResolver:
             query = Message.decode(wire)
         except WireFormatError:
             return None
-        if not query.questions:
+        if query.flags.qr or not query.questions:
+            # A response is not a query: answering it would let two
+            # resolvers on one network reflect each other.
             return make_response(query, rcode=Rcode.FORMERR,
                                  authoritative=False).encode()
         question = query.question
@@ -249,27 +338,11 @@ class RecursiveResolver:
 
     # -- internals ----------------------------------------------------------
 
-    def _resolve_step(self, qname: str, qtype: int, client_ip: int,
-                      now: float) -> _StepResult:
-        cache_addr = client_ip if self._ecs_active else None
-        with self.obs.tracer.span("step", qname=qname) as span:
-            entry = self.cache.lookup(qname, qtype, cache_addr, now)
-            if entry is not None:
-                span.set(cache="hit",
-                         scope=(str(entry.scope)
-                                if entry.scope is not None else None))
-                return _StepResult(records=entry.aged_records(now),
-                                   rcode=entry.rcode, hit=True, queries=0,
-                                   rtt_ms=0.0)
-            span.set(cache="miss")
-            return self._query_upstream(qname, qtype, client_ip, now,
-                                        span)
-
     def _query_upstream(self, qname: str, qtype: int, client_ip: int,
                         now: float, span=NULL_SPAN) -> _StepResult:
         authority = self.directory.authority_for(qname)
         if authority is None:
-            return _StepResult((), Rcode.SERVFAIL, False, 0, 0.0)
+            return _StepResult((), Rcode.SERVFAIL, 0, 0.0)
         zone, server_ips = authority
         ranking = self._server_ranking.get(zone)
         if ranking is None:
@@ -339,9 +412,9 @@ class RecursiveResolver:
             self.stale_served += 1
             span.set(stale=True)
             return _StepResult(stale.stale_records(_STALE_TTL),
-                               Rcode.NOERROR, False, queries, total_rtt,
+                               Rcode.NOERROR, queries, total_rtt,
                                stale=True)
-        return _StepResult((), Rcode.SERVFAIL, False, queries, total_rtt)
+        return _StepResult((), Rcode.SERVFAIL, queries, total_rtt)
 
     def _process_response(self, qname: str, qtype: int, client_ip: int,
                           response: Message, now: float, queries: int,
@@ -357,15 +430,14 @@ class RecursiveResolver:
             # authority.
             self.cache.store(qname, qtype, scope, (),
                              _DEFAULT_NEGATIVE_TTL, now, rcode=rcode)
-            return _StepResult((), rcode, False, queries, total_rtt)
+            return _StepResult((), rcode, queries, total_rtt)
         if rcode != Rcode.NOERROR:
             # Transient server errors are not cached.
-            return _StepResult((), rcode, False, queries, total_rtt)
+            return _StepResult((), rcode, queries, total_rtt)
         records = tuple(response.answers)
         ttl = min(r.ttl for r in records)
         self.cache.store(qname, qtype, scope, records, ttl, now)
-        return _StepResult(records, Rcode.NOERROR, False, queries,
-                           total_rtt)
+        return _StepResult(records, Rcode.NOERROR, queries, total_rtt)
 
     def _scope_for(self, response: Message,
                    client_ip: int) -> Optional[Prefix]:
@@ -391,7 +463,7 @@ class RecursiveResolver:
 def _cname_target(records: Tuple[ResourceRecord, ...],
                   qname: str) -> Optional[str]:
     for record in records:
-        if record.rtype == QType.CNAME and record.name == qname:
+        if record.rtype == _CNAME and record.name == qname:
             assert isinstance(record.rdata, CNAMERdata)
             return record.rdata.target
     return None
@@ -399,4 +471,7 @@ def _cname_target(records: Tuple[ResourceRecord, ...],
 
 def _has_answer(records: Tuple[ResourceRecord, ...], name: str,
                 qtype: int) -> bool:
-    return any(r.name == name and r.rtype == qtype for r in records)
+    for record in records:
+        if record.name == name and record.rtype == qtype:
+            return True
+    return False

@@ -13,38 +13,42 @@ is why the client--LDNS distance matters even when mapping is perfect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence
 
-from repro.dnsproto.message import ResourceRecord
 from repro.dnsproto.types import QType, Rcode
-from repro.dnssrv.recursive import RecursiveResolver
+from repro.dnssrv.recursive import AgedAnswer, RecursiveResolver, Step
 from repro.dnssrv.transport import Network
 
 #: Time a stub waits on a dead LDNS before trying its fallback.
 LDNS_TIMEOUT_MS = 1000.0
 
 
-@dataclass(frozen=True, slots=True)
-class Resolution:
-    """What the client learned from one DNS lookup."""
+class Resolution(AgedAnswer):
+    """What the client learned from one DNS lookup.
 
-    records: Tuple[ResourceRecord, ...]
-    rcode: int
-    dns_time_ms: float
-    ldns_cache_hit: bool
-    upstream_queries: int
-    failed_over: bool = False
-    """True when the configured LDNS was dark and the stub retried
-    through its fallback resolver (after burning the timeout)."""
-    stale: bool = False
-    """True when the answer came from an expired cache entry served
-    under RFC 8767 serve-stale."""
+    ``records`` are the LDNS's answer with TTLs aged to the moment of
+    the lookup, materialised on first read (see :class:`AgedAnswer`);
+    ``addresses`` and ``ok`` never need them.
+    """
 
-    @property
-    def addresses(self) -> List[int]:
-        return [record.rdata.address for record in self.records
-                if record.rtype == QType.A]
+    __slots__ = ("rcode", "dns_time_ms", "ldns_cache_hit",
+                 "upstream_queries", "failed_over", "stale")
+
+    def __init__(self, steps: Sequence[Step], rcode: int,
+                 dns_time_ms: float, ldns_cache_hit: bool,
+                 upstream_queries: int, failed_over: bool = False,
+                 stale: bool = False) -> None:
+        AgedAnswer.__init__(self, steps)
+        self.rcode = rcode
+        self.dns_time_ms = dns_time_ms
+        self.ldns_cache_hit = ldns_cache_hit
+        self.upstream_queries = upstream_queries
+        self.failed_over = failed_over
+        """True when the configured LDNS was dark and the stub retried
+        through its fallback resolver (after burning the timeout)."""
+        self.stale = stale
+        """True when the answer came from an expired cache entry served
+        under RFC 8767 serve-stale."""
 
     @property
     def ok(self) -> bool:
@@ -74,34 +78,25 @@ class StubResolver:
         secondary.  No fallback (or a dead one) means SERVFAIL.
         """
         client_hop_ms = self.network.rtt_ms(self.client_ip, ldns.ip)
+        tracer = self.network.obs.tracer
         if not getattr(ldns, "alive", True):
-            self.network.obs.tracer.event(
-                "stub.hop", ldns=ldns.name, rtt_ms=client_hop_ms,
-                timeout=True, penalty_ms=LDNS_TIMEOUT_MS)
+            if tracer.active:
+                tracer.event(
+                    "stub.hop", ldns=ldns.name, rtt_ms=client_hop_ms,
+                    timeout=True, penalty_ms=LDNS_TIMEOUT_MS)
             burned = client_hop_ms + LDNS_TIMEOUT_MS
             if fallback is None or not getattr(fallback, "alive", True):
-                return Resolution(
-                    records=(), rcode=Rcode.SERVFAIL,
-                    dns_time_ms=burned, ldns_cache_hit=False,
-                    upstream_queries=0, failed_over=True)
+                return Resolution((), Rcode.SERVFAIL, burned, False, 0,
+                                  failed_over=True)
             inner = self.resolve(qname, fallback, now, qtype)
             return Resolution(
-                records=inner.records,
-                rcode=inner.rcode,
-                dns_time_ms=burned + inner.dns_time_ms,
-                ldns_cache_hit=inner.ldns_cache_hit,
-                upstream_queries=inner.upstream_queries,
-                failed_over=True,
-                stale=inner.stale,
-            )
-        self.network.obs.tracer.event("stub.hop", ldns=ldns.name,
-                                      rtt_ms=client_hop_ms)
+                inner.steps, inner.rcode, burned + inner.dns_time_ms,
+                inner.ldns_cache_hit, inner.upstream_queries,
+                failed_over=True, stale=inner.stale)
+        if tracer.active:
+            tracer.event("stub.hop", ldns=ldns.name, rtt_ms=client_hop_ms)
         result = ldns.resolve(qname, qtype, self.client_ip, now)
         return Resolution(
-            records=result.records,
-            rcode=result.rcode,
-            dns_time_ms=client_hop_ms + result.upstream_rtt_ms,
-            ldns_cache_hit=result.cache_hit,
-            upstream_queries=result.upstream_queries,
-            stale=result.stale,
-        )
+            result.steps, result.rcode,
+            client_hop_ms + result.upstream_rtt_ms, result.cache_hit,
+            result.upstream_queries, stale=result.stale)

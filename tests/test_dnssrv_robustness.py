@@ -154,6 +154,91 @@ class TestNegativeCaching:
         assert result.rcode == Rcode.NOERROR
 
 
+def _chain_zone(links):
+    """``n0 -> n1 -> ... -> n<links>``, the last name holding an A."""
+    zone = StaticZone()
+    for index in range(links):
+        zone.add(ResourceRecord(
+            f"n{index}.cdn.example", QType.CNAME, 60,
+            CNAMERdata(f"n{index + 1}.cdn.example")))
+    return zone.add(ResourceRecord(
+        f"n{links}.cdn.example", QType.A, 60,
+        ARdata(parse_ipv4("5.5.5.5"))))
+
+
+class TestCnameChains:
+    """A chain that cannot end in an answer is the resolver's SERVFAIL,
+    not a NOERROR made of CNAMEs."""
+
+    def _serve(self, world, zone):
+        _network, ldns, near, far = world
+        for server in (near, far):
+            server.attach_zone("cdn.example", zone)
+        return ldns, near
+
+    def _loop_zone(self, *names):
+        zone = StaticZone()
+        for name, target in zip(names, names[1:] + names[:1]):
+            zone.add(ResourceRecord(name, QType.CNAME, 60,
+                                    CNAMERdata(target)))
+        return zone
+
+    @pytest.mark.parametrize("names", [
+        ("a.loop.cdn.example", "b.loop.cdn.example"),
+        ("self.loop.cdn.example",),
+    ], ids=["two-name-loop", "self-loop"])
+    def test_loop_is_servfail(self, world, names):
+        ldns, near = self._serve(world, self._loop_zone(*names))
+        result = ldns.resolve(names[0], QType.A, CLIENT, now=0)
+        assert result.rcode == Rcode.SERVFAIL
+        assert result.records == () and result.addresses == []
+        assert ldns.servfail_responses == 1
+        # One upstream query per link, then the loop is seen.
+        assert near.queries_received == len(names)
+        assert result.upstream_queries == len(names)
+
+    def test_loop_caches_its_links_and_nothing_negative(self, world):
+        names = ("a.loop.cdn.example", "b.loop.cdn.example")
+        ldns, near = self._serve(world, self._loop_zone(*names))
+        ldns.resolve(names[0], QType.A, CLIENT, now=0)
+        for name in names:
+            (entry,) = ldns.cache.entries_for(name, QType.A)
+            assert not entry.negative
+        again = ldns.resolve(names[0], QType.A, CLIENT, now=1)
+        assert again.rcode == Rcode.SERVFAIL and again.cache_hit
+        assert near.queries_received == 2
+        assert ldns.servfail_responses == 2
+
+    def test_loop_on_the_wire_is_an_empty_servfail(self, world):
+        network, ldns, _near, _far = world
+        self._serve(world, self._loop_zone("a.loop.cdn.example",
+                                           "b.loop.cdn.example"))
+        network.register(ldns)
+        hop = network.query(CLIENT, LDNS_IP,
+                            make_query("a.loop.cdn.example"), now=0)
+        assert hop.response.flags.rcode == Rcode.SERVFAIL
+        assert hop.response.answers == []
+
+    def test_seven_links_still_resolve(self, world):
+        ldns, _near = self._serve(world, _chain_zone(7))
+        result = ldns.resolve("n0.cdn.example", QType.A, CLIENT, now=0)
+        assert result.rcode == Rcode.NOERROR
+        assert result.addresses == [parse_ipv4("5.5.5.5")]
+        assert len(result.records) == 8
+        assert ldns.servfail_responses == 0
+
+    def test_eight_links_are_servfail(self, world):
+        ldns, _near = self._serve(world, _chain_zone(8))
+        result = ldns.resolve("n0.cdn.example", QType.A, CLIENT, now=0)
+        assert result.rcode == Rcode.SERVFAIL
+        assert result.records == ()
+        assert ldns.servfail_responses == 1
+        # The links stay cached: asking again costs no upstream query.
+        again = ldns.resolve("n0.cdn.example", QType.A, CLIENT, now=1)
+        assert again.rcode == Rcode.SERVFAIL
+        assert again.upstream_queries == 0
+
+
 class TestUnencodableAnswers:
     """A zone whose records the wire cannot carry is the server's
     fault: it answers SERVFAIL, it does not raise into the roll-out."""

@@ -9,7 +9,12 @@ mapping-like answer source that returns different servers per ECS block.
 import pytest
 
 from repro.dnsproto.edns import ClientSubnetOption
-from repro.dnsproto.message import ResourceRecord, make_query
+from repro.dnsproto.message import (
+    Message,
+    ResourceRecord,
+    make_query,
+    make_response,
+)
 from repro.dnsproto.rdata import ARdata, CNAMERdata
 from repro.dnsproto.types import QType, Rcode
 from repro.dnssrv import (
@@ -388,6 +393,20 @@ class TestRecursiveResolver:
         assert hop.response.flags.ra
         assert not hop.response.flags.aa
         assert hop.response.answers
+
+    def test_handle_query_refuses_a_response(self, world):
+        """QR=1 is FORMERR, as at the authoritative: resolving it would
+        let two resolvers on one network reflect each other."""
+        network, directory = world
+        source = build_cdn_auth(world)
+        ldns = RecursiveResolver(LDNS_IP, network, directory)
+        reflected = make_response(make_query("e1.cdn.example", msg_id=7))
+        reply = Message.decode(
+            ldns.handle_query(reflected.encode(), CLIENT_NYC, now=0))
+        assert reply.flags.rcode == Rcode.FORMERR
+        assert reply.msg_id == 7 and not reply.answers
+        assert ldns.client_queries == 0
+        assert source.answers == 0
 
     def test_rejects_bad_ecs_source_len(self, world):
         network, directory = world

@@ -1,6 +1,6 @@
 """Cross-cutting observability invariants.
 
-Three pinned identities:
+Four pinned identities:
 
 * **Cache accounting** -- ``CacheStats.hits + misses == lookups`` holds
   under arbitrary randomized lookup/store/expiry workloads (every
@@ -11,7 +11,13 @@ Three pinned identities:
   base retry timer ``_TIMEOUT_PENALTY_MS``).
 * **ECS share bounds** -- ``StatusReport.mapping_ecs_share`` stays in
   [0, 1], including on a world with zero resolutions.
+* **Tracing observes only** -- the resolver path asks for spans only
+  while a trace is open, and the same lookups answer the same, and
+  count the same, with one open or not.
 """
+
+import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +136,95 @@ class TestTraceRttSum:
         assert ldns.failovers >= 1
         assert resolution.dns_time_ms == pytest.approx(
             _hop_rtt_sum(root), abs=1e-9)
+
+
+class TestTracingObservesOnly:
+    LOOKUPS = 200
+    WINDOW_SECONDS = 700.0
+    """Long enough for the 300 s answers to expire along the way."""
+    FIELDS = ("rcode", "dns_time_ms", "ldns_cache_hit", "upstream_queries",
+              "failed_over", "stale", "ok", "addresses", "records")
+
+    def _run(self, traced):
+        """The same script against a freshly built world: lookups
+        drawn from a few (block, LDNS, domain) combinations, so entries
+        are hit, expire and are refetched; an authority outage (serve
+        stale, else SERVFAIL); an LDNS blackout with a fallback."""
+        world = build_world(dataclasses.replace(
+            WorldConfig.tiny(), serve_stale_window=120.0))
+        world.enable_ecs(world.public_ldns_ids())
+        rng = random.Random(5)
+        fallback = world.ldns_registry[sorted(world.ldns_registry)[0]]
+        outcomes = []
+        combinations = []
+        for _ in range(16):
+            block = world.internet.pick_block(rng)
+            combinations.append((
+                block, world.ldns_registry[block.pick_ldns(rng)],
+                world.catalog.pick_provider(rng).domain))
+        for index in range(self.LOOKUPS):
+            block, ldns, domain = rng.choice(combinations)
+            stub = StubResolver(block.prefix.network | rng.randint(1, 254),
+                                world.network)
+            now = self.WINDOW_SECONDS * index / self.LOOKUPS
+            if index == 100:
+                for server in world.nameservers:
+                    server.fail()
+            elif index == 130:
+                for server in world.nameservers:
+                    server.recover()
+            dark = 150 <= index < 170 and ldns is not fallback
+            if dark:
+                ldns.fail()
+            if traced:
+                with world.obs.tracer.trace("lookup"):
+                    got = stub.resolve(domain, ldns, now, fallback=fallback)
+            else:
+                got = stub.resolve(domain, ldns, now, fallback=fallback)
+            if dark:
+                ldns.recover()
+            outcomes.append({name: getattr(got, name)
+                             for name in self.FIELDS})
+        return world, outcomes
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return self._run(traced=False), self._run(traced=True)
+
+    def test_traced_equals_untraced(self, runs):
+        (plain_world, plain), (traced_world, traced) = runs
+        assert traced == plain
+        # The script reached every branch the tracer could perturb.
+        assert {one["ldns_cache_hit"] for one in plain} == {True, False}
+        assert any(one["stale"] for one in plain)
+        assert any(one["failed_over"] for one in plain)
+        assert any(one["rcode"] != 0 for one in plain)
+        for one, other in zip(
+                sorted(plain_world.ldns_registry.items()),
+                sorted(traced_world.ldns_registry.items())):
+            assert (one[1].cache.stats.as_dict()
+                    == other[1].cache.stats.as_dict()), one[0]
+        gauges = [
+            {name: value for name, value in
+             world.obs.registry.snapshot()["gauges"].items()
+             if name.startswith("ldns.")}
+            for world in (plain_world, traced_world)]
+        assert gauges[0] == gauges[1] and gauges[0]
+        assert gauges[0]["ldns.client_queries"] > 0
+        assert len(traced_world.obs.tracer.traces) == self.LOOKUPS
+        assert not plain_world.obs.tracer.traces
+
+    def test_hit_steps_are_traced_as_leaves(self, runs):
+        world, _ = runs[1]
+        steps = [step for root in world.obs.tracer.traces
+                 for step in root.find("step")]
+        hits = [step for step in steps if step.attrs["cache"] == "hit"]
+        assert hits and len(hits) < len(steps)
+        for step in hits:
+            assert not step.children
+            assert set(step.attrs) == {"qname", "cache", "scope"}
+        assert {step.attrs["scope"] is None for step in hits} == {
+            True, False}
 
 
 class TestEcsShareBounds:

@@ -1,13 +1,14 @@
 """Property-based invariants on core data structures.
 
 Hypothesis drives randomized workloads at the invariants the mapping
-system relies on: LRU cache accounting, rendezvous-hash stability, and
-ECS cache scope exclusivity.
+system relies on: LRU cache accounting, rendezvous-hash stability, ECS
+cache scope exclusivity and counters against a brute-force model, and
+deferred record aging against the eager spelling.
 """
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cdn.server import EdgeServer, LruCache
@@ -17,6 +18,7 @@ from repro.dnsproto.message import ResourceRecord
 from repro.dnsproto.rdata import ARdata
 from repro.dnsproto.types import QType
 from repro.dnssrv.cache import EcsAwareCache
+from repro.dnssrv.recursive import RecursiveResolver
 from repro.net.geometry import GeoPoint
 from repro.net.ipv4 import prefix_of
 
@@ -129,3 +131,105 @@ class TestEcsCacheInvariants:
             scopes.add(scope)
             cache.store("x.example", QType.A, scope, (record,), 60, 0)
         assert len(cache) == len(scopes)
+
+    # Clients that share a /24, only a /20, only a /16, and nothing.
+    pool = [0x0A010203, 0x0A0102C8, 0x0A010301, 0x0A014D01, 0x0A020001,
+            0x63000001, None]
+    cache_ops = st.lists(st.one_of(
+        st.tuples(st.just("store"), st.sampled_from(pool[:-1]),
+                  st.sampled_from([0, 16, 20, 24]),
+                  st.sampled_from([0, 5, 30, 100]), st.booleans()),
+        st.tuples(st.just("lookup"), st.sampled_from(pool)),
+        st.tuples(st.just("lookup_stale"), st.sampled_from(pool)),
+        st.tuples(st.just("tick"), st.sampled_from([0.5, 7, 40, 130])),
+    ), max_size=80)
+
+    @given(cache_ops, st.sampled_from([0.0, 120.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_cache_agrees_with_a_brute_force_scan(self, ops, window):
+        """Any interleaving of stores, lookups and stale lookups over an
+        advancing clock returns the entry, and leaves the counters and
+        the size, that a scan over every stored entry arrives at:
+        longest live containing scope wins, the expired ones walked
+        past on the way are pruned unless the stale window keeps them."""
+        cache = EcsAwareCache(serve_stale_window=window)
+        record = ResourceRecord("x.example", QType.A, 60, ARdata(1))
+        model = {}  # scope (None = global) -> the stored entry
+        expected = dict(hits=0, misses=0, expirations=0, stale_hits=0)
+        now = 0.0
+
+        def containing(addr):
+            """Entries whose scope holds ``addr``, longest first."""
+            found = [entry for scope, entry in model.items()
+                     if scope is None
+                     or (addr is not None and scope.contains(addr))]
+            return sorted(found, reverse=True,
+                          key=lambda e: e.scope.length if e.scope else -1)
+
+        for op in ops:
+            if op[0] == "tick":
+                now += op[1]
+            elif op[0] == "store":
+                _, addr, length, ttl, negative = op
+                scope = prefix_of(addr, length) if length else None
+                model[scope] = cache.store(
+                    "x.example", QType.A, scope,
+                    () if negative else (record,), ttl, now)
+            elif op[0] == "lookup":
+                want = None
+                for entry in containing(op[1]):
+                    if now < entry.expires_at:
+                        want = entry
+                        break
+                    if not now < entry.expires_at + window:
+                        del model[entry.scope]
+                        expected["expirations"] += 1
+                expected["hits" if want else "misses"] += 1
+                assert cache.lookup("x.example", QType.A, op[1],
+                                    now) is want
+            else:
+                want = next(
+                    (entry for entry in containing(op[1])
+                     if entry.records and entry.expires_at <= now
+                     < entry.expires_at + window), None)
+                expected["stale_hits"] += want is not None
+                assert cache.lookup_stale("x.example", QType.A, op[1],
+                                          now) is want
+            stats = cache.stats.as_dict()
+            assert {key: stats[key] for key in expected} == expected
+            assert len(cache) == len(model)
+            assert set(map(id, cache.entries_for(
+                "x.example", QType.A))) == set(map(id, model.values()))
+
+
+class TestDeferredAging:
+    ttls = st.lists(st.integers(min_value=0, max_value=400), min_size=1,
+                    max_size=4)
+    moments = st.floats(min_value=0, max_value=500, allow_nan=False)
+    fractions = st.floats(min_value=0, max_value=1, exclude_max=True)
+
+    @given(ttls, st.integers(min_value=1, max_value=400), moments,
+           fractions)
+    @settings(max_examples=300, deadline=None)
+    def test_records_read_late_equal_records_aged_eagerly(
+            self, ttls, entry_ttl, stored_at, fraction):
+        """What ``RecursionResult.records`` materialises on first read
+        is what ``CacheEntry.aged_records(now)`` computes on the spot,
+        for a reader before the store's clock, within the TTLs and
+        past some of them."""
+        now = stored_at - 3 + fraction * (entry_ttl + 3)
+        assume(now < stored_at + entry_ttl)  # else the entry is dead
+        ldns = RecursiveResolver(1, network=None, directory=None)
+        records = tuple(
+            ResourceRecord("x.example", QType.A, ttl, ARdata(index))
+            for index, ttl in enumerate(ttls))
+        entry = ldns.cache.store("x.example", QType.A, None, records,
+                                 entry_ttl, stored_at)
+        result = ldns.resolve("x.example", QType.A, 7, now)
+        assert result.cache_hit
+        elapsed = max(0, int(now - stored_at))
+        assert result.records == entry.aged_records(now) == tuple(
+            ResourceRecord("x.example", QType.A, max(0, ttl - elapsed),
+                           ARdata(index))
+            for index, ttl in enumerate(ttls))
+        assert result.addresses == list(range(len(ttls)))
