@@ -8,9 +8,8 @@ Exit-code contract (pinned by ``tests/test_cli_exit_codes.py``):
 
 * ``0`` -- the subcommand ran and its checks (if any) passed; also
   ``python -m repro --help``.
-* ``1`` -- the subcommand ran but a gate failed: a degradation
-  acceptance miss, a soak invariant violation, a nondeterministic
-  replay.
+* ``1`` -- the subcommand ran but a gate failed: an experiment's
+  shape check, a soak invariant violation, a nondeterministic replay.
 * ``2`` -- usage errors: bare ``python -m repro``, an unknown
   subcommand, or bad flags (argparse's own convention).
 """
@@ -29,19 +28,8 @@ _SUBCOMMANDS = {
              "metrics + trace dump of one seeded scenario"),
     "monitor": ("repro.obs.monitor.cli",
                 "monitored roll-out: series, cohorts, alerts"),
-    "degradation": ("repro.experiments.degradation",
-                    "fault-kind degradation experiment (TTFB/RTT CDFs)"),
     "soak": ("repro.faults.chaos",
              "seeded chaos soak: N random fault scenarios + invariants"),
-    "load_tradeoff": ("repro.experiments.load_tradeoff",
-                      "flash crowd: distance-only vs load-aware "
-                      "mapping"),
-    "unit_scaling": ("repro.experiments.unit_scaling",
-                     "unit count vs accuracy vs query rate across "
-                     "unit-construction schemes"),
-    "resolver_matrix": ("repro.experiments.resolver_matrix",
-                        "ECS policy matrix + PoP-outage catchment "
-                        "shifts on the anycast resolver plane"),
 }
 
 

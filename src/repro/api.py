@@ -20,8 +20,8 @@ timeline over it); :func:`run` is exactly that composition.
 
 There is one day loop (:mod:`repro.simulation.rollout`).  ``run`` and
 ``run_rollout`` walk it over the whole population from one
-``Random(seed)`` by default -- the outputs existing golden fixtures
-pin -- and accept ``workers=N`` to walk it sharded
+``Random(seed)`` -- the outputs existing golden fixtures pin -- and
+``run`` alone accepts ``workers=N`` to walk it sharded
 (:mod:`repro.parallel`): the client population splits into ``shards``
 closed slices, each run through the same loop in its own world, and
 reports merge back deterministically -- byte-identical across worker
@@ -39,7 +39,7 @@ from typing import Dict, List, Optional
 
 from repro.core.loadfeedback import LoadFeedbackConfig
 from repro.core.mapmaker import MapMakerConfig
-from repro.core.policies import EUMappingPolicy, MappingPolicy
+from repro.core.policies import MappingPolicy
 from repro.faults import FaultInjector, FaultKind, FaultSchedule
 from repro.obs.monitor import RolloutMonitor
 from repro.obs.monitor.driver import (
@@ -413,60 +413,13 @@ def _realize(spec: ScenarioSpec, load_scale: float = 1.0):
 def run_rollout(world: World,
                 config: Optional[RolloutConfig] = None,
                 observer=None,
-                injector: Optional[FaultInjector] = None,
-                workers: Optional[int] = None,
-                shards: Optional[int] = None) -> RolloutResult:
-    """Drive the roll-out timeline (canonical spelling).
-
-    With ``workers=N`` the run executes through the sharded engine:
-    the passed world serves as the *configuration carrier* (shard
-    workers rebuild identical worlds from ``world.config`` in their
-    own processes; the parent's instance is left untouched), and the
-    merged :class:`RolloutResult` comes back byte-deterministic for
-    any worker count.  ``observer``/``injector`` close over the
-    caller's world and cannot cross process boundaries -- attach
-    monitoring via :func:`run` with a :class:`ScenarioSpec` instead.
-    """
-    if workers is None:
-        if shards is not None:
-            raise ValueError("shards=N requires workers=N")
-        return _run_rollout(world, config=config, observer=observer,
-                            injector=injector)
-    if observer is not None or injector is not None:
-        raise ValueError(
-            "workers=N cannot ship a live observer/injector to shard "
-            "processes; compose a ScenarioSpec and use run(spec, "
-            "workers=N)")
-    return run(_spec_of_world(world, config or RolloutConfig()),
-               workers=workers, shards=shards).result
-
-
-def _spec_of_world(world: World, config: RolloutConfig) -> ScenarioSpec:
-    """The spec that rebuilds ``world`` (every plane it was built
-    with), for shard workers to realize in their own processes."""
-    control_plane = world.control_plane
-    # A rebuild wires EU mapping at the default scope; any other
-    # policy rides along so run_sharded refuses it instead of the
-    # shards silently running the default.
-    policy = world.mapping.policy
-    rebuilt = EUMappingPolicy(world.internet.geodb)
-    if (type(policy) is EUMappingPolicy
-            and policy.scope_prefix_len == rebuilt.scope_prefix_len):
-        policy = None
-    return ScenarioSpec(
-        world=world.config,
-        rollout=config,
-        policy=policy,
-        control_plane=(control_plane.config
-                       if control_plane is not None else None),
-        unit_scheme=getattr(control_plane, "unit_scheme", None),
-        load_feedback=(world.load_tracker.config
-                       if world.load_tracker is not None else None),
-        monitor=False,
-        resolver_policies=(world.resolver_fleets.policies
-                           if world.resolver_fleets is not None
-                           else None),
-    )
+                injector: Optional[FaultInjector] = None
+                ) -> RolloutResult:
+    """Drive the roll-out timeline over a hand-built world, serially
+    (canonical spelling).  Sharded execution starts from a spec:
+    :func:`run` with ``workers=N``."""
+    return _run_rollout(world, config=config, observer=observer,
+                        injector=injector)
 
 
 def run(spec: Optional[ScenarioSpec] = None,

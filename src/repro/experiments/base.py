@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Protocol
 
@@ -38,6 +40,18 @@ class ExperimentResult:
     def check(self, name: str, passed: bool, detail: str) -> None:
         self.checks.append(Check(name=name, passed=bool(passed),
                                  detail=detail))
+
+    def payload(self) -> Dict[str, Any]:
+        """The JSON document ``experiment run --format json`` emits."""
+        return {
+            "experiment_id": self.experiment_id,
+            "scale": self.scale,
+            "rows": self.rows,
+            "summary": self.summary,
+            "checks": [{"name": c.name, "passed": c.passed,
+                        "detail": c.detail} for c in self.checks],
+            "passed": self.passed,
+        }
 
 
 class Experiment(Protocol):
@@ -108,6 +122,20 @@ def render_result(result: ExperimentResult) -> str:
 def ratio(numerator: float, denominator: float) -> float:
     """Safe ratio for summaries (0 when denominator is 0)."""
     return numerator / denominator if denominator else 0.0
+
+
+def sharded_digest(run, *extra_day_fields: str) -> str:
+    """Canonical digest of a sharded run's merged observable state;
+    ``extra_day_fields`` name further per-day ``RolloutResult`` dicts
+    to pin beside ``sessions_per_day``."""
+    payload = {
+        field_name: {str(day): count for day, count
+                     in sorted(getattr(run.result, field_name).items())}
+        for field_name in ("sessions_per_day",) + extra_day_fields}
+    payload["snapshot"] = run.registry.snapshot()
+    payload["beacons"] = len(run.result.rum)
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 RunFn = Callable[[str], ExperimentResult]

@@ -5,6 +5,7 @@ Usage::
     eum-experiment list
     eum-experiment run fig13 --scale small
     eum-experiment run all --scale tiny
+    eum-experiment run load_tradeoff --format json --out result.json
     eum-experiment report --scale paper   # EXPERIMENTS.md body
 
 Exit status is non-zero if any executed experiment's shape checks fail.
@@ -13,10 +14,12 @@ Exit status is non-zero if any executed experiment's shape checks fail.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from typing import List
 
+from repro.cliutil import output
 from repro.experiments.base import ExperimentResult, render_result
 from repro.experiments.registry import (
     all_experiments,
@@ -28,16 +31,15 @@ from repro.experiments.scales import scale_names
 
 def _run_ids(ids: List[str], scale: str,
              out=None) -> List[ExperimentResult]:
-    # Resolve stdout at call time so output capture (tests) works.
-    out = out if out is not None else sys.stdout
+    """Run each experiment; given a stream, print each as it ends."""
     results = []
     for experiment_id in ids:
-        module = get_experiment(experiment_id)
         started = time.time()
-        result = module.run(scale)
+        result = get_experiment(experiment_id).run(scale)
         elapsed = time.time() - started
-        print(render_result(result), file=out)
-        print(f"(took {elapsed:.1f}s)\n", file=out)
+        if out is not None:
+            print(render_result(result), file=out)
+            print(f"(took {elapsed:.1f}s)\n", file=out)
         results.append(result)
     return results
 
@@ -99,6 +101,13 @@ def main(argv: List[str] | None = None) -> int:
                             help="experiment id (e.g. fig13) or 'all'")
     run_parser.add_argument("--scale", default="tiny",
                             choices=scale_names())
+    run_parser.add_argument("--format", default="text",
+                            choices=["text", "json"],
+                            help="json emits {experiment_id, scale, "
+                                 "rows, summary, checks, passed} (a "
+                                 "list of them for 'all')")
+    run_parser.add_argument("--out", default=None,
+                            help="write to this path instead of stdout")
 
     report_parser = sub.add_parser(
         "report", help="run everything and print a summary table")
@@ -119,18 +128,24 @@ def main(argv: List[str] | None = None) -> int:
     if args.command == "run":
         ids = (experiment_ids() if args.experiment == "all"
                else [args.experiment])
-        results = _run_ids(ids, args.scale)
+        with output(args.out) as stream:
+            results = _run_ids(
+                ids, args.scale,
+                out=stream if args.format == "text" else None)
+            if args.format == "json":
+                docs = [result.payload() for result in results]
+                stream.write(json.dumps(
+                    docs if args.experiment == "all" else docs[0],
+                    indent=2, sort_keys=True) + "\n")
         return 0 if all(r.passed for r in results) else 1
 
     if args.command == "report":
         if args.format == "markdown":
-            results = []
-            for experiment_id in experiment_ids():
-                results.append(
-                    get_experiment(experiment_id).run(args.scale))
+            results = _run_ids(experiment_ids(), args.scale)
             print(render_markdown(results, args.scale))
             return 0 if all(r.passed for r in results) else 1
-        results = _run_ids(experiment_ids(), args.scale)
+        results = _run_ids(experiment_ids(), args.scale,
+                           out=sys.stdout)
         print("=== summary ===")
         failed = 0
         for result in results:

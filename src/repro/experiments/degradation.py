@@ -26,16 +26,13 @@ window.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.api import ScenarioRun, ScenarioSpec
 from repro.api import run as run_scenario
-from repro.experiments.base import ExperimentResult, ratio, render_result
-from repro.experiments.scales import get_scale, scale_names
+from repro.experiments.base import ExperimentResult, ratio
+from repro.experiments.scales import get_scale
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
 
 EXPERIMENT_ID = "degradation"
@@ -91,13 +88,8 @@ def _schedule_for(kind: str, rollout) -> FaultSchedule:
         kind=kind, params=params),))
 
 
-def _spec_for(kind: str, scale_spec, sessions: int,
-              seed: Optional[int]) -> ScenarioSpec:
-    rollout = scale_spec.rollout
-    if sessions:
-        rollout = replace(rollout, sessions_per_day=sessions)
-    if seed is not None:
-        rollout = replace(rollout, seed=seed)
+def _spec_for(kind: str, scale_spec, sessions: int) -> ScenarioSpec:
+    rollout = replace(scale_spec.rollout, sessions_per_day=sessions)
     world = replace(scale_spec.world, serve_stale_window=900.0)
     faults = (FaultSchedule() if kind == BASELINE
               else _schedule_for(kind, rollout))
@@ -134,19 +126,17 @@ def _quantiles(outcome: ScenarioRun, metric: str,
             for q in (0.50, 0.99)}
 
 
-def run(scale: str, sessions: Optional[int] = None,
-        seed: Optional[int] = None) -> ExperimentResult:
+def run(scale: str) -> ExperimentResult:
     scale_spec = get_scale(scale)
     # A sixth of the scale's roll-out load keeps six scenarios within
     # one scale's budget while leaving every per-day signal visible.
-    if sessions is None:
-        sessions = max(30, scale_spec.rollout.sessions_per_day // 6)
+    sessions = max(30, scale_spec.rollout.sessions_per_day // 6)
     result = ExperimentResult(experiment_id=EXPERIMENT_ID, title=TITLE,
                               scale=scale, paper_claim=PAPER_CLAIM)
 
     outcomes: Dict[str, ScenarioRun] = {}
     for kind in (BASELINE,) + FaultKind.DATA_PLANE:
-        spec = _spec_for(kind, scale_spec, sessions, seed)
+        spec = _spec_for(kind, scale_spec, sessions)
         outcomes[kind] = run_scenario(spec)
 
     baseline = outcomes[BASELINE]
@@ -234,47 +224,3 @@ def run(scale: str, sessions: Optional[int] = None,
         "link_packets_lost": lost,
     }
     return result
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro degradation", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--scale", default="tiny", choices=scale_names())
-    parser.add_argument("--sessions", type=int, default=None,
-                        help="sessions per day (default: scale/6)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="roll-out seed override")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    parser.add_argument("--out", default=None,
-                        help="write to this path instead of stdout")
-    args = parser.parse_args(argv)
-
-    print(f"running {EXPERIMENT_ID} (scale={args.scale})...",
-          file=sys.stderr)
-    result = run(args.scale, sessions=args.sessions, seed=args.seed)
-    if args.format == "json":
-        payload = {
-            "experiment_id": result.experiment_id,
-            "scale": result.scale,
-            "rows": result.rows,
-            "summary": result.summary,
-            "checks": [{"name": c.name, "passed": c.passed,
-                        "detail": c.detail} for c in result.checks],
-            "passed": result.passed,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        text = render_result(result) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-    return 0 if result.passed else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

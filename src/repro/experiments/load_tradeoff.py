@@ -25,19 +25,20 @@ contract.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import sys
+import datetime
 from dataclasses import replace
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 from repro.api import ScenarioSpec
 from repro.api import run as run_scenario
 from repro.core.loadfeedback import LoadFeedbackConfig
 from repro.core.mapmaker import MapMakerConfig
-from repro.experiments.base import ExperimentResult, ratio, render_result
-from repro.experiments.scales import get_scale, scale_names
+from repro.experiments.base import (
+    ExperimentResult,
+    ratio,
+    sharded_digest,
+)
+from repro.experiments.scales import get_scale
 from repro.simulation.rollout import RolloutConfig, _run_rollout
 from repro.simulation.world import _build_world
 from repro.topology.traffic import TrafficSchedule, TrafficShape
@@ -55,11 +56,19 @@ SURGE_DAYS = 6
 SURGE_MAGNITUDE = 5.0
 SURGE_TARGET = "continent:NA"
 
+SESSIONS = 60
+SEED = 17
+TIMELINE = RolloutConfig(
+    start_date=datetime.date(2014, 3, 1),
+    end_date=datetime.date(2014, 3, 14),
+    rollout_start=datetime.date(2014, 3, 3),
+    rollout_end=datetime.date(2014, 3, 6),
+    sessions_per_day=SESSIONS,
+    seed=SEED)
+
 #: Per-server ceiling sized so the surge overloads the nearby clusters
-#: at the reference load (60 sessions/day); scaled with the session
-#: count so utilization stays comparable across --sessions overrides.
-BASE_CAPACITY_RPS = 0.3
-BASE_SESSIONS = 60
+#: at ``SESSIONS`` sessions/day.
+CAPACITY_RPS = 0.3
 
 #: The load-aware arm: proportional penalty plus a demotion ladder.
 FEEDBACK = LoadFeedbackConfig(load_penalty_ms=50.0,
@@ -96,18 +105,6 @@ class _UtilizationProbe:
         return max(window) if window else 0.0
 
 
-def _timeline(sessions: int, seed: int) -> RolloutConfig:
-    import datetime
-
-    return RolloutConfig(
-        start_date=datetime.date(2014, 3, 1),
-        end_date=datetime.date(2014, 3, 14),
-        rollout_start=datetime.date(2014, 3, 3),
-        rollout_end=datetime.date(2014, 3, 6),
-        sessions_per_day=sessions,
-        seed=seed)
-
-
 def _surge() -> TrafficSchedule:
     return TrafficSchedule((TrafficShape(
         start_day=SURGE_START, duration_days=SURGE_DAYS,
@@ -115,14 +112,12 @@ def _surge() -> TrafficSchedule:
         magnitude=SURGE_MAGNITUDE),))
 
 
-def _spec_for(arm: str, scale: str, sessions: int,
-              seed: int) -> ScenarioSpec:
-    scale_spec = get_scale(scale)
-    capacity = BASE_CAPACITY_RPS * sessions / BASE_SESSIONS
-    world = replace(scale_spec.world, server_capacity_rps=capacity)
+def _spec_for(arm: str, scale: str) -> ScenarioSpec:
+    world = replace(get_scale(scale).world,
+                    server_capacity_rps=CAPACITY_RPS)
     return ScenarioSpec(
         world=world,
-        rollout=_timeline(sessions, seed),
+        rollout=TIMELINE,
         control_plane=MapMakerConfig(),
         monitor=False,
         traffic=_surge(),
@@ -159,31 +154,13 @@ def _run_arm(spec: ScenarioSpec) -> Dict[str, Any]:
     }
 
 
-def _digest(run) -> str:
-    """Canonical digest of a sharded run's merged observable state."""
-    payload = {
-        "snapshot": run.registry.snapshot(),
-        "sessions_per_day": {
-            str(day): count for day, count
-            in sorted(run.result.sessions_per_day.items())},
-        "beacons": len(run.result.rum),
-    }
-    text = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def run(scale: str, sessions: Optional[int] = None,
-        seed: Optional[int] = None) -> ExperimentResult:
-    if sessions is None:
-        sessions = BASE_SESSIONS
-    if seed is None:
-        seed = 17
+def run(scale: str) -> ExperimentResult:
     result = ExperimentResult(experiment_id=EXPERIMENT_ID, title=TITLE,
                               scale=scale, paper_claim=PAPER_CLAIM)
 
     arms: Dict[str, Dict[str, Any]] = {}
     for arm in (DISTANCE_ONLY, LOAD_AWARE):
-        metrics = _run_arm(_spec_for(arm, scale, sessions, seed))
+        metrics = _run_arm(_spec_for(arm, scale))
         metrics["arm"] = arm
         metrics["overload_share"] = ratio(metrics["overloaded_picks"],
                                           metrics["sessions"])
@@ -196,9 +173,9 @@ def run(scale: str, sessions: Optional[int] = None,
     base, aware = arms[DISTANCE_ONLY], arms[LOAD_AWARE]
 
     # -- determinism: the load-aware spec through the sharded engine --
-    aware_spec = _spec_for(LOAD_AWARE, scale, sessions, seed)
-    digests = {workers: _digest(run_scenario(aware_spec,
-                                             workers=workers))
+    aware_spec = _spec_for(LOAD_AWARE, scale)
+    digests = {workers: sharded_digest(run_scenario(aware_spec,
+                                                    workers=workers))
                for workers in (1, 4)}
 
     # -- checks -----------------------------------------------------------
@@ -237,10 +214,9 @@ def run(scale: str, sessions: Optional[int] = None,
         f"workers=4 {digests[4][:16]}...")
 
     result.summary = {
-        "sessions_per_day": sessions,
-        "seed": seed,
-        "server_capacity_rps": BASE_CAPACITY_RPS * sessions
-        / BASE_SESSIONS,
+        "sessions_per_day": SESSIONS,
+        "seed": SEED,
+        "server_capacity_rps": CAPACITY_RPS,
         "overload_ratio": ratio(aware["overloaded_picks"],
                                 base["overloaded_picks"]),
         "peak_util_ratio": ratio(aware["peak_util_p95"],
@@ -249,48 +225,3 @@ def run(scale: str, sessions: Optional[int] = None,
         "digest": digests[1][:16],
     }
     return result
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro load_tradeoff", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--scale", default="tiny", choices=scale_names())
-    parser.add_argument("--sessions", type=int, default=None,
-                        help=f"sessions per day (default "
-                             f"{BASE_SESSIONS})")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="roll-out seed override (default 17)")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    parser.add_argument("--out", default=None,
-                        help="write to this path instead of stdout")
-    args = parser.parse_args(argv)
-
-    print(f"running {EXPERIMENT_ID} (scale={args.scale})...",
-          file=sys.stderr)
-    result = run(args.scale, sessions=args.sessions, seed=args.seed)
-    if args.format == "json":
-        payload = {
-            "experiment_id": result.experiment_id,
-            "scale": result.scale,
-            "rows": result.rows,
-            "summary": result.summary,
-            "checks": [{"name": c.name, "passed": c.passed,
-                        "detail": c.detail} for c in result.checks],
-            "passed": result.passed,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        text = render_result(result) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-    return 0 if result.passed else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

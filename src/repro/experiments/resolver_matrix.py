@@ -28,16 +28,17 @@ engine with 1 and 4 workers, requiring byte-identical merged state.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import sys
+import datetime
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api import ScenarioSpec
 from repro.api import run as run_scenario
-from repro.experiments.base import ExperimentResult, ratio, render_result
-from repro.experiments.scales import get_scale, scale_names
+from repro.experiments.base import (
+    ExperimentResult,
+    ratio,
+    sharded_digest,
+)
+from repro.experiments.scales import get_scale
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.faults.chaos import world_restored
 from repro.net.geometry import great_circle_miles
@@ -54,7 +55,8 @@ PAPER_CLAIM = ("Section 3: mapping accuracy for public-resolver users "
                "hinges on the resolver plane -- ECS adoption and scope "
                "-- and anycast catchments move when PoPs withdraw")
 
-BASE_SESSIONS = 300
+SESSIONS = 300
+SEED = 23
 
 #: The availability floor the outage arm must hold: a PoP withdrawal
 #: degrades (re-homes) sessions, it never fails them wholesale.
@@ -65,16 +67,13 @@ AVAILABILITY_FLOOR = 0.95
 OUTAGE_START, OUTAGE_DAYS = 4, 4
 
 
-def _timeline(sessions: int, seed: int) -> RolloutConfig:
-    import datetime
-
-    return RolloutConfig(
-        start_date=datetime.date(2014, 3, 1),
-        end_date=datetime.date(2014, 3, 14),
-        rollout_start=datetime.date(2014, 3, 2),
-        rollout_end=datetime.date(2014, 3, 4),
-        sessions_per_day=sessions,
-        seed=seed)
+TIMELINE = RolloutConfig(
+    start_date=datetime.date(2014, 3, 1),
+    end_date=datetime.date(2014, 3, 14),
+    rollout_start=datetime.date(2014, 3, 2),
+    rollout_end=datetime.date(2014, 3, 4),
+    sessions_per_day=SESSIONS,
+    seed=SEED)
 
 
 def _policy_set(world_config, whitelist: bool,
@@ -163,28 +162,7 @@ def _run_arm(spec: ScenarioSpec) -> Dict[str, Any]:
     }
 
 
-def _digest(run) -> str:
-    """Canonical digest of a sharded run's merged observable state."""
-    payload = {
-        "snapshot": run.registry.snapshot(),
-        "sessions_per_day": {
-            str(day): count for day, count
-            in sorted(run.result.sessions_per_day.items())},
-        "catchment_shifted_per_day": {
-            str(day): count for day, count
-            in sorted(run.result.catchment_shifted_per_day.items())},
-        "beacons": len(run.result.rum),
-    }
-    text = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def run(scale: str, sessions: Optional[int] = None,
-        seed: Optional[int] = None) -> ExperimentResult:
-    if sessions is None:
-        sessions = BASE_SESSIONS
-    if seed is None:
-        seed = 23
+def run(scale: str) -> ExperimentResult:
     result = ExperimentResult(experiment_id=EXPERIMENT_ID, title=TITLE,
                               scale=scale, paper_claim=PAPER_CLAIM)
     world_config = get_scale(scale).world
@@ -194,7 +172,7 @@ def run(scale: str, sessions: Optional[int] = None,
                  monitor: bool = False) -> ScenarioSpec:
         return ScenarioSpec(
             world=world_config,
-            rollout=_timeline(sessions, seed),
+            rollout=TIMELINE,
             resolver_policies=policies,
             faults=faults or FaultSchedule(),
             monitor=monitor)
@@ -240,8 +218,9 @@ def run(scale: str, sessions: Optional[int] = None,
     outage_spec = spec_for(
         _policy_set(world_config, whitelist=True, ceiling=32),
         faults=outage_schedule)
-    digests = {workers: _digest(run_scenario(outage_spec,
-                                             workers=workers))
+    digests = {workers: sharded_digest(
+                   run_scenario(outage_spec, workers=workers),
+                   "catchment_shifted_per_day")
                for workers in (1, 4)}
 
     # -- checks -----------------------------------------------------------
@@ -311,8 +290,8 @@ def run(scale: str, sessions: Optional[int] = None,
         f"workers=4 {digests[4][:16]}...")
 
     result.summary = {
-        "sessions_per_day": sessions,
-        "seed": seed,
+        "sessions_per_day": SESSIONS,
+        "seed": SEED,
         "outage_target": f"public:{provider}:{city}",
         "detour_miles_mean": detour["detour_miles_mean"],
         "home_miles_mean": detour["home_miles_mean"],
@@ -321,48 +300,3 @@ def run(scale: str, sessions: Optional[int] = None,
         "digest": digests[1][:16],
     }
     return result
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro resolver_matrix", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--scale", default="tiny", choices=scale_names())
-    parser.add_argument("--sessions", type=int, default=None,
-                        help=f"sessions per day (default "
-                             f"{BASE_SESSIONS})")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="roll-out seed override (default 23)")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    parser.add_argument("--out", default=None,
-                        help="write to this path instead of stdout")
-    args = parser.parse_args(argv)
-
-    print(f"running {EXPERIMENT_ID} (scale={args.scale})...",
-          file=sys.stderr)
-    result = run(args.scale, sessions=args.sessions, seed=args.seed)
-    if args.format == "json":
-        payload = {
-            "experiment_id": result.experiment_id,
-            "scale": result.scale,
-            "rows": result.rows,
-            "summary": result.summary,
-            "checks": [{"name": c.name, "passed": c.passed,
-                        "detail": c.detail} for c in result.checks],
-            "passed": result.passed,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        text = render_result(result) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-    return 0 if result.passed else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -25,17 +25,18 @@ and 4 workers and requires byte-identical merged state.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import sys
-from typing import Any, Dict, List, Optional
+import datetime
+from typing import Any, Dict, Optional
 
 from repro.api import ScenarioSpec
 from repro.api import run as run_scenario
 from repro.core.mapmaker import MapMakerConfig, TIERS, UNIT_TIERS
-from repro.experiments.base import ExperimentResult, ratio, render_result
-from repro.experiments.scales import get_scale, scale_names
+from repro.experiments.base import (
+    ExperimentResult,
+    ratio,
+    sharded_digest,
+)
+from repro.experiments.scales import get_scale
 from repro.simulation.rollout import RolloutConfig
 
 EXPERIMENT_ID = "unit_scaling"
@@ -45,7 +46,8 @@ PAPER_CLAIM = ("Section 5: finer mapping units buy accuracy at the "
                "routing-aware clustering reaches near-geo_as accuracy "
                "at an NS-scale unit count")
 
-BASE_SESSIONS = 100
+SESSIONS = 100
+SEED = 17
 
 #: Accuracy bound: the routing-aware arm's median mapping distance
 #: must stay within this factor of the geo_as (per-/24) ceiling while
@@ -58,23 +60,19 @@ ACCURACY_BOUND = 1.25
 UNIT_BUDGET = 0.5
 
 
-def _timeline(sessions: int, seed: int) -> RolloutConfig:
-    import datetime
-
-    return RolloutConfig(
-        start_date=datetime.date(2014, 3, 1),
-        end_date=datetime.date(2014, 3, 14),
-        rollout_start=datetime.date(2014, 3, 3),
-        rollout_end=datetime.date(2014, 3, 6),
-        sessions_per_day=sessions,
-        seed=seed)
+TIMELINE = RolloutConfig(
+    start_date=datetime.date(2014, 3, 1),
+    end_date=datetime.date(2014, 3, 14),
+    rollout_start=datetime.date(2014, 3, 3),
+    rollout_end=datetime.date(2014, 3, 6),
+    sessions_per_day=SESSIONS,
+    seed=SEED)
 
 
-def _spec_for(scheme: Optional[str], scale: str, sessions: int,
-              seed: int) -> ScenarioSpec:
+def _spec_for(scheme: Optional[str], scale: str) -> ScenarioSpec:
     return ScenarioSpec(
         world=get_scale(scale).world,
-        rollout=_timeline(sessions, seed),
+        rollout=TIMELINE,
         control_plane=MapMakerConfig(),
         unit_scheme=scheme,
         monitor=False)
@@ -124,42 +122,22 @@ def _run_arm(spec: ScenarioSpec) -> Dict[str, Any]:
     }
 
 
-def _digest(run) -> str:
-    """Canonical digest of a sharded run's merged observable state."""
-    payload = {
-        "snapshot": run.registry.snapshot(),
-        "sessions_per_day": {
-            str(day): count for day, count
-            in sorted(run.result.sessions_per_day.items())},
-        "beacons": len(run.result.rum),
-    }
-    text = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def run(scale: str, sessions: Optional[int] = None,
-        seed: Optional[int] = None) -> ExperimentResult:
-    if sessions is None:
-        sessions = BASE_SESSIONS
-    if seed is None:
-        seed = 17
+def run(scale: str) -> ExperimentResult:
     result = ExperimentResult(experiment_id=EXPERIMENT_ID, title=TITLE,
                               scale=scale, paper_claim=PAPER_CLAIM)
 
     arms: Dict[str, Dict[str, Any]] = {}
     for scheme in ("ldns", "geo_as"):
-        arms[scheme] = _run_arm(_spec_for(scheme, scale, sessions, seed))
+        arms[scheme] = _run_arm(_spec_for(scheme, scale))
 
     # Matched unit counts: the routing-aware arm gets exactly the ldns
     # arm's unit budget, plus a half-budget sweep point so the report
     # carries a (coarse) unit-count-vs-accuracy tradeoff curve.
     matched = max(1, arms["ldns"]["units"])
     routing_scheme = f"routing_aware:{matched}"
-    arms[routing_scheme] = _run_arm(
-        _spec_for(routing_scheme, scale, sessions, seed))
+    arms[routing_scheme] = _run_arm(_spec_for(routing_scheme, scale))
     half_scheme = f"routing_aware:{max(1, matched // 2)}"
-    arms[half_scheme] = _run_arm(
-        _spec_for(half_scheme, scale, sessions, seed))
+    arms[half_scheme] = _run_arm(_spec_for(half_scheme, scale))
 
     for scheme, metrics in arms.items():
         row = {"scheme": scheme}
@@ -174,9 +152,9 @@ def run(scale: str, sessions: Optional[int] = None,
     routing = arms[routing_scheme]
 
     # -- determinism: the routing-aware spec through the sharded engine --
-    routing_spec = _spec_for(routing_scheme, scale, sessions, seed)
-    digests = {workers: _digest(run_scenario(routing_spec,
-                                             workers=workers))
+    routing_spec = _spec_for(routing_scheme, scale)
+    digests = {workers: sharded_digest(run_scenario(routing_spec,
+                                                    workers=workers))
                for workers in (1, 4)}
 
     # -- checks -----------------------------------------------------------
@@ -236,8 +214,8 @@ def run(scale: str, sessions: Optional[int] = None,
         f"workers=4 {digests[4][:16]}...")
 
     result.summary = {
-        "sessions_per_day": sessions,
-        "seed": seed,
+        "sessions_per_day": SESSIONS,
+        "seed": SEED,
         "matched_units": matched,
         "geo_as_units": geo["units"],
         "unit_reduction": ratio(geo["units"], routing["units"]),
@@ -246,48 +224,3 @@ def run(scale: str, sessions: Optional[int] = None,
         "digest": digests[1][:16],
     }
     return result
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro unit_scaling", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--scale", default="tiny", choices=scale_names())
-    parser.add_argument("--sessions", type=int, default=None,
-                        help=f"sessions per day (default "
-                             f"{BASE_SESSIONS})")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="roll-out seed override (default 17)")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    parser.add_argument("--out", default=None,
-                        help="write to this path instead of stdout")
-    args = parser.parse_args(argv)
-
-    print(f"running {EXPERIMENT_ID} (scale={args.scale})...",
-          file=sys.stderr)
-    result = run(args.scale, sessions=args.sessions, seed=args.seed)
-    if args.format == "json":
-        payload = {
-            "experiment_id": result.experiment_id,
-            "scale": result.scale,
-            "rows": result.rows,
-            "summary": result.summary,
-            "checks": [{"name": c.name, "passed": c.passed,
-                        "detail": c.detail} for c in result.checks],
-            "passed": result.passed,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        text = render_result(result) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-    return 0 if result.passed else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -41,6 +41,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro.cliutil import output, positive_int
 from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
 
 SCHEMA = "soak/v1"
@@ -552,20 +553,6 @@ def render_report(report: Dict) -> str:
     return "\n".join(lines)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: strictly positive integer (usage error -- exit
-    code 2 -- otherwise, per the documented contract)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {value}")
-    return value
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro soak", description=__doc__,
@@ -591,7 +578,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--stop-after", type=int, default=None,
                         help="run at most this many new scenarios "
                              "(for interruption testing)")
-    parser.add_argument("--workers", type=_positive_int, default=None,
+    parser.add_argument("--workers", type=positive_int, default=None,
                         help="fan scenarios across N processes "
                              "(report/checkpoint bytes unchanged)")
     parser.add_argument("--format", choices=("text", "json"),
@@ -617,12 +604,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         text = render_report(report) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+    with output(args.out) as stream:
+        stream.write(text)
     return 0 if report["passed"] else 1
 
 

@@ -26,8 +26,8 @@ import random
 import sys
 from typing import List, Optional
 
+from repro.cliutil import output, positive_int
 from repro.experiments.scales import get_scale, scale_names
-from repro.simulation.cli import positive_int
 
 
 def run_scenario(scale: str = "tiny", sessions: int = 25, seed: int = 7,
@@ -119,10 +119,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         payload = build_payload(world, scenario, args.traces)
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+    with output(args.out) as stream:
+        stream.write(text)
     return 0

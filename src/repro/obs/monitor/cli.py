@@ -24,6 +24,7 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
+from repro.cliutil import output, positive_int
 from repro.obs.monitor.driver import RolloutMonitor
 
 
@@ -96,15 +97,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--scale", default="tiny", choices=scale_names())
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--sessions-per-day", type=int, default=None,
+    parser.add_argument("--sessions-per-day", type=positive_int,
+                        default=None,
                         help="override the scale's roll-out volume")
     parser.add_argument("--format", choices=("json", "text"),
                         default="json")
     parser.add_argument("--out", default=None,
                         help="write to this path instead of stdout")
     args = parser.parse_args(argv)
-    if args.sessions_per_day is not None and args.sessions_per_day < 1:
-        parser.error("need at least one session per day")
 
     print(f"running monitored roll-out (scale={args.scale}, "
           f"seed={args.seed})...", file=sys.stderr)
@@ -123,10 +123,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
 
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+    with output(args.out) as stream:
+        stream.write(text)
     return 0

@@ -19,8 +19,7 @@ count.
 * :mod:`repro.parallel.merge` -- the merge algebra for everything a
   shard produces (registries, RUM beacons, query logs, traces).
 
-Entry points: ``repro.api.run(spec, workers=N)``,
-``repro.api.run_rollout(..., workers=N)``, and the CLIs
+Entry points: ``repro.api.run(spec, workers=N)`` and the CLIs
 (``python -m repro sim rollout --workers N``,
 ``python -m repro soak --workers N``).
 """

@@ -18,6 +18,7 @@ import datetime
 import sys
 from typing import List
 
+from repro.cliutil import positive_int
 from repro.core.reporting import build_status_report
 from repro.experiments.scales import get_scale, scale_names
 from repro.simulation.dnsload import DnsLoadConfig, drive_dns_load
@@ -25,21 +26,6 @@ from repro.api import ScenarioSpec, build_world, run
 from repro.faults import FaultSchedule
 from repro.simulation.rollout import RolloutConfig
 from repro.topology.traffic import TrafficSchedule
-
-
-def positive_int(text: str) -> int:
-    """argparse type for counts (workers, shards, sessions): a strictly
-    positive integer, rejected with exit code 2 (the usage-error contract)
-    otherwise."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {value}")
-    return value
 
 
 def traffic_schedule(text: str):
@@ -239,8 +225,8 @@ def main(argv: List[str] | None = None) -> int:
 
     rollout = sub.add_parser("rollout", help="run a custom roll-out")
     add_common(rollout)
-    rollout.add_argument("--days", type=int, default=45)
-    rollout.add_argument("--sessions", type=int, default=150,
+    rollout.add_argument("--days", type=positive_int, default=45)
+    rollout.add_argument("--sessions", type=positive_int, default=150,
                          help="sessions per day")
     rollout.add_argument("--workers", type=positive_int, default=None,
                          help="run sharded across N worker processes "
@@ -275,16 +261,16 @@ def main(argv: List[str] | None = None) -> int:
 
     dnsload = sub.add_parser("dnsload", help="drive DNS-only load")
     add_common(dnsload)
-    dnsload.add_argument("--lookups", type=int, default=30_000,
-                         help="lookups per day")
-    dnsload.add_argument("--days", type=int, default=1)
+    dnsload.add_argument("--lookups", type=positive_int,
+                         default=30_000, help="lookups per day")
+    dnsload.add_argument("--days", type=positive_int, default=1)
     dnsload.add_argument("--ecs", action="store_true",
                          help="enable ECS at public resolvers first")
 
     status = sub.add_parser(
         "status", help="run sessions then print the ops status report")
     add_common(status)
-    status.add_argument("--sessions", type=int, default=300)
+    status.add_argument("--sessions", type=positive_int, default=300)
 
     args = parser.parse_args(argv)
     if args.command == "rollout" and args.unit_scheme is not None \

@@ -6,12 +6,13 @@ Pins the API-redesign contracts:
   world, roll-out, faults, and monitoring into one entrypoint, and
   produce results identical to driving ``build_world`` +
   ``run_rollout`` by hand (byte-for-byte at the monitor-report level);
-* ``python -m repro <subcommand>`` dispatches to every legacy CLI, and
-  the legacy ``python -m repro.<module>`` spellings keep working with a
-  stderr pointer while their stdout stays byte-identical.
+* ``python -m repro <subcommand>`` is the one front door: five
+  subcommands, every experiment behind ``experiment run <id>``, and
+  sharded execution only through ``run(spec, workers=N)``.
 """
 
 import datetime
+import inspect
 import json
 import subprocess
 import sys
@@ -127,8 +128,7 @@ class TestUnifiedCli:
         assert repro_main.main([]) == 2
         out = capsys.readouterr().out
         assert "usage: python -m repro" in out
-        for name in ("sim", "experiment", "dump", "monitor",
-                     "degradation"):
+        for name in ("sim", "experiment", "dump", "monitor", "soak"):
             assert name in out
 
     def test_help_is_success(self, capsys):
@@ -167,3 +167,45 @@ class TestLegacyEntrypoints:
         proc = _spawn(["repro"])
         assert proc.returncode == 2
         assert "usage: python -m repro" in proc.stdout
+
+
+class TestFrontDoor:
+    """A scenario is run one way and an experiment is run one way;
+    these pin the surface so a second spelling cannot re-grow."""
+
+    def test_five_subcommands(self):
+        assert set(repro_main._SUBCOMMANDS) == {
+            "sim", "experiment", "dump", "monitor", "soak"}
+
+    def test_run_rollout_is_serial_only(self):
+        parameters = inspect.signature(run_rollout).parameters
+        assert "workers" not in parameters
+        assert "shards" not in parameters
+
+    def test_every_experiment_runs_from_its_scale_alone(self):
+        from repro.experiments import all_experiments
+
+        for module in all_experiments():
+            assert list(inspect.signature(module.run).parameters) == [
+                "scale"], module.EXPERIMENT_ID
+
+    @pytest.mark.parametrize("name", [
+        "degradation", "load_tradeoff", "resolver_matrix",
+        "unit_scaling"])
+    def test_experiment_id_is_not_a_subcommand(self, name, capsys):
+        assert repro_main.main([name, "--scale", "tiny"]) == 2
+        assert f"unknown subcommand {name!r}" in capsys.readouterr().err
+
+    def test_experiment_run_writes_the_json_payload(self, tmp_path,
+                                                    capsys):
+        out = tmp_path / "result.json"
+        rc = repro_main.main(["experiment", "run", "load_tradeoff",
+                              "--scale", "tiny", "--format", "json",
+                              "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out == ""
+        payload = json.loads(out.read_text())
+        assert set(payload) == {"experiment_id", "scale", "rows",
+                                "summary", "checks", "passed"}
+        assert payload["experiment_id"] == "load_tradeoff"
+        assert payload["passed"] is True

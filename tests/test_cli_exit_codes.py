@@ -7,7 +7,7 @@ is pinned here for the dispatcher itself and for each subcommand's
 cheap paths (``--help`` and flag errors run no simulation; the
 expensive success/failure paths are covered per-subsystem --
 ``tests/test_chaos_soak.py`` pins soak's 0-and-1,
-``tests/test_experiments.py`` degradation's).
+``tests/test_experiments.py`` the experiment runner's).
 """
 
 import contextlib
@@ -82,6 +82,18 @@ class TestWorkersValidation:
     @pytest.mark.parametrize("value", ["0", "-4", "0.5", "four"])
     def test_soak_rejects_bad_workers(self, value):
         code, _, err = _run(["soak", "--workers", value])
+        assert code == 2
+        assert "positive integer" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sim", "rollout", "--sessions", "0"],
+        ["sim", "rollout", "--days", "0"],
+        ["sim", "dnsload", "--lookups", "0"],
+        ["sim", "status", "--sessions", "-5"],
+        ["monitor", "--sessions-per-day", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_counts_must_be_positive(self, argv):
+        code, _, err = _run(argv)
         assert code == 2
         assert "positive integer" in err
 

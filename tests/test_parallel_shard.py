@@ -27,16 +27,9 @@ import random
 
 import pytest
 
-from repro.api import (
-    ScenarioSpec,
-    _spec_of_world,
-    build_world,
-    run,
-    run_rollout,
-)
+from repro.api import ScenarioSpec, build_world, run
 from repro.core.loadfeedback import LoadFeedbackConfig
 from repro.core.mapmaker import MapMakerConfig
-from repro.core.policies import EUMappingPolicy, NSMappingPolicy
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.faults.chaos import SoakConfig, _scenario_spec
 from repro.topology.traffic import TrafficSchedule, TrafficShape
@@ -48,7 +41,7 @@ from repro.parallel import (
     shard_of_prefix,
 )
 from repro.simulation.rollout import RolloutConfig
-from repro.simulation.world import WorldConfig, _build_world
+from repro.simulation.world import WorldConfig
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -414,40 +407,6 @@ class TestValidation:
     def test_shards_without_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             run(ROLLOUT_SPEC, shards=4)
-
-    def test_run_rollout_rejects_live_observer_with_workers(
-            self, tiny_world):
-        with pytest.raises(ValueError, match="observer"):
-            run_rollout(tiny_world, ROLLOUT_SPEC.rollout,
-                        observer=object(), workers=2)
-
-    def test_run_rollout_ships_every_world_plane_to_the_shards(self):
-        """Regression: the spec derived from a carrier world dropped
-        its load-feedback config, so ``run_rollout(world, workers=N)``
-        silently ran load-blind."""
-        spec = dataclasses.replace(
-            LOAD_FEEDBACK_SPEC, monitor=False, traffic=TrafficSchedule())
-        world = _build_world(config=spec.world,
-                             control_plane=spec.control_plane,
-                             load_feedback=spec.load_feedback)
-        assert _spec_of_world(world, spec.rollout) == spec
-
-    def test_run_rollout_refuses_a_world_whose_policy_was_swapped(self):
-        """Regression: the derived spec never carried the world's
-        mapping policy, so the shards of an NS (or rescoped EU) world
-        silently ran the default EU mapping."""
-        world = build_world(WorldConfig.tiny())
-        geodb = world.internet.geodb
-        for policy in (NSMappingPolicy(geodb),
-                       EUMappingPolicy(geodb, scope_prefix_len=20)):
-            world.set_policy(policy)
-            with pytest.raises(ValueError,
-                               match=type(policy).__name__):
-                run_rollout(world, ROLLOUT_SPEC.rollout, workers=1)
-        world.set_policy(EUMappingPolicy(geodb))
-        result = run_rollout(world, ROLLOUT_SPEC.rollout, workers=1,
-                             shards=2)
-        assert len(result.rum) > 0
 
     def test_default_shard_count_is_eight(self):
         assert DEFAULT_SHARDS == 8

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from repro.core.policies import EUMappingPolicy, NSMappingPolicy
-from repro.clock import SimClock
 from repro.api import build_world, run_rollout
 from repro.simulation import (
     RolloutConfig,
@@ -20,32 +19,6 @@ from repro.simulation.rollout import classify_expectation_groups
 @pytest.fixture(scope="module")
 def world():
     return build_world(WorldConfig.tiny())
-
-
-class TestSimClock:
-    def test_advance(self):
-        clock = SimClock()
-        clock.advance(10)
-        assert clock.now() == 10
-        with pytest.raises(ValueError):
-            clock.advance(-1)
-
-    def test_advance_to(self):
-        clock = SimClock(5)
-        clock.advance_to(20)
-        assert clock.now() == 20
-        with pytest.raises(ValueError):
-            clock.advance_to(1)
-
-    def test_dates(self):
-        clock = SimClock(start_date=datetime.date(2014, 1, 1))
-        clock.advance(86400 * 31)
-        assert clock.date == datetime.date(2014, 2, 1)
-        assert clock.seconds_for_date(datetime.date(2014, 1, 2)) == 86400
-
-    def test_rejects_negative_start(self):
-        with pytest.raises(ValueError):
-            SimClock(-1)
 
 
 class TestWorldBuilder:
