@@ -17,6 +17,17 @@ nothing trails the last record.  The fixed layouts are module-level
 :mod:`repro.dnsproto.rdata` and :mod:`repro.dnsproto.edns`, and value
 ranges that hold for the object as well as the wire (TTL, addresses,
 prefix lengths) to the dataclasses' ``__post_init__``.
+
+What a repeated message costs.  Consecutive exchanges for one name
+differ in the 2-byte ID and, when ECS is on, the client subnet; the
+parser and the encoder sit behind two bounded memos keyed on everything
+*but* the ID (:func:`_decode_payload`, :func:`_encode_payload`), so a
+message seen before costs a lookup, its ID and a new :class:`Message`.
+The memos hold this codec's own output for equal input -- bytes it has
+not seen go through :func:`_parse_message`, a call that raises is
+never remembered -- and the parts they share between callers are the
+frozen ``Flags``/``Question``/``ResourceRecord``/``OptRecord`` objects,
+never a list.
 """
 
 from __future__ import annotations
@@ -24,10 +35,15 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dnsproto.edns import ClientSubnetOption, EdnsOptions, OptRecord
-from repro.dnsproto.name import decode_name, encode_name, normalize_name
+from repro.dnsproto.name import (
+    MEMO_SIZE,
+    decode_name,
+    encode_name,
+    normalize_name,
+)
 from repro.dnsproto.rdata import Rdata, decode_rdata
 from repro.dnsproto.types import Opcode, QClass, QType, Rcode
 from repro.dnsproto.wire import WireFormatError, WireReader, WireWriter
@@ -39,6 +55,7 @@ _QUESTION_TAIL = struct.Struct("!HH")
 #: TYPE, CLASS, TTL, RDLENGTH after a record's owner name.
 _RR_FIXED = struct.Struct("!HHIH")
 _RDLENGTH = struct.Struct("!H")
+_ID = struct.Struct("!H")
 _OPT_RTYPE = int(QType.OPT).to_bytes(2, "big")
 #: Writes a field of a frozen dataclass instance under construction.
 _set_slot = object.__setattr__
@@ -221,74 +238,45 @@ class Message:
     # -- codec --------------------------------------------------------------
 
     def encode(self) -> bytes:
-        writer = WireWriter()
-        compress: Dict[str, int] = {}
         try:
-            writer.buf += _HEADER.pack(
-                self.msg_id, self.flags.encode(), len(self.questions),
-                len(self.answers), len(self.authorities),
-                len(self.additionals) + (1 if self.opt else 0))
+            head = _ID.pack(self.msg_id)
         except struct.error as exc:
             raise WireFormatError(
                 f"header field out of range: {exc}") from None
-        for question in self.questions:
-            question.encode(writer, compress)
-        for record in self.answers:
-            record.encode(writer, compress)
-        for record in self.authorities:
-            record.encode(writer, compress)
-        for record in self.additionals:
-            record.encode(writer, compress)
-        if self.opt is not None:
-            self.opt.encode(writer)
-        return writer.getvalue()
+        answers = tuple(self.answers)
+        authorities = tuple(self.authorities)
+        additionals = tuple(self.additionals)
+        sections = (self.flags, tuple(self.questions), answers, authorities,
+                    additionals, self.opt)
+        for record in (*answers, *authorities, *additionals):
+            if type(record.ttl) is not int:
+                # 20.0 and True hash and compare equal to 20 and 1 but
+                # do not pack like them: keep them out of the key space.
+                return head + _encode_payload.__wrapped__(*sections)
+        try:
+            return head + _encode_payload(*sections)
+        except TypeError:
+            # A field that cannot be hashed (a TXT built on a list) is
+            # no key; the encoder does not mind it.
+            return head + _encode_payload.__wrapped__(*sections)
 
     @classmethod
     def decode(cls, data: bytes) -> "Message":
-        reader = WireReader(data)
-        data = reader.data
+        if type(data) is not bytes:
+            data = bytes(data)
         try:
-            (msg_id, flag_word, qdcount, ancount, nscount,
-             arcount) = _HEADER.unpack_from(data, 0)
-        except struct.error:
-            raise WireFormatError("truncated message (header)") from None
-        reader.pos = _HEADER.size
-        flags = Flags.decode(flag_word)
-        questions = [Question.decode(reader) for _ in range(qdcount)]
-        # A comprehension costs a call even over an empty range, and
-        # most messages have an empty answer or authority section.
-        answers = ([ResourceRecord.decode(reader) for _ in range(ancount)]
-                   if ancount else [])
-        authorities = ([ResourceRecord.decode(reader)
-                        for _ in range(nscount)] if nscount else [])
-        additionals: List[ResourceRecord] = []
-        opt: Optional[OptRecord] = None
-        for _ in range(arcount):
-            mark = reader.pos
-            name = decode_name(reader)
-            fixed_at = reader.pos
-            if data[fixed_at:fixed_at + 2] != _OPT_RTYPE:
-                # Not OPT (or too short to tell, which the record
-                # decoder reports): an ordinary additional record.
-                reader.pos = mark
-                additionals.append(ResourceRecord.decode(reader))
-                continue
-            if name:
-                raise WireFormatError("OPT owner name must be root")
-            if opt is not None:
-                raise WireFormatError("duplicate OPT record")
-            try:
-                _rtype, rclass, ttl, rdlength = _RR_FIXED.unpack_from(
-                    data, fixed_at)
-            except struct.error:
-                raise WireFormatError("truncated message (OPT)") from None
-            reader.pos = fixed_at + _RR_FIXED.size
-            opt = OptRecord.decode_body(reader, rclass, ttl, rdlength)
-        if reader.pos != reader.end:
-            raise WireFormatError(
-                f"{reader.remaining} trailing bytes after message")
-        return cls(msg_id, flags, questions, answers, authorities,
-                   additionals, opt)
+            (flags, questions, answers, authorities, additionals,
+             opt) = _decode_payload(data[2:])
+        except WireFormatError:
+            # Malformed, or a compression pointer aimed at the ID
+            # bytes the key leaves out: the parser says which, on the
+            # real bytes.
+            (msg_id, flags, questions, answers, authorities, additionals,
+             opt) = _parse_message(data)
+        else:
+            msg_id = (data[0] << 8) | data[1]
+        return cls(msg_id, flags, list(questions), list(answers),
+                   list(authorities), list(additionals), opt)
 
     def __str__(self) -> str:
         kind = "response" if self.flags.qr else "query"
@@ -303,6 +291,125 @@ class Message:
         return "\n".join(parts)
 
 
+#: Entries per whole-message memo, about 1 KiB each.  Of the four
+#: messages in a CNAME + A resolution only the A reply varies with
+#: more than the name, so a world's working set is a few hundred.
+_PAYLOAD_MEMO_SIZE = 2048
+#: Stands in for the ID when a payload is parsed without one.  A name
+#: walk that a compression pointer sends to offset 0 or 1 finds a
+#: forward pointer there and raises, so nothing that was parsed under
+#: this placeholder can depend on the real ID.
+_ID_TRAP = b"\xc0\xc0"
+
+
+def _parse_message(data: bytes) -> tuple:
+    """The parser: ``(msg_id, *sections)`` of a whole message."""
+    reader = WireReader(data)
+    data = reader.data
+    try:
+        (msg_id, flag_word, qdcount, ancount, nscount,
+         arcount) = _HEADER.unpack_from(data, 0)
+    except struct.error:
+        raise WireFormatError("truncated message (header)") from None
+    reader.pos = _HEADER.size
+    flags = Flags.decode(flag_word)
+    questions = [Question.decode(reader) for _ in range(qdcount)]
+    # A comprehension costs a call even over an empty range, and
+    # most messages have an empty answer or authority section.
+    answers = ([ResourceRecord.decode(reader) for _ in range(ancount)]
+               if ancount else ())
+    authorities = ([ResourceRecord.decode(reader)
+                    for _ in range(nscount)] if nscount else ())
+    additionals: List[ResourceRecord] = []
+    opt: Optional[OptRecord] = None
+    for _ in range(arcount):
+        mark = reader.pos
+        name = decode_name(reader)
+        fixed_at = reader.pos
+        if data[fixed_at:fixed_at + 2] != _OPT_RTYPE:
+            # Not OPT (or too short to tell, which the record
+            # decoder reports): an ordinary additional record.
+            reader.pos = mark
+            additionals.append(ResourceRecord.decode(reader))
+            continue
+        if name:
+            raise WireFormatError("OPT owner name must be root")
+        if opt is not None:
+            raise WireFormatError("duplicate OPT record")
+        try:
+            _rtype, rclass, ttl, rdlength = _RR_FIXED.unpack_from(
+                data, fixed_at)
+        except struct.error:
+            raise WireFormatError("truncated message (OPT)") from None
+        reader.pos = fixed_at + _RR_FIXED.size
+        opt = OptRecord.decode_body(reader, rclass, ttl, rdlength)
+    if reader.pos != reader.end:
+        raise WireFormatError(
+            f"{reader.remaining} trailing bytes after message")
+    return (msg_id, flags, tuple(questions), tuple(answers),
+            tuple(authorities), tuple(additionals), opt)
+
+
+@lru_cache(maxsize=_PAYLOAD_MEMO_SIZE)
+def _decode_payload(payload: bytes) -> tuple:
+    """``(flags, questions, answers, authorities, additionals, opt)``
+    of the message whose bytes after the ID are ``payload``, sections
+    as tuples; shared (all frozen) while the payload stays in the
+    memo."""
+    return _parse_message(_ID_TRAP + payload)[1:]
+
+
+@lru_cache(maxsize=_PAYLOAD_MEMO_SIZE)
+def _encode_payload(flags: Flags, questions: Tuple[Question, ...],
+                    answers: Tuple[ResourceRecord, ...],
+                    authorities: Tuple[ResourceRecord, ...],
+                    additionals: Tuple[ResourceRecord, ...],
+                    opt: Optional[OptRecord]) -> bytes:
+    """The encoder: the bytes after the ID of a message with these
+    sections.  Compression offsets count from the start of the
+    message, so it is written whole, under ID 0."""
+    writer = WireWriter()
+    compress: Dict[str, int] = {}
+    try:
+        writer.buf += _HEADER.pack(
+            0, flags.encode(), len(questions), len(answers),
+            len(authorities), len(additionals) + (1 if opt else 0))
+    except struct.error as exc:
+        raise WireFormatError(
+            f"header field out of range: {exc}") from None
+    for question in questions:
+        question.encode(writer, compress)
+    for record in answers:
+        record.encode(writer, compress)
+    for record in authorities:
+        record.encode(writer, compress)
+    for record in additionals:
+        record.encode(writer, compress)
+    if opt is not None:
+        opt.encode(writer)
+    return bytes(writer.buf[_ID.size:])
+
+
+_QUERY_RD = Flags(qr=False, rd=True)
+_QUERY_NO_RD = Flags(qr=False, rd=False)
+#: EDNS0 with nothing in it: what every non-ECS query and reply carries.
+_PLAIN_OPT = OptRecord()
+
+
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
+def _question(name: str, qtype: int) -> Question:
+    """One shared ``Question`` per spelling of ``(name, qtype)``;
+    ``typed`` so that ``1.0`` never answers for ``1``."""
+    return Question(name, qtype)
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _response_flags(opcode: int, authoritative: bool, rd: bool,
+                    rcode: int) -> Flags:
+    return Flags(qr=True, opcode=opcode, aa=authoritative, rd=rd, ra=False,
+                 rcode=rcode)
+
+
 def make_query(
     name: str,
     qtype: int = QType.A,
@@ -311,16 +418,35 @@ def make_query(
     recursion_desired: bool = True,
 ) -> Message:
     """Build a query message, optionally carrying an ECS option."""
-    message = Message(
-        msg_id=msg_id,
-        flags=Flags(qr=False, rd=recursion_desired),
-        questions=[Question(name, qtype)],
+    return Message(
+        msg_id,
+        _QUERY_RD if recursion_desired else _QUERY_NO_RD,
+        [_question(name, qtype)],
+        opt=(_PLAIN_OPT if ecs is None
+             else OptRecord(EdnsOptions(client_subnet=ecs))),
     )
-    if ecs is not None:
-        message.with_client_subnet(ecs)
-    else:
-        message.opt = OptRecord()
-    return message
+
+
+_QUERY = Opcode.QUERY
+
+
+def refusal_rcode(message: Message) -> Optional[int]:
+    """The rcode a server owes a message it must not dispatch, None
+    for a standard query.
+
+    FORMERR for a response (answering one would let two servers
+    reflect each other) and for a query without a question; NOTIMP for
+    any opcode but QUERY -- STATUS, NOTIFY and UPDATE ask nothing a
+    zone or a recursion could answer.
+    """
+    flags = message.flags
+    if flags.qr:
+        return Rcode.FORMERR
+    if flags.opcode != _QUERY:
+        return Rcode.NOTIMP
+    if not message.questions:
+        return Rcode.FORMERR
+    return None
 
 
 def make_response(
@@ -332,26 +458,25 @@ def make_response(
     authorities: Sequence[ResourceRecord] = (),
     additionals: Sequence[ResourceRecord] = (),
 ) -> Message:
-    """Build a response echoing the query's id, question, and ECS.
+    """Build a response echoing the query's id, opcode, question and
+    EDNS.
 
+    A query without OPT gets none back (RFC 6891 Section 7).
     ``scope_prefix_len`` sets the RFC 7871 SCOPE PREFIX-LENGTH when the
     query carried an ECS option; None echoes scope 0 (answer valid for
     all clients), which is what a non-ECS-aware authority would do.
     """
-    response = Message(
-        msg_id=query.msg_id,
-        flags=Flags(qr=True, aa=authoritative, rd=query.flags.rd, ra=False,
-                    rcode=rcode),
-        questions=list(query.questions),
-        answers=list(answers),
-        authorities=list(authorities),
-        additionals=list(additionals),
-    )
-    query_ecs = query.client_subnet
-    if query_ecs is not None:
-        response.with_client_subnet(
-            query_ecs.for_response(
-                scope_prefix_len if scope_prefix_len is not None else 0))
-    else:
-        response.opt = OptRecord()
-    return response
+    opt = query.opt
+    if opt is not None:
+        query_ecs = opt.options.client_subnet
+        if query_ecs is None:
+            opt = _PLAIN_OPT
+        else:
+            opt = OptRecord(EdnsOptions(client_subnet=query_ecs.for_response(
+                scope_prefix_len if scope_prefix_len is not None else 0)))
+    flags = query.flags
+    return Message(
+        query.msg_id,
+        _response_flags(flags.opcode, authoritative, flags.rd, rcode),
+        list(query.questions), list(answers), list(authorities),
+        list(additionals), opt)

@@ -34,7 +34,7 @@ _MAX_POINTER_JUMPS = 64
 #: Entries per memo.  The simulator's worlds use a few dozen names;
 #: the bound is what keeps a stream of hostile names (echoed back by
 #: ``make_response``) from growing the process.
-_MEMO_SIZE = 4096
+MEMO_SIZE = 4096
 
 
 def normalize_name(name: str) -> str:
@@ -55,7 +55,7 @@ def normalize_name(name: str) -> str:
     return name
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def _name_plan(name: str) -> Tuple[Tuple[str, bytes], ...]:
     """The validated encoding of ``name``, one entry per label.
 
@@ -116,7 +116,7 @@ def encode_name(
     buf.append(0)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def _label_text(raw: bytes) -> str:
     """One wire label as canonical text; the same ``str`` object for
     every occurrence of the label while it stays in the memo."""

@@ -21,6 +21,7 @@ bad input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Optional, Protocol, Tuple
 
 from repro.dnsproto.edns import ClientSubnetOption
@@ -29,8 +30,9 @@ from repro.dnsproto.message import (
     Message,
     ResourceRecord,
     make_response,
+    refusal_rcode,
 )  # Flags used for FORMERR and truncation replies
-from repro.dnsproto.name import normalize_name
+from repro.dnsproto.name import MEMO_SIZE, normalize_name
 from repro.dnsproto.rdata import TXTRdata
 from repro.dnsproto.types import QType, Rcode
 from repro.dnsproto.wire import WireFormatError
@@ -135,10 +137,14 @@ class AuthoritativeServer:
         self.obs = obs if obs is not None else NOOP
         self.server_name = server_name
         self._zones: Dict[str, AnswerSource] = {}
+        # A world asks about a few dozen names; the bound is for the
+        # names a hostile querier makes up.
+        self._zone_memo = lru_cache(maxsize=MEMO_SIZE)(self._match_zone)
         self.alive = True
         self.queries_received = 0
         self.responses_sent = 0
         self.formerr_count = 0
+        self.notimp_count = 0
         self.truncated_count = 0
         self.tcp_queries = 0
 
@@ -148,8 +154,14 @@ class AuthoritativeServer:
 
     def attach_zone(self, zone: str, source: AnswerSource) -> None:
         self._zones[normalize_name(zone)] = source
+        self._zone_memo.cache_clear()
 
     def zone_for(self, qname: str) -> Optional[AnswerSource]:
+        """The answer source of the longest zone suffix of ``qname``,
+        matched once per spelling of the name."""
+        return self._zone_memo(qname)
+
+    def _match_zone(self, qname: str) -> Optional[AnswerSource]:
         labels = normalize_name(qname).split(".")
         for start in range(len(labels)):
             source = self._zones.get(".".join(labels[start:]))
@@ -179,10 +191,14 @@ class AuthoritativeServer:
                 self.formerr_count += 1
                 span.set(rcode=int(Rcode.FORMERR))
                 return self._formerr(wire)
-            if query.flags.qr or not query.questions:
-                self.formerr_count += 1
-                span.set(rcode=int(Rcode.FORMERR))
-                return make_response(query, rcode=Rcode.FORMERR,
+            refusal = refusal_rcode(query)
+            if refusal is not None:
+                if refusal == Rcode.NOTIMP:
+                    self.notimp_count += 1
+                else:
+                    self.formerr_count += 1
+                span.set(rcode=int(refusal))
+                return make_response(query, rcode=refusal,
                                      authoritative=False).encode()
             question = query.question
             source = self.zone_for(question.name)

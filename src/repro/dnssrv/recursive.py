@@ -29,6 +29,7 @@ from repro.dnsproto.message import (
     ResourceRecord,
     make_query,
     make_response,
+    refusal_rcode,
 )
 from repro.dnsproto.name import normalize_name
 from repro.dnsproto.rdata import CNAMERdata
@@ -195,6 +196,7 @@ class RecursiveResolver:
         self.timeout_failovers = 0
         self.tcp_failovers = 0
         self.servfail_responses = 0
+        self.notimp_count = 0
         self.stale_served = 0
         self.retry_penalty_ms_total = 0.0
         """Cumulative retry-timer backoff charged while re-querying
@@ -322,10 +324,11 @@ class RecursiveResolver:
             query = Message.decode(wire)
         except WireFormatError:
             return None
-        if query.flags.qr or not query.questions:
-            # A response is not a query: answering it would let two
-            # resolvers on one network reflect each other.
-            return make_response(query, rcode=Rcode.FORMERR,
+        refusal = refusal_rcode(query)
+        if refusal is not None:
+            if refusal == Rcode.NOTIMP:
+                self.notimp_count += 1
+            return make_response(query, rcode=refusal,
                                  authoritative=False).encode()
         question = query.question
         result = self.resolve(question.name, question.qtype, src_ip, now)

@@ -11,10 +11,11 @@ data surfaces as a FORMERR here, exactly as it would on the Internet.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.dnsproto.message import Message
-from repro.dnsproto.name import normalize_name
+from repro.dnsproto.name import MEMO_SIZE, normalize_name
 from repro.geo.database import GeoDatabase
 from repro.net.ipv4 import format_ipv4
 from repro.net.latency import LatencyModel
@@ -91,6 +92,8 @@ class Network:
         self._rtt_override = rtt_override
         self.obs = obs if obs is not None else NOOP
         self._endpoints: Dict[int, DnsEndpoint] = {}
+        self._dotted: Dict[int, str] = {}
+        """Each endpoint's address as the hop span spells it."""
         self._sinks: List[QuerySink] = []
         self.queries_sent = 0
         self.bytes_sent = 0
@@ -128,6 +131,7 @@ class Network:
             raise ValueError(
                 f"endpoint IP collision at {format_ipv4(endpoint.ip)}")
         self._endpoints[endpoint.ip] = endpoint
+        self._dotted[endpoint.ip] = format_ipv4(endpoint.ip)
 
     def add_sink(self, sink: QuerySink) -> None:
         self._sinks.append(sink)
@@ -186,7 +190,7 @@ class Network:
         # The hop span wraps the destination's handling, so spans the
         # endpoint opens (authoritative dispatch, mapping decision)
         # nest under this hop in the trace tree.
-        with self.obs.tracer.span("hop", dst=format_ipv4(dst_ip),
+        with self.obs.tracer.span("hop", dst=self._dotted[dst_ip],
                                   tcp=tcp) as hop:
             if lost:
                 self.packets_lost += 1
@@ -219,14 +223,24 @@ class AuthorityDirectory:
 
     def __init__(self) -> None:
         self._zones: Dict[str, List[int]] = {}
+        # Bounded because a resolver looks up whatever name a client
+        # sends it.
+        self._authority_memo = lru_cache(maxsize=MEMO_SIZE)(
+            self._match_authority)
 
     def delegate(self, zone: str, server_ips: List[int]) -> None:
         if not server_ips:
             raise ValueError(f"zone {zone!r} needs at least one server")
         self._zones[normalize_name(zone)] = list(server_ips)
+        self._authority_memo.cache_clear()
 
     def authority_for(self, name: str) -> Optional[Tuple[str, List[int]]]:
-        """Longest-suffix zone match: (zone, server IPs) or None."""
+        """Longest-suffix zone match: (zone, server IPs) or None;
+        matched once per spelling of the name."""
+        return self._authority_memo(name)
+
+    def _match_authority(
+            self, name: str) -> Optional[Tuple[str, List[int]]]:
         name = normalize_name(name)
         labels = name.split(".") if name else []
         for start in range(len(labels)):

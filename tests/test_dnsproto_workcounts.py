@@ -1,25 +1,47 @@
 """What the codec's memos cost and hold, counted rather than timed.
 
 The compiled codec validates a name once per distinct name and a wire
-label once per distinct label.  These tests pin that with the memos'
-own counters, and pin what keeps the memos safe: a name that fails
-validation is never remembered, and no input stream grows them past
-their bound.
+label once per distinct label, and parses or encodes a message once
+per distinct payload after the ID.  These tests pin that with the
+memos' own counters, and pin what keeps the memos safe: an input that
+fails validation is never remembered, and no input stream grows them
+past their bound.
 """
 
+import datetime
 import random
 
 import pytest
 
-from repro.dnsproto import Flags, Message, WireFormatError, make_query
+import repro.api
+from repro.dnsproto import (
+    ClientSubnetOption,
+    Flags,
+    Message,
+    WireFormatError,
+    make_query,
+)
+from repro.dnsproto.message import (
+    _decode_payload,
+    _encode_payload,
+    _question,
+    _response_flags,
+)
 from repro.dnsproto.name import _label_text, _name_plan, encode_name
 from repro.dnsproto.wire import WireWriter
 from repro.dnssrv import AuthoritativeServer
+from repro.net.ipv4 import Prefix
+from repro.simulation.rollout import RolloutConfig
+from repro.simulation.world import WorldConfig
+
+NAME_MEMOS = (_name_plan, _label_text)
+PAYLOAD_MEMOS = (_decode_payload, _encode_payload)
 
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    for memo in (_name_plan, _label_text, Flags.decode):
+    for memo in (*NAME_MEMOS, *PAYLOAD_MEMOS, Flags.decode, _question,
+                 _response_flags):
         memo.cache_clear()
 
 
@@ -60,10 +82,21 @@ class TestNamePlan:
 
 class TestLabelText:
     def test_second_decode_validates_nothing(self):
-        wire = make_query("www.cdn.example").encode()
+        wire = make_query("www.cdn.example", msg_id=1).encode()
         Message.decode(wire)
         assert _label_text.cache_info()[:2] == (0, 3)
+        # The same payload, then the same payload under another ID:
+        # neither reaches the parser.
         Message.decode(wire)
+        assert Message.decode(b"\xbe\xef" + wire[2:]).msg_id == 0xBEEF
+        assert _label_text.cache_info()[:2] == (0, 3)
+        assert _decode_payload.cache_info()[:2] == (2, 1)
+
+    def test_another_subnet_parses_but_validates_no_label(self):
+        for third_octet in (1, 2):
+            ecs = ClientSubnetOption(Prefix.parse(f"10.0.{third_octet}.0/24"))
+            Message.decode(make_query("www.cdn.example", ecs=ecs).encode())
+        assert _decode_payload.cache_info()[:2] == (0, 2)
         assert _label_text.cache_info()[:2] == (3, 3)
 
     def test_label_text_is_shared(self):
@@ -88,6 +121,9 @@ class TestMemosStayBounded:
                 f"host{number}.cdn.example")
         assert _name_plan.cache_info().currsize == bound
         assert _label_text.cache_info().currsize == bound
+        for memo in (*PAYLOAD_MEMOS, _question):
+            info = memo.cache_info()
+            assert bound + 500 > info.maxsize == info.currsize
 
     def test_hostile_queries(self):
         # The fuzz suite's random-bytes run with enough draws to
@@ -106,9 +142,30 @@ class TestMemosStayBounded:
             server.handle_query(rng.randbytes(rng.randrange(64)),
                                 src_ip=42, now=0.0)
         answered = server.queries_received - server.formerr_count
-        for memo in (_name_plan, _label_text):
+        for memo in (*NAME_MEMOS, *PAYLOAD_MEMOS, server._zone_memo):
             info = memo.cache_info()
             assert answered > info.maxsize == info.currsize
+
+
+class TestPayloadMemoFloor:
+    def test_a_tiny_rollout_repeats_nine_messages_in_ten(self):
+        """Of the four messages in a CNAME + A resolution the two
+        queries and the CNAME reply depend on the name alone; only the
+        A reply varies with (provider, cluster).  That puts a floor of
+        0.75 under the hit ratio however large the world, and a tiny
+        world (40 clusters) sits well above it."""
+        day = datetime.date(2014, 3, 1)
+        repro.api.run(repro.api.ScenarioSpec(
+            world=WorldConfig.tiny(), monitor=False,
+            rollout=RolloutConfig(
+                start_date=day, end_date=day + datetime.timedelta(days=7),
+                rollout_start=day + datetime.timedelta(days=2),
+                rollout_end=day + datetime.timedelta(days=5),
+                sessions_per_day=1000, monthly_growth=0.0, seed=22)))
+        for memo in PAYLOAD_MEMOS:
+            info = memo.cache_info()
+            assert info.hits + info.misses > 25000
+            assert info.hits / (info.hits + info.misses) >= 0.9
 
 
 class TestFlagsInterning:

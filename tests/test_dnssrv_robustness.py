@@ -275,3 +275,38 @@ class TestUnencodableAnswers:
         result = ldns.resolve("bad.cdn.example", record.rtype, CLIENT,
                               now=0)
         assert result.rcode == Rcode.SERVFAIL
+
+
+class TestOptIsEchoedNotInvented:
+    """RFC 6891 Section 7: a requestor that sent no OPT gets none
+    back -- 11 bytes it never offered to receive, counted against the
+    512 the server then holds the reply to."""
+
+    def _plain_query(self, msg_id):
+        query = make_query("a.cdn.example", msg_id=msg_id)
+        query.opt = None
+        return query.encode()
+
+    def test_authoritative(self, world):
+        _network, _ldns, near, _far = world
+        with_opt = near.handle_query(
+            make_query("a.cdn.example", msg_id=3).encode(), LDNS_IP, 0.0)
+        without = near.handle_query(self._plain_query(3), LDNS_IP, 0.0)
+        assert Message.decode(with_opt).opt is not None
+        reply = Message.decode(without)
+        assert reply.opt is None
+        assert reply.flags.rcode == Rcode.NOERROR and len(reply.answers) == 1
+        assert len(with_opt) - len(without) == 11
+
+    def test_recursive(self, world):
+        network, ldns, _near, _far = world
+        with_opt = ldns.handle_query(
+            make_query("a.cdn.example", msg_id=4).encode(), CLIENT, 0.0)
+        without = ldns.handle_query(self._plain_query(4), CLIENT, 1.0)
+        assert Message.decode(with_opt).opt is not None
+        reply = Message.decode(without)
+        assert reply.opt is None
+        assert reply.flags.ra and len(reply.answers) == 1
+        assert len(with_opt) - len(without) == 11
+        # Upstream the resolver speaks EDNS0 for itself, either way.
+        assert network.queries_sent == 1

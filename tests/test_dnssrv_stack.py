@@ -10,6 +10,7 @@ import pytest
 
 from repro.dnsproto.edns import ClientSubnetOption
 from repro.dnsproto.message import (
+    Flags,
     Message,
     ResourceRecord,
     make_query,
@@ -129,6 +130,20 @@ class TestAuthorityDirectory:
         with pytest.raises(ValueError):
             directory.delegate("x", [])
 
+    def test_a_delegation_reaches_names_already_looked_up(self, world):
+        _network, directory = world
+        directory.delegate("cdn.example", [1])
+        assert directory.authority_for("x.special.cdn.example")[1] == [1]
+        assert directory.authority_for("other.org") is None
+        directory.delegate("special.cdn.example", [2])
+        directory.delegate("", [9])
+        assert directory.authority_for("x.special.cdn.example") == (
+            "special.cdn.example", [2])
+        assert directory.authority_for("other.org") == ("", [9])
+        directory.delegate("cdn.example", [3])
+        assert directory.authority_for("a.cdn.example")[1] == [3]
+        assert directory.authority_for("A.CDN.example.")[1] == [3]
+
 
 class TestNetwork:
     def test_rtt_requires_geolocation(self, world):
@@ -196,6 +211,37 @@ class TestAuthoritativeServer:
         hop = network.query(LDNS_IP, AUTH_NYC,
                             make_query("other.org"), now=0)
         assert hop.response.flags.rcode == Rcode.REFUSED
+
+    def test_an_attached_zone_reaches_names_already_looked_up(self, world):
+        server = AuthoritativeServer(AUTH_NYC)
+        parent, child, root = StaticZone(), StaticZone(), StaticZone()
+        server.attach_zone("shop.example", parent)
+        assert server.zone_for("www.eu.shop.example") is parent
+        assert server.zone_for("other.org") is None
+        server.attach_zone("eu.shop.example", child)
+        server.attach_zone("", root)
+        assert server.zone_for("www.eu.shop.example") is child
+        assert server.zone_for("WWW.eu.shop.example.") is child
+        assert server.zone_for("other.org") is root
+        server.attach_zone("eu.shop.example", parent)
+        assert server.zone_for("www.eu.shop.example") is parent
+
+    @pytest.mark.parametrize("opcode", [2, 4, 5],
+                             ids=["status", "notify", "update"])
+    def test_notimp_for_any_opcode_but_query(self, world, opcode):
+        source = EcsEchoSource()
+        server = AuthoritativeServer(AUTH_NYC)
+        server.attach_zone("cdn.example", source)
+        query = make_query("e1.cdn.example", msg_id=11)
+        query.flags = Flags(opcode=opcode)
+        reply = Message.decode(
+            server.handle_query(query.encode(), LDNS_IP, now=0))
+        assert reply.flags.rcode == Rcode.NOTIMP
+        assert reply.flags.opcode == opcode and reply.flags.qr
+        assert reply.msg_id == 11 and not reply.answers
+        assert not reply.flags.aa
+        assert source.answers == 0
+        assert (server.notimp_count, server.formerr_count) == (1, 0)
 
     def test_formerr_on_garbage(self, world):
         server = AuthoritativeServer(AUTH_NYC)
@@ -406,6 +452,24 @@ class TestRecursiveResolver:
         assert reply.flags.rcode == Rcode.FORMERR
         assert reply.msg_id == 7 and not reply.answers
         assert ldns.client_queries == 0
+        assert source.answers == 0
+
+    def test_handle_query_does_not_recurse_for_another_opcode(self, world):
+        """A NOTIFY or UPDATE is not a question: NOTIMP with the opcode
+        echoed, and nothing goes upstream."""
+        network, directory = world
+        source = build_cdn_auth(world)
+        ldns = RecursiveResolver(LDNS_IP, network, directory)
+        for opcode in (2, 4, 5):
+            query = make_query("e1.cdn.example", msg_id=opcode)
+            query.flags = Flags(opcode=opcode)
+            reply = Message.decode(
+                ldns.handle_query(query.encode(), CLIENT_NYC, now=0))
+            assert reply.flags.rcode == Rcode.NOTIMP
+            assert reply.flags.opcode == opcode and reply.flags.qr
+            assert reply.msg_id == opcode and not reply.answers
+        assert ldns.notimp_count == 3
+        assert ldns.client_queries == 0 and network.queries_sent == 0
         assert source.answers == 0
 
     def test_rejects_bad_ecs_source_len(self, world):
