@@ -1,5 +1,8 @@
 """Deterministic fault injection (`repro.faults`).
 
+* :mod:`repro.faults.kinds` -- the fault table: one row per kind
+  (plane, target grammar, victims, what breaking one means, soak
+  menu) that everything below reads.
 * :mod:`repro.faults.schedule` -- declarative ``FaultSchedule`` /
   ``FaultEvent`` data model: when targets break and recover.
 * :mod:`repro.faults.injector` -- ``FaultInjector`` applies a schedule

@@ -1,17 +1,19 @@
 """Seeded chaos: random fault schedules and the soak runner.
 
-``python -m repro soak --seed S --count N`` generates N random fault
-scenarios from one SplitMix64 seed, runs each end to end on a small
-control-plane world, and asserts the *global invariants* no scenario
-may violate no matter what broke:
+``python -m repro soak --seed S --count N`` generates N random
+scenarios from one SplitMix64 seed -- faults drawn from the whole
+fault table, and for about half of them a surge-traffic schedule with
+load feedback on a capacity-starved world -- runs each end to end on
+a small control-plane world, and asserts the *global invariants* no
+scenario may violate no matter what broke:
 
 * **determinism** -- the same seed replays byte-identically (scenario 0
   is run twice and its report digests compared);
 * **availability floor** -- sessions keep completing through every
   degradation ladder the faults exercise;
 * **exact recovery** -- after the run every fault has been reverted:
-  servers and resolvers alive, no link impairments, no ECS stripping,
-  all MapMakers healthy, no fault trace-context leaking;
+  each kind's audit finds nothing it breaks still broken, and no
+  fault trace-context leaks;
 * **no unhandled exceptions** -- faults degrade, they never crash the
   simulator;
 * **conservation** -- sessions and authoritative queries add up
@@ -39,10 +41,11 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.cliutil import output, positive_int
-from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
+from repro.faults.kinds import KINDS
+from repro.faults.schedule import FaultEvent, FaultSchedule
 
 SCHEMA = "soak/v1"
 
@@ -88,87 +91,41 @@ def scenario_seed(seed: int, index: int) -> int:
 
 # -- schedule generation ----------------------------------------------------
 
-#: (kind, candidate targets) menu the generator draws from.  Targets
-#: are chosen to exist in every world the soak runs (the tiny scale has
-#: 4 name servers, 40 clusters, 25 public and 172 ISP resolvers, and a
-#: 2-maker control plane) and to leave enough redundancy that the
-#: availability floor is *expected* to hold -- chaos probes the
-#: degradation ladders, not the laws of physics.
-_MENU: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    (FaultKind.AUTH_OUTAGE, ("ns:0", "ns:1", "ns:2")),
-    (FaultKind.CLUSTER_OUTAGE, ("cluster:0", "cluster:1", "cluster:2",
-                                "cluster:3")),
-    (FaultKind.ECS_STRIP, ("public:*", "public:0", "public:1")),
-    (FaultKind.LDNS_BLACKOUT, ("public:0", "public:1", "isp:0", "isp:1")),
-    (FaultKind.LINK_DEGRADATION, ("isp:*", "public:*", "isp:0")),
-    (FaultKind.MAPMAKER_CRASH, ("mapmaker:primary", "mapmaker:standby",
-                                "mapmaker:*")),
-    (FaultKind.MAPMAKER_HANG, ("mapmaker:primary", "mapmaker:*")),
-    (FaultKind.MAPMAKER_SLOW_PUBLISH, ("mapmaker:primary",)),
-    (FaultKind.MAP_CORRUPTION, ("mapmaker:primary", "mapmaker:*")),
-)
-
-#: Resolver-plane additions, layered onto the base menu only in
-#: ``--resolver`` mode: any change to the menu changes which faults
-#: SplitMix64 draws for every ``(seed, index)``, and the base menu's
-#: draws are pinned by checked-in fixtures (golden_shard_fault.json
-#: replays soak scenario 0 byte-for-byte).  Resolver-plane kinds name
-#: providers (never indices), so the parse-time pop_outage/
-#: ldns_blackout conflict check can never trip against the base
-#: menu's index-based blackout targets.  City targets withdraw one
-#: PoP (silent re-home); bare-provider targets take the whole fleet
-#: dark (LDNS-failover ladder).
-_RESOLVER_MENU: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    (FaultKind.POP_OUTAGE, ("public:GloboDNS:dallas",
-                            "public:OpenFast:chicago",
-                            "public:UltraLevel")),
-    (FaultKind.ANYCAST_FLAP, ("public:GloboDNS", "public:OpenFast")),
-    (FaultKind.ECS_WHITELIST_REVOKE, ("public:*", "public:GloboDNS")),
-)
-
-_LINK_FACTORS = (2.0, 3.0)
-_LINK_LOSS = (0.05, 0.10, 0.15)
-_SLOW_FACTORS = (2.0, 3.0, 4.0)
-
-
 def generate_schedule(rng: SplitMix64, n_days: int,
-                      max_events: int = 4,
-                      menu: Tuple[Tuple[str, Tuple[str, ...]], ...]
-                      = _MENU) -> FaultSchedule:
+                      max_events: int = 4) -> FaultSchedule:
     """One random, grammar-valid, non-overlapping fault schedule.
 
-    Events start on day 1 at the earliest (day 0 boots clean) and end
-    at least one day before the timeline does, so every scenario gets
-    at least one fully-recovered day -- the window the exact-recovery
-    invariant (and any resolve-side alert assertion) observes.
+    The menu is the fault table: each draw picks a ``KINDS`` row, then
+    one of its ``soak_targets``, then one value per ``soak_params``
+    menu.  Events start on day 1 at the earliest (day 0 boots clean)
+    and end at least one day before the timeline does, so every
+    scenario gets at least one fully-recovered day -- the window the
+    exact-recovery invariant (and any resolve-side alert assertion)
+    observes.
     """
+    menu = tuple(KINDS.values())
     n_events = 1 + rng.randrange(max_events)
     events: List[FaultEvent] = []
     used: set = set()
     for _ in range(n_events):
         for _attempt in range(8):
-            kind, targets = menu[rng.randrange(len(menu))]
-            target = targets[rng.randrange(len(targets))]
+            row = rng.choice(menu)
+            target = rng.choice(row.soak_targets)
             start = 1 + rng.randrange(max(1, n_days - 4))
             duration = 2 + rng.randrange(4)
             duration = min(duration, n_days - 1 - start)
             if duration < 1:
                 continue
-            span = (kind, target, start, start + duration)
-            if any(k == kind and t == target
-                   and not (span[3] <= s or e <= span[2])
+            end = start + duration
+            if any(k == row.name and t == target and s < end and start < e
                    for k, t, s, e in used):
                 continue  # same-target overlap: redraw
-            used.add(span)
-            params: Tuple[Tuple[str, float], ...] = ()
-            if kind == FaultKind.LINK_DEGRADATION:
-                params = (("latency_factor", rng.choice(_LINK_FACTORS)),
-                          ("loss_rate", rng.choice(_LINK_LOSS)))
-            elif kind == FaultKind.MAPMAKER_SLOW_PUBLISH:
-                params = (("slow_factor", rng.choice(_SLOW_FACTORS)),)
+            used.add((row.name, target, start, end))
             events.append(FaultEvent(
                 start_day=start, duration_days=duration, target=target,
-                kind=kind, params=params))
+                kind=row.name,
+                params=tuple((name, rng.choice(values))
+                             for name, values in row.soak_params)))
             break
     return FaultSchedule(tuple(events)).validate()
 
@@ -189,17 +146,6 @@ class SoakConfig:
     sessions_per_day: int = 20
     availability_floor: float = 0.95
     max_events: int = 4
-    surge: bool = False
-    """Layer a generated surge-traffic schedule (flash crowds,
-    regional events, diurnal waves, content surges) over every
-    scenario and run it with the load-feedback loop on, soaking the
-    scenario library against the same invariants."""
-    resolver: bool = False
-    """Widen the fault menu with the resolver-plane kinds
-    (pop_outage / anycast_flap / ecs_whitelist_revoke), activating
-    the anycast PoP fleet model in every scenario.  Opt-in because
-    any menu change re-deals every scenario's draws, and the base
-    menu's are pinned by checked-in fixtures."""
 
     def identity(self) -> Dict:
         """The fields a resumed run must match exactly."""
@@ -208,8 +154,6 @@ class SoakConfig:
             "sessions_per_day": self.sessions_per_day,
             "availability_floor": self.availability_floor,
             "max_events": self.max_events,
-            "surge": self.surge,
-            "resolver": self.resolver,
         }
 
 
@@ -233,74 +177,34 @@ def _scenario_spec(config: SoakConfig, index: int):
         sessions_per_day=config.sessions_per_day,
         seed=sub_seed & 0x7FFFFFFF,
     )
-    rng = SplitMix64(sub_seed)
-    menu = _MENU + _RESOLVER_MENU if config.resolver else _MENU
-    schedule = generate_schedule(rng, rollout.n_days,
-                                 max_events=config.max_events,
-                                 menu=menu)
-    world = replace(WorldConfig.tiny(), serve_stale_window=900.0)
-    if not config.surge:
-        return ScenarioSpec(world=world, rollout=rollout,
-                            faults=schedule,
-                            control_plane=MapMakerConfig())
-    # Surge mode: a generated traffic schedule from its own derived
-    # stream (the fault schedule above stays byte-identical to the
-    # non-surge scenario), plus the load-feedback loop over servers
-    # small enough that surges actually move utilization.
+    schedule = generate_schedule(SplitMix64(sub_seed), rollout.n_days,
+                                 max_events=config.max_events)
+    spec = ScenarioSpec(
+        world=replace(WorldConfig.tiny(), serve_stale_window=900.0),
+        rollout=rollout, faults=schedule, control_plane=MapMakerConfig())
+    # Its own derived stream decides whether the scenario is surged
+    # (so the fault draws above never depend on it): a generated
+    # traffic schedule -- flash crowds, regional events, diurnal
+    # waves, content surges -- plus the load-feedback loop over
+    # servers small enough that surges actually move utilization.
     surge_rng = SplitMix64(sub_seed ^ 0x5355524745)  # "SURGE"
-    traffic = generate_surges(surge_rng, rollout.n_days)
-    world = replace(world, server_capacity_rps=0.2)
-    return ScenarioSpec(world=world, rollout=rollout, faults=schedule,
-                        control_plane=MapMakerConfig(),
-                        traffic=traffic,
-                        load_feedback=LoadFeedbackConfig())
+    if surge_rng.randrange(2):
+        spec = replace(
+            spec, world=replace(spec.world, server_capacity_rps=0.2),
+            traffic=generate_surges(surge_rng, rollout.n_days),
+            load_feedback=LoadFeedbackConfig())
+    return spec
 
 
 # -- invariants -------------------------------------------------------------
 
 def world_restored(world) -> List[str]:
-    """Violation strings for any fault not exactly reverted."""
-    problems: List[str] = []
-    for index, ns in enumerate(world.nameservers):
-        if not ns.alive:
-            problems.append(f"nameserver {index} still dead")
-    for rid in sorted(world.ldns_registry):
-        ldns = world.ldns_registry[rid]
-        if not ldns.alive:
-            problems.append(f"resolver {rid} still dead")
-        if ldns.ecs_stripped:
-            problems.append(f"resolver {rid} still ECS-stripped")
-        if not getattr(ldns, "ecs_whitelisted", True):
-            problems.append(f"resolver {rid} still whitelist-revoked")
-    fleets = getattr(world, "resolver_fleets", None)
-    if fleets is not None:
-        for rid in sorted(fleets.pops):
-            if not fleets.pops[rid].healthy:
-                problems.append(f"PoP {rid} still withdrawn")
-        for provider in sorted(fleets.flapping):
-            problems.append(f"provider {provider} still flapping")
-    for cluster_id in sorted(world.deployments.clusters):
-        cluster = world.deployments.clusters[cluster_id]
-        dead = [s for s in cluster.servers if not s.alive]
-        if dead:
-            problems.append(
-                f"cluster {cluster_id}: {len(dead)} servers still dead")
-    if world.network._impairments:
-        problems.append(
-            f"{len(world.network._impairments)} link impairments left")
+    """Violation strings for any fault not exactly reverted: each
+    kind's own audit (its ``KINDS`` row), then the trace context."""
+    problems = [problem for row in KINDS.values()
+                for problem in row.leftovers(world)]
     if "faults" in world.obs.tracer.context:
         problems.append("tracer still carries fault context")
-    service = world.control_plane
-    if service is not None:
-        for maker in service.makers:
-            if not maker.alive:
-                problems.append(f"{maker.name} still dead")
-            if maker.hung:
-                problems.append(f"{maker.name} still hung")
-            if maker.slow_factor != 1.0:
-                problems.append(f"{maker.name} still slowed")
-            if maker.corrupting:
-                problems.append(f"{maker.name} still corrupting")
     return problems
 
 
@@ -360,7 +264,7 @@ def run_scenario(config: SoakConfig, index: int) -> Dict:
         "schedule": spec.faults.to_dict(),
         "violations": [],
     }
-    if spec.traffic:  # surge mode only; non-surge rows are unchanged
+    if spec.traffic:  # surged scenarios only
         row["traffic"] = spec.traffic.to_dict()
     try:
         outcome = run_api(spec)
@@ -403,17 +307,6 @@ def run_scenario(config: SoakConfig, index: int) -> Dict:
 
 # -- the soak campaign with checkpoint/resume -------------------------------
 
-def _scenario_task(payload: Tuple[SoakConfig, int]) -> Dict:
-    """Module-level pool target: run one scenario from (config, index).
-
-    ``run_scenario`` is a pure function of its arguments, so a row
-    computed in a pool process is byte-identical to one computed
-    inline.
-    """
-    config, index = payload
-    return run_scenario(config, index)
-
-
 def _run_pending(config: SoakConfig, indices: List[int],
                  workers: Optional[int], progress):
     """Yield rows for ``indices``, in index order, serial or pooled.
@@ -434,7 +327,9 @@ def _run_pending(config: SoakConfig, indices: List[int],
 
     with ProcessPoolExecutor(
             max_workers=min(workers, len(indices))) as pool:
-        futures = [pool.submit(_scenario_task, (config, index))
+        # run_scenario is a pure function of its arguments, so a row
+        # computed in a pool process is byte-identical to one inline.
+        futures = [pool.submit(run_scenario, config, index)
                    for index in indices]
         for index, future in zip(indices, futures):
             if progress is not None:
@@ -558,24 +453,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro soak", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seed", type=int, default=2025)
-    parser.add_argument("--count", type=int, default=25,
+    parser.add_argument("--count", type=positive_int, default=25,
                         help="scenarios to run (default 25)")
-    parser.add_argument("--sessions", type=int, default=20,
+    parser.add_argument("--sessions", type=positive_int, default=20,
                         help="sessions per simulated day")
     parser.add_argument("--availability-floor", type=float, default=0.95)
-    parser.add_argument("--max-events", type=int, default=4)
-    parser.add_argument("--surge", action="store_true",
-                        help="layer generated surge-traffic schedules "
-                             "over every scenario (load feedback on)")
-    parser.add_argument("--resolver", action="store_true",
-                        help="widen the fault menu with resolver-plane "
-                             "kinds (anycast PoP fleets on)")
+    parser.add_argument("--max-events", type=positive_int, default=4)
     parser.add_argument("--checkpoint", default=None,
                         help="write progress here after every scenario")
     parser.add_argument("--resume", action="store_true",
                         help="continue from --checkpoint instead of "
                              "starting over")
-    parser.add_argument("--stop-after", type=int, default=None,
+    parser.add_argument("--stop-after", type=positive_int, default=None,
                         help="run at most this many new scenarios "
                              "(for interruption testing)")
     parser.add_argument("--workers", type=positive_int, default=None,
@@ -591,8 +480,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         seed=args.seed, count=args.count,
         sessions_per_day=args.sessions,
         availability_floor=args.availability_floor,
-        max_events=args.max_events, surge=args.surge,
-        resolver=args.resolver)
+        max_events=args.max_events)
 
     def progress(index: int, count: int) -> None:
         print(f"soak scenario {index + 1}/{count}...", file=sys.stderr)

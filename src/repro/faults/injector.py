@@ -4,9 +4,18 @@ The injector is driven by the roll-out loop: ``step(day)`` diffs the
 set of events active on ``day`` against what is currently applied,
 reverts the events that ended, and applies the ones that started --
 always in the schedule's canonical order, so replays are
-deterministic.  Every application records a matching *revert* closure,
-making recovery exact: a cluster outage only revives the servers the
-outage killed, never servers some other fault took down.
+deterministic.
+
+There is one apply and one revert for every kind; what differs per
+kind -- who the victims are, what breaking one means -- is its
+:data:`repro.faults.kinds.KINDS` row.  An active event *holds* each of
+its victims; a victim is broken by its first holder and put back --
+to exactly what it was -- when its last holder lets go.  So a
+scheduled fault is in force for its whole window whatever else
+overlaps it (``ns:*`` ending does not revive an ``ns:0`` outage still
+running), and recovery is exact in any start/end order.  When two
+overlapping events of one kind carry different parameters, the first
+holder's stay in force.
 
 While any fault is active the world's tracer carries a ``faults``
 context attribute, so every sampled trace records which outages were
@@ -15,9 +24,12 @@ in force when it ran.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Dict, List, Tuple
 
-from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
+from repro.faults.kinds import KINDS
+from repro.faults.schedule import FaultEvent, FaultSchedule
+
+_HoldKey = Tuple[str, int]
 
 
 class FaultInjector:
@@ -27,7 +39,10 @@ class FaultInjector:
         self.world = world
         self.schedule = schedule
         self.events_applied = 0
-        self._applied: Dict[FaultEvent, Callable[[], None]] = {}
+        self._applied: Dict[FaultEvent, List[_HoldKey]] = {}
+        # (flipped attribute, id(victim)) -> [holders, undo]; the undo
+        # closure keeps the victim alive, so its id stays its own.
+        self._holds: Dict[_HoldKey, list] = {}
 
     @property
     def active_events(self) -> List[FaultEvent]:
@@ -36,11 +51,10 @@ class FaultInjector:
 
     def step(self, day: int) -> None:
         """Bring the world in sync with the schedule for ``day``."""
-        target_set = set(self.schedule.active(day))
-        for event in list(self._applied):
-            if event not in target_set:
-                self._applied.pop(event)()
-        for event in self.schedule.active(day):
+        active = self.schedule.active(day)
+        for event in [e for e in self._applied if e not in active]:
+            self._revert(event)
+        for event in active:
             if event not in self._applied:
                 self._applied[event] = self._apply(event)
                 self.events_applied += 1
@@ -55,299 +69,29 @@ class FaultInjector:
     def finish(self) -> None:
         """Revert everything still applied (end-of-run cleanup)."""
         for event in self.active_events:
-            self._applied.pop(event)()
+            self._revert(event)
         self._sync_trace_context()
 
-    # -- application per kind ---------------------------------------------
+    def _apply(self, event: FaultEvent) -> List[_HoldKey]:
+        row = KINDS[event.kind]
+        keys = []
+        for victim in row.targets.resolve(self.world, event.target):
+            key = (row.attr or row.name, id(victim))
+            hold = self._holds.get(key)
+            if hold is None:
+                hold = self._holds[key] = [
+                    0, row.apply(self.world, victim, event)]
+            hold[0] += 1
+            keys.append(key)
+        return keys
 
-    def _apply(self, event: FaultEvent) -> Callable[[], None]:
-        handler = {
-            FaultKind.AUTH_OUTAGE: self._apply_auth_outage,
-            FaultKind.CLUSTER_OUTAGE: self._apply_cluster_outage,
-            FaultKind.ECS_STRIP: self._apply_ecs_strip,
-            FaultKind.LDNS_BLACKOUT: self._apply_ldns_blackout,
-            FaultKind.LINK_DEGRADATION: self._apply_link_degradation,
-            FaultKind.MAPMAKER_CRASH: self._apply_mapmaker_crash,
-            FaultKind.MAPMAKER_HANG: self._apply_mapmaker_hang,
-            FaultKind.MAPMAKER_SLOW_PUBLISH: (
-                self._apply_mapmaker_slow_publish),
-            FaultKind.MAP_CORRUPTION: self._apply_map_corruption,
-            FaultKind.POP_OUTAGE: self._apply_pop_outage,
-            FaultKind.ANYCAST_FLAP: self._apply_anycast_flap,
-            FaultKind.ECS_WHITELIST_REVOKE: (
-                self._apply_ecs_whitelist_revoke),
-        }[event.kind]
-        return handler(event)
-
-    def _apply_auth_outage(self, event: FaultEvent):
-        victims = self._nameservers_for(event.target)
-        # Only kill servers this event found alive, so overlapping
-        # outages revert independently.
-        killed = [ns for ns in victims if ns.alive]
-        for ns in killed:
-            ns.fail()
-
-        def revert() -> None:
-            for ns in killed:
-                ns.recover()
-        return revert
-
-    def _apply_cluster_outage(self, event: FaultEvent):
-        cluster = self._cluster_for(event.target)
-        killed = [server for server in cluster.servers if server.alive]
-        for server in killed:
-            server.fail()
-
-        def revert() -> None:
-            for server in killed:
-                server.recover()
-        return revert
-
-    def _apply_ecs_strip(self, event: FaultEvent):
-        stripped = []
-        for ldns in self._resolvers_for(event.target):
-            if not ldns.ecs_stripped:
-                ldns.ecs_stripped = True
-                stripped.append(ldns)
-
-        def revert() -> None:
-            for ldns in stripped:
-                ldns.ecs_stripped = False
-        return revert
-
-    def _apply_ldns_blackout(self, event: FaultEvent):
-        darkened = []
-        for ldns in self._resolvers_for(event.target):
-            if ldns.alive:
-                ldns.fail()
-                darkened.append(ldns)
-
-        def revert() -> None:
-            for ldns in darkened:
-                ldns.recover()
-        return revert
-
-    def _apply_link_degradation(self, event: FaultEvent):
-        network = self.world.network
-        impaired = []
-        for ldns in self._resolvers_for(event.target):
-            network.impair(
-                ldns.ip,
-                latency_factor=event.param("latency_factor", 3.0),
-                loss_rate=event.param("loss_rate", 0.25))
-            impaired.append(ldns.ip)
-
-        def revert() -> None:
-            for ip in impaired:
-                network.clear_impairment(ip)
-        return revert
-
-    def _apply_mapmaker_crash(self, event: FaultEvent):
-        killed = [m for m in self._makers_for(event.target) if m.alive]
-        for maker in killed:
-            maker.alive = False
-
-        def revert() -> None:
-            for maker in killed:
-                maker.alive = True
-        return revert
-
-    def _apply_mapmaker_hang(self, event: FaultEvent):
-        wedged = [m for m in self._makers_for(event.target)
-                  if not m.hung]
-        for maker in wedged:
-            maker.hung = True
-
-        def revert() -> None:
-            for maker in wedged:
-                maker.hung = False
-        return revert
-
-    def _apply_mapmaker_slow_publish(self, event: FaultEvent):
-        factor = event.param("slow_factor", 4.0)
-        slowed = [(m, m.slow_factor)
-                  for m in self._makers_for(event.target)]
-        for maker, _old in slowed:
-            maker.slow_factor = factor
-
-        def revert() -> None:
-            for maker, old in slowed:
-                maker.slow_factor = old
-        return revert
-
-    def _apply_map_corruption(self, event: FaultEvent):
-        poisoned = [m for m in self._makers_for(event.target)
-                    if not m.corrupting]
-        for maker in poisoned:
-            maker.corrupting = True
-
-        def revert() -> None:
-            for maker in poisoned:
-                maker.corrupting = False
-        return revert
-
-    def _apply_pop_outage(self, event: FaultEvent):
-        fleets = self._fleets(event.target)
-        # Only withdraw PoPs this event found healthy, so overlapping
-        # outages (e.g. city-level inside provider-level) revert
-        # independently and recovery is exact.
-        withdrawn = [rid for rid in self._resolver_ids_for(event.target)
-                     if rid in fleets.pops and fleets.pops[rid].healthy]
-        for rid in withdrawn:
-            fleets.withdraw(rid)
-
-        def revert() -> None:
-            for rid in withdrawn:
-                fleets.restore(rid)
-        return revert
-
-    def _apply_anycast_flap(self, event: FaultEvent):
-        fleets = self._fleets(event.target)
-        flapped = []
-        for rid in self._resolver_ids_for(event.target):
-            pop = fleets.pops.get(rid)
-            if pop is None:
-                continue
-            name = pop.resolver.provider
-            if name not in fleets.flapping and name not in flapped:
-                flapped.append(name)
-        for name in flapped:
-            fleets.flapping.add(name)
-
-        def revert() -> None:
-            for name in flapped:
-                fleets.flapping.discard(name)
-        return revert
-
-    def _apply_ecs_whitelist_revoke(self, event: FaultEvent):
-        self._fleets(event.target)  # resolver plane must be active
-        revoked = []
-        for ldns in self._resolvers_for(event.target):
-            if getattr(ldns, "ecs_whitelisted", True):
-                ldns.ecs_whitelisted = False
-                revoked.append(ldns)
-
-        def revert() -> None:
-            for ldns in revoked:
-                ldns.ecs_whitelisted = True
-        return revert
-
-    # -- target grammars ---------------------------------------------------
-
-    def _nameservers_for(self, target: str):
-        servers = self.world.nameservers
-        if target in ("ns:*", "*"):
-            return list(servers)
-        if target.startswith("ns:"):
-            index = int(target.split(":", 1)[1])
-            if not 0 <= index < len(servers):
-                raise KeyError(f"no nameserver {target!r}")
-            return [servers[index]]
-        raise KeyError(f"bad auth_outage target {target!r}")
-
-    def _cluster_for(self, target: str):
-        clusters = self.world.deployments.clusters
-        if target.startswith("cluster:"):
-            rest = target.split(":", 1)[1]
-            if rest.isdigit():
-                ids = sorted(clusters)
-                index = int(rest)
-                if not 0 <= index < len(ids):
-                    raise KeyError(f"no cluster {target!r}")
-                return clusters[ids[index]]
-        if target in clusters:
-            return clusters[target]
-        raise KeyError(f"unknown cluster {target!r}")
-
-    def _resolvers_for(self, target: str):
-        registry = self.world.ldns_registry
-        return [registry[rid] for rid in self._resolver_ids_for(target)]
-
-    def _resolver_ids_for(self, target: str) -> List[str]:
-        registry = self.world.ldns_registry
-        public = sorted(self.world.public_ldns_ids())
-        isp = [rid for rid in sorted(registry) if rid not in set(public)]
-        if target == "public:*":
-            return public
-        if target == "isp:*":
-            return isp
-        if target == "*":
-            return sorted(registry)
-        group, _, rest = target.partition(":")
-        if group == "public" and rest and not rest.isdigit():
-            return self._provider_pop_ids(target, rest)
-        if group in ("public", "isp") and rest.isdigit():
-            pool = public if group == "public" else isp
-            index = int(rest)
-            if not 0 <= index < len(pool):
-                raise KeyError(f"no resolver {target!r}")
-            return [pool[index]]
-        rid = rest if group == "resolver" and rest else target
-        if rid not in registry:
-            raise KeyError(f"unknown resolver {target!r}")
-        return [rid]
-
-    def _provider_pop_ids(self, target: str, rest: str) -> List[str]:
-        """Resolve ``public:<provider>[:<city>]`` to PoP resolver ids."""
-        from repro.topology.resolvers import providers_by_name
-
-        name, _, city = rest.partition(":")
-        provider = providers_by_name(
-            self.world.internet.providers).get(name)
-        if provider is None:
-            raise KeyError(f"unknown public provider in {target!r}")
-        deployments = sorted(provider.deployments,
-                             key=lambda dep: dep.resolver_id)
-        if city:
-            slug = city.lower().replace(" ", "-").replace(".", "")
-            deployments = [dep for dep in deployments
-                           if dep.city.lower().replace(" ", "-")
-                           .replace(".", "") == slug]
-            if not deployments:
-                raise KeyError(
-                    f"provider {name!r} has no PoP in city of "
-                    f"{target!r}")
-        return [dep.resolver_id for dep in deployments]
-
-    def _fleets(self, target: str):
-        fleets = getattr(self.world, "resolver_fleets", None)
-        if fleets is None:
-            raise KeyError(
-                f"resolver-plane fault target {target!r} needs a world "
-                f"built with the PoP fleet model (set "
-                f"ScenarioSpec.resolver_policies, or run the schedule "
-                f"through the scenario API, which activates fleets "
-                f"when resolver-plane faults are present)")
-        return fleets
-
-    def _makers_for(self, target: str):
-        service = getattr(self.world, "control_plane", None)
-        if service is None:
-            raise KeyError(
-                f"mapmaker fault target {target!r} needs a world built "
-                f"with a control plane "
-                f"(ScenarioSpec.control_plane=MapMakerConfig())")
-        makers = service.makers
-        if target in ("mapmaker:*", "*"):
-            return list(makers)
-        _group, _, rest = target.partition(":")
-        # Role targets resolve *at apply time*: after a failover,
-        # "mapmaker:primary" addresses the promoted ex-standby.
-        if rest == "primary":
-            return [service.primary]
-        if rest == "standby":
-            standby = service.standby
-            if standby is None:
-                raise KeyError(f"no standby MapMaker ({target!r})")
-            return [standby]
-        if rest.isdigit():
-            index = int(rest)
-            if not 0 <= index < len(makers):
-                raise KeyError(f"no MapMaker {target!r}")
-            return [makers[index]]
-        raise KeyError(f"bad mapmaker target {target!r}")
-
-    # -- trace context ------------------------------------------------------
+    def _revert(self, event: FaultEvent) -> None:
+        for key in self._applied.pop(event):
+            hold = self._holds[key]
+            hold[0] -= 1
+            if not hold[0]:
+                del self._holds[key]
+                hold[1]()
 
     def _sync_trace_context(self) -> None:
         tracer = self.world.obs.tracer

@@ -9,43 +9,9 @@ byte-identically (the property the determinism tests pin).  Applying a
 schedule to a live world is the job of
 :class:`repro.faults.injector.FaultInjector`.
 
-Fault kinds (the failure modes Section 4 of the paper rolls out
-around, plus those Kernan et al. and Al-Dalky & Rabinovich measure in
-the wild):
-
-* ``auth_outage`` -- an authoritative name server stops answering;
-  recursives burn retry timers and fail over down their ranking.
-* ``cluster_outage`` -- every edge server in a CDN cluster dies; the
-  mapping system must route demand to surviving clusters.
-* ``ecs_strip`` -- a resolver silently drops the EDNS0 client-subnet
-  option; mapping degrades from EU to NS quality.
-* ``ldns_blackout`` -- a recursive resolver goes dark; stubs fail over
-  to a public resolver after a timeout.
-* ``link_degradation`` -- a network path inflates latency and drops
-  packets for the duration.
-
-Resolver-plane kinds (the anycast PoP fleet model; what Al-Dalky &
-Rabinovich's public-resolver measurements fail at):
-
-* ``pop_outage`` -- a provider PoP withdraws its anycast route; the
-  fleet silently re-homes its catchment to surviving PoPs (cold
-  caches, longer detours; no client-visible timeout).
-* ``anycast_flap`` -- a provider's routes flap: half of each PoP's
-  catchment oscillates to the next-nearest PoP for the duration.
-* ``ecs_whitelist_revoke`` -- the provider drops the CDN from its ECS
-  whitelist; mapping degrades from EU to NS quality while caches stay
-  warm.
-
-Control-plane kinds (paper Section 5's split makes these injectable):
-
-* ``mapmaker_crash`` -- a MapMaker process dies: no heartbeats, no
-  publications; the watchdog promotes the hot standby.
-* ``mapmaker_hang`` -- the process wedges: alive but silent, which the
-  watchdog treats exactly like a crash.
-* ``mapmaker_slow_publish`` -- publications take ``slow_factor`` times
-  longer, so the published map ages between them.
-* ``map_corruption`` -- publications are tampered in flight; the
-  store's checksum gate rejects them and the old map ages in place.
+What a fault kind is -- its plane, target grammar, victims and what
+breaking one means -- is its row of :data:`repro.faults.kinds.KINDS`;
+this module only checks targets against that row's grammar.
 """
 
 from __future__ import annotations
@@ -54,50 +20,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.faults.kinds import KINDS, FaultKind
 
-class FaultKind:
-    """String constants naming the supported fault kinds."""
-
-    AUTH_OUTAGE = "auth_outage"
-    CLUSTER_OUTAGE = "cluster_outage"
-    ECS_STRIP = "ecs_strip"
-    LDNS_BLACKOUT = "ldns_blackout"
-    LINK_DEGRADATION = "link_degradation"
-    MAPMAKER_CRASH = "mapmaker_crash"
-    MAPMAKER_HANG = "mapmaker_hang"
-    MAPMAKER_SLOW_PUBLISH = "mapmaker_slow_publish"
-    MAP_CORRUPTION = "map_corruption"
-    POP_OUTAGE = "pop_outage"
-    ANYCAST_FLAP = "anycast_flap"
-    ECS_WHITELIST_REVOKE = "ecs_whitelist_revoke"
-
-    DATA_PLANE = (AUTH_OUTAGE, CLUSTER_OUTAGE, ECS_STRIP, LDNS_BLACKOUT,
-                  LINK_DEGRADATION)
-    CONTROL_PLANE = (MAPMAKER_CRASH, MAPMAKER_HANG,
-                     MAPMAKER_SLOW_PUBLISH, MAP_CORRUPTION)
-    RESOLVER_PLANE = (POP_OUTAGE, ANYCAST_FLAP, ECS_WHITELIST_REVOKE)
-    ALL = DATA_PLANE + CONTROL_PLANE + RESOLVER_PLANE
-
-
-#: Target-grammar prefixes legal for each fault kind (the parse-time
-#: contract behind :meth:`FaultSchedule.validate`).  ``None`` in the
-#: set means a bare token -- a raw cluster/resolver id -- is accepted;
-#: ``"*"`` that the whole-world wildcard is.
-_RESOLVER_PREFIXES = frozenset({"public", "isp", "resolver", None, "*"})
-_TARGET_GRAMMAR = {
-    FaultKind.AUTH_OUTAGE: frozenset({"ns", "*"}),
-    FaultKind.CLUSTER_OUTAGE: frozenset({"cluster", None}),
-    FaultKind.ECS_STRIP: _RESOLVER_PREFIXES,
-    FaultKind.LDNS_BLACKOUT: _RESOLVER_PREFIXES,
-    FaultKind.LINK_DEGRADATION: _RESOLVER_PREFIXES,
-    FaultKind.MAPMAKER_CRASH: frozenset({"mapmaker", "*"}),
-    FaultKind.MAPMAKER_HANG: frozenset({"mapmaker", "*"}),
-    FaultKind.MAPMAKER_SLOW_PUBLISH: frozenset({"mapmaker", "*"}),
-    FaultKind.MAP_CORRUPTION: frozenset({"mapmaker", "*"}),
-    FaultKind.POP_OUTAGE: frozenset({"public", "*"}),
-    FaultKind.ANYCAST_FLAP: frozenset({"public", "*"}),
-    FaultKind.ECS_WHITELIST_REVOKE: frozenset({"public", "*"}),
-}
 
 #: Indexed groups whose ``<group>:<suffix>`` suffix must be a number
 #: or ``*``; ``mapmaker`` additionally accepts its role names.
@@ -107,7 +31,8 @@ _MAPMAKER_ROLES = frozenset({"primary", "standby"})
 
 def _validate_target(kind: str, target: str) -> None:
     """Raise ``ValueError`` unless ``target`` parses for ``kind``."""
-    allowed = _TARGET_GRAMMAR[kind]
+    group = KINDS[kind].targets
+    allowed = group.prefixes
     if target == "*":
         if "*" in allowed:
             return
@@ -135,10 +60,12 @@ def _validate_target(kind: str, target: str) -> None:
             raise ValueError(
                 f"bad {kind} target {target!r}: public: takes an "
                 f"index, '*', or <provider>[:<city>]")
-    elif head in _INDEXED_GROUPS and not (rest == "*" or rest.isdigit()):
+    elif head in _INDEXED_GROUPS and not (
+            rest.isdigit() or (rest == "*" and group.group_star)):
+        star = " or '*'" if group.group_star else ""
         raise ValueError(
-            f"bad {kind} target {target!r}: {head}: takes an index "
-            f"or '*'")
+            f"bad {kind} target {target!r}: {head}: takes an index"
+            f"{star} (expected {_grammar_hint(kind)})")
     if head == "mapmaker" and not (
             rest == "*" or rest.isdigit() or rest in _MAPMAKER_ROLES):
         raise ValueError(
@@ -162,7 +89,7 @@ def _target_provider(target: str) -> Optional[str]:
 
 def _grammar_hint(kind: str) -> str:
     names = sorted(("<bare id>" if p is None else f"{p}:" if p != "*"
-                    else "'*'") for p in _TARGET_GRAMMAR[kind])
+                    else "'*'") for p in KINDS[kind].targets.prefixes)
     return ", ".join(names)
 
 
@@ -171,22 +98,15 @@ class FaultEvent:
     """One scheduled fault: a target breaks on ``start_day`` and
     recovers ``duration_days`` later.
 
-    ``target`` addresses the thing that breaks:
-
-    * ``ns:<index>`` or ``ns:*`` -- authoritative server(s) by build
-      order (``auth_outage``);
-    * a cluster id or ``cluster:<index>`` into the sorted cluster ids
-      (``cluster_outage``);
-    * LDNS deployments (``ecs_strip`` / ``ldns_blackout`` /
-      ``link_degradation``): a resolver id, ``resolver:<id>``,
-      ``public:*`` / ``isp:*`` for whole groups, or
-      ``public:<index>`` / ``isp:<index>`` into the sorted group --
-      index grammar lets schedules address worlds not yet built --
-      or ``public:<provider>[:<city>]`` naming a provider fleet or
-      one of its PoPs;
-    * resolver-plane kinds (``pop_outage`` / ``anycast_flap`` /
-      ``ecs_whitelist_revoke``) take the ``public:...`` spellings
-      above or ``*`` for every provider fleet.
+    ``target`` addresses the thing that breaks, in the grammar of the
+    kind's :data:`~repro.faults.kinds.KINDS` row: ``ns:<index>`` /
+    ``ns:*``; a cluster id or ``cluster:<index>`` into the sorted ids;
+    for resolvers an id, ``resolver:<id>``, ``public:<index>`` /
+    ``isp:<index>`` into the sorted group, ``public:*`` / ``isp:*``,
+    or ``public:<provider>[:<city>]`` (the only spellings the
+    resolver-plane kinds take); ``mapmaker:primary|standby|<index>|*``;
+    and ``*`` where the whole world is a target.  Index grammar lets
+    schedules address worlds not yet built.
 
     ``params`` carries kind-specific numbers as a sorted tuple of
     ``(name, value)`` pairs so events stay hashable and their JSON
@@ -287,8 +207,9 @@ class FaultSchedule:
         confusing errors (or silent double-application diffs) deep
         inside injector replay.  Targets are compared as exact
         strings; overlapping events addressing one resolver via two
-        spellings are legal (the injector's per-event victim lists
-        keep their reverts exact).  Returns ``self`` for chaining.
+        spellings are legal (the injector's per-victim holds keep both
+        in force and their reverts exact).  Returns ``self`` for
+        chaining.
         """
         for event in self.events:
             _validate_target(event.kind, event.target)

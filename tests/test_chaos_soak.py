@@ -13,6 +13,7 @@ import pytest
 
 from repro.faults import SoakConfig, SplitMix64, generate_schedule
 from repro.faults.chaos import (
+    _scenario_spec,
     main as soak_main,
     run_scenario,
     run_soak,
@@ -62,9 +63,10 @@ class TestGenerateSchedule:
                 assert event.start_day >= 1
                 assert event.end_day <= 20  # >= one recovered day
                 kinds_seen.add(event.kind)
-        # The menu gets exercised across both planes.
+        # One menu: every plane gets exercised.
         assert kinds_seen & set(FaultKind.DATA_PLANE)
         assert kinds_seen & set(FaultKind.CONTROL_PLANE)
+        assert kinds_seen & set(FaultKind.RESOLVER_PLANE)
 
     def test_same_rng_state_same_schedule(self):
         first = generate_schedule(SplitMix64(99), n_days=21)
@@ -102,23 +104,26 @@ class TestSoakInvariants:
         assert row == soak_report["rows"][0]
 
     def test_surge_soak_layers_traffic_over_the_same_faults(self):
-        """``--surge`` adds a generated traffic schedule and the
-        load-feedback loop on a capacity-starved world; the fault
-        schedule stream is untouched, so scenario i keeps the same
-        faults with and without surges, and the invariants still
-        hold."""
-        surge_cfg = SoakConfig(seed=2025, count=2, sessions_per_day=8,
-                               surge=True)
-        report = run_soak(surge_cfg)
-        assert report["passed"], report["summary"]
-        assert report["summary"]["violations"] == 0
-        plain_row = run_scenario(_CFG, 0)
-        for index, row in enumerate(report["rows"]):
-            assert row["traffic"], "surge scenario carried no shapes"
-            if index == 0:
-                assert row["schedule"] == plain_row["schedule"]
-        # Identity strings differ, so checkpoints can't cross modes.
-        assert surge_cfg.identity() != _CFG.identity()
+        """A surged scenario adds a generated traffic schedule and the
+        load-feedback loop on a capacity-starved world.  Whether it is
+        surged comes from its own derived stream, so the fault draws
+        are what the fault stream alone gives, surged or not -- and
+        the invariants hold for both."""
+        config = SoakConfig(seed=2025, count=6, sessions_per_day=8)
+        specs = [_scenario_spec(config, index) for index in range(6)]
+        surged = [i for i, spec in enumerate(specs) if spec.traffic]
+        plain = [i for i, spec in enumerate(specs) if not spec.traffic]
+        assert surged and plain
+        for index, spec in enumerate(specs):
+            alone = generate_schedule(
+                SplitMix64(scenario_seed(config.seed, index)),
+                spec.rollout.n_days)
+            assert spec.faults == alone
+            assert (spec.load_feedback is not None) == bool(spec.traffic)
+        for index in (surged[0], plain[0]):
+            row = run_scenario(config, index)
+            assert row["violations"] == []
+            assert ("traffic" in row) == (index == surged[0])
 
 
 class TestCheckpointResume:

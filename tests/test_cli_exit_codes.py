@@ -91,6 +91,12 @@ class TestWorkersValidation:
         ["sim", "dnsload", "--lookups", "0"],
         ["sim", "status", "--sessions", "-5"],
         ["monitor", "--sessions-per-day", "0"],
+        # A soak gate must not be able to pass having run nothing.
+        ["soak", "--count", "0"],
+        ["soak", "--count", "-3"],
+        ["soak", "--sessions", "0"],
+        ["soak", "--max-events", "0"],
+        ["soak", "--stop-after", "0"],
     ], ids=lambda argv: " ".join(argv))
     def test_counts_must_be_positive(self, argv):
         code, _, err = _run(argv)
@@ -151,9 +157,10 @@ class TestTrafficValidation:
         assert code == 0
         assert "--traffic" in out
         assert "--load-feedback" in out
+        # The soak has one mode: surges are drawn, not flagged.
         code, out, _ = _run(["soak", "--help"])
         assert code == 0
-        assert "--surge" in out
+        assert "--surge" not in out
 
 
 class TestUnitSchemeValidation:
@@ -241,9 +248,10 @@ class TestResolverFaultsValidation:
         code, out, _ = _run(["sim", "rollout", "--help"])
         assert code == 0
         assert "--resolver-faults" in out
+        # ...and resolver-plane kinds are on the soak's one menu.
         code, out, _ = _run(["soak", "--help"])
         assert code == 0
-        assert "--resolver" in out
+        assert "--resolver" not in out
 
 
 class TestDumpValidation:

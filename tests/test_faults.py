@@ -111,6 +111,11 @@ class TestScheduleValidation:
         (FaultKind.AUTH_OUTAGE, "cluster:0", "unknown prefix"),
         (FaultKind.AUTH_OUTAGE, "bogus", "expected one of"),
         (FaultKind.CLUSTER_OUTAGE, "cluster:x", "takes an index"),
+        # cluster: is the one indexed group without a wildcard; the
+        # parser must say so, not a KeyError inside injector.step.
+        (FaultKind.CLUSTER_OUTAGE, "cluster:*",
+         r"takes an index \(expected <bare id>, cluster:\)"),
+        (FaultKind.AUTH_OUTAGE, "ns:x", r"takes an index or '\*'"),
         (FaultKind.ECS_STRIP, "mapmaker:primary", "unknown prefix"),
         (FaultKind.LDNS_BLACKOUT, "public:", "empty suffix"),
         (FaultKind.LINK_DEGRADATION, "isp:one", "takes an index"),
@@ -214,11 +219,13 @@ class TestInjector:
         assert not any(ns.alive for ns in world.nameservers)
         injector.step(2)
         assert not any(ns.alive for ns in world.nameservers)
-        # The broad outage ends; the narrow one found ns:0 already dead
-        # so it owns nothing and everything comes back.
+        # The broad outage ends mid-narrow-event: everything comes
+        # back except ns:0, which the narrow event holds until day 6
+        # (a scheduled fault is in force for its whole window).
         injector.step(4)
-        assert all(ns.alive for ns in world.nameservers)
-        injector.finish()
+        assert not world.nameservers[0].alive
+        assert all(ns.alive for ns in world.nameservers[1:])
+        injector.step(6)
         assert all(ns.alive for ns in world.nameservers)
 
     def test_out_of_order_reverts_stay_exact(self, world):
@@ -243,9 +250,9 @@ class TestInjector:
 
     def test_overlapping_strips_revert_independently(self, world):
         # Whole-group strip plus a single-resolver strip via a
-        # different spelling: the narrow event finds its victim
-        # already stripped, so it owns nothing and the group revert
-        # restores everyone even while the narrow event is active.
+        # different spelling: the group revert restores everyone but
+        # the narrow event's victim, which stays stripped until the
+        # narrow event ends too.
         schedule = FaultSchedule((
             _event(start_day=0, duration_days=4,
                    kind=FaultKind.ECS_STRIP, target="public:*"),
@@ -257,8 +264,9 @@ class TestInjector:
         injector.step(2)
         assert len(injector.active_events) == 2
         injector.step(4)
-        assert not any(ldns.ecs_stripped
-                       for ldns in world.ldns_registry.values())
+        first_public = sorted(world.public_ldns_ids())[0]
+        assert [rid for rid, ldns in world.ldns_registry.items()
+                if ldns.ecs_stripped] == [first_public]
         injector.finish()
         assert not any(ldns.ecs_stripped
                        for ldns in world.ldns_registry.values())

@@ -4,8 +4,8 @@ The headline contract is pinned three ways:
 
 * **worker-count invariance** -- the same spec run with 1, 2, and 4
   workers produces byte-identical monitor reports, merged registries,
-  and trace exports, for both the golden fault scenario (soak scenario
-  0: faults + control plane) and a plain monitored roll-out;
+  and trace exports, for both the golden fault scenario (faults +
+  control plane) and a plain monitored roll-out;
 * **golden fixtures** -- a discrete (float-free) projection of each
   sharded report is checked in under ``tests/data/``, so drift in the
   shard plan, the merge algebra, or the monitor replay shows up as a
@@ -31,7 +31,6 @@ from repro.api import ScenarioSpec, build_world, run
 from repro.core.loadfeedback import LoadFeedbackConfig
 from repro.core.mapmaker import MapMakerConfig
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
-from repro.faults.chaos import SoakConfig, _scenario_spec
 from repro.topology.traffic import TrafficSchedule, TrafficShape
 from repro.parallel import (
     DEFAULT_SHARDS,
@@ -45,10 +44,27 @@ from repro.simulation.world import WorldConfig
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
-FAULT_SPEC = _scenario_spec(
-    SoakConfig(seed=2025, count=1, sessions_per_day=10), 0)
-"""Soak scenario 0: fault schedule + map-maker control plane + monitor
--- the heaviest path through the sharded engine."""
+FAULT_SPEC = ScenarioSpec(
+    world=dataclasses.replace(WorldConfig.tiny(),
+                              serve_stale_window=900.0),
+    rollout=RolloutConfig(
+        start_date=datetime.date(2014, 3, 1),
+        end_date=datetime.date(2014, 3, 21),
+        rollout_start=datetime.date(2014, 3, 6),
+        rollout_end=datetime.date(2014, 3, 12),
+        sessions_per_day=10,
+        seed=1046646336,
+    ),
+    faults=FaultSchedule((
+        FaultEvent(9, 4, "mapmaker:primary", FaultKind.MAPMAKER_HANG),
+        FaultEvent(14, 4, "mapmaker:primary", FaultKind.MAP_CORRUPTION),
+        FaultEvent(15, 5, "mapmaker:*", FaultKind.MAPMAKER_CRASH),
+    )),
+    control_plane=MapMakerConfig())
+"""Fault schedule + map-maker control plane + monitor -- the heaviest
+path through the sharded engine.  Spelled out literally so
+``golden_shard_fault.json`` pins the engine and nothing that could
+generate a spec."""
 
 
 def _rollout_spec() -> ScenarioSpec:

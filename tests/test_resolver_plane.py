@@ -518,45 +518,30 @@ class TestPopOutageScenario:
 
 
 class TestResolverSoakMenu:
-    """``soak --resolver`` widens the fault menu opt-in: base-mode
-    draws are pinned by checked-in fixtures (golden_shard_fault.json
-    replays soak scenario 0), so the resolver-plane entries must not
-    re-deal them."""
+    """The soak has one menu -- the fault table -- so resolver-plane
+    kinds are drawn like any other, and a scenario that draws one
+    gets the PoP fleets through the scenario API."""
 
-    def test_base_menu_never_draws_resolver_kinds(self):
-        from repro.faults.chaos import SoakConfig, _scenario_spec
-        for index in range(8):
-            spec = _scenario_spec(SoakConfig(), index)
-            assert not any(e.kind in FaultKind.RESOLVER_PLANE
-                           for e in spec.faults.events)
-
-    def test_resolver_mode_draws_resolver_kinds(self):
+    def test_soak_draws_resolver_kinds_and_activates_fleets(self):
         from repro.api import _resolver_policies_for
         from repro.faults.chaos import SoakConfig, _scenario_spec
-        config = SoakConfig(resolver=True)
         drawn = set()
         for index in range(16):
-            spec = _scenario_spec(config, index)
+            spec = _scenario_spec(SoakConfig(), index)
             drawn.update(e.kind for e in spec.faults.events)
-            if any(e.kind in FaultKind.RESOLVER_PLANE
-                   for e in spec.faults.events):
-                assert _resolver_policies_for(spec) is not None
+            assert (_resolver_policies_for(spec) is not None) == any(
+                e.kind in FaultKind.RESOLVER_PLANE
+                for e in spec.faults.events)
         assert drawn & set(FaultKind.RESOLVER_PLANE)
 
-    def test_resolver_mode_is_part_of_the_resume_identity(self):
-        from repro.faults.chaos import SoakConfig
-        plain = SoakConfig().identity()
-        resolver = SoakConfig(resolver=True).identity()
-        assert plain["resolver"] is False
-        assert resolver["resolver"] is True
-
     def test_resolver_menu_targets_parse(self):
-        from repro.faults.chaos import _RESOLVER_MENU
+        from repro.faults.kinds import KINDS
+        rows = [KINDS[kind] for kind in FaultKind.RESOLVER_PLANE]
         schedule = FaultSchedule.from_dict([
-            dict(start_day=1, duration_days=2, kind=kind,
-                 target=targets[0])
-            for kind, targets in _RESOLVER_MENU])
-        assert len(schedule) == len(_RESOLVER_MENU)
+            dict(start_day=1, duration_days=2, kind=row.name,
+                 target=row.soak_targets[0])
+            for row in rows])
+        assert len(schedule) == len(rows) == 3
 
 
 class TestScenarioSpecResolverPolicies:
