@@ -45,7 +45,6 @@ from repro.obs.monitor import RolloutMonitor
 from repro.obs.monitor.driver import (
     control_plane_rules,
     default_rollout_rules,
-    resolver_plane_rules,
     rollout_windows,
 )
 from repro.simulation.rollout import (
@@ -100,24 +99,30 @@ class ScenarioSpec:
     smoothed utilization daily and the scorer penalizes (and past the
     overload threshold, demotes) hot clusters.  None keeps scoring
     load-blind, pinning every existing golden fixture."""
-    resolver_policies: Optional[ResolverPolicySet] = None
-    """Opt into the resolver plane: public providers become live
-    anycast PoP fleets with per-provider ECS policy (whitelist on/off,
-    scope-narrowing ceiling), and sessions route through the surviving
-    catchment when PoPs withdraw.  None keeps the static build-time
-    catchments, pinning every existing golden fixture -- unless the
-    fault schedule carries resolver-plane kinds, in which case
-    :func:`run` activates fleets with the all-defaults policy set (the
-    faults have nothing to act on otherwise)."""
+    resolver_policies: ResolverPolicySet = field(
+        default_factory=ResolverPolicySet)
+    """Per-provider ECS policy (whitelist on/off, scope-narrowing
+    ceiling) of the public resolvers' anycast PoP fleets, which every
+    world has.  Providers not named keep the default policy."""
 
     def __post_init__(self) -> None:
-        if self.unit_scheme is not None:
-            if self.control_plane is None:
+        if self.control_plane is None:
+            if self.unit_scheme is not None:
                 raise ValueError(
                     "unit_scheme requires a control plane: units only "
                     "exist in the published map (set control_plane)")
+            needy = sorted({event.kind for event in self.faults.events
+                            if event.kind in FaultKind.CONTROL_PLANE})
+            if needy:
+                raise ValueError(
+                    f"fault kinds {needy} require a control plane: "
+                    f"they break the map makers (set control_plane)")
+        if self.unit_scheme is not None:
             from repro.core.units import parse_unit_scheme
-            parse_unit_scheme(self.unit_scheme)
+            try:
+                parse_unit_scheme(self.unit_scheme)
+            except ValueError as exc:
+                raise ValueError(f"bad unit_scheme: {exc}") from None
 
     def describe(self) -> Dict:
         """Deterministic scenario metadata for monitor reports."""
@@ -136,7 +141,7 @@ class ScenarioSpec:
             doc["traffic"] = len(self.traffic)
         if self.load_feedback is not None:
             doc["load_feedback"] = True
-        if self.resolver_policies is not None:
+        if self.resolver_policies.policies:
             doc["resolver_policies"] = True
         return doc
 
@@ -174,7 +179,7 @@ class ScenarioSpec:
             doc["traffic"] = self.traffic.to_dict()
         if self.load_feedback is not None:
             doc["load_feedback"] = self.load_feedback.to_dict()
-        if self.resolver_policies is not None:
+        if self.resolver_policies.policies:
             doc["resolver_policies"] = self.resolver_policies.to_dict()
         return doc
 
@@ -185,8 +190,10 @@ class ScenarioSpec:
     def from_dict(cls, doc: Dict) -> "ScenarioSpec":
         """Parse and validate a ``scenario/v1`` document.
 
-        Unknown keys raise at parse time (a typo'd field silently
-        reverting to a default is the failure mode this guards).
+        Every malformed document raises ``ValueError`` naming the
+        field: unknown keys (a typo'd field silently reverting to a
+        default is the failure mode this guards), missing fields, and
+        values of the wrong JSON type.
         """
         if not isinstance(doc, dict):
             raise ValueError("a scenario spec is a JSON object")
@@ -212,26 +219,29 @@ class ScenarioSpec:
         if "rollout" in doc:
             kwargs["rollout"] = _rollout_from_dict(doc["rollout"])
         if "monitor" in doc:
-            kwargs["monitor"] = bool(doc["monitor"])
-        if "faults" in doc:
-            kwargs["faults"] = FaultSchedule.from_dict(doc["faults"])
+            if not isinstance(doc["monitor"], bool):
+                raise ValueError(
+                    f"monitor must be a JSON boolean, got "
+                    f"{doc['monitor']!r}")
+            kwargs["monitor"] = doc["monitor"]
         if "control_plane" in doc:
-            _reject_unknown(
-                doc["control_plane"],
-                [f.name for f in dataclasses.fields(MapMakerConfig)],
-                "control_plane")
-            kwargs["control_plane"] = MapMakerConfig(
-                **doc["control_plane"])
+            names = [f.name for f in dataclasses.fields(MapMakerConfig)]
+            _reject_unknown(doc["control_plane"], names, "control_plane")
+            kwargs["control_plane"] = MapMakerConfig(**_typed(
+                doc["control_plane"], names, MapMakerConfig(),
+                "control_plane"))
         if "unit_scheme" in doc:
             kwargs["unit_scheme"] = doc["unit_scheme"]
-        if "traffic" in doc:
-            kwargs["traffic"] = TrafficSchedule.from_dict(doc["traffic"])
-        if "load_feedback" in doc:
-            kwargs["load_feedback"] = LoadFeedbackConfig.from_dict(
-                doc["load_feedback"])
-        if "resolver_policies" in doc:
-            kwargs["resolver_policies"] = ResolverPolicySet.from_dict(
-                doc["resolver_policies"])
+        for name, parse in (("faults", FaultSchedule.from_dict),
+                            ("traffic", TrafficSchedule.from_dict),
+                            ("load_feedback", LoadFeedbackConfig.from_dict),
+                            ("resolver_policies",
+                             ResolverPolicySet.from_dict)):
+            if name in doc:
+                try:
+                    kwargs[name] = parse(doc[name])
+                except ValueError as exc:
+                    raise ValueError(f"bad {name}: {exc}") from None
         return cls(**kwargs)
 
     @classmethod
@@ -260,12 +270,35 @@ _ROLLOUT_SCALARS = ("sessions_per_day", "monthly_growth",
                     "seed")
 
 
+#: Provider fields a document must carry (``misroute_rate`` may default).
+_PROVIDER_REQUIRED = ("name", "asn", "deployment_cities", "popularity")
+
+_JSON_TYPES = {bool: "a JSON boolean", int: "a JSON integer",
+               float: "a JSON number", str: "a JSON string"}
+
+
 def _reject_unknown(doc: Dict, known, what: str) -> None:
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object")
     unknown = set(doc) - set(known)
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+
+
+def _typed(doc: Dict, names, defaults, what: str) -> Dict:
+    """The ``names`` fields ``doc`` sets, each of the JSON type of its
+    value in ``defaults`` (an integer passes for a number)."""
+    kwargs = {}
+    for name in names:
+        if name not in doc:
+            continue
+        value, kind = doc[name], type(getattr(defaults, name))
+        if type(value) is not kind and not (kind is float
+                                            and type(value) is int):
+            raise ValueError(f"{what}.{name} must be {_JSON_TYPES[kind]}, "
+                             f"got {value!r}")
+        kwargs[name] = value
+    return kwargs
 
 
 def _provider_to_dict(provider: PublicProvider) -> Dict:
@@ -285,13 +318,26 @@ def _internet_to_dict(config: InternetConfig) -> Dict:
     return doc
 
 
+def _provider_from_dict(doc: Dict) -> PublicProvider:
+    _reject_unknown(doc, _PROVIDER_REQUIRED + ("misroute_rate",),
+                    "world.internet.providers entry")
+    missing = [name for name in _PROVIDER_REQUIRED if name not in doc]
+    if missing:
+        raise ValueError(
+            f"world.internet.providers entry is missing fields "
+            f"{missing}")
+    return PublicProvider(**doc)
+
+
 def _internet_from_dict(doc: Dict) -> InternetConfig:
     _reject_unknown(doc, _INTERNET_FIELDS + ("providers",), "internet")
-    kwargs = {name: doc[name] for name in _INTERNET_FIELDS
-              if name in doc}
+    kwargs = _typed(doc, _INTERNET_FIELDS, InternetConfig(),
+                    "world.internet")
     if "providers" in doc:
+        if not isinstance(doc["providers"], list):
+            raise ValueError("world.internet.providers must be a JSON list")
         kwargs["providers"] = tuple(
-            PublicProvider(**provider) for provider in doc["providers"])
+            _provider_from_dict(provider) for provider in doc["providers"])
     return InternetConfig(**kwargs)
 
 
@@ -303,7 +349,7 @@ def _world_to_dict(config: WorldConfig) -> Dict:
 
 def _world_from_dict(doc: Dict) -> WorldConfig:
     _reject_unknown(doc, _WORLD_FIELDS + ("internet",), "world")
-    kwargs = {name: doc[name] for name in _WORLD_FIELDS if name in doc}
+    kwargs = _typed(doc, _WORLD_FIELDS, WorldConfig(), "world")
     if "internet" in doc:
         kwargs["internet"] = _internet_from_dict(doc["internet"])
     return WorldConfig(**kwargs)
@@ -319,10 +365,15 @@ def _rollout_to_dict(config: RolloutConfig) -> Dict:
 
 def _rollout_from_dict(doc: Dict) -> RolloutConfig:
     _reject_unknown(doc, _ROLLOUT_DATES + _ROLLOUT_SCALARS, "rollout")
-    kwargs: Dict = {name: datetime.date.fromisoformat(doc[name])
-                    for name in _ROLLOUT_DATES if name in doc}
-    kwargs.update({name: doc[name] for name in _ROLLOUT_SCALARS
-                   if name in doc})
+    kwargs = _typed(doc, _ROLLOUT_SCALARS, RolloutConfig(), "rollout")
+    for name in _ROLLOUT_DATES:
+        if name in doc:
+            try:
+                kwargs[name] = datetime.date.fromisoformat(doc[name])
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"rollout.{name} must be an ISO date string, got "
+                    f"{doc[name]!r}") from None
     return RolloutConfig(**kwargs)
 
 
@@ -351,63 +402,24 @@ def build_world(config: Optional[WorldConfig] = None,
                 unit_scheme: Optional[str] = None,
                 resolver_policies: Optional[ResolverPolicySet] = None,
                 ) -> World:
-    """Build and wire a complete world (canonical spelling)."""
-    return _build_world(config=config, policy=policy,
-                        control_plane=control_plane,
-                        unit_scheme=unit_scheme,
-                        resolver_policies=resolver_policies)
-
-
-def _resolver_policies_for(spec: ScenarioSpec
-                           ) -> Optional[ResolverPolicySet]:
-    """The policy set a spec's world should be built with.
-
-    An explicit ``spec.resolver_policies`` wins.  Otherwise a fault
-    schedule carrying resolver-plane kinds activates the fleets with
-    the all-defaults policy set -- a ``pop_outage`` against a world
-    with no PoP model would be an injection-time error, and forcing
-    callers to also set an empty policy object is pure ceremony.
-    """
-    if spec.resolver_policies is not None:
-        return spec.resolver_policies
-    if spec.faults and any(event.kind in FaultKind.RESOLVER_PLANE
-                           for event in spec.faults.events):
-        return ResolverPolicySet()
-    return None
+    """Build and wire a complete world (canonical spelling); ``None``
+    means the default of its :class:`ScenarioSpec` field."""
+    return _build_world(ScenarioSpec(
+        world=config or WorldConfig.small(), policy=policy,
+        control_plane=control_plane, unit_scheme=unit_scheme,
+        resolver_policies=resolver_policies or ResolverPolicySet()))
 
 
 def _monitor_for_spec(spec: ScenarioSpec) -> RolloutMonitor:
     """The monitor a spec asks for (shared with the sharded engine,
     so a replayed monitor evaluates the same rule set)."""
     rules = spec.monitor_rules
-    if rules is None:
-        # Feature-gated scenarios watch their plane's rules on top of
-        # the defaults; explicit rule overrides win as-is.
-        extra: List = []
-        if spec.control_plane is not None:
-            extra += control_plane_rules(spec.control_plane)
-        if _resolver_policies_for(spec) is not None:
-            extra += resolver_plane_rules()
-        if extra:
-            rules = (default_rollout_rules(
-                rollout_windows(spec.rollout)) + extra)
+    if rules is None and spec.control_plane is not None:
+        # A control-plane world also watches its map pipeline;
+        # explicit rule overrides win as-is.
+        rules = (default_rollout_rules(rollout_windows(spec.rollout))
+                 + control_plane_rules(spec.control_plane))
     return RolloutMonitor.for_config(spec.rollout, rules=rules)
-
-
-def _realize(spec: ScenarioSpec, load_scale: float = 1.0):
-    """``spec -> (world, injector)``: the one place a spec's
-    planes are threaded into a live world, shared by :func:`run` and
-    every shard worker (which passes its shard count as
-    ``load_scale``)."""
-    world = _build_world(config=spec.world, policy=spec.policy,
-                         control_plane=spec.control_plane,
-                         unit_scheme=spec.unit_scheme,
-                         load_feedback=spec.load_feedback,
-                         load_scale=load_scale,
-                         resolver_policies=_resolver_policies_for(spec))
-    injector = (FaultInjector(world, spec.faults)
-                if spec.faults else None)
-    return world, injector
 
 
 def run_rollout(world: World,
@@ -439,7 +451,8 @@ def run(spec: Optional[ScenarioSpec] = None,
                            n_shards=shards or DEFAULT_SHARDS)
     if shards is not None:
         raise ValueError("shards=N requires workers=N")
-    world, injector = _realize(spec)
+    world = _build_world(spec)
+    injector = FaultInjector(world, spec.faults) if spec.faults else None
     monitor = _monitor_for_spec(spec) if spec.monitor else None
     result = _run_rollout(world, config=spec.rollout, observer=monitor,
                           injector=injector, traffic=spec.traffic)

@@ -8,8 +8,29 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import sys
-from typing import Iterator, Optional, TextIO
+from typing import Callable, Iterator, Optional, TextIO
+
+
+def json_document(parse: Callable, what: str) -> Callable:
+    """argparse type for a JSON document given inline or as ``@path``,
+    handed to ``parse`` up front so an unreadable or malformed one is a
+    usage error (exit code 2), never a mid-run crash."""
+
+    def read(text: str):
+        try:
+            if text.startswith("@"):
+                with open(text[1:]) as handle:
+                    text = handle.read()
+            return parse(json.loads(text))
+        except OSError as exc:
+            raise argparse.ArgumentTypeError(
+                f"cannot read {what}: {exc}") from None
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {what}: {exc}") from None
+
+    return read
 
 
 def positive_int(text: str) -> int:

@@ -89,11 +89,17 @@ class LoadFeedbackConfig:
 
     @classmethod
     def from_dict(cls, doc: Dict) -> "LoadFeedbackConfig":
+        if not isinstance(doc, dict):
+            raise ValueError("load_feedback must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(doc) - known
         if unknown:
             raise ValueError(
                 f"unknown load_feedback fields: {sorted(unknown)}")
+        for key, value in doc.items():
+            if type(value) not in (int, float):
+                raise ValueError(
+                    f"{key} must be a JSON number, got {value!r}")
         return cls(**{key: float(value) for key, value in doc.items()})
 
 

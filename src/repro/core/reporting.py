@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.cdn.deployments import DeploymentPlan
-from repro.obs import MetricsRegistry, register_world_collectors
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,34 +107,14 @@ def cluster_health(deployments: DeploymentPlan,
     return rows[:top]
 
 
-def _world_registry(world) -> MetricsRegistry:
-    """The world's metrics registry, built on the fly for bare worlds.
-
-    Worlds constructed by :func:`repro.api.build_world` carry an
-    observability plane; anything world-shaped but without one
-    (hand-wired test doubles) gets a throwaway registry with the same
-    collectors attached, so both read identical metric names.
-    """
-    obs = getattr(world, "obs", None)
-    if obs is not None:
-        return obs.registry
-    registry = MetricsRegistry()
-    register_world_collectors(registry, world)
-    return registry
-
-
 def build_status_report(world, top_clusters: int = 5) -> StatusReport:
     """Aggregate a :class:`StatusReport` from a running world.
 
-    Accepts any object exposing ``mapping``, ``deployments``,
-    ``ldns_registry``, ``nameservers``, ``network``, and
-    ``measurement`` -- i.e. a :class:`repro.simulation.world.World`.
-    All scalar fields come from the registry's collector gauges (see
-    :mod:`repro.obs.collect` for the canonical names); only the
+    All scalar fields come from the world registry's collector gauges
+    (see :mod:`repro.obs.collect` for the canonical names); only the
     per-cluster health table reads the deployment plan directly.
     """
-    registry = _world_registry(world)
-    gauges = registry.snapshot()["gauges"]
+    gauges = world.obs.registry.snapshot()["gauges"]
 
     resolutions = gauges["mapping.resolutions"]
     ecs_resolutions = gauges["mapping.ecs_resolutions"]

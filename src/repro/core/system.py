@@ -194,10 +194,8 @@ class MappingSystem:
         eu_key = None
         if context.ecs is not None:
             # A control plane running a unit scheme resolves the client
-            # prefix to its ``ru:`` unit entry; duck-typed (fakes
-            # without ``unit_key_for`` take the classic ``eu:`` route).
-            keyer = getattr(self.control_plane, "unit_key_for", None)
-            unit_key = keyer(context.ecs.prefix) if keyer else None
+            # prefix to its ``ru:`` unit entry.
+            unit_key = self.control_plane.unit_key_for(context.ecs.prefix)
             if unit_key is not None:
                 eu_key = f"ru:{unit_key}"
             else:

@@ -132,9 +132,7 @@ def _run_arm(spec: ScenarioSpec) -> Dict[str, Any]:
     (which ``run`` reserves for the monitor); observation never
     perturbs the run, so both arms replay their spec exactly.
     """
-    world = _build_world(config=spec.world,
-                         control_plane=spec.control_plane,
-                         load_feedback=spec.load_feedback)
+    world = _build_world(spec)
     probe = _UtilizationProbe()
     result = _run_rollout(world, config=spec.rollout, observer=probe,
                           traffic=spec.traffic if spec.traffic else None)

@@ -1,13 +1,12 @@
 """Extension experiment: the resolver-plane policy matrix.
 
 Section 3 of the paper treats the public-resolver fleet as a fixed
-anycast surface; this experiment runs the simulator's live PoP-fleet
-model (:class:`repro.topology.resolvers.ResolverFleets`) across an ECS
+anycast surface; this experiment runs every world's live PoP fleets
+(:class:`repro.topology.resolvers.ResolverFleets`) across an ECS
 policy matrix and one PoP-outage scenario, on one seeded world:
 
-* ``no_fleets``     -- the legacy static-catchment engine (reference);
-* ``whitelist_on``  -- fleets on, every provider ECS-whitelisted at
-  the full /32 scope ceiling (must be behaviourally inert);
+* ``whitelist_on``  -- every provider ECS-whitelisted at the full /32
+  scope ceiling (the default policy, spelled out: the reference);
 * ``whitelist_off`` -- every provider revoked from the ECS whitelist
   (queries lose the client-subnet option; mapping falls back to LDNS
   location);
@@ -167,7 +166,7 @@ def run(scale: str) -> ExperimentResult:
                               scale=scale, paper_claim=PAPER_CLAIM)
     world_config = get_scale(scale).world
 
-    def spec_for(policies: Optional[ResolverPolicySet],
+    def spec_for(policies: ResolverPolicySet,
                  faults: Optional[FaultSchedule] = None,
                  monitor: bool = False) -> ScenarioSpec:
         return ScenarioSpec(
@@ -178,7 +177,6 @@ def run(scale: str) -> ExperimentResult:
             monitor=monitor)
 
     arms: Dict[str, Dict[str, Any]] = {}
-    arms["no_fleets"] = _run_arm(spec_for(None))
     arms["whitelist_on"] = _run_arm(spec_for(
         _policy_set(world_config, whitelist=True, ceiling=32)))
     arms["whitelist_off"] = _run_arm(spec_for(
@@ -208,7 +206,6 @@ def run(scale: str) -> ExperimentResult:
                 "shifted", "cold_misses", "availability")},
         })
 
-    plain = arms["no_fleets"]
     wl_on = arms["whitelist_on"]
     wl_off = arms["whitelist_off"]
     scoped = arms["scope_20"]
@@ -224,20 +221,6 @@ def run(scale: str) -> ExperimentResult:
                for workers in (1, 4)}
 
     # -- checks -----------------------------------------------------------
-
-    result.check(
-        "fleet_model_inert",
-        (len(plain["outcome"].result.rum)
-         == len(wl_on["outcome"].result.rum)
-         and plain["outcome"].result.sessions_per_day
-         == wl_on["outcome"].result.sessions_per_day
-         and plain["outcome"].result.failed_sessions_per_day
-         == wl_on["outcome"].result.failed_sessions_per_day
-         and plain["dist_ecs_mean"] == wl_on["dist_ecs_mean"]
-         and wl_on["shifted"] == 0),
-        f"healthy fleets replay the static engine exactly: "
-        f"{len(plain['outcome'].result.rum)} beacons, ECS-cohort mean "
-        f"{plain['dist_ecs_mean']:.2f} mi in both")
 
     result.check(
         "whitelist_gates_ecs",

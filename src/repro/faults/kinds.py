@@ -101,24 +101,8 @@ def _resolvers(world, target: str) -> list:
             for rid in _resolver_ids(world, target)]
 
 
-def _fleets(world, target: str):
-    if world.resolver_fleets is None:
-        raise KeyError(
-            f"resolver-plane fault target {target!r} needs a world "
-            f"built with the PoP fleet model (set "
-            f"ScenarioSpec.resolver_policies, or run the schedule "
-            f"through the scenario API, which activates fleets "
-            f"when resolver-plane faults are present)")
-    return world.resolver_fleets
-
-
-def _fleet_resolvers(world, target: str) -> list:
-    _fleets(world, target)  # resolver plane must be active
-    return _resolvers(world, target)
-
-
 def _pops(world, target: str) -> list:
-    pops = _fleets(world, target).pops
+    pops = world.resolver_fleets.pops
     return [pops[rid] for rid in _resolver_ids(world, target)
             if rid in pops]
 
@@ -180,9 +164,8 @@ def _all_resolvers(world) -> list:
 
 
 def _all_pops(world) -> list:
-    fleets = world.resolver_fleets
-    return [] if fleets is None else [
-        (f"PoP {rid}", fleets.pops[rid]) for rid in sorted(fleets.pops)]
+    pops = world.resolver_fleets.pops
+    return [(f"PoP {rid}", pops[rid]) for rid in sorted(pops)]
 
 
 def _all_makers(world) -> list:
@@ -217,11 +200,10 @@ _CLUSTERS = Targets(frozenset({"cluster", None}), _cluster_servers,
 _RESOLVERS = Targets(frozenset({"public", "isp", "resolver", None, "*"}),
                      _resolvers, _all_resolvers)
 _MAKERS = Targets(frozenset({"mapmaker", "*"}), _makers, _all_makers)
-# The resolver plane takes the ``public:...`` spellings only (or ``*``)
-# and needs the PoP fleet model active.
+# The resolver plane takes the ``public:...`` spellings only (or ``*``).
 _FLEET = frozenset({"public", "*"})
 _FLEET_POPS = Targets(_FLEET, _pops, _all_pops)
-_FLEET_RESOLVERS = Targets(_FLEET, _fleet_resolvers, _all_resolvers)
+_FLEET_RESOLVERS = Targets(_FLEET, _resolvers, _all_resolvers)
 _FLEET_PROVIDERS = Targets(_FLEET, _pop_providers)
 
 
@@ -262,10 +244,8 @@ def _flap_provider(world, provider, event) -> Callable[[], None]:
 
 
 def _providers_flapping(world) -> List[str]:
-    fleets = world.resolver_fleets
-    return ([] if fleets is None else
-            [f"provider {name} still flapping"
-             for name in sorted(fleets.flapping)])
+    return [f"provider {name} still flapping"
+            for name in sorted(world.resolver_fleets.flapping)]
 
 
 # -- the table ---------------------------------------------------------------

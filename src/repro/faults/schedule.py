@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.faults.kinds import KINDS, FaultKind
 
@@ -157,15 +157,23 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, doc: Dict) -> "FaultEvent":
-        return cls(
-            start_day=int(doc["start_day"]),
-            duration_days=int(doc["duration_days"]),
-            target=str(doc["target"]),
-            kind=str(doc["kind"]),
-            params=tuple(sorted(
-                (str(k), float(v))
-                for k, v in doc.get("params", {}).items())),
-        )
+        if not isinstance(doc, dict):
+            raise ValueError(f"a fault event is a JSON object, got {doc!r}")
+        try:
+            return cls(
+                start_day=int(doc["start_day"]),
+                duration_days=int(doc["duration_days"]),
+                target=str(doc["target"]),
+                kind=str(doc["kind"]),
+                params=tuple(sorted(
+                    (str(k), float(v))
+                    for k, v in doc.get("params", {}).items())),
+            )
+        except KeyError as exc:
+            raise ValueError(
+                f"fault event {doc!r} is missing field {exc}") from None
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"bad fault event {doc!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -259,8 +267,12 @@ class FaultSchedule:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
-    def from_dict(cls, docs: Iterable[Dict]) -> "FaultSchedule":
-        """Parse and validate (the hardened deserialization path)."""
+    def from_dict(cls, docs: List[Dict]) -> "FaultSchedule":
+        """Parse and validate (the hardened deserialization path):
+        anything malformed is a ``ValueError``."""
+        if not isinstance(docs, list):
+            raise ValueError(
+                "a fault schedule is a JSON list of event objects")
         return cls(tuple(FaultEvent.from_dict(doc)
                          for doc in docs)).validate()
 

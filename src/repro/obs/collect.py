@@ -40,10 +40,9 @@ Canonical metric names exported for a wired world:
 ``clusters.mean_utilization``         deployment health
 ``measurement.rtt_lookups`` /
 ``measurement.memo_hits``             ping-mesh measurement service
-``resolver.pops_total`` / ``
-pops_healthy`` / ``pops_down`` /
-``resolver.providers_flapping``       anycast PoP fleet health (only
-                                      when the resolver plane is on)
+``resolver.pops_total`` /
+``pops_healthy`` / ``pops_down`` /
+``resolver.providers_flapping``       anycast PoP fleet health
 ====================================  =====================================
 """
 
@@ -57,9 +56,8 @@ from repro.obs.metrics import MetricsRegistry
 def register_world_collectors(registry: MetricsRegistry, world) -> None:
     """Wire one world-shaped object into a registry.
 
-    ``world`` is anything exposing ``mapping``, ``deployments``,
-    ``ldns_registry``, ``nameservers``, ``network``, and
-    ``measurement`` -- i.e. a :class:`repro.simulation.world.World`.
+    ``world`` is a :class:`repro.simulation.world.World` (or anything
+    exposing the same components).
     Collector gauges refresh on every snapshot, so the registry always
     reflects the live components.
     """
@@ -97,8 +95,7 @@ def register_world_collectors(registry: MetricsRegistry, world) -> None:
             tcp_failovers += ldns.tcp_failovers
             servfails += ldns.servfail_responses
             stale_served += ldns.stale_served
-            retry_penalty_ms += getattr(ldns, "retry_penalty_ms_total",
-                                        0.0)
+            retry_penalty_ms += ldns.retry_penalty_ms_total
         for key, value in cache_totals.items():
             reg.gauge(f"ldns.cache.{key}").set(value)
         reg.gauge("ldns.cache.lookups").set(
@@ -127,11 +124,8 @@ def register_world_collectors(registry: MetricsRegistry, world) -> None:
         reg.gauge("network.queries").set(world.network.queries_sent)
         reg.gauge("network.bytes").set(world.network.bytes_sent)
 
-        # Query-log totals (world-shaped test doubles may omit the log).
-        query_log = getattr(world, "query_log", None)
-        if query_log is not None:
-            reg.gauge("querylog.queries").set(query_log.total_queries)
-            reg.gauge("querylog.ecs_queries").set(query_log.ecs_queries)
+        reg.gauge("querylog.queries").set(world.query_log.total_queries)
+        reg.gauge("querylog.ecs_queries").set(world.query_log.ecs_queries)
 
         clusters = list(world.deployments.clusters.values())
         alive = [c for c in clusters if c.alive]
@@ -161,20 +155,15 @@ def register_world_collectors(registry: MetricsRegistry, world) -> None:
         reg.gauge("measurement.memo_hits").set(
             measurement.rtt_memo_hits)
 
-        # Resolver-plane fleet health: only exported when the world
-        # carries live PoP fleets, so legacy snapshots stay
-        # byte-identical (gauge absence is the feature gate the
-        # monitor keys off).  Fleet membership and health replay
-        # identically in every shard -- merge by max.
-        fleets = getattr(world, "resolver_fleets", None)
-        if fleets is not None:
-            reg.gauge("resolver.pops_total", merge="max").set(
-                fleets.pops_total)
-            reg.gauge("resolver.pops_down", merge="max").set(
-                fleets.pops_down)
-            reg.gauge("resolver.pops_healthy", merge="max").set(
-                fleets.pops_total - fleets.pops_down)
-            reg.gauge("resolver.providers_flapping", merge="max").set(
-                len(fleets.flapping))
+        # Fleet membership and health replay identically in every
+        # shard -- merge by max.
+        fleets = world.resolver_fleets
+        reg.gauge("resolver.pops_total", merge="max").set(
+            fleets.pops_total)
+        reg.gauge("resolver.pops_down", merge="max").set(fleets.pops_down)
+        reg.gauge("resolver.pops_healthy", merge="max").set(
+            fleets.pops_total - fleets.pops_down)
+        reg.gauge("resolver.providers_flapping", merge="max").set(
+            len(fleets.flapping))
 
     registry.register_collector(_collect)

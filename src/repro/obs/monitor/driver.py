@@ -126,6 +126,22 @@ def default_rollout_rules(
         ThresholdRule(
             "availability_low", "availability",
             op="lt", threshold=0.99, severity="critical", for_steps=2),
+        # Resolver plane: ``resolver_pop_outage`` fires while any
+        # provider PoP's anycast route is withdrawn and resolves on
+        # restoration; ``resolver_anycast_flap`` mirrors route
+        # instability; ``resolver_catchment_shift`` fires while any
+        # completed session was delivered to a PoP other than its
+        # build-time catchment -- the graceful-degradation ladder's
+        # observable signature.
+        ThresholdRule(
+            "resolver_pop_outage", "resolver.pops_down",
+            op="gt", threshold=0.0, severity="warning", for_steps=1),
+        ThresholdRule(
+            "resolver_anycast_flap", "resolver.providers_flapping",
+            op="gt", threshold=0.0, severity="warning", for_steps=1),
+        ThresholdRule(
+            "resolver_catchment_shift", "mapping.catchment_shift_share",
+            op="gt", threshold=0.0, severity="info", for_steps=1),
     ]
 
 
@@ -160,29 +176,6 @@ def control_plane_rules(config) -> List[AlertRule]:
         ThresholdRule(
             "mapmaker_failover", "mapmaker.failovers_today",
             op="gt", threshold=0.0, severity="critical", for_steps=1),
-    ]
-
-
-def resolver_plane_rules() -> List[AlertRule]:
-    """Alert rules for a world running the anycast PoP resolver plane.
-
-    ``resolver_pop_outage`` fires while any provider PoP's anycast
-    route is withdrawn and resolves on restoration;
-    ``resolver_anycast_flap`` mirrors route instability; and
-    ``resolver_catchment_shift`` fires while any completed session was
-    delivered to a PoP other than its build-time catchment -- the
-    graceful-degradation ladder's observable signature.
-    """
-    return [
-        ThresholdRule(
-            "resolver_pop_outage", "resolver.pops_down",
-            op="gt", threshold=0.0, severity="warning", for_steps=1),
-        ThresholdRule(
-            "resolver_anycast_flap", "resolver.providers_flapping",
-            op="gt", threshold=0.0, severity="warning", for_steps=1),
-        ThresholdRule(
-            "resolver_catchment_shift", "mapping.catchment_shift_share",
-            op="gt", threshold=0.0, severity="info", for_steps=1),
     ]
 
 
@@ -285,12 +278,9 @@ class RolloutMonitor:
                               help=blurb)
             self._prev_gauges[gauge] = value
         self._control_plane_series(day, snapshot, gauges)
-        self._resolver_plane_series(day, snapshot, gauges, result)
         sessions = result.sessions_per_day.get(day, 0)
-        failed = getattr(result, "failed_sessions_per_day",
-                         {}).get(day, 0)
-        degraded = getattr(result, "degraded_sessions_per_day",
-                           {}).get(day, 0)
+        failed = result.failed_sessions_per_day.get(day, 0)
+        degraded = result.degraded_sessions_per_day.get(day, 0)
         completed = sessions - failed
         self.store.record(
             day, "availability",
@@ -300,6 +290,9 @@ class RolloutMonitor:
             day, "mapping.degraded_share",
             _ratio(degraded, completed),
             help="share of completed sessions that degraded today")
+        self._resolver_plane_series(
+            day, snapshot, result.catchment_shifted_per_day.get(day, 0),
+            completed)
 
     def _control_plane_series(self, day: int, snapshot: Dict,
                               gauges: Dict) -> None:
@@ -339,27 +332,14 @@ class RolloutMonitor:
                      f"the {tier} tier")
 
     def _resolver_plane_series(self, day: int, snapshot: Dict,
-                               gauges: Dict, result) -> None:
-        """Derived resolver-plane series, for PoP-fleet worlds.
-
-        Presence of the ``resolver.pops_total`` gauge is the opt-in
-        signal (mirroring the control plane's gate on
-        ``mapmaker.map_version``); legacy worlds export none of these,
-        so their reports stay byte-identical.  The raw fleet-health
-        gauges are already captured by the snapshot; derived here are
-        the catchment-shift share of today's completed sessions and
-        the per-day deltas of the graceful-degradation counters.
-        """
-        if "resolver.pops_total" not in gauges:
-            return
-        sessions = result.sessions_per_day.get(day, 0)
-        failed = getattr(result, "failed_sessions_per_day",
-                         {}).get(day, 0)
-        shifted = getattr(result, "catchment_shifted_per_day",
-                          {}).get(day, 0)
+                               shifted: int, completed: int) -> None:
+        """Derived resolver-plane series.  The raw fleet-health gauges
+        are already captured by the snapshot; derived here are the
+        catchment-shift share of today's completed sessions and the
+        per-day deltas of the graceful-degradation counters."""
         self.store.record(
             day, "mapping.catchment_shift_share",
-            _ratio(shifted, sessions - failed),
+            _ratio(shifted, completed),
             help="share of today's completed sessions anycast "
                  "delivered off their build-time catchment")
         counters = snapshot.get("counters", {})

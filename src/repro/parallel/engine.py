@@ -46,6 +46,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.faults import FaultInjector
 from repro.measurement.querylog import QueryLog
 from repro.measurement.rum import RumBeacon
 from repro.obs.metrics import MetricsRegistry
@@ -58,6 +59,7 @@ from repro.parallel.merge import (
 )
 from repro.parallel.plan import DEFAULT_SHARDS, plan_shards
 from repro.simulation.rollout import RolloutResult, _run_rollout
+from repro.simulation.world import _build_world
 
 
 class _DayCapture:
@@ -96,15 +98,11 @@ def _shard_worker(payload: Tuple) -> ShardOutput:
     build the world, slice the population, walk the shared day loop,
     package the output."""
     spec, shard, n_shards, capture_days = payload
-    # Imported here, not at module top: ``repro.api`` reaches into
-    # this package (lazily), and a function-scope import keeps the
-    # edge acyclic in both directions.
-    from repro.api import _realize
-
     # Each worker sees 1/n_shards of the demand, so observed load
     # scales back up by n_shards to keep the utilization signal (and
     # hence scoring penalties) aligned across worker counts.
-    world, injector = _realize(spec, load_scale=float(n_shards))
+    world = _build_world(spec, load_scale=float(n_shards))
+    injector = FaultInjector(world, spec.faults) if spec.faults else None
     population = plan_shards(world.internet, n_shards).population_slice(
         shard, world.internet.blocks, spec.rollout.seed)
     capture = _DayCapture() if capture_days else None

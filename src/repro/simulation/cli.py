@@ -18,79 +18,14 @@ import datetime
 import sys
 from typing import List
 
-from repro.cliutil import positive_int
+from repro.api import ScenarioSpec, build_world, run
+from repro.cliutil import json_document, positive_int
 from repro.core.reporting import build_status_report
 from repro.experiments.scales import get_scale, scale_names
-from repro.simulation.dnsload import DnsLoadConfig, drive_dns_load
-from repro.api import ScenarioSpec, build_world, run
 from repro.faults import FaultSchedule
+from repro.simulation.dnsload import DnsLoadConfig, drive_dns_load
 from repro.simulation.rollout import RolloutConfig
 from repro.topology.traffic import TrafficSchedule
-
-
-def traffic_schedule(text: str):
-    """argparse type for ``--traffic``: inline JSON or an ``@file``
-    path, parsed and grammar-validated up front so malformed shapes
-    are a usage error (exit code 2), never a mid-run crash."""
-    from repro.topology.traffic import TrafficSchedule
-
-    try:
-        if text.startswith("@"):
-            with open(text[1:]) as handle:
-                text = handle.read()
-        return TrafficSchedule.from_json(text)
-    except OSError as exc:
-        raise argparse.ArgumentTypeError(
-            f"cannot read traffic schedule: {exc}") from None
-    except (ValueError, KeyError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"bad traffic schedule: {exc}") from None
-
-
-def resolver_faults(text: str):
-    """argparse type for ``--resolver-faults``: a fault-schedule JSON
-    document (inline or ``@file``) restricted to resolver-plane kinds
-    (``pop_outage``, ``anycast_flap``, ``ecs_whitelist_revoke``).
-    Parsed and grammar-validated up front so a malformed schedule --
-    or a data/control-plane kind smuggled through the resolver flag --
-    is a usage error (exit code 2), never a mid-run crash."""
-    import json
-
-    from repro.faults import FaultKind, FaultSchedule
-
-    try:
-        if text.startswith("@"):
-            with open(text[1:]) as handle:
-                text = handle.read()
-        schedule = FaultSchedule.from_dict(json.loads(text)).validate()
-    except OSError as exc:
-        raise argparse.ArgumentTypeError(
-            f"cannot read resolver faults: {exc}") from None
-    except (ValueError, KeyError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"bad resolver faults: {exc}") from None
-    stray = sorted({event.kind for event in schedule.events
-                    if event.kind not in FaultKind.RESOLVER_PLANE})
-    if stray:
-        raise argparse.ArgumentTypeError(
-            f"bad resolver faults: non-resolver-plane kinds {stray} "
-            f"(use the scenario API for mixed schedules)")
-    return schedule
-
-
-def unit_scheme_spec(text: str) -> str:
-    """argparse type for ``--unit-scheme``: a registered
-    :mod:`repro.core.units` scheme name (optionally
-    ``routing_aware:<k>``), validated before any world is built so an
-    unknown scheme is a usage error (exit code 2)."""
-    from repro.core.units import parse_unit_scheme
-
-    try:
-        parse_unit_scheme(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"bad unit scheme: {exc}") from None
-    return text
 
 
 def _build(scale: str):
@@ -114,7 +49,9 @@ def _cmd_world_info(args) -> int:
     return 0
 
 
-def _cmd_rollout(args) -> int:
+def _rollout_spec(args) -> ScenarioSpec:
+    """The scenario ``sim rollout`` runs; raises ``ValueError`` for a
+    combination of planes no spec may carry."""
     start = datetime.date(2014, 3, 1)
     end = start + datetime.timedelta(days=args.days - 1)
     third = datetime.timedelta(days=max(args.days // 3, 1))
@@ -136,13 +73,17 @@ def _cmd_rollout(args) -> int:
         from repro.core.mapmaker import MapMakerConfig
 
         control_plane = MapMakerConfig()
-    spec = ScenarioSpec(world=get_scale(args.scale).world,
+    return ScenarioSpec(world=get_scale(args.scale).world,
                         rollout=config, monitor=False,
                         traffic=args.traffic or TrafficSchedule(),
                         load_feedback=load_feedback,
                         control_plane=control_plane,
                         unit_scheme=args.unit_scheme,
-                        faults=args.resolver_faults or FaultSchedule())
+                        faults=args.faults or FaultSchedule())
+
+
+def _cmd_rollout(args) -> int:
+    spec = args.spec
     if args.workers is not None:
         # --workers only sizes the pool: --workers 1 and --workers 8
         # print identical reports (the shard plan fixes the output).
@@ -152,8 +93,8 @@ def _cmd_rollout(args) -> int:
     else:
         outcome = run(spec)
     result = outcome.result
-    print(f"{len(result.rum)} RUM beacons over {config.n_days} days")
-    if args.resolver_faults is not None:
+    print(f"{len(result.rum)} RUM beacons over {spec.rollout.n_days} days")
+    if args.faults is not None:
         shifted = sum(result.catchment_shifted_per_day.values())
         print(f"{shifted} sessions re-homed off their build-time "
               f"catchment")
@@ -234,7 +175,8 @@ def main(argv: List[str] | None = None) -> int:
     rollout.add_argument("--shards", type=positive_int, default=8,
                          help="shard count of the deterministic plan "
                               "(default 8); needs --workers")
-    rollout.add_argument("--traffic", type=traffic_schedule,
+    rollout.add_argument("--traffic", type=json_document(
+                             TrafficSchedule.from_dict, "traffic schedule"),
                          default=None, metavar="JSON|@FILE",
                          help="surge-traffic schedule (JSON list of "
                               "shapes, or @path to a file)")
@@ -246,18 +188,18 @@ def main(argv: List[str] | None = None) -> int:
                          help="run the split control plane (published "
                               "maps read through the degradation "
                               "ladder) with default knobs")
-    rollout.add_argument("--unit-scheme", type=unit_scheme_spec,
-                         default=None, metavar="SCHEME[:K]",
+    rollout.add_argument("--unit-scheme", default=None,
+                         metavar="SCHEME[:K]",
                          help="compile the published map over this "
                               "unit-construction scheme (ldns, geo_as, "
                               "routing_aware[:k], ...); requires "
                               "--control-plane")
-    rollout.add_argument("--resolver-faults", type=resolver_faults,
+    rollout.add_argument("--faults", type=json_document(
+                             FaultSchedule.from_dict, "fault schedule"),
                          default=None, metavar="JSON|@FILE",
-                         help="resolver-plane fault schedule "
-                              "(pop_outage / anycast_flap / "
-                              "ecs_whitelist_revoke events; activates "
-                              "the anycast PoP fleet model)")
+                         help="fault schedule (JSON list of events, or "
+                              "@path to a file); control-plane kinds "
+                              "require --control-plane")
 
     dnsload = sub.add_parser("dnsload", help="drive DNS-only load")
     add_common(dnsload)
@@ -273,11 +215,13 @@ def main(argv: List[str] | None = None) -> int:
     status.add_argument("--sessions", type=positive_int, default=300)
 
     args = parser.parse_args(argv)
-    if args.command == "rollout" and args.unit_scheme is not None \
-            and not args.control_plane:
-        # Units only exist in the published map: asking for a scheme
-        # without the control plane is a usage error (exit code 2).
-        rollout.error("--unit-scheme requires --control-plane")
+    if args.command == "rollout":
+        try:
+            args.spec = _rollout_spec(args)
+        except ValueError as exc:
+            # Planes the spec refuses to combine are a usage error
+            # (exit code 2), before any world is built.
+            rollout.error(str(exc))
     handlers = {
         "world-info": _cmd_world_info,
         "rollout": _cmd_rollout,

@@ -90,8 +90,7 @@ class RolloutResult:
     answer, ECS strip, dead-server retry); empty in a fault-free run."""
     catchment_shifted_per_day: Dict[int, int] = field(default_factory=dict)
     """Sessions anycast delivered to a PoP other than their build-time
-    catchment; all zero unless the resolver plane is active and a PoP
-    is withdrawn or flapping."""
+    catchment; all zero unless a PoP is withdrawn or flapping."""
 
     @property
     def before_window(self) -> tuple:

@@ -80,8 +80,7 @@ class SessionResult:
     """The DNS answer came from an expired cache entry (RFC 8767)."""
     catchment_shifted: bool = False
     """Anycast delivered this session to a PoP other than its
-    build-time catchment (a withdrawn or flapping PoP re-homed it).
-    Only ever True when the world's resolver fleets are active."""
+    build-time catchment (a withdrawn or flapping PoP re-homed it)."""
     cold_cache_miss: bool = False
     """A catchment-shifted session whose resolution also missed the
     LDNS cache: the cost of landing on a PoP that never saw this
@@ -121,21 +120,19 @@ def _run_session(world, block, now, rng, provider, page, client_ip,
                  account_load, root) -> SessionResult:
     # --- DNS ----------------------------------------------------------------
     resolver_id = block.pick_ldns(rng)
-    # The resolver plane, when active, may re-home the session: anycast
-    # routes around withdrawn/flapping PoPs deterministically (no RNG,
-    # so fault and healthy runs stay stream-aligned).
-    catchment_shifted = False
-    fleet_dark = False
-    if world.resolver_fleets is not None:
-        routed_id = world.resolver_fleets.route(resolver_id, block)
-        if routed_id is None:
-            # Every PoP of the provider is withdrawn: the intended
-            # address is a black hole and the stub must burn its
-            # timeout, exactly like an LDNS blackout.
-            fleet_dark = True
-        elif routed_id != resolver_id:
-            catchment_shifted = True
-            resolver_id = routed_id
+    # The resolver plane may re-home the session: anycast routes around
+    # withdrawn/flapping PoPs deterministically (no RNG, so fault and
+    # healthy runs stay stream-aligned).
+    fleets = world.resolver_fleets
+    routed_id = (fleets.route(resolver_id, block)
+                 if fleets.disturbed(resolver_id) else resolver_id)
+    # None: every PoP of the provider is withdrawn, so the intended
+    # address is a black hole and the stub must burn its timeout,
+    # exactly like an LDNS blackout.
+    fleet_dark = routed_id is None
+    catchment_shifted = not fleet_dark and routed_id != resolver_id
+    if catchment_shifted:
+        resolver_id = routed_id
     ldns = world.ldns_registry[resolver_id]
     fallback_id = None
     fallback = None
@@ -319,7 +316,7 @@ def _fallback_ldns(world, client_ip: int, exclude_id: str):
 
 
 def _nearest_live(world, client_ip: int, exclude_id: str, pool):
-    fleets = world.resolver_fleets
+    pops = world.resolver_fleets.pops
     best_id, best, best_key = None, None, None
     for rid in pool:
         if rid == exclude_id:
@@ -329,8 +326,7 @@ def _nearest_live(world, client_ip: int, exclude_id: str, pool):
             continue
         # A withdrawn PoP is healthy software behind a dead route:
         # failing over to it would just be a second black hole.
-        if (fleets is not None and rid in fleets.pops
-                and not fleets.pops[rid].healthy):
+        if rid in pops and not pops[rid].healthy:
             continue
         key = (world.network.rtt_ms(client_ip, candidate.ip), rid)
         if best_key is None or key < best_key:

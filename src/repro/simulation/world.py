@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.cdn.content import ContentCatalog, build_catalog
 from repro.cdn.deployments import DeploymentPlan, build_deployments
 from repro.cdn.origin import OriginServer, deploy_origin, make_origin_allocator
 from repro.core.discovery import CandidateIndex
-from repro.core.loadfeedback import ClusterLoadTracker, LoadFeedbackConfig
-from repro.core.mapmaker import MapMakerConfig, MapPublicationService
+from repro.core.loadfeedback import ClusterLoadTracker
+from repro.core.mapmaker import MapPublicationService
 from repro.core.measurement import MeasurementService
 from repro.core.policies import EUMappingPolicy, MappingPolicy
 from repro.core.scoring import Scorer, TrafficClass
@@ -47,7 +47,10 @@ from repro.measurement.querylog import QueryLog
 from repro.net.latency import LatencyModel
 from repro.obs import Observability, register_world_collectors
 from repro.topology.internet import Internet, InternetConfig, build_internet
-from repro.topology.resolvers import ResolverFleets, ResolverPolicySet
+from repro.topology.resolvers import ResolverFleets
+
+if TYPE_CHECKING:
+    from repro.api import ScenarioSpec
 
 CDN_ZONE = "cdn.example"
 WHOAMI_NAME = f"whoami.{CDN_ZONE}"
@@ -120,25 +123,21 @@ class World:
     nameservers: List[AuthoritativeServer]
     ldns_registry: Dict[str, RecursiveResolver]
     query_log: QueryLog
+    resolver_fleets: ResolverFleets
+    """The public providers' live anycast PoP fleets: their health
+    gates session routing (a healthy fleet routes every session to its
+    build-time catchment)."""
     obs: Observability = field(default_factory=Observability)
     """The world's observability plane: every component shares this
     registry + tracer; ``register_world_collectors`` exposes component
     internals as canonical metrics at snapshot time."""
     control_plane: Optional[MapPublicationService] = None
-    """The map-publication control plane, when the world was built
-    with one (``control_plane=MapMakerConfig(...)``); None keeps the
-    legacy per-query scoring path."""
+    """The map-publication control plane, when the spec asks for one;
+    None keeps per-query scoring."""
     load_tracker: Optional[ClusterLoadTracker] = None
-    """The load-feedback report channel, when the world was built with
-    ``load_feedback=LoadFeedbackConfig(...)``: the engines observe it
-    once per day and the scorer reads its penalties.  None keeps
-    scoring load-blind (the legacy behaviour)."""
-    resolver_fleets: Optional["ResolverFleets"] = None
-    """Live anycast PoP fleets, when the world was built with the
-    resolver plane active (``resolver_policies`` set, or resolver-plane
-    faults scheduled).  None keeps public resolvers as static
-    deployments (the legacy behaviour -- sessions route exactly where
-    the build-time catchment put them)."""
+    """The load-feedback report channel, when the spec asks for one:
+    the engines observe it once per day and the scorer reads its
+    penalties.  None keeps scoring load-blind."""
 
     def set_policy(self, policy: MappingPolicy) -> None:
         """Swap the mapping policy (NS / EU / CANS) world-wide."""
@@ -207,46 +206,14 @@ class World:
         return sorted(self.internet.public_resolver_ids())
 
 
-def _build_world(config: Optional[WorldConfig] = None,
-                 policy: Optional[MappingPolicy] = None,
-                 control_plane: Optional[MapMakerConfig] = None,
-                 load_feedback: Optional[LoadFeedbackConfig] = None,
-                 load_scale: float = 1.0,
-                 unit_scheme: Optional[str] = None,
-                 resolver_policies: Optional[ResolverPolicySet] = None,
-                 ) -> World:
-    """Build and wire a complete world from a config.
-
-    ``control_plane`` opts the world into the split control plane: a
-    :class:`~repro.core.mapmaker.service.MapPublicationService` is
-    built (publishing its first map immediately) and attached to the
-    mapping system, whose answer path then reads published maps
-    through the degradation ladder instead of scoring per query.
-    ``unit_scheme`` (requires ``control_plane``) selects the
-    :mod:`repro.core.units` construction scheme the service compiles
-    its map over, replacing per-/24 ``eu:`` entries with ``ru:`` unit
-    entries.
-
-    ``load_feedback`` opts into the load-feedback loop: a
-    :class:`~repro.core.loadfeedback.ClusterLoadTracker` is attached
-    to the scorer, so rankings (and published maps, when the control
-    plane is on) penalize and demote hot clusters.  ``load_scale``
-    multiplies observed load -- shard workers pass their shard count,
-    since each sees only its own slice of the global demand.
-
-    ``resolver_policies`` opts into the resolver plane: public
-    deployments become live anycast PoPs (``world.resolver_fleets``)
-    whose health gates session routing, and each provider's
-    :class:`~repro.topology.resolvers.EcsPolicy` is applied to its
-    PoPs' recursives.  None keeps the static-deployment behaviour
-    byte-identical.
-    """
-    config = config or WorldConfig.small()
+def _build_world(spec: "ScenarioSpec", load_scale: float = 1.0) -> World:
+    """Build and wire the world a spec describes, every plane it asks
+    for attached.  ``load_scale`` multiplies observed load -- shard
+    workers pass their shard count, since each sees only its own slice
+    of the global demand."""
+    config = spec.world
     rng = random.Random(config.seed ^ 0xC0FFEE)
     obs = Observability()
-    if unit_scheme is not None and control_plane is None:
-        raise ValueError(
-            "unit_scheme requires a control plane (control_plane=...)")
 
     internet = build_internet(config.internet, seed=config.seed)
     network = Network(internet.geodb, LatencyModel(), obs=obs)
@@ -266,20 +233,20 @@ def _build_world(config: Optional[WorldConfig] = None,
     measurement = MeasurementService(internet.geodb)
     scorer = Scorer(measurement, TrafficClass.WEB)
     load_tracker: Optional[ClusterLoadTracker] = None
-    if load_feedback is not None:
-        load_tracker = ClusterLoadTracker(load_feedback,
+    if spec.load_feedback is not None:
+        load_tracker = ClusterLoadTracker(spec.load_feedback,
                                           load_scale=load_scale)
         scorer.load_tracker = load_tracker
-    mapping_policy = policy or EUMappingPolicy(internet.geodb)
+    mapping_policy = spec.policy or EUMappingPolicy(internet.geodb)
     mapping = MappingSystem(
         deployments, catalog, mapping_policy, scorer,
         candidate_index=CandidateIndex(deployments), obs=obs)
 
     publication_service: Optional[MapPublicationService] = None
-    if control_plane is not None:
+    if spec.control_plane is not None:
         publication_service = MapPublicationService(
-            control_plane, deployments=deployments, scorer=scorer,
-            internet=internet, obs=obs, unit_scheme=unit_scheme)
+            spec.control_plane, deployments=deployments, scorer=scorer,
+            internet=internet, obs=obs, unit_scheme=spec.unit_scheme)
         mapping.attach_control_plane(publication_service)
 
     # --- authoritative name servers inside CDN clusters -------------------
@@ -336,16 +303,14 @@ def _build_world(config: Optional[WorldConfig] = None,
         ldns_registry[resolver_id] = ldns
 
     # --- the resolver plane (anycast PoP fleets + ECS policies) -----------
-    resolver_fleets: Optional[ResolverFleets] = None
-    if resolver_policies is not None:
-        resolver_fleets = ResolverFleets.from_providers(
-            internet.providers, policies=resolver_policies)
-        for provider in internet.providers:
-            ecs_policy = resolver_policies.policy_for(provider.name)
-            for deployment in provider.deployments:
-                ldns = ldns_registry[deployment.resolver_id]
-                ldns.ecs_whitelisted = ecs_policy.whitelist_enabled
-                ldns.ecs_scope_ceiling = ecs_policy.scope_ceiling
+    resolver_fleets = ResolverFleets.from_providers(
+        internet.providers, policies=spec.resolver_policies)
+    for provider in internet.providers:
+        ecs_policy = spec.resolver_policies.policy_for(provider.name)
+        for deployment in provider.deployments:
+            ldns = ldns_registry[deployment.resolver_id]
+            ldns.ecs_whitelisted = ecs_policy.whitelist_enabled
+            ldns.ecs_scope_ceiling = ecs_policy.scope_ceiling
 
     # --- query accounting ----------------------------------------------------
     query_log = QueryLog(
@@ -370,10 +335,10 @@ def _build_world(config: Optional[WorldConfig] = None,
         nameservers=nameservers,
         ldns_registry=ldns_registry,
         query_log=query_log,
+        resolver_fleets=resolver_fleets,
         obs=obs,
         control_plane=publication_service,
         load_tracker=load_tracker,
-        resolver_fleets=resolver_fleets,
     )
     register_world_collectors(obs.registry, world)
     return world

@@ -202,8 +202,8 @@ class EcsPolicy:
       scope).  A ceiling below the stub's source length trades mapping
       precision for cache efficiency.
 
-    The defaults reproduce the pre-fleet simulator exactly: whitelist
-    on, no narrowing below the roll-out's ``ecs_source_len``.
+    The defaults are the recursive resolver's own: whitelist on, no
+    narrowing below the roll-out's ``ecs_source_len``.
     """
 
     whitelist_enabled: bool = True
@@ -220,14 +220,21 @@ class EcsPolicy:
 
     @classmethod
     def from_dict(cls, doc: Dict) -> "EcsPolicy":
+        if not isinstance(doc, dict):
+            raise ValueError(f"an ECS policy is a JSON object, got {doc!r}")
         unknown = set(doc) - {"whitelist_enabled", "scope_ceiling"}
         if unknown:
             raise ValueError(
                 f"unknown ECS policy keys: {sorted(unknown)}")
-        return cls(
-            whitelist_enabled=bool(doc.get("whitelist_enabled", True)),
-            scope_ceiling=int(doc.get("scope_ceiling", 32)),
-        )
+        whitelist = doc.get("whitelist_enabled", True)
+        ceiling = doc.get("scope_ceiling", 32)
+        if not isinstance(whitelist, bool):
+            raise ValueError(f"ECS policy whitelist_enabled must be a "
+                             f"JSON boolean, got {whitelist!r}")
+        if type(ceiling) is not int:
+            raise ValueError(f"ECS policy scope_ceiling must be a JSON "
+                             f"integer, got {ceiling!r}")
+        return cls(whitelist_enabled=whitelist, scope_ceiling=ceiling)
 
 
 @dataclass(frozen=True)
@@ -236,7 +243,7 @@ class ResolverPolicySet:
 
     Pure scenario data (``ScenarioSpec.resolver_policies``): providers
     not named fall back to the default :class:`EcsPolicy`, so the empty
-    set means "build the PoP fleet model with 2014-faithful policies".
+    set -- the default -- means 2014-faithful policies everywhere.
     """
 
     policies: Tuple[Tuple[str, EcsPolicy], ...] = ()
@@ -292,9 +299,8 @@ class ResolverPoP:
 class ResolverFleets:
     """Live anycast PoP fleets for every public provider.
 
-    Attached to a world as ``world.resolver_fleets`` when the resolver
-    plane is active (``ScenarioSpec.resolver_policies`` set, or a
-    resolver-plane fault scheduled).  Build-time catchments are left
+    Every world carries one as ``world.resolver_fleets``, built from
+    ``ScenarioSpec.resolver_policies``.  Build-time catchments are left
     untouched -- a healthy fleet routes every session exactly where the
     static world would -- and :meth:`route` deterministically re-homes
     only the sessions whose intended PoP is withdrawn or flapping.  No
@@ -349,6 +355,15 @@ class ResolverFleets:
         return sum(1 for p in self.pops.values() if not p.healthy)
 
     # -- routing ---------------------------------------------------------
+
+    def disturbed(self, resolver_id: str) -> bool:
+        """Whether anycast may deliver a session meant for this id
+        anywhere else: it is a PoP that is withdrawn or whose provider
+        flaps.  Every other session goes where it was sent, so only
+        these need :meth:`route`."""
+        pop = self.pops.get(resolver_id)
+        return pop is not None and (
+            not pop.healthy or pop.resolver.provider in self.flapping)
 
     def route(self, resolver_id: str, block) -> Optional[str]:
         """Where anycast delivers a session intended for one PoP.

@@ -37,7 +37,7 @@ import bisect
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class ShapeKind:
@@ -184,20 +184,29 @@ class TrafficShape:
 
     @classmethod
     def from_dict(cls, doc: Dict) -> "TrafficShape":
+        if not isinstance(doc, dict):
+            raise ValueError(
+                f"a traffic shape is a JSON object, got {doc!r}")
         known = {"start_day", "duration_days", "target", "kind",
                  "magnitude", "period_days"}
         unknown = set(doc) - known
         if unknown:
             raise ValueError(
                 f"unknown traffic shape fields: {sorted(unknown)}")
-        return cls(
-            start_day=int(doc["start_day"]),
-            duration_days=int(doc["duration_days"]),
-            target=str(doc["target"]),
-            kind=str(doc["kind"]),
-            magnitude=float(doc["magnitude"]),
-            period_days=int(doc.get("period_days", 0)),
-        )
+        try:
+            return cls(
+                start_day=int(doc["start_day"]),
+                duration_days=int(doc["duration_days"]),
+                target=str(doc["target"]),
+                kind=str(doc["kind"]),
+                magnitude=float(doc["magnitude"]),
+                period_days=int(doc.get("period_days", 0)),
+            )
+        except KeyError as exc:
+            raise ValueError(
+                f"traffic shape {doc!r} is missing field {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"bad traffic shape {doc!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -255,18 +264,18 @@ class TrafficSchedule:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
-    def from_dict(cls, docs: Iterable[Dict]) -> "TrafficSchedule":
-        """Parse and validate (the hardened deserialization path)."""
+    def from_dict(cls, docs: List[Dict]) -> "TrafficSchedule":
+        """Parse and validate (the hardened deserialization path):
+        anything malformed is a ``ValueError``."""
+        if not isinstance(docs, list):
+            raise ValueError(
+                "a traffic schedule is a JSON list of shape objects")
         return cls(tuple(TrafficShape.from_dict(doc)
                          for doc in docs)).validate()
 
     @classmethod
     def from_json(cls, text: str) -> "TrafficSchedule":
-        docs = json.loads(text)
-        if not isinstance(docs, list):
-            raise ValueError(
-                "a traffic schedule is a JSON list of shape objects")
-        return cls.from_dict(docs)
+        return cls.from_dict(json.loads(text))
 
 
 # -- runtime resolution ------------------------------------------------------

@@ -14,6 +14,7 @@ Pins the API-redesign contracts:
 import datetime
 import inspect
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -100,6 +101,45 @@ class TestScenarioSpec:
     def test_from_dict_rejects_malformed_documents(self, doc):
         with pytest.raises(ValueError):
             ScenarioSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("doc,field", [
+        ({"control_plane": {"top_clusters": "8"}},
+         "control_plane.top_clusters"),
+        ({"world": {"n_deployments": "5"}}, "world.n_deployments"),
+        ({"world": {"internet": {"pareto_alpha": True}}},
+         "world.internet.pareto_alpha"),
+        ({"load_feedback": {"load_penalty_ms": None}}, "load_penalty_ms"),
+        ({"rollout": {"start_date": 5}}, "rollout.start_date"),
+        ({"rollout": {"end_date": "March"}}, "rollout.end_date"),
+        ({"faults": {"a": 1}}, "faults"),
+        ({"world": {"internet": {"providers": [{"name": "X"}]}}},
+         "world.internet.providers"),
+        ({"faults": [{"start_day": 1, "target": "ns:0",
+                      "kind": "auth_outage"}]}, "duration_days"),
+        ({"traffic": [{"start_day": 1, "target": "continent:NA",
+                       "kind": "flash_crowd", "magnitude": 2.0}]},
+         "duration_days"),
+        ({"traffic": [3]}, "traffic"),
+        ({"resolver_policies": {"GloboDNS": {"whitelist_enabled": "no"}}},
+         "whitelist_enabled"),
+        ({"monitor": "no"}, "monitor"),
+    ], ids=["string-int", "string-world-int", "bool-float", "null-float",
+            "int-date", "bad-date", "faults-object", "provider-fields",
+            "fault-without-duration", "shape-without-duration",
+            "shape-not-object", "string-bool-policy", "string-monitor"])
+    def test_from_dict_names_the_bad_field(self, doc, field):
+        """Wrong JSON types and missing fields are ``ValueError``s that
+        name the field -- never a ``TypeError``/``KeyError`` crash, and
+        never a truthy string silently read as ``True``."""
+        with pytest.raises(ValueError, match=re.escape(field)):
+            ScenarioSpec.from_dict(doc)
+
+    def test_control_plane_fault_kinds_need_a_control_plane(self):
+        faults = FaultSchedule((FaultEvent(
+            start_day=3, duration_days=1, target="mapmaker:primary",
+            kind=FaultKind.MAPMAKER_CRASH),))
+        with pytest.raises(ValueError, match="mapmaker_crash"):
+            ScenarioSpec(world=WorldConfig.tiny(), faults=faults)
 
 
 class TestBenchmarkSurface:

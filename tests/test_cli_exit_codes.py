@@ -164,16 +164,17 @@ class TestTrafficValidation:
 
 
 class TestUnitSchemeValidation:
-    """``--unit-scheme`` joins the usage-error contract: an unknown
-    scheme, a malformed ``:k`` suffix, or a scheme without the split
-    control plane all exit 2 before any world is built."""
+    """``--unit-scheme`` joins the usage-error contract through the
+    spec: an unknown scheme, a malformed ``:k`` suffix, or a scheme
+    without the split control plane all exit 2 before any world is
+    built."""
 
     @pytest.mark.parametrize("value", ["nope", "ldns:4", ""])
     def test_unknown_scheme_exits_two(self, value):
         code, _, err = _run(["sim", "rollout", "--control-plane",
                              "--unit-scheme", value])
         assert code == 2
-        assert "bad unit scheme" in err
+        assert "bad unit_scheme" in err
 
     @pytest.mark.parametrize("value", ["routing_aware:x",
                                        "routing_aware:0",
@@ -182,13 +183,13 @@ class TestUnitSchemeValidation:
         code, _, err = _run(["sim", "rollout", "--control-plane",
                              "--unit-scheme", value])
         assert code == 2
-        assert "bad unit scheme" in err
+        assert "bad unit_scheme" in err
 
     def test_scheme_without_control_plane_exits_two(self):
         code, _, err = _run(["sim", "rollout",
                              "--unit-scheme", "geo_as"])
         assert code == 2
-        assert "requires --control-plane" in err
+        assert "unit_scheme requires a control plane" in err
 
     def test_unit_scheme_flag_is_advertised(self):
         code, out, _ = _run(["sim", "rollout", "--help"])
@@ -198,9 +199,10 @@ class TestUnitSchemeValidation:
 
 
 class TestResolverFaultsValidation:
-    """``--resolver-faults`` joins the usage-error contract: malformed
-    JSON, bad target grammar, unreadable ``@file`` paths, and
-    non-resolver-plane kinds all exit 2 before any world is built."""
+    """Resolver-plane schedules given to ``--faults`` join the
+    usage-error contract: malformed JSON, bad target grammar,
+    unreadable ``@file`` paths and conflicting events all exit 2
+    before any world is built."""
 
     @pytest.mark.parametrize("value", [
         "not json",
@@ -215,40 +217,45 @@ class TestResolverFaultsValidation:
     ], ids=["not-json", "not-a-list", "missing-fields", "bad-head",
             "three-level-target", "empty-suffix"])
     def test_sim_rollout_rejects_malformed_schedules(self, value):
-        code, _, err = _run(["sim", "rollout",
-                             "--resolver-faults", value])
+        code, _, err = _run(["sim", "rollout", "--faults", value])
         assert code == 2
-        assert "resolver faults" in err
-
-    def test_non_resolver_plane_kinds_exit_two(self):
-        schedule = ('[{"start_day": 0, "duration_days": 2, "target":'
-                    ' "ns:0", "kind": "auth_outage"}]')
-        code, _, err = _run(["sim", "rollout",
-                             "--resolver-faults", schedule])
-        assert code == 2
-        assert "non-resolver-plane" in err
+        assert "bad fault schedule" in err
 
     def test_unreadable_faults_file_exits_two(self):
-        code, _, err = _run(["sim", "rollout", "--resolver-faults",
+        code, _, err = _run(["sim", "rollout", "--faults",
                              "@/no/such/faults.json"])
         assert code == 2
-        assert "cannot read resolver faults" in err
+        assert "cannot read fault schedule" in err
 
     def test_conflicting_outage_and_blackout_exit_two(self):
         schedule = ('[{"start_day": 0, "duration_days": 4, "target":'
                     ' "public:GloboDNS", "kind": "pop_outage"},'
                     ' {"start_day": 2, "duration_days": 4, "target":'
                     ' "public:GloboDNS", "kind": "ldns_blackout"}]')
-        code, _, err = _run(["sim", "rollout",
-                             "--resolver-faults", schedule])
+        code, _, err = _run(["sim", "rollout", "--faults", schedule])
         assert code == 2
-        assert "bad resolver faults" in err
+        assert "bad fault schedule" in err
 
-    def test_resolver_faults_flag_is_advertised(self):
+
+class TestFaultsFlag:
+    """One fault flag takes every kind; the spec decides what the
+    planes on the command line can carry."""
+
+    def test_control_plane_kind_without_control_plane_exits_two(self):
+        schedule = ('[{"start_day": 3, "duration_days": 1, "target":'
+                    ' "mapmaker:primary", "kind": "mapmaker_crash"}]')
+        code, _, err = _run(["sim", "rollout", "--faults", schedule])
+        assert code == 2
+        assert "mapmaker_crash" in err
+        assert "require a control plane" in err
+
+    def test_faults_flag_is_advertised(self):
         code, out, _ = _run(["sim", "rollout", "--help"])
         assert code == 0
-        assert "--resolver-faults" in out
-        # ...and resolver-plane kinds are on the soak's one menu.
+        assert "--faults" in out
+        # No plane-specific fault flag, and resolver-plane kinds are
+        # on the soak's one menu.
+        assert "--resolver" not in out
         code, out, _ = _run(["soak", "--help"])
         assert code == 0
         assert "--resolver" not in out

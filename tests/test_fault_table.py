@@ -17,19 +17,17 @@ import random
 
 import pytest
 
+from repro.api import build_world
 from repro.core.mapmaker import MapMakerConfig
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultSchedule
 from repro.faults.chaos import world_restored
 from repro.faults.kinds import KINDS
-from repro.simulation.world import WorldConfig, _build_world
-from repro.topology.resolvers import ResolverPolicySet
+from repro.simulation.world import WorldConfig
 
 
 @pytest.fixture(scope="module")
 def world():
-    return _build_world(WorldConfig.tiny(),
-                        control_plane=MapMakerConfig(),
-                        resolver_policies=ResolverPolicySet())
+    return build_world(WorldConfig.tiny(), control_plane=MapMakerConfig())
 
 
 def _population(world, row):

@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.api import ScenarioSpec, run
+from repro.api import ScenarioSpec, build_world, run
 from repro.dnsproto.message import ResourceRecord
 from repro.dnsproto.rdata import ARdata
 from repro.dnsproto.types import QType, Rcode
@@ -32,7 +32,7 @@ from repro.faults import (
 )
 from repro.net.ipv4 import parse_ipv4, prefix_of
 from repro.simulation.rollout import RolloutConfig
-from repro.simulation.world import WorldConfig, _build_world
+from repro.simulation.world import WorldConfig
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_faults.json"
 
@@ -190,7 +190,7 @@ class TestScheduleValidation:
 
 @pytest.fixture(scope="module")
 def world():
-    return _build_world(WorldConfig.tiny())
+    return build_world(WorldConfig.tiny())
 
 
 class TestInjector:
@@ -392,8 +392,8 @@ class TestServeStaleBoundaries:
         assert entry.records == (near,)
 
     def test_resolver_serves_stale_then_servfails(self):
-        world = _build_world(replace(WorldConfig.tiny(),
-                                     serve_stale_window=900.0))
+        world = build_world(replace(WorldConfig.tiny(),
+                                    serve_stale_window=900.0))
         provider = world.catalog.providers[0]
         ldns = world.ldns_registry[sorted(world.ldns_registry)[0]]
         client_ip = world.internet.blocks[0].prefix.network | 9

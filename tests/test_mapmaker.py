@@ -392,9 +392,8 @@ class TestControlPlaneScenario:
 class TestInjectorControlPlaneTargets:
     def test_mapmaker_fault_needs_control_plane(self):
         from repro.faults import FaultInjector
-        from repro.simulation.world import _build_world
 
-        world = _build_world(WorldConfig.tiny())
+        world = build_world(WorldConfig.tiny())
         schedule = FaultSchedule((FaultEvent(
             start_day=0, duration_days=1, target="mapmaker:primary",
             kind=FaultKind.MAPMAKER_CRASH),))

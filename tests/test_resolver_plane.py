@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from repro.api import ScenarioSpec, run
+from repro.api import ScenarioSpec, build_world, run
 from repro.faults import (
     FaultEvent,
     FaultInjector,
@@ -29,7 +29,7 @@ from repro.faults import (
 )
 from repro.faults.chaos import world_restored
 from repro.simulation.session import simulate_session
-from repro.simulation.world import WorldConfig, _build_world
+from repro.simulation.world import WorldConfig
 from repro.topology.resolvers import (
     EcsPolicy,
     ResolverFleets,
@@ -51,8 +51,7 @@ def _event(**overrides):
 
 @pytest.fixture(scope="module")
 def fleet_world():
-    return _build_world(WorldConfig.tiny(),
-                        resolver_policies=ResolverPolicySet())
+    return build_world(WorldConfig.tiny())
 
 
 class TestEcsPolicy:
@@ -197,6 +196,17 @@ class TestFleetRouting:
         for rid in sorted(fleets.pops):
             assert fleets.route(rid, block) == rid
 
+    def test_only_withdrawn_or_flapping_pops_are_disturbed(self,
+                                                           fleet_world):
+        fleets = self._fleets(fleet_world)
+        assert not any(fleets.disturbed(rid) for rid in fleets.pops)
+        assert not fleets.disturbed("isp-0-nowhere")
+        fleets.withdraw("pub-GloboDNS-dallas")
+        fleets.flapping.add("OpenFast")
+        disturbed = {rid for rid in fleets.pops if fleets.disturbed(rid)}
+        assert disturbed == {"pub-GloboDNS-dallas"} | {
+            pop.resolver_id for pop in fleets.by_provider["OpenFast"]}
+
     def test_non_pop_ids_pass_through(self, fleet_world):
         fleets = self._fleets(fleet_world)
         block = fleet_world.internet.blocks[0]
@@ -296,13 +306,6 @@ class TestResolverInjector:
         assert all(ldns.ecs_whitelisted
                    for ldns in fleet_world.ldns_registry.values())
 
-    def test_resolver_faults_need_the_fleet_model(self):
-        plain = _build_world(WorldConfig.tiny())
-        schedule = FaultSchedule((_event(start_day=0, duration_days=1),))
-        injector = FaultInjector(plain, schedule)
-        with pytest.raises(KeyError, match="PoP fleet model"):
-            injector.step(0)
-
     @pytest.mark.parametrize("target,hint", [
         ("public:NoSuchDNS", "unknown public provider"),
         ("public:GloboDNS:atlantis", "no PoP in city"),
@@ -330,8 +333,7 @@ class TestCatchmentEdgeCases:
                                 provider=provider), block
 
     def test_all_pops_down_falls_back_past_the_fleet(self):
-        world = _build_world(WorldConfig.tiny(),
-                             resolver_policies=ResolverPolicySet())
+        world = build_world(WorldConfig.tiny())
         fleets = world.resolver_fleets
         for rid in sorted(fleets.pops):
             fleets.withdraw(rid)
@@ -346,8 +348,7 @@ class TestCatchmentEdgeCases:
         assert not result.catchment_shifted
 
     def test_cold_cache_only_at_the_outage_boundary(self):
-        world = _build_world(WorldConfig.tiny(),
-                             resolver_policies=ResolverPolicySet())
+        world = build_world(WorldConfig.tiny())
         world.resolver_fleets.withdraw("pub-GloboDNS-dallas")
         first, block = self._session_for(world, "pub-GloboDNS-dallas",
                                          now=100.0)
@@ -366,8 +367,7 @@ class TestCatchmentEdgeCases:
         assert snapshot["counters"]["resolver.cold_cache_misses"] == 1.0
 
     def test_outage_then_recovery_restores_catchments_exactly(self):
-        world = _build_world(WorldConfig.tiny(),
-                             resolver_policies=ResolverPolicySet())
+        world = build_world(WorldConfig.tiny())
         fleets = world.resolver_fleets
         block = next(b for b in world.internet.blocks
                      if b.ldns[0][0] == "pub-GloboDNS-dallas")
@@ -414,12 +414,6 @@ def outage_scenario():
 
 
 class TestPopOutageScenario:
-    def test_fleets_activate_from_fault_kinds_alone(self,
-                                                    outage_scenario):
-        outcome, _ = outage_scenario
-        assert outcome.world.resolver_fleets is not None
-        assert outcome.spec.resolver_policies is None
-
     def test_cohort_shifts_and_pays_cold_caches(self, outage_scenario):
         outcome, _ = outage_scenario
         shifted = outcome.result.catchment_shifted_per_day
@@ -519,20 +513,28 @@ class TestPopOutageScenario:
 
 class TestResolverSoakMenu:
     """The soak has one menu -- the fault table -- so resolver-plane
-    kinds are drawn like any other, and a scenario that draws one
-    gets the PoP fleets through the scenario API."""
+    kinds are drawn like any other, and break the PoP fleets every
+    soak world has."""
 
     def test_soak_draws_resolver_kinds_and_activates_fleets(self):
-        from repro.api import _resolver_policies_for
         from repro.faults.chaos import SoakConfig, _scenario_spec
-        drawn = set()
-        for index in range(16):
-            spec = _scenario_spec(SoakConfig(), index)
-            drawn.update(e.kind for e in spec.faults.events)
-            assert (_resolver_policies_for(spec) is not None) == any(
-                e.kind in FaultKind.RESOLVER_PLANE
-                for e in spec.faults.events)
-        assert drawn & set(FaultKind.RESOLVER_PLANE)
+        from repro.simulation.world import _build_world
+        specs = [_scenario_spec(SoakConfig(), index) for index in range(16)]
+        resolver_specs = [
+            spec for spec in specs
+            if any(e.kind in FaultKind.RESOLVER_PLANE
+                   for e in spec.faults.events)]
+        assert resolver_specs
+        # One drawn schedule, injected and recovered on its own world:
+        # every resolver-plane victim is there to break.
+        spec = resolver_specs[0]
+        world = _build_world(spec)
+        injector = FaultInjector(world, spec.faults)
+        for day in range(spec.rollout.n_days):
+            injector.step(day)
+        injector.finish()
+        assert injector.events_applied == len(spec.faults)
+        assert not world_restored(world)
 
     def test_resolver_menu_targets_parse(self):
         from repro.faults.kinds import KINDS
@@ -542,6 +544,29 @@ class TestResolverSoakMenu:
                  target=row.soak_targets[0])
             for row in rows])
         assert len(schedule) == len(rows) == 3
+
+
+class TestPlaneAlwaysOn:
+    def test_default_world_has_fleets_and_a_healthy_run_never_shifts(
+            self):
+        from repro.simulation.rollout import RolloutConfig
+        day = datetime.date(2014, 3, 1)
+        outcome = run(ScenarioSpec(
+            world=WorldConfig.tiny(), monitor=False,
+            rollout=RolloutConfig(
+                start_date=day, end_date=day + datetime.timedelta(days=4),
+                rollout_start=day + datetime.timedelta(days=1),
+                rollout_end=day + datetime.timedelta(days=2),
+                sessions_per_day=40, seed=3)))
+        fleets = outcome.world.resolver_fleets
+        assert fleets.pops and fleets.all_healthy()
+        shifted = outcome.result.catchment_shifted_per_day
+        assert len(shifted) == 5 and not any(shifted.values())
+        gauges = outcome.world.obs.registry.snapshot()["gauges"]
+        assert gauges["resolver.pops_total"] == len(fleets.pops)
+        assert gauges["resolver.pops_healthy"] == len(fleets.pops)
+        assert gauges["resolver.pops_down"] == 0
+        assert gauges["resolver.providers_flapping"] == 0
 
 
 class TestScenarioSpecResolverPolicies:
@@ -557,10 +582,15 @@ class TestScenarioSpecResolverPolicies:
         assert parsed.describe()["resolver_policies"] is True
 
     def test_unset_policies_stay_off_the_wire(self):
+        # The default set (every provider on the default ECS policy)
+        # is not written, spelled out or not, and parses back as itself.
         doc = ScenarioSpec(world=WorldConfig.tiny()).to_dict()
         assert "resolver_policies" not in doc
+        assert doc == ScenarioSpec(
+            world=WorldConfig.tiny(),
+            resolver_policies=ResolverPolicySet()).to_dict()
         parsed = ScenarioSpec.from_dict(doc)
-        assert parsed.resolver_policies is None
+        assert parsed.resolver_policies == ResolverPolicySet()
 
     def test_bad_policy_document_rejected(self):
         doc = ScenarioSpec(world=WorldConfig.tiny()).to_dict()

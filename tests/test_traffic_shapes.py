@@ -327,7 +327,8 @@ class TestLoadDecay:
         import datetime
 
         from repro.simulation.rollout import RolloutConfig, _run_rollout
-        from repro.simulation.world import WorldConfig, _build_world
+        from repro.api import build_world
+        from repro.simulation.world import WorldConfig
 
         class LoadProbe:
             def __init__(self):
@@ -338,7 +339,7 @@ class TestLoadDecay:
                     cluster.load_rps
                     for cluster in world.deployments.live_clusters())
 
-        world = _build_world(config=WorldConfig.tiny())
+        world = build_world(WorldConfig.tiny())
         probe = LoadProbe()
         _run_rollout(world, config=RolloutConfig(
             start_date=datetime.date(2014, 3, 1),
