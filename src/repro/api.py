@@ -412,7 +412,7 @@ def build_world(config: Optional[WorldConfig] = None,
 
 def _monitor_for_spec(spec: ScenarioSpec) -> RolloutMonitor:
     """The monitor a spec asks for (shared with the sharded engine,
-    so a replayed monitor evaluates the same rule set)."""
+    so a sharded monitor evaluates the same rule set)."""
     rules = spec.monitor_rules
     if rules is None and spec.control_plane is not None:
         # A control-plane world also watches its map pipeline;

@@ -87,29 +87,29 @@ class StaticGeoMap:
     no freshness.  Rankings are recomputed against the *live* cluster
     set on every call (it is only consulted when everything else has
     already gone wrong, so staleness here would defeat the point) and
-    memoised per (geo, live-set) so repeated queries from one location
-    stay cheap.
+    memoised per geo while the live set stays the same, so repeated
+    queries from one location stay cheap.
     """
 
     def __init__(self, deployments: DeploymentPlan,
                  limit: int = 12) -> None:
         self._deployments = deployments
         self._limit = limit
-        self._memo: Dict[Tuple[float, float, int], List[Cluster]] = {}
-        self._live_token = -1
+        self._memo: Dict[Tuple[float, float], List[Cluster]] = {}
+        self._live_ids: Tuple = ()
 
     def rank(self, geo: GeoPoint) -> List[Cluster]:
         """Live clusters by distance from ``geo``, nearest first."""
         live = [c for c in self._deployments.clusters.values() if c.alive]
-        token = len(live)
-        if token != self._live_token:
-            # The live set changed shape; distances are still valid but
+        live_ids = tuple(c.cluster_id for c in live)
+        if live_ids != self._live_ids:
+            # The live set changed; distances are still valid but
             # membership is not, so drop the memo wholesale.
             self._memo.clear()
-            self._live_token = token
-        key = (geo.lat, geo.lon, token)
+            self._live_ids = live_ids
+        key = (geo.lat, geo.lon)
         cached = self._memo.get(key)
-        if cached is not None and all(c.alive for c in cached):
+        if cached is not None:
             return cached
         ranked = sorted(
             live,

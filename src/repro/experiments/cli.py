@@ -1,12 +1,12 @@
-"""Command-line entry point: ``eum-experiment``.
+"""``python -m repro experiment`` — regenerate the paper's figures.
 
 Usage::
 
-    eum-experiment list
-    eum-experiment run fig13 --scale small
-    eum-experiment run all --scale tiny
-    eum-experiment run load_tradeoff --format json --out result.json
-    eum-experiment report --scale paper   # EXPERIMENTS.md body
+    python -m repro experiment list
+    python -m repro experiment run fig13 --scale small
+    python -m repro experiment run all --scale tiny
+    python -m repro experiment run load_tradeoff --format json --out result.json
+    python -m repro experiment report --scale paper   # EXPERIMENTS.md body
 
 Exit status is non-zero if any executed experiment's shape checks fail.
 """
@@ -89,7 +89,7 @@ def render_markdown(results: List[ExperimentResult], scale: str) -> str:
 
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="eum-experiment",
+        prog="python -m repro experiment",
         description="Reproduce the figures of 'End-User Mapping' "
                     "(SIGCOMM 2015)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -85,19 +85,21 @@ LOAD_AWARE = "load_aware"
 
 
 class _UtilizationProbe:
-    """Per-day p95 cluster utilization, read at end of day (after the
-    day's sessions accumulate, before the overnight decay)."""
+    """Per-day p95 cluster utilization of one world's deployments, read
+    at end of day (after the day's sessions accumulate, before the
+    overnight decay)."""
 
-    def __init__(self) -> None:
+    def __init__(self, deployments) -> None:
+        self.deployments = deployments
         self.daily: Dict[int, float] = {}
 
-    def on_day(self, day: int, world, result) -> None:
+    def on_day(self, record) -> None:
         utils = sorted(cluster.utilization
-                       for cluster in world.deployments.live_clusters())
+                       for cluster in self.deployments.live_clusters())
         if not utils:
             return
         rank = min(len(utils) - 1, int(round(0.95 * (len(utils) - 1))))
-        self.daily[day] = utils[rank]
+        self.daily[record.day] = utils[rank]
 
     def peak(self, start: int, end: int) -> float:
         window = [value for day, value in self.daily.items()
@@ -133,7 +135,7 @@ def _run_arm(spec: ScenarioSpec) -> Dict[str, Any]:
     perturbs the run, so both arms replay their spec exactly.
     """
     world = _build_world(spec)
-    probe = _UtilizationProbe()
+    probe = _UtilizationProbe(world.deployments)
     result = _run_rollout(world, config=spec.rollout, observer=probe,
                           traffic=spec.traffic if spec.traffic else None)
     snap = world.obs.registry.snapshot()

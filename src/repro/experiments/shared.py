@@ -19,7 +19,7 @@ from repro.measurement.netsession import (
 )
 from repro.measurement.querylog import PairKey
 from repro.simulation.dnsload import drive_dns_load
-from repro.api import build_world, run_rollout
+from repro.api import ScenarioSpec, build_world, run
 from repro.simulation.rollout import RolloutResult
 from repro.simulation.world import World
 from repro.topology.internet import Internet, build_internet
@@ -76,8 +76,8 @@ def get_rollout(scale_name: str) -> RolloutResult:
     from repro.experiments.scales import get_scale
     if scale_name not in _rollout_cache:
         spec = get_scale(scale_name)
-        world = build_world(spec.world)
-        _rollout_cache[scale_name] = run_rollout(world, spec.rollout)
+        _rollout_cache[scale_name] = run(ScenarioSpec(
+            world=spec.world, rollout=spec.rollout, monitor=False)).result
     return _rollout_cache[scale_name]
 
 

@@ -63,9 +63,9 @@ class RumCollector:
 
         Beacons concatenate then stable-sort by day, so merging shard
         collectors in fixed shard order yields one deterministic
-        ``(day, shard, arrival)`` ordering -- the key every
-        incremental consumer (the monitor's per-day ingestion) relies
-        on.  Returns ``self`` for chaining.
+        ``(day, shard, arrival)`` ordering -- the order merged day
+        records hand the monitor its beacons in.  Returns ``self`` for
+        chaining.
         """
         self.beacons.extend(other.beacons)
         self.beacons.sort(key=lambda beacon: beacon.day)

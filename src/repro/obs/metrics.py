@@ -322,10 +322,9 @@ class MetricsRegistry:
     def clone(self) -> "MetricsRegistry":
         """Deep copy of every instrument, without the collectors.
 
-        Collector-backed gauges hold whatever the last
-        :meth:`collect` wrote, so call that first to capture live
-        component state (the sharded engine clones once per simulated
-        day to feed the monitor replay).
+        Runs the collectors first, so collector-backed gauges carry
+        live component state into the copy (the day loop clones once
+        per simulated day for its observer's day record).
         """
         self.collect()
         copy = MetricsRegistry()

@@ -6,8 +6,9 @@ paper's phased roll-out (Section 4): windowed per-day series
 (:mod:`~repro.obs.monitor.series`), A/B cohort comparison with effect
 sizes (:mod:`~repro.obs.monitor.cohorts`), declarative alerting with
 hysteresis (:mod:`~repro.obs.monitor.alerts`), and the
-:class:`~repro.obs.monitor.driver.RolloutMonitor` observer that wires
-all three into :func:`repro.simulation.rollout.run_rollout`.
+:class:`~repro.obs.monitor.driver.RolloutMonitor` observer that folds
+the roll-out's per-day records
+(:class:`~repro.obs.monitor.driver.DayRecord`) through all three.
 
 Run the seeded scenario from the command line::
 
@@ -27,6 +28,7 @@ from repro.obs.monitor.alerts import (
 from repro.obs.monitor.cohorts import CohortComparator, Effect, WindowStats
 from repro.obs.monitor.driver import (
     COHORT_METRICS,
+    DayRecord,
     RolloutMonitor,
     default_rollout_rules,
     rollout_windows,
@@ -39,6 +41,7 @@ __all__ = [
     "AlertRule",
     "COHORT_METRICS",
     "CohortComparator",
+    "DayRecord",
     "Effect",
     "RegressionRule",
     "RolloutMonitor",

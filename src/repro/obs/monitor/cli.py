@@ -33,19 +33,18 @@ def run_monitored_rollout(
     seed: int = 7,
     sessions_per_day: Optional[int] = None,
 ) -> Tuple["World", RolloutMonitor, "RolloutResult"]:
-    """Build a world and run the scale's roll-out under a monitor."""
+    """Run the scale's roll-out under a monitor."""
+    from repro.api import ScenarioSpec, run
     from repro.experiments.scales import get_scale
-    from repro.api import build_world, run_rollout
 
-    spec = get_scale(scale)
+    scale_spec = get_scale(scale)
     overrides = {"seed": seed}
     if sessions_per_day is not None:
         overrides["sessions_per_day"] = sessions_per_day
-    config = dataclasses.replace(spec.rollout, **overrides)
-    world = build_world(spec.world)
-    monitor = RolloutMonitor.for_config(config)
-    result = run_rollout(world, config, observer=monitor)
-    return world, monitor, result
+    outcome = run(ScenarioSpec(
+        world=scale_spec.world,
+        rollout=dataclasses.replace(scale_spec.rollout, **overrides)))
+    return outcome.world, outcome.monitor, outcome.result
 
 
 def render_text(report: dict) -> str:

@@ -1,17 +1,21 @@
-"""Roll-out monitor: observes ``run_rollout`` day by day.
+"""Roll-out monitor: a fold over the day loop's per-day records.
 
-:class:`RolloutMonitor` is the object you hand to
-:func:`repro.simulation.rollout.run_rollout` as ``observer``; once per
-simulated day it
+The roll-out day loop (:func:`repro.api.run`, or
+:func:`repro.api.run_rollout` with ``observer=``) hands its observer
+one :class:`DayRecord` after each simulated day; the sharded engine
+merges the shards' records of a day into one
+(:func:`repro.parallel.merge.merge_day_records`) and hands the monitor
+that.  :class:`RolloutMonitor` reads nothing else; per record it
 
 1. ingests the day's RUM beacons into a
    :class:`~repro.obs.monitor.cohorts.CohortComparator` (the paper's
    high/low-expectation split over public-resolver clients, plus an
    ECS-on vs control split),
-2. captures the world's :class:`~repro.obs.metrics.MetricsRegistry`
+2. captures the record's :class:`~repro.obs.metrics.MetricsRegistry`
    snapshot into a :class:`~repro.obs.monitor.series.TimeSeriesStore`
    together with derived per-day gauges (authoritative DNS q/s from
-   the query log, edge/LDNS cache hit rates, per-cohort daily means),
+   the query counts, edge/LDNS cache hit rates, per-cohort daily
+   means),
 3. evaluates the :class:`~repro.obs.monitor.alerts.AlertEngine`.
 
 The default rule set (:func:`default_rollout_rules`) encodes the
@@ -23,14 +27,17 @@ its pre-roll-out baseline (the Figure 13 ~8x event),
 ``sessions_flatline``) stay silent unless the roll-out actually hurts.
 
 This module deliberately imports nothing from ``repro.simulation`` --
-the config and result arguments are duck-typed -- so ``repro.obs``
-stays import-cycle-free under ``repro.simulation.world``.
+the record is defined here, beside its consumer, and the config
+arguments are duck-typed -- so ``repro.obs`` stays import-cycle-free
+under ``repro.simulation.world``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor.alerts import (
     AlertEngine,
     AlertRule,
@@ -49,6 +56,41 @@ COHORT_METRICS: Tuple[str, ...] = (
 
 #: Smoothing factor for the EWMA series exported alongside raw series.
 EWMA_ALPHA = 0.3
+
+#: One simulated day, in seconds: the query log's bucket width (kept in
+#: sync with :data:`repro.simulation.rollout.DAY_SECONDS`; duplicated
+#: so ``repro.obs`` stays import-free of ``repro.simulation``).
+DAY_SECONDS = 86400.0
+
+
+@dataclass(frozen=True)
+class DayRecord:
+    """Everything an observer learns about one simulated day.
+
+    Self-contained: the registry is an end-of-day clone, so a record
+    kept past its day still reads that day's state, and one day's
+    records from several shards merge into the global record.
+    """
+
+    day: int
+    registry: MetricsRegistry
+    """End-of-day :meth:`~repro.obs.metrics.MetricsRegistry.clone`
+    (collector-backed gauges materialized)."""
+    beacons: Tuple
+    """Today's RUM beacons, in arrival order."""
+    sessions: int
+    failed: int
+    degraded: int
+    shifted: int
+    """Sessions anycast delivered off their build-time catchment."""
+    queries: int
+    """Authoritative queries in today's query-log bucket..."""
+    queries_public: int
+    """...of which from public resolvers."""
+    queries_total: int
+    """Authoritative queries since the run began..."""
+    ecs_queries: int
+    """...of which carried a client subnet."""
 
 
 def rollout_windows(config) -> Dict[str, Tuple[int, int]]:
@@ -183,18 +225,13 @@ class RolloutMonitor:
     """Day-by-day monitoring plane over one roll-out run."""
 
     def __init__(self, windows: Dict[str, Tuple[int, int]],
-                 day_seconds: float = 86400.0,
-                 cohort_metrics: Tuple[str, ...] = COHORT_METRICS,
                  rules: Optional[List[AlertRule]] = None) -> None:
         self.windows = dict(windows)
-        self.day_seconds = day_seconds
-        self.cohort_metrics = tuple(cohort_metrics)
         self.store = TimeSeriesStore()
         self.cohorts = CohortComparator()
         self.engine = AlertEngine(
             default_rollout_rules(self.windows) if rules is None
             else rules)
-        self._seen_beacons = 0
         self._ewma: Dict[str, float] = {}
         self._prev_gauges: Dict[str, float] = {}
         self.days_observed = 0
@@ -202,25 +239,23 @@ class RolloutMonitor:
     @classmethod
     def for_config(cls, config, **kwargs) -> "RolloutMonitor":
         """Build with windows/rules derived from a RolloutConfig."""
-        return cls(rollout_windows(config),
-                   day_seconds=getattr(config, "day_seconds", 86400.0),
-                   **kwargs)
+        return cls(rollout_windows(config), **kwargs)
 
-    # -- the observer protocol run_rollout drives ------------------------
+    # -- the observer protocol the day loop drives -----------------------
 
-    def on_day(self, day: int, world, result) -> None:
-        """Called by ``run_rollout`` after each simulated day."""
-        self._ingest_beacons(day, result)
-        snapshot = world.obs.registry.snapshot()
+    def on_day(self, record: DayRecord) -> None:
+        """Fold one day's record into the series, cohorts and alerts."""
+        day = record.day
+        self._ingest_beacons(record.beacons)
+        snapshot = record.registry.snapshot()
         self.store.capture(day, snapshot)
-        self._derive_gauges(day, snapshot, result)
+        self._derive_gauges(record, snapshot)
         self._cohort_series(day)
         self.engine.evaluate(day, self.store)
         self.days_observed += 1
 
-    def _ingest_beacons(self, day: int, result) -> None:
-        beacons = result.rum.beacons
-        for beacon in beacons[self._seen_beacons:]:
+    def _ingest_beacons(self, beacons) -> None:
+        for beacon in beacons:
             # The paper's expectation split is defined over clients of
             # public resolvers (Section 4.1.1).
             if beacon.via_public_resolver:
@@ -231,22 +266,22 @@ class RolloutMonitor:
             # carry a client subnet end to end?
             self._observe_cohort(
                 beacon, "ecs_on" if beacon.ecs_used else "control")
-        self._seen_beacons = len(beacons)
 
     def _observe_cohort(self, beacon, cohort: str) -> None:
-        for metric in self.cohort_metrics:
+        for metric in COHORT_METRICS:
             self.cohorts.observe(beacon.day, cohort, metric,
                                  beacon.metric(metric))
 
-    def _derive_gauges(self, day: int, snapshot: Dict, result) -> None:
+    def _derive_gauges(self, record: DayRecord, snapshot: Dict) -> None:
         """Per-day gauges not directly in the registry snapshot."""
-        log = result.query_log
-        self.store.record(day, "dns.qps", log.bucket_rate(day),
+        day = record.day
+        self.store.record(day, "dns.qps", record.queries / DAY_SECONDS,
                           help="authoritative queries/s this day")
         self.store.record(day, "dns.qps_public",
-                          log.bucket_rate(day, public_only=True),
+                          record.queries_public / DAY_SECONDS,
                           help="...from public resolvers")
-        self.store.record(day, "dns.ecs_share", log.ecs_share(),
+        self.store.record(day, "dns.ecs_share",
+                          _ratio(record.ecs_queries, record.queries_total),
                           help="cumulative ECS share of auth queries")
         gauges = snapshot.get("gauges", {})
         self.store.record(
@@ -278,21 +313,17 @@ class RolloutMonitor:
                               help=blurb)
             self._prev_gauges[gauge] = value
         self._control_plane_series(day, snapshot, gauges)
-        sessions = result.sessions_per_day.get(day, 0)
-        failed = result.failed_sessions_per_day.get(day, 0)
-        degraded = result.degraded_sessions_per_day.get(day, 0)
-        completed = sessions - failed
+        completed = record.sessions - record.failed
         self.store.record(
             day, "availability",
-            _ratio(completed, sessions) if sessions else 1.0,
+            _ratio(completed, record.sessions) if record.sessions else 1.0,
             help="share of sessions that completed today")
         self.store.record(
             day, "mapping.degraded_share",
-            _ratio(degraded, completed),
+            _ratio(record.degraded, completed),
             help="share of completed sessions that degraded today")
-        self._resolver_plane_series(
-            day, snapshot, result.catchment_shifted_per_day.get(day, 0),
-            completed)
+        self._resolver_plane_series(day, snapshot, record.shifted,
+                                    completed)
 
     def _control_plane_series(self, day: int, snapshot: Dict,
                               gauges: Dict) -> None:
@@ -361,7 +392,7 @@ class RolloutMonitor:
         """Mirror today's cohort means into the store, raw plus an
         incrementally maintained ``:ewma`` smoothing (alert input)."""
         for cohort in self.cohorts.cohorts():
-            for metric in self.cohort_metrics:
+            for metric in COHORT_METRICS:
                 stats = self.cohorts.window_stats(
                     cohort, metric, day, day + 1)
                 if not stats.count:
@@ -389,7 +420,7 @@ class RolloutMonitor:
                 out[delta.name] = delta.to_dict()
         total = self.store.get("querylog.queries")
         if total is not None:
-            rate = total.rate(self.day_seconds)
+            rate = total.rate(DAY_SECONDS)
             out[rate.name] = rate.to_dict()
         return out
 

@@ -14,10 +14,11 @@ count.
   and the per-shard population slice (RNG stream, session quota,
   block pick) the day loop runs over.
 * :mod:`repro.parallel.engine` -- the shard worker (build world, slice,
-  run the loop, package), the process pool, and the monitor replay
-  over merged per-day registries.
+  run the loop, package), the process pool, and the monitor fed one
+  merged day record per day.
 * :mod:`repro.parallel.merge` -- the merge algebra for everything a
-  shard produces (registries, RUM beacons, query logs, traces).
+  shard produces (registries, RUM beacons, query logs, traces, day
+  records).
 
 Entry points: ``repro.api.run(spec, workers=N)`` and the CLIs
 (``python -m repro sim rollout --workers N``,

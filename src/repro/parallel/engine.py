@@ -1,4 +1,4 @@
-"""The sharded roll-out engine: shard workers, pool, merge, replay.
+"""The sharded roll-out engine: shard workers, pool, merge.
 
 Execution model
 ---------------
@@ -20,12 +20,14 @@ sub-worlds (:mod:`repro.parallel.plan`) and executes them on up to
    largest-remainder session quota for each day, and block picks
    restricted to the shard's blocks;
 3. returns its result, registry, traces, and -- when a monitor is
-   attached -- one registry clone per simulated day.
+   attached -- the :class:`~repro.obs.monitor.driver.DayRecord` the
+   day loop built after each simulated day.
 
 The parent merges everything in fixed shard order
-(:mod:`repro.parallel.merge`) and *replays the monitor* over the
-merged per-day registries, so alert rules evaluate the same global
-per-day signals they see in a serial monitored run.
+(:mod:`repro.parallel.merge`); with a monitor, it folds each day's
+shard records into one and hands the monitor that, so alert rules
+evaluate the same global per-day signals a serial monitored run's
+records carry.
 
 Determinism contract
 --------------------
@@ -44,13 +46,14 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults import FaultInjector
-from repro.measurement.querylog import QueryLog
-from repro.measurement.rum import RumBeacon
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.monitor.driver import DayRecord
 from repro.parallel.merge import (
+    merge_day_records,
     merge_query_logs,
     merge_registries,
     merge_rum,
@@ -60,22 +63,6 @@ from repro.parallel.merge import (
 from repro.parallel.plan import DEFAULT_SHARDS, plan_shards
 from repro.simulation.rollout import RolloutResult, _run_rollout
 from repro.simulation.world import _build_world
-
-
-class _DayCapture:
-    """``on_day`` observer feeding the parent's monitor replay: one
-    instrument-only registry clone per day (``clone()`` runs the
-    collectors first, so collector-backed gauges hold end-of-day
-    component state) plus the query log's cumulative totals."""
-
-    def __init__(self) -> None:
-        self.registries: Dict[int, MetricsRegistry] = {}
-        self.query_cums: Dict[int, Tuple[int, int]] = {}
-
-    def on_day(self, day: int, world, result) -> None:
-        self.registries[day] = world.obs.registry.clone()
-        self.query_cums[day] = (world.query_log.total_queries,
-                                world.query_log.ecs_queries)
 
 
 @dataclass
@@ -89,15 +76,15 @@ class ShardOutput:
     registry: MetricsRegistry
     traces: List[Dict]
     trace_counts: Dict[str, int]
-    capture: Optional[_DayCapture] = None
-    """Per-day registry clones, when a monitor will be replayed."""
+    days: List[DayRecord]
+    """The shard's day records; empty unless a monitor is attached."""
 
 
 def _shard_worker(payload: Tuple) -> ShardOutput:
     """Run one shard end to end (executes inside a pool process):
     build the world, slice the population, walk the shared day loop,
     package the output."""
-    spec, shard, n_shards, capture_days = payload
+    spec, shard, n_shards = payload
     # Each worker sees 1/n_shards of the demand, so observed load
     # scales back up by n_shards to keep the utilization signal (and
     # hence scoring penalties) aligned across worker counts.
@@ -105,8 +92,9 @@ def _shard_worker(payload: Tuple) -> ShardOutput:
     injector = FaultInjector(world, spec.faults) if spec.faults else None
     population = plan_shards(world.internet, n_shards).population_slice(
         shard, world.internet.blocks, spec.rollout.seed)
-    capture = _DayCapture() if capture_days else None
-    result = _run_rollout(world, config=spec.rollout, observer=capture,
+    days: List[DayRecord] = []
+    observer = SimpleNamespace(on_day=days.append) if spec.monitor else None
+    result = _run_rollout(world, config=spec.rollout, observer=observer,
                           injector=injector, traffic=spec.traffic,
                           population=population)
 
@@ -122,70 +110,14 @@ def _shard_worker(payload: Tuple) -> ShardOutput:
         trace_counts={"started": tracer.started,
                       "sampled": tracer.sampled,
                       "dropped": tracer.dropped},
-        capture=capture)
-
-
-# -- replay views ------------------------------------------------------------
-
-class _QueryLogView:
-    """Per-day window over the merged query log.
-
-    ``bucket_rate`` delegates (buckets are keyed by day, so later days
-    never leak into earlier reads); ``ecs_share`` is overridden with
-    the day's *cumulative-to-date* totals -- the value the serial
-    monitor sees mid-run, which the finished merged log can no longer
-    answer by itself.
-    """
-
-    def __init__(self, log: QueryLog, total: int, ecs: int) -> None:
-        self._log = log
-        self._total = total
-        self._ecs = ecs
-
-    def bucket_rate(self, bucket: int, public_only: bool = False) -> float:
-        return self._log.bucket_rate(bucket, public_only)
-
-    def ecs_share(self) -> float:
-        return self._ecs / self._total if self._total else 0.0
-
-
-class _RumView:
-    """The merged beacon list truncated to days <= the replay day."""
-
-    def __init__(self, beacons: List[RumBeacon]) -> None:
-        self.beacons = beacons
-
-
-class _ReplayResult:
-    """What the monitor reads from ``result`` during replay, scoped to
-    one day: day-keyed dicts pass through whole (lookups are by day),
-    while the beacon list and cumulative query totals are windows."""
-
-    def __init__(self, merged, rum_view, query_view) -> None:
-        self.rum = rum_view
-        self.query_log = query_view
-        self.sessions_per_day = merged.sessions_per_day
-        self.failed_sessions_per_day = merged.failed_sessions_per_day
-        self.degraded_sessions_per_day = merged.degraded_sessions_per_day
-        self.catchment_shifted_per_day = merged.catchment_shifted_per_day
-
-
-class _WorldView:
-    """The one attribute path the monitor reads: ``world.obs.registry``."""
-
-    class _Obs:
-        def __init__(self, registry: MetricsRegistry) -> None:
-            self.registry = registry
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.obs = self._Obs(registry)
+        days=days)
 
 
 # -- the merged run ----------------------------------------------------------
 
 @dataclass
 class ShardedRun:
-    """A completed sharded scenario: merged outputs, replayed monitor.
+    """A completed sharded scenario: merged outputs and monitor.
 
     The sharded sibling of :class:`repro.api.ScenarioRun`.  There is no
     single live ``world`` (each worker's world died with its process);
@@ -237,9 +169,7 @@ def run_sharded(spec=None, *, workers: int = 1,
             "object; pass policy=None (the default mapping) or run "
             "serially (workers=None)")
 
-    capture_days = spec.monitor
-    payloads = [(spec, shard, n_shards, capture_days)
-                for shard in range(n_shards)]
+    payloads = [(spec, shard, n_shards) for shard in range(n_shards)]
     if workers == 1:
         outputs = [_shard_worker(payload) for payload in payloads]
     else:
@@ -282,7 +212,8 @@ def run_sharded(spec=None, *, workers: int = 1,
     monitor = None
     if spec.monitor:
         monitor = _monitor_for_spec(spec)
-        _replay_monitor(monitor, spec, outputs, result)
+        for shard_records in zip(*(out.days for out in outputs)):
+            monitor.on_day(merge_day_records(shard_records))
 
     return ShardedRun(
         spec=spec, result=result, monitor=monitor, registry=registry,
@@ -290,30 +221,3 @@ def run_sharded(spec=None, *, workers: int = 1,
         workers=workers,
         shard_sessions=[sum(r.sessions_per_day.values())
                         for r in results])
-
-
-def _replay_monitor(monitor, spec, outputs: List[ShardOutput],
-                    result) -> None:
-    """Drive the monitor over merged per-day registries.
-
-    The serial engine calls ``monitor.on_day`` with the live world
-    after each day; here every shard captured a registry clone per day,
-    so the replay merges the clones for day *d* (fixed shard order) and
-    presents them behind the same observer interface.  Beacons arrive
-    through a day-truncated window of the merged day-sorted list, and
-    the query log's cumulative ECS share is reconstructed from per-day
-    (total, ecs) checkpoints summed across shards.
-    """
-    completed_cum = 0
-    for day in range(spec.rollout.n_days):
-        day_registry = merge_registries(
-            [out.capture.registries[day] for out in outputs])
-        total = sum(out.capture.query_cums[day][0] for out in outputs)
-        ecs = sum(out.capture.query_cums[day][1] for out in outputs)
-        completed_cum += (result.sessions_per_day.get(day, 0)
-                          - result.failed_sessions_per_day.get(day, 0))
-        view = _ReplayResult(
-            result,
-            rum_view=_RumView(result.rum.beacons[:completed_cum]),
-            query_view=_QueryLogView(result.query_log, total, ecs))
-        monitor.on_day(day, _WorldView(day_registry), view)

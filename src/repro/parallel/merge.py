@@ -14,7 +14,9 @@ every exported byte -- is identical no matter how many processes ran:
   (totals and per-bucket counts add, pair rows concatenate);
 * **traces** -- span trees concatenate in shard order (each tree is
   already internally ordered by its per-trace span ids);
-* **per-day tallies** -- plain integer sums.
+* **per-day tallies** -- plain integer sums;
+* **day records** -- one day's shard records fold into the global
+  record the monitor reads, through the algebras above.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ from typing import Dict, Iterable, List, Sequence
 from repro.measurement.querylog import QueryLog
 from repro.measurement.rum import RumCollector
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.monitor.driver import DayRecord
+
+#: The :class:`DayRecord` fields that are plain counts.
+_DAY_COUNTS = ("sessions", "failed", "degraded", "shifted", "queries",
+               "queries_public", "queries_total", "ecs_queries")
 
 
 def merge_registries(
@@ -71,6 +78,22 @@ def merge_traces(exports: Sequence[List[Dict]]) -> List[Dict]:
     for export in exports:
         merged.extend(export)
     return merged
+
+
+def merge_day_records(records: Sequence[DayRecord]) -> DayRecord:
+    """Fold one day's shard records, in shard order, into one.
+
+    Registries go through :func:`merge_registries`; beacons concatenate
+    in shard order (the ``(day, shard, arrival)`` order
+    :func:`merge_rum` gives the whole run); every count sums.
+    """
+    return DayRecord(
+        day=records[0].day,
+        registry=merge_registries([record.registry for record in records]),
+        beacons=tuple(beacon for record in records
+                      for beacon in record.beacons),
+        **{name: sum(getattr(record, name) for record in records)
+           for name in _DAY_COUNTS})
 
 
 def sum_day_dicts(dicts: Iterable[Dict[int, int]]) -> Dict[int, int]:

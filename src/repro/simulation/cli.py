@@ -1,14 +1,15 @@
-"""Command-line entry point: ``eum-sim`` — drive custom scenarios.
+"""``python -m repro sim`` — drive custom scenarios.
 
-Complements ``eum-experiment`` (which regenerates the paper's figures):
-this tool runs ad-hoc simulations against a fresh world.
+Complements ``python -m repro experiment`` (which regenerates the
+paper's figures): this tool runs ad-hoc simulations against a fresh
+world.
 
 Usage::
 
-    eum-sim world-info --scale tiny
-    eum-sim rollout --scale tiny --days 45 --sessions 150
-    eum-sim dnsload --scale tiny --lookups 30000 --days 1 --ecs
-    eum-sim status --scale tiny --sessions 500
+    python -m repro sim world-info --scale tiny
+    python -m repro sim rollout --scale tiny --days 45 --sessions 150
+    python -m repro sim dnsload --scale tiny --lookups 30000 --days 1 --ecs
+    python -m repro sim status --scale tiny --sessions 500
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def _cmd_status(args) -> int:
 
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="eum-sim",
+        prog="python -m repro sim",
         description="Ad-hoc scenarios against the end-user-mapping "
                     "simulator")
     sub = parser.add_subparsers(dest="command", required=True)

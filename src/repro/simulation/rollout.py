@@ -21,6 +21,7 @@ from repro.cdn.server import DAILY_LOAD_RETENTION
 from repro.measurement.netsession import NetSessionCollector
 from repro.measurement.rum import RumBeacon, RumCollector
 from repro.measurement.querylog import QueryLog
+from repro.obs.monitor.driver import DayRecord
 from repro.simulation.session import simulate_session
 from repro.simulation.world import World
 from repro.topology.traffic import DayTraffic, TrafficSchedule
@@ -199,11 +200,13 @@ def _run_rollout(world: World,
     identically in every shard.
 
     ``observer`` is an optional monitoring hook -- any object with an
-    ``on_day(day, world, result)`` method (e.g.
-    :class:`repro.obs.monitor.RolloutMonitor`), called after each
-    simulated day completes.  Observation must not perturb the run:
-    the observer receives no RNG and every random draw happens before
-    it is invoked, so a monitored and an unmonitored roll-out replay
+    ``on_day(record)`` method (e.g.
+    :class:`repro.obs.monitor.RolloutMonitor`), handed one
+    :class:`~repro.obs.monitor.driver.DayRecord` after each simulated
+    day completes; records are only built when an observer is
+    attached.  Observation must not perturb the run: the observer
+    receives no RNG and every random draw happens before it is
+    invoked, so a monitored and an unmonitored roll-out replay
     identically.
 
     ``injector`` is an optional :class:`repro.faults.FaultInjector`
@@ -297,6 +300,7 @@ def _run_rollout(world: World,
         # Bound once per day: the slice adds no per-session layer.
         pick_block = (day_traffic.pick_block if day_traffic is not None
                       else population.pick_block)
+        beacons_before = len(result.rum)
         requests_today = 0
         failed_today = 0
         degraded_today = 0
@@ -345,7 +349,19 @@ def _run_rollout(world: World,
             registry.counter("rollout.failed_sessions").inc(failed_today)
 
         if observer is not None:
-            observer.on_day(day, world, result)
+            log = world.query_log
+            observer.on_day(DayRecord(
+                day=day,
+                registry=registry.clone(),
+                beacons=tuple(result.rum.beacons[beacons_before:]),
+                sessions=sessions_today,
+                failed=failed_today,
+                degraded=degraded_today,
+                shifted=shifted_today,
+                queries=log.bucket_count(day),
+                queries_public=log.bucket_count(day, public_only=True),
+                queries_total=log.total_queries,
+                ecs_queries=log.ecs_queries))
 
     if injector is not None:
         injector.finish()

@@ -308,8 +308,9 @@ def _fallback_ldns(world, client_ip: int, exclude_id: str):
     best_id, best, best_key = _nearest_live(world, client_ip,
                                             exclude_id, public)
     if best_id is None:
+        skip = set(public)
         rest = [rid for rid in sorted(world.ldns_registry)
-                if rid not in set(public)]
+                if rid not in skip]
         best_id, best, best_key = _nearest_live(world, client_ip,
                                                 exclude_id, rest)
     return best_id, best

@@ -32,6 +32,7 @@ from repro.core.mapmaker import (
 )
 from repro.core.mapmaker.published import entries_checksum
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
+from repro.net.geometry import great_circle_miles
 from repro.simulation.rollout import RolloutConfig
 from repro.simulation.world import WorldConfig
 
@@ -141,6 +142,30 @@ class TestStaticGeoMap:
             for server in victim.servers:
                 server.recover()
         assert victim in static.rank(geo)
+
+    def test_same_size_live_set_swap_reranks(self, cp_world):
+        """Regression: the memo was keyed on the live set's *size*, so
+        one cluster recovering while another died served the ranking
+        that still lacked the recovered cluster."""
+        static = StaticGeoMap(cp_world.deployments)
+        geo = cp_world.internet.blocks[0].geo
+        by_distance = sorted(
+            cp_world.deployments.clusters.values(),
+            key=lambda c: (great_circle_miles(geo, c.geo), c.cluster_id))
+        nearest, farthest = by_distance[0], by_distance[-1]
+        try:
+            for server in nearest.servers:
+                server.fail()
+            assert nearest not in static.rank(geo)
+            for server in nearest.servers:
+                server.recover()
+            for server in farthest.servers:
+                server.fail()
+            assert static.rank(geo)[0] is nearest
+        finally:
+            for cluster in (nearest, farthest):
+                for server in cluster.servers:
+                    server.recover()
 
 
 class TestPublicationService:

@@ -8,7 +8,7 @@ The headline contract is pinned three ways:
   control plane) and a plain monitored roll-out;
 * **golden fixtures** -- a discrete (float-free) projection of each
   sharded report is checked in under ``tests/data/``, so drift in the
-  shard plan, the merge algebra, or the monitor replay shows up as a
+  shard plan, the merge algebra, or the monitor's fold shows up as a
   reviewable fixture diff (regenerate with ``REGEN_GOLDEN=1``);
 * **plan algebra** -- the prefix partitioner and largest-remainder
   apportioner are pinned against hand-computed values, since every

@@ -1,4 +1,4 @@
-"""Tests for the ops status report and the eum-sim CLI."""
+"""Tests for the ops status report and the ``python -m repro sim`` CLI."""
 
 import random
 

@@ -331,16 +331,17 @@ class TestLoadDecay:
         from repro.simulation.world import WorldConfig
 
         class LoadProbe:
-            def __init__(self):
+            def __init__(self, deployments):
+                self.deployments = deployments
                 self.total_by_day = {}
 
-            def on_day(self, day, world, result):
-                self.total_by_day[day] = sum(
+            def on_day(self, record):
+                self.total_by_day[record.day] = sum(
                     cluster.load_rps
-                    for cluster in world.deployments.live_clusters())
+                    for cluster in self.deployments.live_clusters())
 
         world = build_world(WorldConfig.tiny())
-        probe = LoadProbe()
+        probe = LoadProbe(world.deployments)
         _run_rollout(world, config=RolloutConfig(
             start_date=datetime.date(2014, 3, 1),
             end_date=datetime.date(2014, 3, 10),
