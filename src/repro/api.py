@@ -83,9 +83,8 @@ class ScenarioSpec:
     """Unit-construction scheme for the published map (requires
     ``control_plane``): a registered :mod:`repro.core.units` scheme
     name, optionally ``routing_aware:<k>``.  The map compiles one
-    ``ru:<unit key>`` entry per unit instead of the per-/24 ``eu:``
-    table.  None keeps the classic compile, pinning every existing
-    golden fixture."""
+    ``eu:<unit key>`` entry per unit.  None means ``geo_as``: one unit
+    per client /24."""
     monitor: bool = True
     """Attach a :class:`~repro.obs.monitor.RolloutMonitor` observer."""
     monitor_rules: Optional[List] = None

@@ -10,28 +10,37 @@ made explicit:
   checksummed :class:`PublishedMap` artifact plus the static
   geo/anycast map of last resort.
 * :mod:`repro.core.mapmaker.maker` -- :class:`MapMaker`, the periodic
-  compiler process (primary or hot standby) with fault hooks.
+  compiler process (primary or hot standby) with fault hooks, and the
+  map's key format (:func:`eu_key` / :func:`ns_key`).
 * :mod:`repro.core.mapmaker.service` -- :class:`MapPublicationService`,
-  the publication store, watchdog failover, and the age-bounded
-  degradation ladder the name-server path reads through.
+  the publication store, the mapping-unit set every map compiles over,
+  watchdog failover, and the age-bounded degradation ladder the
+  name-server path reads through.
 """
 
-from repro.core.mapmaker.maker import MapMaker, compile_entries
+from repro.core.mapmaker.maker import (
+    MapMaker,
+    compile_entries,
+    eu_key,
+    ns_key,
+)
 from repro.core.mapmaker.published import PublishedMap, StaticGeoMap
 from repro.core.mapmaker.service import (
+    DEFAULT_UNIT_SCHEME,
     MapMakerConfig,
     MapPublicationService,
     TIERS,
-    UNIT_TIERS,
 )
 
 __all__ = [
+    "DEFAULT_UNIT_SCHEME",
     "MapMaker",
     "MapMakerConfig",
     "MapPublicationService",
     "PublishedMap",
     "StaticGeoMap",
     "TIERS",
-    "UNIT_TIERS",
     "compile_entries",
+    "eu_key",
+    "ns_key",
 ]

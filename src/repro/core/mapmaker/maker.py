@@ -2,8 +2,11 @@
 
 Compilation itself is one batch :meth:`~repro.core.scoring.Scorer.
 score_targets` matrix pass -- the same kernel the per-query path
-trusts -- over every end-user block and every resolver, producing a
-top-K cluster ranking per mapping unit (paper Section 5's "map maker").
+trusts -- over every end-user mapping unit and every resolver,
+producing a top-K cluster ranking per unit (paper Section 5's "map
+maker").  :func:`eu_key` and :func:`ns_key` are the map's one key
+format: the compile writes with them and the read path looks up with
+them.
 
 :class:`MapMaker` wraps that compile in a *process model* with the
 failure modes the fault plane injects:
@@ -34,56 +37,47 @@ ROLE_PRIMARY = "primary"
 ROLE_STANDBY = "standby"
 
 
-def compile_entries(deployments, scorer, internet,
+def eu_key(unit_key: str) -> str:
+    """Published-map key of one end-user mapping unit."""
+    return f"eu:{unit_key}"
+
+
+def ns_key(ldns_ip: int) -> str:
+    """Published-map key of one resolver (NS-granularity) unit."""
+    return f"ns:{ldns_ip}"
+
+
+def compile_entries(deployments, scorer, internet, units,
                     top_clusters: int = 8,
-                    max_eu_units: int = 8192,
-                    units=None) -> MapEntries:
+                    max_eu_units: int = 8192) -> MapEntries:
     """Compile the full published-map table in one matrix pass.
 
-    Units are every geolocatable client /24 (``eu:`` keys, heaviest
-    ``max_eu_units`` by demand) plus every resolver (``ns:`` keys).
-    Rankings reproduce the scalar path's ``(score, cluster_id)`` order
-    exactly: live clusters are pre-sorted by id and the per-column
-    argsort is stable.
-
-    When a pre-built mapping-unit list is supplied (``units``, from a
-    :mod:`repro.core.units` builder), the per-/24 ``eu:`` table is
-    replaced by one ``ru:<unit key>`` entry per unit -- scored at the
-    unit's demand-weighted centroid and dominant AS -- capped at the
-    heaviest ``max_eu_units`` units by demand.  The ``ns:`` table is
-    compiled either way.
+    Entries are one ``eu:<unit key>`` per mapping unit (``units``, from
+    a :mod:`repro.core.units` builder; the heaviest ``max_eu_units`` by
+    demand), scored at the unit's demand-weighted centroid and dominant
+    AS, plus one ``ns:<ip>`` per geolocatable resolver.  Rankings
+    reproduce the scalar path's ``(score, cluster_id)`` order exactly:
+    live clusters are pre-sorted by id and the per-column argsort is
+    stable.
     """
     geodb = internet.geodb
     keys: List[str] = []
     targets: List[MapTarget] = []
 
-    if units is not None:
-        ranked = sorted(units, key=lambda u: (-u.demand, u.key))
-        for unit in ranked[:max_eu_units]:
-            if not unit.members:
-                continue
-            keys.append(f"ru:{unit.key}")
-            asn = unit.asn if unit.asn is not None else -1
-            targets.append(MapTarget(geo=unit.centroid(), asn=asn))
-    else:
-        blocks = list(internet.blocks)
-        if len(blocks) > max_eu_units:
-            blocks.sort(key=lambda b: (-getattr(b, "demand", 0.0),
-                                       str(b.prefix)))
-            blocks = blocks[:max_eu_units]
-        for block in blocks:
-            record = geodb.lookup_prefix(block.prefix)
-            if record is None:
-                continue
-            keys.append(f"eu:{block.prefix}")
-            targets.append(MapTarget(geo=record.geo, asn=record.asn))
+    ranked = sorted(units, key=lambda u: (-u.demand, u.key))
+    for unit in ranked[:max_eu_units]:
+        if not unit.members:
+            continue
+        keys.append(eu_key(unit.key))
+        asn = unit.asn if unit.asn is not None else -1
+        targets.append(MapTarget(geo=unit.centroid(), asn=asn))
 
     for resolver_id in sorted(internet.resolvers):
         meta = internet.resolvers[resolver_id]
         record = geodb.lookup(meta.ip)
         if record is None:
             continue
-        keys.append(f"ns:{meta.ip}")
+        keys.append(ns_key(meta.ip))
         targets.append(MapTarget(geo=record.geo, asn=record.asn))
 
     live = sorted(deployments.live_clusters(), key=lambda c: c.cluster_id)

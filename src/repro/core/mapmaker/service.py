@@ -9,6 +9,9 @@
   previous map stays in force and ages);
 * a watchdog that promotes the standby when the primary misses
   heartbeats for ``watchdog_timeout_days``;
+* the mapping-unit set every publication compiles over, built once
+  by the ``unit_scheme`` builder (``geo_as`` by default), and its
+  client-/24 -> unit index;
 * the **degradation ladder** the name-server path reads through
   (:meth:`lookup`): fresh EU -> stale EU -> NS fallback -> static
   geo map.  The ladder is age-bounded -- EU entries are trusted only
@@ -17,7 +20,8 @@
 
 Registry metrics (all under ``mapmaker.``): ``map_version``,
 ``map_age_days``, ``failovers``, ``maps_published``, ``maps_rejected``,
-plus per-tier decision counters under ``mapping.tier.<tier>``.
+plus the unit set's ``units.*`` gauges and per-tier decision counters
+under ``mapping.tier.<tier>``.
 """
 
 from __future__ import annotations
@@ -25,11 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.core import units as unit_api
 from repro.core.mapmaker.maker import (
     MapMaker,
     ROLE_PRIMARY,
     ROLE_STANDBY,
     compile_entries,
+    eu_key,
+    ns_key,
 )
 from repro.core.mapmaker.published import PublishedMap, StaticGeoMap
 from repro.obs import NOOP, Observability
@@ -40,10 +47,9 @@ from repro.obs import NOOP, Observability
 TIERS: Tuple[str, ...] = (
     "fresh_eu", "stale_eu", "ns", "ns_fallback", "static_geo")
 
-#: Extra ladder tiers when a routing-aware/custom unit scheme is
-#: active: ``ru:`` answers occupy the same rungs as ``eu:`` ones but
-#: are counted apart so experiments can see unit-path engagement.
-UNIT_TIERS: Tuple[str, ...] = ("fresh_ru", "stale_ru")
+#: The unit-construction scheme a control plane compiles over when
+#: none is named: one unit per client /24, at the block's geo and AS.
+DEFAULT_UNIT_SCHEME = "geo_as"
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,9 @@ class MapMakerConfig:
     def __post_init__(self) -> None:
         if self.publish_interval_days < 1:
             raise ValueError("publish_interval_days must be >= 1")
+        if self.fresh_age_days < 0:
+            raise ValueError(
+                f"age bounds must be >= 0 (fresh {self.fresh_age_days})")
         if not (self.fresh_age_days <= self.stale_age_days
                 <= self.ns_age_days):
             raise ValueError(
@@ -79,6 +88,8 @@ class MapMakerConfig:
             raise ValueError("watchdog_timeout_days must be >= 1")
         if self.top_clusters < 1:
             raise ValueError("top_clusters must be >= 1")
+        if self.max_eu_units < 1:
+            raise ValueError("max_eu_units must be >= 1")
 
 
 class MapPublicationService:
@@ -92,21 +103,17 @@ class MapPublicationService:
         self.scorer = scorer
         self.internet = internet
         self.obs = obs if obs is not None else NOOP
-        self.unit_scheme = unit_scheme
-        self.units = None
-        self._unit_index: dict = {}
-        self._unit_stats: dict = {}
-        if unit_scheme is not None:
-            # The generated Internet is static for a run, so the unit
-            # partition is built once and every publication compiles
-            # over it; determinism rides on the builder seeding off
-            # ``internet.seed`` alone.
-            from repro.core import units as unit_api
-            name, params = unit_api.parse_unit_scheme(unit_scheme)
-            builder = unit_api.get_builder(name)
-            self.units = builder.build(internet, **params)
-            self._unit_index = builder.index(internet, self.units)
-            self._unit_stats = unit_api.cohesion_stats(self.units)
+        self.unit_scheme = (DEFAULT_UNIT_SCHEME if unit_scheme is None
+                            else unit_scheme)
+        # The generated Internet is static for a run, so the unit
+        # partition is built once and every publication compiles over
+        # it; determinism rides on the builder seeding off
+        # ``internet.seed`` alone.
+        name, params = unit_api.parse_unit_scheme(self.unit_scheme)
+        builder = unit_api.get_builder(name)
+        self.units = builder.build(internet, **params)
+        self._unit_index = builder.index(internet, self.units)
+        self._unit_stats = unit_api.cohesion_stats(self.units)
         self.makers: List[MapMaker] = [
             MapMaker("mapmaker-0", ROLE_PRIMARY),
             MapMaker("mapmaker-1", ROLE_STANDBY),
@@ -142,10 +149,9 @@ class MapPublicationService:
     def publish_from(self, maker: MapMaker, day: int) -> bool:
         """Compile and submit one map through the checksum gate."""
         entries = compile_entries(
-            self.deployments, self.scorer, self.internet,
+            self.deployments, self.scorer, self.internet, self.units,
             top_clusters=self.config.top_clusters,
-            max_eu_units=self.config.max_eu_units,
-            units=self.units)
+            max_eu_units=self.config.max_eu_units)
         candidate = PublishedMap.build(self._version + 1, day, entries)
         if maker.corrupting:
             # Model bit-rot between compile and publish: the payload
@@ -203,57 +209,48 @@ class MapPublicationService:
                        merge="max").set(self.maps_rejected)
         registry.gauge("mapmaker.makers_healthy", merge="max").set(
             sum(1 for m in self.makers if m.healthy))
-        if self.units is not None:
-            # Unit-scheme gauges only exist when a scheme is active so
-            # legacy control-plane snapshots stay byte-identical.
-            registry.gauge("units.total",
-                           merge="max").set(len(self.units))
-            registry.gauge("units.cohesion_miles_mean", merge="max").set(
-                self._unit_stats.get("radius_miles", 0.0))
-            if "rtt_ms" in self._unit_stats:
-                registry.gauge("units.cohesion_rtt_ms_mean",
-                               merge="max").set(self._unit_stats["rtt_ms"])
+        registry.gauge("units.total", merge="max").set(len(self.units))
+        registry.gauge("units.cohesion_miles_mean", merge="max").set(
+            self._unit_stats["radius_miles"])
+        if "rtt_ms" in self._unit_stats:
+            registry.gauge("units.cohesion_rtt_ms_mean",
+                           merge="max").set(self._unit_stats["rtt_ms"])
 
     def map_age(self, day: int) -> int:
         return self.current.age(day)
 
     # -- the degradation ladder (name-server read path) --------------------
 
-    def lookup(self, eu_key: Optional[str], ns_key: str,
+    def lookup(self, client_prefix, ldns_ip: int,
                day: int) -> Tuple[Tuple[str, ...], str]:
-        """(ranked cluster ids, tier) for one query's mapping units.
+        """(ranked cluster ids, tier) for one query.
 
-        ``eu_key`` is None when the query carried no client-subnet
-        option; the empty-id ``static_geo`` result tells the caller to
-        fall back to :meth:`static_ranking`.
+        ``client_prefix`` is the query's client-subnet prefix, or None
+        when it carried no ECS option; ``ldns_ip`` is the resolver that
+        asked.  A prefix in no unit (or in one the map does not carry)
+        walks to ``ns_fallback``.  The empty-id ``static_geo`` result
+        tells the caller to fall back to :meth:`static_ranking`.
         """
         current = self.current
         age = current.age(day)
         config = self.config
-        if eu_key is not None and age <= config.stale_age_days:
-            ids = current.lookup(eu_key)
-            if ids:
-                fresh = age <= config.fresh_age_days
-                if eu_key.startswith("ru:"):
-                    tier = "fresh_ru" if fresh else "stale_ru"
-                else:
-                    tier = "fresh_eu" if fresh else "stale_eu"
-                return ids, tier
+        if client_prefix is not None and age <= config.stale_age_days:
+            unit_key = self.unit_key_for(client_prefix)
+            if unit_key is not None:
+                ids = current.lookup(eu_key(unit_key))
+                if ids:
+                    return ids, ("fresh_eu" if age <= config.fresh_age_days
+                                 else "stale_eu")
         if age <= config.ns_age_days:
-            ids = current.lookup(ns_key)
+            ids = current.lookup(ns_key(ldns_ip))
             if ids:
-                return ids, ("ns" if eu_key is None else "ns_fallback")
+                return ids, ("ns" if client_prefix is None
+                             else "ns_fallback")
         return (), "static_geo"
 
     def unit_key_for(self, prefix) -> Optional[str]:
-        """Unit key owning one client /24, when a scheme is active.
-
-        ``None`` sends the read path down the classic ``eu:<prefix>``
-        route; :meth:`MappingSystem._pick_published` duck-types this
-        method, so plain fakes without it keep working.
-        """
-        if self.units is None:
-            return None
+        """Key of the mapping unit owning one client prefix, or None
+        when the prefix is in no unit (the index holds client /24s)."""
         return self._unit_index.get(str(prefix))
 
     def static_ranking(self, geo) -> List:
@@ -261,7 +258,7 @@ class MapPublicationService:
         return self.static_map.rank(geo)
 
     def describe(self) -> dict:
-        out = {
+        return {
             "map_version": self.current.version,
             "published_day": self.current.published_day,
             "entries": len(self.current),
@@ -269,8 +266,6 @@ class MapPublicationService:
             "maps_published": self.maps_published,
             "maps_rejected": self.maps_rejected,
             "makers": [m.describe() for m in self.makers],
+            "unit_scheme": self.unit_scheme,
+            "units": dict(self._unit_stats),
         }
-        if self.units is not None:
-            out["unit_scheme"] = self.unit_scheme
-            out["units"] = dict(self._unit_stats)
-        return out

@@ -191,17 +191,10 @@ class MappingSystem:
         clusters dead -- the static geo map answers.
         """
         day = int(now // 86400.0)
-        eu_key = None
-        if context.ecs is not None:
-            # A control plane running a unit scheme resolves the client
-            # prefix to its ``ru:`` unit entry.
-            unit_key = self.control_plane.unit_key_for(context.ecs.prefix)
-            if unit_key is not None:
-                eu_key = f"ru:{unit_key}"
-            else:
-                eu_key = f"eu:{context.ecs.prefix}"
-        ns_key = f"ns:{context.ldns_ip}"
-        ids, tier = self.control_plane.lookup(eu_key, ns_key, day)
+        client_prefix = (context.ecs.prefix if context.ecs is not None
+                         else None)
+        ids, tier = self.control_plane.lookup(client_prefix,
+                                              context.ldns_ip, day)
         ranked = []
         clusters = self.deployments.clusters
         for cluster_id in ids:

@@ -63,6 +63,8 @@ class MapUnit:
         """Demand-weighted cluster radius (paper Section 3.3 metric)."""
         if not self.members:
             raise ValueError(f"unit {self.key} has no members")
+        if len(self.members) == 1:
+            return 0.0
         lats, lons = batch.geo_columns([geo for geo, _ in self.members])
         weights = np.fromiter((w for _, w in self.members), dtype=float,
                               count=len(self.members))
@@ -73,10 +75,14 @@ class MapUnit:
 
     def centroid(self) -> GeoPoint:
         """Demand-weighted member centroid: the geo half of the unit's
-        scoring target.  Memoized; ``add`` invalidates."""
+        scoring target.  Memoized; ``add`` invalidates.  A one-member
+        unit's centroid is its member's geo, bit for bit."""
         if self._centroid is None:
             if not self.members:
                 raise ValueError(f"unit {self.key} has no members")
+            if len(self.members) == 1:
+                self._centroid = self.members[0][0]
+                return self._centroid
             lats, lons = batch.geo_columns(
                 [geo for geo, _ in self.members])
             weights = np.fromiter(

@@ -7,8 +7,8 @@ Every way of carving the client population into mapping units is a
 ``ldns``                  one unit per LDNS (NS-style granularity)
 ``block``                 /x client blocks (``prefix_len`` sweeps Figure 22)
 ``bgp_merged``            /x blocks merged by covering BGP CIDR
-``geo_as``                today's per-/24 geo+AS units -- the default
-                          strategy the map maker compiles (extracted)
+``geo_as``                per-/24 geo+AS units -- the scheme the map
+                          maker compiles over when none is named
 ``routing_aware``         k-medoids-style clustering of blocks over
                           batched RTT columns (ROADMAP item 3; accepts
                           ``routing_aware:<k>`` for an explicit unit
@@ -17,7 +17,7 @@ Every way of carving the client population into mapping units is a
 
 A builder produces :class:`~repro.core.units.base.MapUnit` lists and a
 *unit index* (client /24 -> unit key) so the published-map read path
-can resolve an ECS prefix to its ``ru:<unit key>`` entry.  Scheme
+can resolve an ECS prefix to its ``eu:<unit key>`` entry.  Scheme
 strings parse through :func:`parse_unit_scheme`; only
 ``routing_aware`` takes a ``:<k>`` parameter.
 """
@@ -141,12 +141,11 @@ class BgpMergedUnitBuilder(_PrefixIndexMixin):
 
 
 class GeoAsUnitBuilder(_PrefixIndexMixin):
-    """Per-/24 geo+AS units: the default map-maker strategy, extracted.
+    """Per-/24 geo+AS units: the default map-maker scheme.
 
-    One unit per client /24, carrying the block's geolocation and AS --
-    exactly the (geo, asn) scoring target ``compile_entries`` derives
-    per ``eu:`` key, expressed through the unit API so the published
-    map can address it as ``ru:<prefix>``.
+    One unit per client /24, carrying the block's geolocation and AS
+    as its (geo, asn) scoring target; the unit key is the /24 itself,
+    so the published map addresses it as ``eu:<prefix>``.
     """
 
     scheme = "geo_as"
@@ -154,9 +153,10 @@ class GeoAsUnitBuilder(_PrefixIndexMixin):
     def build(self, internet) -> List[MapUnit]:
         units: List[MapUnit] = []
         for block in internet.blocks:
-            unit = MapUnit(key=str(block.prefix),
-                           scheme=MapUnitScheme.GEO_AS, asn=block.asn)
-            unit.add(block.geo, block.demand, prefix=str(block.prefix))
+            key = str(block.prefix)
+            unit = MapUnit(key=key, scheme=MapUnitScheme.GEO_AS,
+                           asn=block.asn)
+            unit.add(block.geo, block.demand, prefix=key)
             units.append(unit)
         return units
 

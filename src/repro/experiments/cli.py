@@ -98,6 +98,8 @@ def main(argv: List[str] | None = None) -> int:
 
     run_parser = sub.add_parser("run", help="run one experiment or 'all'")
     run_parser.add_argument("experiment",
+                            choices=experiment_ids() + ["all"],
+                            metavar="EXPERIMENT",
                             help="experiment id (e.g. fig13) or 'all'")
     run_parser.add_argument("--scale", default="tiny",
                             choices=scale_names())

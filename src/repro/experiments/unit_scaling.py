@@ -30,7 +30,7 @@ from typing import Any, Dict, Optional
 
 from repro.api import ScenarioSpec
 from repro.api import run as run_scenario
-from repro.core.mapmaker import MapMakerConfig, TIERS, UNIT_TIERS
+from repro.core.mapmaker import MapMakerConfig, TIERS
 from repro.experiments.base import (
     ExperimentResult,
     ratio,
@@ -83,7 +83,7 @@ def _run_arm(spec: ScenarioSpec) -> Dict[str, Any]:
 
     The accuracy metrics are measured over the *ECS cohort* (sessions
     through public resolvers after the roll-out completes): those are
-    the queries the ``ru:``/``eu:`` unit table answers, so scheme
+    the queries the map's ``eu:`` unit table answers, so scheme
     granularity shows there -- the all-session medians are dominated
     by the NS-tier path every scheme shares.
     """
@@ -93,21 +93,17 @@ def _run_arm(spec: ScenarioSpec) -> Dict[str, Any]:
     counters = snap["counters"]
     sessions = sum(result.sessions_per_day.values())
     tier_counts = {tier: counters.get(f"mapping.tier.{tier}", 0.0)
-                   for tier in TIERS + UNIT_TIERS}
+                   for tier in TIERS}
     decisions = sum(tier_counts.values())
     unit_share = ratio(
-        tier_counts["fresh_ru"] + tier_counts["stale_ru"], decisions)
+        tier_counts["fresh_eu"] + tier_counts["stale_eu"], decisions)
     distances = result.rum.metric_values(
         "mapping_distance_miles", via_public=True,
         day_range=result.after_window)
     rtts = result.rum.metric_values(
         "rtt_ms", via_public=True, day_range=result.after_window)
     return {
-        "units": int(snap["gauges"].get(
-            "units.total",
-            # The classic compile has no unit table; its effective
-            # unit count is the per-/24 eu: namespace.
-            len(world.internet.blocks))),
+        "units": int(snap["gauges"]["units.total"]),
         "dist_ecs_mean": (sum(distances) / len(distances)
                           if distances else 0.0),
         "rtt_ecs_mean": sum(rtts) / len(rtts) if rtts else 0.0,
@@ -163,7 +159,7 @@ def run(scale: str) -> ExperimentResult:
         "unit_path_engaged",
         all(metrics["unit_tier_share"] > 0.0
             for metrics in arms.values()),
-        f"share of decisions answered from the ru: unit table: "
+        f"share of decisions answered from the eu: unit table: "
         f"{ {s: round(m['unit_tier_share'], 3) for s, m in arms.items()} }")
 
     result.check(

@@ -193,12 +193,6 @@ def default_rollout_rules(
 CONTROL_PLANE_TIERS: Tuple[str, ...] = (
     "fresh_eu", "stale_eu", "ns", "ns_fallback", "static_geo")
 
-#: Extra tiers a unit-scheme world answers at (kept in sync with
-#: :data:`repro.core.mapmaker.service.UNIT_TIERS`); only mirrored when
-#: the world exports the ``units.total`` gauge, so legacy
-#: control-plane reports stay byte-identical.
-UNIT_SCHEME_TIERS: Tuple[str, ...] = ("fresh_ru", "stale_ru")
-
 
 def control_plane_rules(config) -> List[AlertRule]:
     """Alert rules for a world running the split control plane.
@@ -345,17 +339,14 @@ class RolloutMonitor:
             help="watchdog-driven standby promotions today")
         self._prev_gauges["mapmaker.failovers"] = failovers
         counters = snapshot.get("counters", {})
-        tiers = CONTROL_PLANE_TIERS
-        if "units.total" in gauges:
-            tiers = tiers + UNIT_SCHEME_TIERS
         deltas = {}
-        for tier in tiers:
+        for tier in CONTROL_PLANE_TIERS:
             counter = f"mapping.tier.{tier}"
             value = counters.get(counter, 0.0)
             deltas[tier] = value - self._prev_gauges.get(counter, 0.0)
             self._prev_gauges[counter] = value
         total = sum(deltas.values())
-        for tier in tiers:
+        for tier in CONTROL_PLANE_TIERS:
             self.store.record(
                 day, f"mapping.tier_share.{tier}",
                 _ratio(deltas[tier], total),

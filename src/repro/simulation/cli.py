@@ -193,8 +193,8 @@ def main(argv: List[str] | None = None) -> int:
                          metavar="SCHEME[:K]",
                          help="compile the published map over this "
                               "unit-construction scheme (ldns, geo_as, "
-                              "routing_aware[:k], ...); requires "
-                              "--control-plane")
+                              "routing_aware[:k], ...; default geo_as); "
+                              "requires --control-plane")
     rollout.add_argument("--faults", type=json_document(
                              FaultSchedule.from_dict, "fault schedule"),
                          default=None, metavar="JSON|@FILE",

@@ -52,6 +52,9 @@ class RolloutConfig:
                              "window <= end")
         if self.sessions_per_day < 1:
             raise ValueError("need at least one session per day")
+        if not 0 < self.ecs_source_len <= 32:
+            raise ValueError(
+                f"bad ECS source length {self.ecs_source_len}")
 
     @property
     def n_days(self) -> int:

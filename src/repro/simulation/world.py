@@ -174,6 +174,9 @@ class World:
         Flipping flushes the resolver's cache scope bookkeeping is not
         needed: existing scope-0 entries simply age out.
         """
+        if not 0 < source_prefix_len <= 32:
+            raise ValueError(
+                f"bad ECS source length {source_prefix_len}")
         flipped = 0
         for resolver_id in resolver_ids:
             ldns = self.ldns_registry.get(resolver_id)

@@ -62,6 +62,13 @@ class TestSubcommandConventions:
         assert code == 2, f"{name} bad flag exited {code}"
 
 
+class TestExperimentValidation:
+    def test_unknown_experiment_exits_two(self):
+        code, _, err = _run(["experiment", "run", "no_such_figure"])
+        assert code == 2
+        assert "invalid choice: 'no_such_figure'" in err
+
+
 class TestWorkersValidation:
     """``--workers`` / ``--shards`` follow the usage-error contract:
     anything but a strictly positive integer exits 2 before any

@@ -196,8 +196,9 @@ class TestCli:
         assert "fig05" in out and "overall: PASS" in out
 
     def test_run_unknown_experiment(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit) as exit_:
             cli_main(["run", "fig99", "--scale", "tiny"])
+        assert exit_.value.code == 2
 
     def test_bad_scale_rejected(self):
         with pytest.raises(SystemExit):

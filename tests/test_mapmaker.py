@@ -29,8 +29,11 @@ from repro.core.mapmaker import (
     StaticGeoMap,
     TIERS,
     compile_entries,
+    eu_key,
+    ns_key,
 )
 from repro.core.mapmaker.published import entries_checksum
+from repro.core.policies import MapTarget
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.net.geometry import great_circle_miles
 from repro.simulation.rollout import RolloutConfig
@@ -83,10 +86,26 @@ class TestMapMakerConfig:
         dict(stale_age_days=20, ns_age_days=12),
         dict(watchdog_timeout_days=0),
         dict(top_clusters=0),
+        dict(max_eu_units=0),
+        dict(max_eu_units=-1),
+        dict(fresh_age_days=-3),
     ])
     def test_bad_knobs_rejected(self, overrides):
         with pytest.raises(ValueError):
             MapMakerConfig(**overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(max_eu_units=0),
+        dict(max_eu_units=-1),
+        dict(fresh_age_days=-3),
+        dict(fresh_age_days=-3, stale_age_days=-2, ns_age_days=-1),
+    ])
+    def test_bad_knobs_rejected_from_scenario_documents(self, overrides):
+        doc = ScenarioSpec(world=WorldConfig.tiny(),
+                           control_plane=MapMakerConfig()).to_dict()
+        doc["control_plane"].update(overrides)
+        with pytest.raises(ValueError):
+            ScenarioSpec.from_dict(doc)
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +118,11 @@ class TestCompile:
     def test_compile_is_deterministic_and_capped(self, cp_world):
         service = cp_world.control_plane
         first = compile_entries(service.deployments, service.scorer,
-                                service.internet, top_clusters=4)
+                                service.internet, service.units,
+                                top_clusters=4)
         second = compile_entries(service.deployments, service.scorer,
-                                 service.internet, top_clusters=4)
+                                 service.internet, service.units,
+                                 top_clusters=4)
         assert first == second
         assert first, "compile produced an empty map"
         assert any(key.startswith("eu:") for key in first)
@@ -111,11 +132,34 @@ class TestCompile:
     def test_eu_unit_budget_keeps_heaviest_blocks(self, cp_world):
         service = cp_world.control_plane
         capped = compile_entries(service.deployments, service.scorer,
-                                 service.internet, max_eu_units=5)
+                                 service.internet, service.units,
+                                 max_eu_units=5)
         eu_keys = [key for key in capped if key.startswith("eu:")]
-        assert len(eu_keys) <= 5
+        heaviest = sorted(service.internet.blocks,
+                          key=lambda b: (-b.demand, str(b.prefix)))[:5]
+        assert sorted(eu_keys) == sorted(
+            eu_key(str(b.prefix)) for b in heaviest)
         # Resolver units are never sacrificed to the EU budget.
         assert any(key.startswith("ns:") for key in capped)
+
+    def test_default_map_matches_the_scalar_reference(self, cp_world):
+        """The default map is the per-/24 table: every block's entry is
+        its top live clusters by the scalar ``(score, cluster_id)``
+        order at the block's geolocation and AS."""
+        service = cp_world.control_plane
+        internet, scorer = service.internet, service.scorer
+        assert service.unit_scheme == "geo_as"
+        live = sorted(service.deployments.live_clusters(),
+                      key=lambda c: c.cluster_id)
+        top = service.config.top_clusters
+        entries = service.current.entries
+        for block in internet.blocks:
+            record = internet.geodb.lookup_prefix(block.prefix)
+            target = MapTarget(record.geo, record.asn)
+            ranked = sorted(live, key=lambda c: (scorer.score(c, target),
+                                                 c.cluster_id))
+            assert entries[eu_key(str(block.prefix))] == tuple(
+                c.cluster_id for c in ranked[:top]), block.prefix
 
 
 class TestStaticGeoMap:
@@ -243,30 +287,37 @@ class TestPublicationService:
 
     def test_degradation_ladder_tiers(self, cp_world):
         service = self._service(cp_world)
-        eu_key = next(key for key in service.current.entries
-                      if key.startswith("eu:"))
-        ns_key = next(key for key in service.current.entries
-                      if key.startswith("ns:"))
+        prefix = service.internet.blocks[0].prefix
+        ldns_ip = next(meta.ip for meta in service.internet.resolvers.values()
+                       if ns_key(meta.ip) in service.current.entries)
         config = service.config
 
-        ids, tier = service.lookup(eu_key, ns_key, day=0)
+        ids, tier = service.lookup(prefix, ldns_ip, day=0)
         assert tier == "fresh_eu" and ids
-        _, tier = service.lookup(eu_key, ns_key,
+        assert ids == service.current.lookup(eu_key(str(prefix)))
+        _, tier = service.lookup(prefix, ldns_ip,
                                  day=config.fresh_age_days)
         assert tier == "fresh_eu"
-        _, tier = service.lookup(eu_key, ns_key,
+        _, tier = service.lookup(prefix, ldns_ip,
                                  day=config.fresh_age_days + 1)
         assert tier == "stale_eu"
-        _, tier = service.lookup(eu_key, ns_key,
+        _, tier = service.lookup(prefix, ldns_ip,
                                  day=config.stale_age_days + 1)
         assert tier == "ns_fallback"
-        _, tier = service.lookup(None, ns_key, day=0)
+        ids, tier = service.lookup(None, ldns_ip, day=0)
         assert tier == "ns"
-        ids, tier = service.lookup(eu_key, ns_key,
+        assert ids == service.current.lookup(ns_key(ldns_ip))
+        ids, tier = service.lookup(prefix, ldns_ip,
                                    day=config.ns_age_days + 1)
         assert tier == "static_geo" and ids == ()
-        # Unknown units fall through the ladder too.
-        ids, tier = service.lookup("eu:0.0.0.0/24", "ns:0", day=0)
+        # A client prefix in no unit (a /22 scope, say) settles for
+        # resolver granularity...
+        coarse = prefix.supernet(22)
+        assert service.unit_key_for(coarse) is None
+        ids, tier = service.lookup(coarse, ldns_ip, day=0)
+        assert tier == "ns_fallback" and ids
+        # ...and an unknown resolver falls through the ladder too.
+        ids, tier = service.lookup(coarse, 0, day=0)
         assert tier == "static_geo" and ids == ()
         assert tier in TIERS
 

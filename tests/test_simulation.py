@@ -53,6 +53,14 @@ class TestWorldBuilder:
                    if rid not in set(world.public_ldns_ids())]
         assert world.enable_ecs(isp_ids[:5]) == 0
 
+    @pytest.mark.parametrize("length", [0, -1, 33])
+    def test_enable_ecs_rejects_bad_source_length(self, world, length):
+        before = world.ecs_enabled_ids()
+        with pytest.raises(ValueError, match="ECS source length"):
+            world.enable_ecs(world.public_ldns_ids(),
+                             source_prefix_len=length)
+        assert world.ecs_enabled_ids() == before
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             WorldConfig(n_deployments=2, n_nameservers=5)
@@ -197,6 +205,12 @@ class TestRollout:
                           rollout_start=datetime.date(2014, 4, 1))
         with pytest.raises(ValueError):
             RolloutConfig(sessions_per_day=0)
+
+    @pytest.mark.parametrize("length", [0, -8, 33])
+    def test_ecs_source_length_must_be_1_to_32(self, length):
+        with pytest.raises(ValueError, match="ECS source length"):
+            RolloutConfig(ecs_source_len=length)
+        assert RolloutConfig(ecs_source_len=32).ecs_source_len == 32
 
     def test_rollout_fraction(self):
         config = RolloutConfig()

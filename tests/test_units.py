@@ -1,9 +1,9 @@
 """Tests for the pluggable unit-construction layer (repro.core.units).
 
 Covers the builder registry and scheme grammar, determinism of the
-routing-aware clustering, coverage/cohesion edge cases, and the
-``ru:`` key path through the map maker's compile and the degradation
-ladder.
+routing-aware clustering, coverage/cohesion edge cases, and a
+non-default unit set through the map maker's compile and the
+degradation ladder.
 """
 
 import numpy as np
@@ -12,9 +12,11 @@ import pytest
 from repro.cdn import build_deployments
 from repro.core import MeasurementService, Scorer, TrafficClass
 from repro.core.mapmaker import (
+    DEFAULT_UNIT_SCHEME,
     MapMakerConfig,
     MapPublicationService,
     compile_entries,
+    eu_key,
 )
 from repro.core.units import (
     MapUnit,
@@ -250,7 +252,31 @@ class TestCoverageEdgeCases:
         assert "rtt_ms" not in stats
 
 
+class TestOneMemberUnits:
+    def test_centroid_is_the_member_geo_exactly(self, net):
+        for unit, block in zip(build_units("geo_as", net), net.blocks):
+            assert unit.centroid() == block.geo
+
+    def test_radius_is_exactly_zero(self, net):
+        units = build_units("geo_as", net)
+        assert all(unit.radius_miles() == 0.0 for unit in units)
+        assert cohesion_stats(units)["radius_miles"] == 0.0
+
+    def test_a_second_member_reopens_the_mean(self):
+        from repro.net.geometry import GeoPoint
+
+        unit = MapUnit(key="u", scheme=MapUnitScheme.BLOCK)
+        unit.add(GeoPoint(10.0, 20.0), 1.0)
+        assert unit.centroid() == GeoPoint(10.0, 20.0)
+        unit.add(GeoPoint(10.0, 22.0), 1.0)
+        assert unit.centroid().lon == pytest.approx(21.0, abs=1e-2)
+        assert unit.radius_miles() > 0.0
+
+
 class TestRuCompilePath:
+    """Routing-aware (``ru``) units through the one compile path and
+    the one ladder every unit scheme shares."""
+
     @pytest.fixture(scope="class")
     def wired(self, net):
         plan = build_deployments(40, net.geodb, seed=2,
@@ -261,17 +287,10 @@ class TestRuCompilePath:
     def test_compile_emits_ru_namespace(self, net, wired):
         plan, scorer = wired
         units = build_units("routing_aware:24", net)
-        entries = compile_entries(plan, scorer, net, units=units)
-        ru_keys = [k for k in entries if k.startswith("ru:")]
-        assert len(ru_keys) == len(units)
-        assert not any(k.startswith("eu:") for k in entries)
+        entries = compile_entries(plan, scorer, net, units)
+        unit_keys = sorted(k for k in entries if k.startswith("eu:"))
+        assert unit_keys == sorted(eu_key(u.key) for u in units)
         assert any(k.startswith("ns:") for k in entries)
-
-    def test_compile_without_units_is_untouched(self, net, wired):
-        plan, scorer = wired
-        entries = compile_entries(plan, scorer, net)
-        assert any(k.startswith("eu:") for k in entries)
-        assert not any(k.startswith("ru:") for k in entries)
 
     def test_service_lookup_walks_ru_tiers(self, net, wired):
         plan, scorer = wired
@@ -281,31 +300,25 @@ class TestRuCompilePath:
         prefix = net.blocks[0].prefix
         unit_key = service.unit_key_for(prefix)
         assert unit_key is not None
-        ids, tier = service.lookup(f"ru:{unit_key}", "ns:0", day=0)
-        assert ids and tier == "fresh_ru"
+        ids, tier = service.lookup(prefix, 0, day=0)
+        assert ids and tier == "fresh_eu"
+        assert ids == service.current.lookup(eu_key(unit_key))
         stale_day = MapMakerConfig().stale_age_days
-        ids, tier = service.lookup(f"ru:{unit_key}", "ns:0",
-                                   day=stale_day)
-        assert ids and tier == "stale_ru"
+        ids, tier = service.lookup(prefix, 0, day=stale_day)
+        assert ids and tier == "stale_eu"
 
-    def test_service_without_scheme_has_no_unit_table(self, net, wired):
-        plan, scorer = wired
-        service = MapPublicationService(
-            MapMakerConfig(), deployments=plan, scorer=scorer,
-            internet=net)
-        assert service.units is None
-        assert service.unit_key_for(net.blocks[0].prefix) is None
-        assert "unit_scheme" not in service.describe()
-
-    def test_unit_gauges_only_with_scheme(self, net, wired):
+    def test_default_scheme_is_geo_as(self, net, wired):
         from repro.obs import Observability
 
         plan, scorer = wired
-        for scheme, expected in ((None, False), ("geo_as", True)):
-            obs = Observability()
-            service = MapPublicationService(
-                MapMakerConfig(), deployments=plan, scorer=scorer,
-                internet=net, obs=obs, unit_scheme=scheme)
-            service.tick(0)
-            gauges = obs.registry.snapshot()["gauges"]
-            assert ("units.total" in gauges) is expected
+        obs = Observability()
+        service = MapPublicationService(
+            MapMakerConfig(), deployments=plan, scorer=scorer,
+            internet=net, obs=obs)
+        service.tick(0)
+        assert service.describe()["unit_scheme"] == DEFAULT_UNIT_SCHEME
+        prefix = net.blocks[0].prefix
+        assert service.unit_key_for(prefix) == str(prefix)
+        gauges = obs.registry.snapshot()["gauges"]
+        assert gauges["units.total"] == len(net.blocks)
+        assert gauges["units.cohesion_miles_mean"] == 0.0
