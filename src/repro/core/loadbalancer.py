@@ -8,6 +8,10 @@ server(s) within the chosen cluster (local load balancing)".
 * The **global** balancer ranks candidate clusters by score and picks
   the best one that is live and under its utilization ceiling,
   spilling over to the next-best when the proximal cluster is full.
+  Ranking is the periodic half of the paper's split and liveness and
+  headroom the real-time half: a target's ranking is scored once per
+  score epoch (:attr:`repro.core.scoring.Scorer.epoch`) and memoised
+  with its dead clusters in place, and every pick walks it afresh.
 * The **local** balancer picks two or more servers inside the cluster
   ("more than one server is returned as an additional precaution
   against transient failures", paper footnote 2) using rendezvous
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.cdn.deployments import Cluster, DeploymentPlan
 from repro.cdn.server import EdgeServer
@@ -75,59 +79,106 @@ class GlobalLoadBalancer:
         self.obs = obs if obs is not None else NOOP
         self.spillovers = 0
         self.decisions = 0
+        self._ranked: Dict[MapTarget, Tuple[Cluster, ...]] = {}
+        self._epoch = scorer.epoch
 
-    def rank_clusters(self, target: MapTarget) -> List[Cluster]:
-        """Candidate live clusters, best score first.
+    def ranking(self, target: MapTarget) -> Tuple[Cluster, ...]:
+        """Every candidate cluster of ``target``, dead ones included,
+        best score first.
 
         With a topology-discovery candidate index attached, only the
         pre-cut candidates are scored (paper Section 2.2: scoring
         evaluates candidates produced by topology discovery); without
-        one, every live cluster is scored.
+        one, every cluster is.  Memoised per target until the scorer's
+        epoch moves.  Liveness is no score input -- a pick skips the
+        dead where they stand, which keeps the order of the rest -- so
+        outages and their reverts invalidate nothing.
         """
+        epoch = self.scorer.epoch
+        if epoch != self._epoch:
+            self._ranked.clear()
+            self._epoch = epoch
+        ranked = self._ranked.get(target)
+        if ranked is None:
+            ranked = self._ranked[target] = self._rank(
+                target, self._candidates(target))
+        return ranked
+
+    def stale_rankings(self) -> List[MapTarget]:
+        """Memoised targets a fresh scoring ranks differently: empty
+        while the invalidation rule holds (the chaos soak's audit)."""
+        if self.scorer.epoch != self._epoch:
+            return []  # the whole memo goes on its next read
+        return [target for target, ranked in self._ranked.items()
+                if ranked != self._rank(target, self._candidates(target))]
+
+    def _candidates(self, target: MapTarget) -> Iterable[Cluster]:
         if self.candidate_index is not None:
-            live = [c for c in self.candidate_index.candidates(target)
-                    if c.alive]
-            if not live:
-                live = self.deployments.live_clusters()
-        else:
-            live = self.deployments.live_clusters()
+            return self.candidate_index.candidates(target)
+        return self.deployments.clusters.values()
+
+    def _rank(self, target: MapTarget,
+              clusters: Iterable[Cluster]) -> Tuple[Cluster, ...]:
+        """``clusters`` scored for ``target``, by (score, cluster id)."""
         if target.is_aggregate:
-            weighted = [(member, weight) for member, weight in
-                        target.members]
-            scored = [
-                (self.scorer.score_weighted(cluster, weighted), cluster)
-                for cluster in live
-            ]
+            weighted = list(target.members)
+            scored = [(self.scorer.score_weighted(cluster, weighted),
+                       cluster) for cluster in clusters]
         else:
             scored = [(self.scorer.score(cluster, target), cluster)
-                      for cluster in live]
+                      for cluster in clusters]
         scored.sort(key=lambda pair: (pair[0], pair[1].cluster_id))
-        return [cluster for _score, cluster in scored]
+        return tuple(cluster for _score, cluster in scored)
+
+    def rank_clusters(self, target: MapTarget) -> List[Cluster]:
+        """Candidate live clusters, best score first: the live part of
+        :meth:`ranking`, or, when every candidate is dead, every live
+        cluster scored."""
+        live = [cluster for cluster in self.ranking(target)
+                if cluster.alive]
+        return live or list(self._rank(target,
+                                       self.deployments.live_clusters()))
 
     def pick_cluster(self, target: MapTarget) -> Optional[Cluster]:
         """Best-scoring live cluster with capacity headroom."""
         self.decisions += 1
-        ranked = self.rank_clusters(target)
-        with self.obs.tracer.span("lb.pick",
-                                  candidates=len(ranked)) as span:
-            spills_before = self.spillovers
-            cluster = self._pick_from_ranked(ranked)
-            span.set(
+        spills_before = self.spillovers
+        ranked = self.ranking(target)
+        cluster = self.walk(ranked)
+        if cluster is None:
+            # Every candidate is dead: score every live cluster.
+            ranked = self._rank(target, self.deployments.live_clusters())
+            cluster = self.walk(ranked)
+        tracer = self.obs.tracer
+        if tracer.active:
+            tracer.event(
+                "lb.pick",
+                candidates=sum(1 for c in ranked if c.alive),
                 cluster=cluster.cluster_id if cluster else None,
-                spillover=self.spillovers > spills_before,
-            )
+                spillover=self.spillovers > spills_before)
         return cluster
 
-    def _pick_from_ranked(self,
-                          ranked: Sequence[Cluster]) -> Optional[Cluster]:
-        if not ranked:
-            return None
-        considered = ranked[: self.config.candidate_limit]
-        for index, cluster in enumerate(considered):
-            if cluster.utilization < self.config.utilization_ceiling:
-                if index > 0:
+    def walk(self, ranked: Iterable[Cluster]) -> Optional[Cluster]:
+        """The headroom walk over a ranking that may name dead clusters.
+
+        The first live cluster under the utilization ceiling among the
+        first ``candidate_limit`` live ones; when all of those are over
+        it, the least loaded of them.  None when nothing is alive.
+        """
+        ceiling = self.config.utilization_ceiling
+        considered: List[Cluster] = []
+        for cluster in ranked:
+            if not cluster.alive:
+                continue
+            if cluster.utilization < ceiling:
+                if considered:
                     self.spillovers += 1
                 return cluster
+            considered.append(cluster)
+            if len(considered) == self.config.candidate_limit:
+                break
+        if not considered:
+            return None
         # Everything over the ceiling: degrade gracefully to the
         # least-loaded candidate rather than failing the resolution.
         fallback = min(considered, key=lambda c: c.utilization)

@@ -119,6 +119,8 @@ class ClusterLoadTracker:
         self.config = config or LoadFeedbackConfig()
         self.load_scale = load_scale
         self._smoothed: Dict[str, float] = {}
+        self.epoch = 0
+        """Bumped by every :meth:`observe_day`: the penalties changed."""
 
     def utilization(self, cluster_id: str) -> float:
         """Smoothed utilization of one cluster (0 until observed)."""
@@ -157,6 +159,7 @@ class ClusterLoadTracker:
         ``mapping.load_demoted_share`` gauges (merge mode ``max``:
         replicated-state style across shards).
         """
+        self.epoch += 1
         alpha = self.config.ewma_alpha
         smoothed = []
         demoted = 0

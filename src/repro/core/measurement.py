@@ -76,6 +76,9 @@ class MeasurementService:
         # (see repro.obs.collect); hot paths pay one increment.
         self.rtt_lookups = 0
         self.rtt_memo_hits = 0
+        self.epoch = 0
+        """Bumped by :meth:`flush`: memos built over these measurements
+        (the balancer's rankings) compare it to know they are current."""
 
     # -- latency ----------------------------------------------------------
 
@@ -207,6 +210,7 @@ class MeasurementService:
     def flush(self) -> None:
         """Forget memoized measurements (topology changed)."""
         self._cache.clear()
+        self.epoch += 1
 
 
 def build_ping_targets(

@@ -62,6 +62,12 @@ class MappingPolicy(Protocol):
         """RFC 7871 scope to return, or None for 'not client-specific'."""
         ...
 
+    def decide(self, context: ResolutionContext
+               ) -> Tuple[Optional[MapTarget], Optional[int]]:
+        """``(target(context), scope_for(context))`` from one look at
+        the query: the name-server path's call."""
+        ...
+
 
 class NSMappingPolicy:
     """Traditional mapping: route by the resolver's location."""
@@ -81,6 +87,10 @@ class NSMappingPolicy:
         # The answer depends only on the LDNS: scope 0, cacheable for
         # every client behind this resolver.
         return 0
+
+    def decide(self, context: ResolutionContext
+               ) -> Tuple[Optional[MapTarget], Optional[int]]:
+        return self.target(context), 0
 
 
 class EUMappingPolicy:
@@ -104,17 +114,23 @@ class EUMappingPolicy:
         self._fallback = NSMappingPolicy(geodb)
 
     def target(self, context: ResolutionContext) -> Optional[MapTarget]:
-        if context.ecs is None:
-            return self._fallback.target(context)
-        record = self._geodb.lookup_prefix(context.ecs.prefix)
-        if record is None:
-            return self._fallback.target(context)
-        return MapTarget(geo=record.geo, asn=record.asn)
+        return self.decide(context)[0]
 
     def scope_for(self, context: ResolutionContext) -> Optional[int]:
-        if context.ecs is None:
-            return 0
-        return min(self.scope_prefix_len, context.ecs.source_prefix_len)
+        return self.decide(context)[1]
+
+    def decide(self, context: ResolutionContext
+               ) -> Tuple[Optional[MapTarget], Optional[int]]:
+        """The client's block and the configured scope; without ECS,
+        or for a client subnet the geo database cannot place, the LDNS
+        and scope 0 -- that answer is not client-specific."""
+        ecs = context.ecs
+        if ecs is not None:
+            record = self._geodb.lookup_prefix(ecs.prefix)
+            if record is not None:
+                return (MapTarget(geo=record.geo, asn=record.asn),
+                        min(self.scope_prefix_len, ecs.source_prefix_len))
+        return self._fallback.target(context), 0
 
 
 class ClientClusterIndex:
@@ -183,3 +199,7 @@ class CANSMappingPolicy:
     def scope_for(self, context: ResolutionContext) -> Optional[int]:
         # Like NS mapping, the answer is per-LDNS, not per-client.
         return 0
+
+    def decide(self, context: ResolutionContext
+               ) -> Tuple[Optional[MapTarget], Optional[int]]:
+        return self.target(context), 0

@@ -72,6 +72,16 @@ class Scorer:
         map-maker's batch compile pass load-aware.  None (the default)
         keeps the pure distance/peering scoring path bit-for-bit."""
 
+    @property
+    def epoch(self) -> tuple:
+        """Moves whenever a score could: on a measurement flush and on
+        each load-tracker observation.  Everything else a score reads
+        -- cluster and target geography, the frozen RTT memo, the
+        weights -- is fixed for the scorer's life."""
+        tracker = self.load_tracker
+        return (self.measurement.epoch,
+                None if tracker is None else tracker.epoch)
+
     def expected_loss_pct(self, rtt_ms: float) -> float:
         """Loss proxy: longer paths cross more peering points.
 

@@ -6,10 +6,13 @@ client-subnet option), asks its policy for the mapping target, runs
 global and local load balancing, and returns A records plus the RFC
 7871 answer scope.
 
-Server-assignment decisions are cached per mapping target for
-``decision_ttl`` simulated seconds, mirroring the production split
-between the (periodic) scoring pipeline and the (real-time) name
-server path -- and keeping the simulator fast.
+The production split between the (periodic) scoring pipeline and the
+(real-time) name-server path lives in the global load balancer: it
+scores a target's candidates once per score epoch and keeps that
+ranking, so a query pays only the liveness and headroom walk over it.
+Server-assignment decisions are also kept per mapping target for
+``decision_ttl`` simulated seconds; on roll-outs, where one target's
+queries are rarely a minute apart, that keep almost never answers.
 
 When a :class:`~repro.core.mapmaker.service.MapPublicationService` is
 attached (``attach_control_plane``), the split becomes literal: the
@@ -39,7 +42,7 @@ from repro.dnsproto.message import ResourceRecord
 from repro.dnsproto.rdata import ARdata
 from repro.dnsproto.types import QType, Rcode
 from repro.dnssrv.authoritative import ZoneAnswer
-from repro.obs import NOOP, Observability
+from repro.obs import NOOP, NULL_SPAN, Observability
 
 
 @dataclass
@@ -129,36 +132,41 @@ class MappingSystem:
         self.stats.resolutions += 1
         if ecs is not None:
             self.stats.ecs_resolutions += 1
-        with self.obs.tracer.span("mapping.decision", qname=qname,
-                                  policy=self.policy.name,
-                                  ecs=ecs is not None) as span:
+        tracer = self.obs.tracer
+        traced = tracer.active
+        with (tracer.span("mapping.decision", qname=qname,
+                          policy=self.policy.name, ecs=ecs is not None)
+              if traced else NULL_SPAN) as span:
             context = ResolutionContext(qname=qname, ldns_ip=src_ip,
                                         ecs=ecs)
-            target = self.policy.target(context)
+            target, scope = self.policy.decide(context)
             if target is None:
                 self.stats.no_target += 1
                 return ZoneAnswer(rcode=Rcode.SERVFAIL)
 
+            hits_before = self.stats.decision_cache_hits
+            tier = None
             if self.control_plane is not None:
                 cluster, tier = self._pick_published(context, target, now)
-                cache_label = f"published:{tier}"
             else:
-                hits_before = self.stats.decision_cache_hits
                 cluster = self._pick_cluster(target, now)
-                cache_label = ("hit" if self.stats.decision_cache_hits
-                               > hits_before else "miss")
             if cluster is None:
                 return ZoneAnswer(rcode=Rcode.SERVFAIL)
             servers = self.local_lb.pick_servers(cluster, provider.name)
             if not servers:
                 return ZoneAnswer(rcode=Rcode.SERVFAIL)
-            scope = self.policy.scope_for(context)
-            span.set(
-                cluster=cluster.cluster_id,
-                decision_cache=cache_label,
-                scope=scope,
-                servers=len(servers),
-            )
+            if traced:
+                if tier is not None:
+                    cache_label = f"published:{tier}"
+                else:
+                    cache_label = ("hit" if self.stats.decision_cache_hits
+                                   > hits_before else "miss")
+                span.set(
+                    cluster=cluster.cluster_id,
+                    decision_cache=cache_label,
+                    scope=scope,
+                    servers=len(servers),
+                )
             records = tuple(
                 ResourceRecord(qname, QType.A, provider.dns_ttl,
                                ARdata(server.ip))
@@ -195,16 +203,14 @@ class MappingSystem:
                          else None)
         ids, tier = self.control_plane.lookup(client_prefix,
                                               context.ldns_ip, day)
-        ranked = []
         clusters = self.deployments.clusters
-        for cluster_id in ids:
-            cluster = clusters.get(cluster_id)
-            if cluster is not None and cluster.alive:
-                ranked.append(cluster)
-        if not ranked:
+        cluster = self.global_lb.walk(
+            clusters[cluster_id] for cluster_id in ids
+            if cluster_id in clusters)
+        if cluster is None:
             tier = "static_geo"
-            ranked = self.control_plane.static_ranking(target.geo)
-        cluster = self.global_lb._pick_from_ranked(ranked)
+            cluster = self.global_lb.walk(
+                self.control_plane.static_ranking(target.geo))
         if cluster is not None:
             self.obs.registry.counter(f"mapping.tier.{tier}").inc()
         return cluster, tier

@@ -37,7 +37,7 @@ from repro.dnsproto.rdata import TXTRdata
 from repro.dnsproto.types import QType, Rcode
 from repro.dnsproto.wire import WireFormatError
 from repro.net.ipv4 import format_ipv4
-from repro.obs import NOOP, Observability
+from repro.obs import NOOP, NULL_SPAN, Observability
 
 
 @dataclass
@@ -183,8 +183,10 @@ class AuthoritativeServer:
         self.queries_received += 1
         if tcp:
             self.tcp_queries += 1
-        with self.obs.tracer.span("authoritative",
-                                  server=self.server_name) as span:
+        tracer = self.obs.tracer
+        traced = tracer.active
+        with (tracer.span("authoritative", server=self.server_name)
+              if traced else NULL_SPAN) as span:
             try:
                 query = Message.decode(wire)
             except WireFormatError:
@@ -224,8 +226,9 @@ class AuthoritativeServer:
                                          authoritative=False)
                 encoded = response.encode()
             self.responses_sent += 1
-            span.set(rcode=int(response.flags.rcode),
-                     answers=len(response.answers))
+            if traced:
+                span.set(rcode=int(response.flags.rcode),
+                         answers=len(response.answers))
             if not tcp and len(encoded) > self._udp_limit(query):
                 # RFC 1035 4.2.1: signal truncation; the resolver
                 # retries over TCP.  The truncated reply carries no

@@ -358,7 +358,8 @@ class RecursiveResolver:
         if self._ecs_active:
             ecs = ClientSubnetOption(
                 prefix_of(client_ip, self._effective_source_len))
-            span.set(ecs_source=str(ecs.prefix))
+            if span is not NULL_SPAN:
+                span.set(ecs_source=str(ecs.prefix))
 
         total_rtt = 0.0
         queries = 0
@@ -425,7 +426,8 @@ class RecursiveResolver:
                           span=NULL_SPAN) -> _StepResult:
         rcode = response.flags.rcode
         scope = self._scope_for(response, client_ip)
-        span.set(scope=str(scope) if scope is not None else None)
+        if span is not NULL_SPAN:
+            span.set(scope=str(scope) if scope is not None else None)
         if rcode == Rcode.NXDOMAIN or (
                 rcode == Rcode.NOERROR and not response.answers):
             # Negative caching (RFC 2308): remember that the name does

@@ -190,8 +190,10 @@ class Network:
         # The hop span wraps the destination's handling, so spans the
         # endpoint opens (authoritative dispatch, mapping decision)
         # nest under this hop in the trace tree.
-        with self.obs.tracer.span("hop", dst=self._dotted[dst_ip],
-                                  tcp=tcp) as hop:
+        tracer = self.obs.tracer
+        traced = tracer.active
+        with (tracer.span("hop", dst=self._dotted[dst_ip], tcp=tcp)
+              if traced else NULL_SPAN) as hop:
             if lost:
                 self.packets_lost += 1
                 response_wire = None
@@ -199,7 +201,8 @@ class Network:
             else:
                 response_wire = endpoint.handle_query(wire, src_ip, now,
                                                       tcp=tcp)
-            hop.set(rtt_ms=rtt, timeout=response_wire is None)
+            if traced:
+                hop.set(rtt_ms=rtt, timeout=response_wire is None)
         if response_wire is None:
             return HopResult(response=None, rtt_ms=rtt, span=hop)
         self.bytes_sent += len(response_wire)

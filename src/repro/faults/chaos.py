@@ -14,6 +14,10 @@ scenario may violate no matter what broke:
 * **exact recovery** -- after the run every fault has been reverted:
   each kind's audit finds nothing it breaks still broken, and no
   fault trace-context leaks;
+* **current rankings** -- every ranking the global load balancer keeps
+  equals a fresh scoring of its target (:func:`stale_rankings`; on the
+  soak's control-plane worlds answers read the published map, so the
+  memo is empty there and ``tests/test_lb_memo.py`` drives the rule);
 * **no unhandled exceptions** -- faults degrade, they never crash the
   simulator;
 * **conservation** -- sessions and authoritative queries add up
@@ -208,6 +212,17 @@ def world_restored(world) -> List[str]:
     return problems
 
 
+def stale_rankings(world) -> List[str]:
+    """Violation strings for every ranking the global load balancer
+    keeps that a fresh scoring of its target would not reproduce: its
+    memo outlived a score input (a load-tracker day, a measurement
+    flush).  Cluster outages must not show up here either -- dead
+    clusters stay in a memoised ranking and are skipped at pick time."""
+    return [f"stale memoised ranking for target ({target.geo.lat:.4f}, "
+            f"{target.geo.lon:.4f}) AS{target.asn}"
+            for target in world.mapping.global_lb.stale_rankings()]
+
+
 def _conservation(outcome) -> List[str]:
     """Session and query book-keeping identities."""
     problems: List[str] = []
@@ -280,6 +295,7 @@ def run_scenario(config: SoakConfig, index: int) -> Dict:
             f"availability {availability:.4f} below floor "
             f"{config.availability_floor}")
     row["violations"].extend(world_restored(outcome.world))
+    row["violations"].extend(stale_rankings(outcome.world))
     row["violations"].extend(_conservation(outcome))
 
     monitor = outcome.monitor

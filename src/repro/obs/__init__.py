@@ -36,12 +36,21 @@ from repro.obs.metrics import (
 from repro.obs.tracing import NULL_SPAN, QueryTracer, Span
 
 
+#: A default bundle's tracer records one session in this many (head
+#: sampling by count, so replay never depends on it).  Span sites check
+#: ``tracer.active`` before formatting attributes, so an unsampled
+#: session costs a few attribute checks; ``dump`` and the golden trace
+#: set ``sample_every = 1`` to record every session.
+SAMPLE_EVERY = 64
+
+
 @dataclass
 class Observability:
     """The bundle every instrumented component receives."""
 
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
-    tracer: QueryTracer = field(default_factory=QueryTracer)
+    tracer: QueryTracer = field(
+        default_factory=lambda: QueryTracer(sample_every=SAMPLE_EVERY))
 
     @classmethod
     def disabled(cls) -> "Observability":
@@ -62,6 +71,7 @@ __all__ = [
     "NULL_SPAN",
     "Observability",
     "QueryTracer",
+    "SAMPLE_EVERY",
     "Span",
     "register_world_collectors",
 ]

@@ -31,6 +31,7 @@ from repro.cdn.content import ContentProvider, WebPage
 from repro.core.loadbalancer import spread_load
 from repro.dnssrv.stub import StubResolver
 from repro.net.geometry import great_circle_miles
+from repro.obs import NULL_SPAN
 from repro.simulation.world import World
 from repro.topology.internet import ClientBlock
 
@@ -108,8 +109,9 @@ def simulate_session(
     client_ip = block.prefix.network | rng.randint(1, 254)
 
     tracer = world.obs.tracer
-    with tracer.trace("session", block=str(block.prefix),
-                      provider=provider.name) as root:
+    with tracer.trace("session") as root:
+        if tracer.active:
+            root.set(block=str(block.prefix), provider=provider.name)
         result = _run_session(world, block, now, rng, provider, page,
                               client_ip, account_load, root)
     _record_session_metrics(world.obs.registry, block, result)
@@ -146,14 +148,17 @@ def _run_session(world, block, now, rng, provider, page, client_ip,
         ldns = _DarkFleet(ldns)
     stub = StubResolver(client_ip, world.network)
     tracer = world.obs.tracer
-    with tracer.span("dns", resolver=resolver_id) as dns_span:
+    traced = tracer.active
+    with (tracer.span("dns", resolver=resolver_id)
+          if traced else NULL_SPAN) as dns_span:
         resolution = stub.resolve(provider.domain, ldns, now,
                                   fallback=fallback)
-        dns_span.set(dns_ms=resolution.dns_time_ms,
-                     cache_hit=resolution.ldns_cache_hit,
-                     upstream_queries=resolution.upstream_queries)
-        if resolution.failed_over:
-            dns_span.set(failed_over=True, fallback=fallback_id)
+        if traced:
+            dns_span.set(dns_ms=resolution.dns_time_ms,
+                         cache_hit=resolution.ldns_cache_hit,
+                         upstream_queries=resolution.upstream_queries)
+            if resolution.failed_over:
+                dns_span.set(failed_over=True, fallback=fallback_id)
     if resolution.failed_over and fallback_id is not None:
         resolver_id, ldns = fallback_id, fallback
     if not resolution.ok:
@@ -245,14 +250,15 @@ def _run_session(world, block, now, rng, provider, page, client_ip,
                 or dead_tried > 0 or catchment_shifted
                 or (ldns.ecs_enabled and ldns.ecs_stripped)
                 or (ldns.ecs_enabled and not ldns.ecs_whitelisted))
-    root.set(cluster=cluster.cluster_id, resolver=resolver_id,
-             rtt_ms=rtt, connect_ms=connect_ms, ttfb_ms=ttfb_ms,
-             download_ms=download_ms, requests=requests,
-             edge_cache_hits=cache_hits)
-    if degraded:
-        root.set(degraded=True)
-    if catchment_shifted:
-        root.set(catchment_shifted=True)
+    if traced:
+        root.set(cluster=cluster.cluster_id, resolver=resolver_id,
+                 rtt_ms=rtt, connect_ms=connect_ms, ttfb_ms=ttfb_ms,
+                 download_ms=download_ms, requests=requests,
+                 edge_cache_hits=cache_hits)
+        if degraded:
+            root.set(degraded=True)
+        if catchment_shifted:
+            root.set(catchment_shifted=True)
     meta = world.internet.resolvers[resolver_id]
     return SessionResult(
         block=block,

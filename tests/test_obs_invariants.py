@@ -1,6 +1,6 @@
 """Cross-cutting observability invariants.
 
-Four pinned identities:
+Five pinned identities:
 
 * **Cache accounting** -- ``CacheStats.hits + misses == lookups`` holds
   under arbitrary randomized lookup/store/expiry workloads (every
@@ -14,9 +14,13 @@ Four pinned identities:
 * **Tracing observes only** -- the resolver path asks for spans only
   while a trace is open, and the same lookups answer the same, and
   count the same, with one open or not.
+* **Sampling observes only** -- a roll-out on a default (1-in-64)
+  world and one tracing every session give the same registry and
+  result digest; the sampled one keeps one whole trace per 64 sessions.
 """
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -31,8 +35,9 @@ from repro.dnssrv.cache import EcsAwareCache
 from repro.dnssrv.recursive import _TIMEOUT_PENALTY_MS
 from repro.dnssrv.stub import StubResolver
 from repro.net.ipv4 import parse_ipv4, prefix_of
+from repro.obs import SAMPLE_EVERY
 from repro.obs.dump import run_scenario
-from repro.api import build_world
+from repro.api import build_world, run_rollout
 from repro.simulation.world import WorldConfig
 
 names = st.sampled_from(["a.example", "b.example", "c.example"])
@@ -152,6 +157,8 @@ class TestTracingObservesOnly:
         stale, else SERVFAIL); an LDNS blackout with a fallback."""
         world = build_world(dataclasses.replace(
             WorldConfig.tiny(), serve_stale_window=120.0))
+        # Every lookup's trace is read below, not a sample of them.
+        world.obs.tracer.sample_every = 1
         world.enable_ecs(world.public_ldns_ids())
         rng = random.Random(5)
         fallback = world.ldns_registry[sorted(world.ldns_registry)[0]]
@@ -225,6 +232,39 @@ class TestTracingObservesOnly:
             assert set(step.attrs) == {"qname", "cache", "scope"}
         assert {step.attrs["scope"] is None for step in hits} == {
             True, False}
+
+
+class TestSampledRollout:
+    """A world samples one session in ``SAMPLE_EVERY``; sampling every
+    session instead changes nothing but the traces kept."""
+
+    def _run(self, sample_every):
+        from perfbench.checks import digest, rollout_document
+        from perfbench.workloads import WORKLOADS
+
+        spec = WORKLOADS["rollout_serial"].spec(99, True)
+        world = build_world(spec.world)
+        if sample_every is not None:
+            world.obs.tracer.sample_every = sample_every
+        result = run_rollout(world, spec.rollout)
+        snapshot = world.obs.registry.snapshot()
+        return (world.obs.tracer, world.obs.registry.to_json(),
+                digest(rollout_document(result, snapshot)))
+
+    def test_sampling_observes_only(self):
+        sampled, registry, result_digest = self._run(None)
+        every, every_registry, every_digest = self._run(1)
+        assert (registry, result_digest) == (every_registry, every_digest)
+        assert sampled.sample_every == SAMPLE_EVERY == 64
+        assert sampled.started == every.started == every.sampled > 256
+        assert len(sampled.traces) == sampled.sampled == math.ceil(
+            sampled.started / SAMPLE_EVERY)
+        assert len(every.traces) == every.max_traces
+        # A sampled trace is whole: its session carries every layer.
+        names = {span.name for root in sampled.traces
+                 for span in root.walk()}
+        assert {"session", "dns", "recursive", "hop", "authoritative",
+                "mapping.decision", "lb.pick"} <= names
 
 
 class TestEcsShareBounds:
