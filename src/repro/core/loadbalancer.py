@@ -12,6 +12,8 @@ server(s) within the chosen cluster (local load balancing)".
   headroom the real-time half: a target's ranking is scored once per
   score epoch (:attr:`repro.core.scoring.Scorer.epoch`) and memoised
   with its dead clusters in place, and every pick walks it afresh.
+  The ranking itself is :meth:`~repro.core.scoring.Scorer.rank`, the
+  kernel the map maker compiles published maps with.
 * The **local** balancer picks two or more servers inside the cluster
   ("more than one server is returned as an additional precaution
   against transient failures", paper footnote 2) using rendezvous
@@ -79,6 +81,11 @@ class GlobalLoadBalancer:
         self.obs = obs if obs is not None else NOOP
         self.spillovers = 0
         self.decisions = 0
+        self.ranking_hits = 0
+        """Picks answered from a memoised ranking; ``ranking_misses``
+        counts the picks that had to score.  Together they are
+        ``decisions``."""
+        self.ranking_misses = 0
         self._ranked: Dict[MapTarget, Tuple[Cluster, ...]] = {}
         self._epoch = scorer.epoch
 
@@ -94,15 +101,21 @@ class GlobalLoadBalancer:
         dead where they stand, which keeps the order of the rest -- so
         outages and their reverts invalidate nothing.
         """
+        return self._lookup(target)[0]
+
+    def _lookup(self, target: MapTarget
+                ) -> Tuple[Tuple[Cluster, ...], bool]:
+        """``(ranking(target), whether the memo held it)``."""
         epoch = self.scorer.epoch
         if epoch != self._epoch:
             self._ranked.clear()
             self._epoch = epoch
         ranked = self._ranked.get(target)
-        if ranked is None:
-            ranked = self._ranked[target] = self._rank(
-                target, self._candidates(target))
-        return ranked
+        if ranked is not None:
+            return ranked, True
+        ranked = self._ranked[target] = self._rank(
+            target, self._candidates(target))
+        return ranked, False
 
     def stale_rankings(self) -> List[MapTarget]:
         """Memoised targets a fresh scoring ranks differently: empty
@@ -119,36 +132,26 @@ class GlobalLoadBalancer:
 
     def _rank(self, target: MapTarget,
               clusters: Iterable[Cluster]) -> Tuple[Cluster, ...]:
-        """``clusters`` scored for ``target``, by (score, cluster id)."""
-        if target.is_aggregate:
-            weighted = list(target.members)
-            scored = [(self.scorer.score_weighted(cluster, weighted),
-                       cluster) for cluster in clusters]
-        else:
-            scored = [(self.scorer.score(cluster, target), cluster)
-                      for cluster in clusters]
-        scored.sort(key=lambda pair: (pair[0], pair[1].cluster_id))
-        return tuple(cluster for _score, cluster in scored)
-
-    def rank_clusters(self, target: MapTarget) -> List[Cluster]:
-        """Candidate live clusters, best score first: the live part of
-        :meth:`ranking`, or, when every candidate is dead, every live
-        cluster scored."""
-        live = [cluster for cluster in self.ranking(target)
-                if cluster.alive]
-        return live or list(self._rank(target,
-                                       self.deployments.live_clusters()))
+        """``clusters`` ranked for ``target`` by :meth:`Scorer.rank`."""
+        clusters = list(clusters)
+        order = self.scorer.rank(clusters, (target,))[0]
+        return tuple(clusters[i] for i in order.tolist())
 
     def pick_cluster(self, target: MapTarget) -> Optional[Cluster]:
         """Best-scoring live cluster with capacity headroom."""
         self.decisions += 1
         spills_before = self.spillovers
-        ranked = self.ranking(target)
+        ranked, memoised = self._lookup(target)
         cluster = self.walk(ranked)
         if cluster is None:
             # Every candidate is dead: score every live cluster.
+            memoised = False
             ranked = self._rank(target, self.deployments.live_clusters())
             cluster = self.walk(ranked)
+        if memoised:
+            self.ranking_hits += 1
+        else:
+            self.ranking_misses += 1
         tracer = self.obs.tracer
         if tracer.active:
             tracer.event(

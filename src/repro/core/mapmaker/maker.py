@@ -1,12 +1,11 @@
 """The MapMaker: the periodic map-compiling process, made breakable.
 
-Compilation itself is one batch :meth:`~repro.core.scoring.Scorer.
-score_targets` matrix pass -- the same kernel the per-query path
-trusts -- over every end-user mapping unit and every resolver,
-producing a top-K cluster ranking per unit (paper Section 5's "map
-maker").  :func:`eu_key` and :func:`ns_key` are the map's one key
-format: the compile writes with them and the read path looks up with
-them.
+Compilation itself is one :meth:`~repro.core.scoring.Scorer.rank`
+pass -- the same kernel the per-query path ranks with -- over every
+end-user mapping unit and every resolver, producing a top-K cluster
+ranking per unit (paper Section 5's "map maker").  :func:`eu_key` and
+:func:`ns_key` are the map's one key format: the compile writes with
+them and the read path looks up with them.
 
 :class:`MapMaker` wraps that compile in a *process model* with the
 failure modes the fault plane injects:
@@ -27,8 +26,6 @@ One maker is the *primary* (it compiles and publishes); the other is a
 from __future__ import annotations
 
 from typing import List
-
-import numpy as np
 
 from repro.core.mapmaker.published import MapEntries
 from repro.core.policies import MapTarget
@@ -55,10 +52,9 @@ def compile_entries(deployments, scorer, internet, units,
     Entries are one ``eu:<unit key>`` per mapping unit (``units``, from
     a :mod:`repro.core.units` builder; the heaviest ``max_eu_units`` by
     demand), scored at the unit's demand-weighted centroid and dominant
-    AS, plus one ``ns:<ip>`` per geolocatable resolver.  Rankings
-    reproduce the scalar path's ``(score, cluster_id)`` order exactly:
-    live clusters are pre-sorted by id and the per-column argsort is
-    stable.
+    AS, plus one ``ns:<ip>`` per geolocatable resolver.  Each entry
+    is the first ``top_clusters`` of the ranking the per-query path
+    would compute for that target over the live clusters.
     """
     geodb = internet.geodb
     keys: List[str] = []
@@ -80,16 +76,13 @@ def compile_entries(deployments, scorer, internet, units,
         keys.append(ns_key(meta.ip))
         targets.append(MapTarget(geo=record.geo, asn=record.asn))
 
-    live = sorted(deployments.live_clusters(), key=lambda c: c.cluster_id)
-    entries: MapEntries = {}
+    live = deployments.live_clusters()
     if not live or not targets:
-        return entries
-    scores = scorer.score_targets(live, targets)
-    top = max(1, top_clusters)
-    for column, key in enumerate(keys):
-        order = np.argsort(scores[:, column], kind="stable")
-        entries[key] = tuple(live[i].cluster_id for i in order[:top])
-    return entries
+        return {}
+    ids = [cluster.cluster_id for cluster in live]
+    order = scorer.rank(live, targets)[:, :max(1, top_clusters)]
+    return {key: tuple(ids[i] for i in row)
+            for key, row in zip(keys, order.tolist())}
 
 
 class MapMaker:

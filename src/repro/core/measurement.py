@@ -2,20 +2,22 @@
 
 The real system runs BGP collectors, geolocation, name-server logs, and
 a global ping mesh (paper Section 2.2).  Here the measurement service
-wraps the simulator's latency model and geolocation database behind the
-same *interface* the rest of the mapping system would use in
-production: "what RTT should we expect between this deployment and
-this mapping target?", "which servers are live and how loaded?".
+wraps the simulator's latency model behind the same *interface* the
+rest of the mapping system would use in production: "what RTT should
+we expect between this deployment and this mapping target?".  Liveness
+and load are read off the clusters themselves, at answer time, by the
+load balancer.
 
 Ping targets (Section 6's simulation methodology) are also built here:
 the paper clusters ~20K top /24 blocks into 8K representative targets
 and uses the nearest target as a latency proxy for any client or LDNS.
 
-Hot paths run on the vectorized kernels in :mod:`repro.net.batch`
-(cluster x target RTT matrices, bulk nearest-target assignment); the
-scalar per-pair code (:func:`nearest_target_id`,
-:meth:`MeasurementService.rtt_cluster_to_point`) is the reference
-implementation the equivalence tests pin the kernels against.
+RTTs are measured in batches on the vectorized kernels in
+:mod:`repro.net.batch` (cluster x target RTT matrices, bulk
+nearest-target assignment).  The scalar references the equivalence
+tests pin them against live with the model they implement:
+:meth:`repro.net.latency.LatencyModel.base_rtt_ms` for RTTs and
+:func:`nearest_target_id` for the nearest-target scan.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cdn.deployments import Cluster, DeploymentPlan
-from repro.geo.database import GeoDatabase
+from repro.cdn.deployments import Cluster
 from repro.net import batch
 from repro.net.geometry import GeoPoint, great_circle_miles
 from repro.net.latency import LatencyModel
@@ -47,27 +48,19 @@ class PingTarget:
     demand: float
 
 
-@dataclass(frozen=True, slots=True)
-class LivenessReport:
-    """One snapshot of a cluster's health."""
-
-    cluster_id: str
-    alive: bool
-    live_servers: int
-    utilization: float
-
-
 class MeasurementService:
-    """Latency, liveness, and load measurements for server assignment."""
+    """Latency measurements for server assignment."""
 
     def __init__(
         self,
-        geodb: GeoDatabase,
         latency_model: Optional[LatencyModel] = None,
         measurement_noise: float = 0.0,
         seed: int = 17,
     ) -> None:
-        self._geodb = geodb
+        if not math.isfinite(measurement_noise) or measurement_noise < 0:
+            raise ValueError(
+                f"measurement noise must be finite and >= 0, got "
+                f"{measurement_noise!r}")
         self._latency = latency_model or LatencyModel()
         self._noise = measurement_noise
         self._rng = random.Random(seed)
@@ -80,56 +73,18 @@ class MeasurementService:
         """Bumped by :meth:`flush`: memos built over these measurements
         (the balancer's rankings) compare it to know they are current."""
 
-    # -- latency ----------------------------------------------------------
-
-    def rtt_cluster_to_point(self, cluster: Cluster, geo: GeoPoint,
-                             asn: int) -> float:
-        """Measured RTT (ms) from a cluster to a geographic target.
-
-        Measurements are memoized per (cluster, target); optional
-        multiplicative noise models measurement error and is frozen at
-        first measurement (the production system smooths over windows).
-        """
-        self.rtt_lookups += 1
-        key = (cluster.cluster_id, geo.lat, geo.lon, asn)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.rtt_memo_hits += 1
-            return cached
-        rtt = self._latency.base_rtt_ms(cluster.geo, cluster.asn, geo, asn)
-        if self._noise > 0:
-            rtt *= math.exp(self._rng.gauss(0.0, self._noise))
-        self._cache[key] = rtt
-        return rtt
-
-    def rtt_cluster_to_prefix(self, cluster: Cluster,
-                              prefix: Prefix) -> Optional[float]:
-        """RTT to a client block, geolocated via the geo database."""
-        record = self._geodb.lookup_prefix(prefix)
-        if record is None:
-            return None
-        return self.rtt_cluster_to_point(cluster, record.geo, record.asn)
-
-    def rtt_cluster_to_addr(self, cluster: Cluster,
-                            addr: int) -> Optional[float]:
-        record = self._geodb.lookup(addr)
-        if record is None:
-            return None
-        return self.rtt_cluster_to_point(cluster, record.geo, record.asn)
-
     # -- batch latency ----------------------------------------------------
 
     def rtt_cluster_to_points(self, cluster: Cluster, lats, lons,
                               asns) -> np.ndarray:
         """RTT (ms) from one cluster to many targets, vectorized.
 
-        Noise-free measurements are pure functions of the endpoints and
-        the vectorized kernel is bit-identical to the scalar path, so
-        no cache interaction is needed for coherence.  With measurement
-        noise enabled, the frozen-at-first-measurement semantics of
-        :meth:`rtt_cluster_to_point` require the memo cache: cached
-        entries win, new entries draw their noise factor and are
-        frozen into the cache.
+        Noise-free measurements are pure functions of the endpoints, so
+        no cache is needed.  Optional multiplicative noise models
+        measurement error and is frozen at first measurement per
+        (cluster, target) -- the production system smooths over
+        windows: cached entries win, new entries draw their noise
+        factor and are frozen into the cache.
         """
         lats = np.asarray(lats, dtype=float)
         lons = np.asarray(lons, dtype=float)
@@ -159,8 +114,8 @@ class MeasurementService:
                    asns) -> np.ndarray:
         """Cluster x target RTT matrix: shape (len(clusters), n_targets).
 
-        The precomputed form the batch scoring path consumes; rows obey
-        the same memoized-noise semantics as the scalar calls.
+        The precomputed form the scoring kernel consumes; rows obey
+        the memoized-noise semantics of :meth:`rtt_cluster_to_points`.
         """
         lats = np.asarray(lats, dtype=float)
         lons = np.asarray(lons, dtype=float)
@@ -189,23 +144,6 @@ class MeasurementService:
         asns = np.fromiter((t.asn for t in targets), dtype=np.int64,
                            count=len(targets))
         return self.rtt_matrix(clusters, lats, lons, asns)
-
-    # -- liveness / load ----------------------------------------------------
-
-    def liveness_snapshot(
-        self, deployments: DeploymentPlan
-    ) -> Dict[str, LivenessReport]:
-        """Real-time health of every cluster (Section 2.2 item (v))."""
-        out = {}
-        for cluster_id, cluster in deployments.clusters.items():
-            out[cluster_id] = LivenessReport(
-                cluster_id=cluster_id,
-                alive=cluster.alive,
-                live_servers=len(cluster.live_servers()),
-                utilization=cluster.utilization if cluster.alive else
-                math.inf,
-            )
-        return out
 
     def flush(self) -> None:
         """Forget memoized measurements (topology changed)."""

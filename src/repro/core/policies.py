@@ -56,16 +56,11 @@ class MappingPolicy(Protocol):
 
     name: str
 
-    def target(self, context: ResolutionContext) -> Optional[MapTarget]: ...
-
-    def scope_for(self, context: ResolutionContext) -> Optional[int]:
-        """RFC 7871 scope to return, or None for 'not client-specific'."""
-        ...
-
     def decide(self, context: ResolutionContext
                ) -> Tuple[Optional[MapTarget], Optional[int]]:
-        """``(target(context), scope_for(context))`` from one look at
-        the query: the name-server path's call."""
+        """``(target, scope)`` from one look at the query: the mapping
+        target (None when it cannot be placed) and the RFC 7871 scope
+        to return (0 for 'not client-specific')."""
         ...
 
 
@@ -77,20 +72,14 @@ class NSMappingPolicy:
     def __init__(self, geodb: GeoDatabase) -> None:
         self._geodb = geodb
 
-    def target(self, context: ResolutionContext) -> Optional[MapTarget]:
-        record = self._geodb.lookup(context.ldns_ip)
-        if record is None:
-            return None
-        return MapTarget(geo=record.geo, asn=record.asn)
-
-    def scope_for(self, context: ResolutionContext) -> Optional[int]:
-        # The answer depends only on the LDNS: scope 0, cacheable for
-        # every client behind this resolver.
-        return 0
-
     def decide(self, context: ResolutionContext
                ) -> Tuple[Optional[MapTarget], Optional[int]]:
-        return self.target(context), 0
+        # The answer depends only on the LDNS: scope 0, cacheable for
+        # every client behind this resolver.
+        record = self._geodb.lookup(context.ldns_ip)
+        if record is None:
+            return None, 0
+        return MapTarget(geo=record.geo, asn=record.asn), 0
 
 
 class EUMappingPolicy:
@@ -113,12 +102,6 @@ class EUMappingPolicy:
         self.scope_prefix_len = scope_prefix_len
         self._fallback = NSMappingPolicy(geodb)
 
-    def target(self, context: ResolutionContext) -> Optional[MapTarget]:
-        return self.decide(context)[0]
-
-    def scope_for(self, context: ResolutionContext) -> Optional[int]:
-        return self.decide(context)[1]
-
     def decide(self, context: ResolutionContext
                ) -> Tuple[Optional[MapTarget], Optional[int]]:
         """The client's block and the configured scope; without ECS,
@@ -130,7 +113,7 @@ class EUMappingPolicy:
             if record is not None:
                 return (MapTarget(geo=record.geo, asn=record.asn),
                         min(self.scope_prefix_len, ecs.source_prefix_len))
-        return self._fallback.target(context), 0
+        return self._fallback.decide(context)
 
 
 class ClientClusterIndex:
@@ -143,6 +126,10 @@ class ClientClusterIndex:
     """
 
     def __init__(self, geodb: GeoDatabase, max_members: int = 32) -> None:
+        if max_members < 1:
+            raise ValueError(
+                f"a client cluster needs at least one member, got "
+                f"max_members={max_members}")
         self._geodb = geodb
         self._max_members = max_members
         self._clusters: Dict[int, List[Tuple[Prefix, float]]] = {}
@@ -190,16 +177,10 @@ class CANSMappingPolicy:
         self._clusters = clusters
         self._fallback = NSMappingPolicy(geodb)
 
-    def target(self, context: ResolutionContext) -> Optional[MapTarget]:
-        aggregate = self._clusters.cluster_for(context.ldns_ip)
-        if aggregate is not None:
-            return aggregate
-        return self._fallback.target(context)
-
-    def scope_for(self, context: ResolutionContext) -> Optional[int]:
-        # Like NS mapping, the answer is per-LDNS, not per-client.
-        return 0
-
     def decide(self, context: ResolutionContext
                ) -> Tuple[Optional[MapTarget], Optional[int]]:
-        return self.target(context), 0
+        # Like NS mapping, the answer is per-LDNS, not per-client.
+        aggregate = self._clusters.cluster_for(context.ldns_ip)
+        if aggregate is not None:
+            return aggregate, 0
+        return self._fallback.decide(context)

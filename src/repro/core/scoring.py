@@ -7,14 +7,16 @@ differently: interactive web traffic is latency-dominated, video is
 throughput-dominated, applications sit in between.
 
 Score is *lower-is-better*, expressed in equivalent milliseconds.
+Every cluster ranking -- the load balancer's per-query one and the map
+maker's compiled table -- comes from one kernel, :meth:`Scorer.rank`,
+so the two cannot order a tie differently.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -82,36 +84,14 @@ class Scorer:
         return (self.measurement.epoch,
                 None if tracker is None else tracker.epoch)
 
-    def expected_loss_pct(self, rtt_ms: float) -> float:
-        """Loss proxy: longer paths cross more peering points.
-
-        The simulator does not model per-link loss; the production
-        system measures it.  Distance-correlated loss is the documented
-        stand-in (paper Section 4.4: longer paths cross more AS
-        boundaries and cable links, raising congestion odds).
-        """
-        return 0.05 + 0.004 * math.sqrt(max(rtt_ms, 0.0))
-
-    def score(self, cluster: Cluster, target: MapTarget) -> float:
-        """Lower-is-better score in equivalent milliseconds."""
-        rtt = self.measurement.rtt_cluster_to_point(
-            cluster, target.geo, target.asn)
-        loss = self.expected_loss_pct(rtt)
-        weights = self.weights
-        base = (
-            weights.latency * rtt
-            + weights.loss_penalty_ms * loss
-            + weights.throughput_sensitivity * rtt
-        )
-        if self.load_tracker is not None:
-            base += self.load_tracker.penalty_ms(cluster.cluster_id)
-        return base
-
     def scores_from_rtt(self, rtt_ms: np.ndarray) -> np.ndarray:
         """Vectorized score from precomputed RTTs (any array shape).
 
-        Same component order as :meth:`score`, so noise-free batch
-        scores are bit-identical to the scalar path.
+        Latency, a distance-correlated loss proxy and a throughput
+        term.  The simulator does not model per-link loss; the
+        production system measures it, and longer paths cross more AS
+        boundaries and cable links (paper Section 4.4), so expected
+        loss grows with the square root of the RTT.
         """
         rtt = np.asarray(rtt_ms, dtype=float)
         loss = 0.05 + 0.004 * np.sqrt(np.maximum(rtt, 0.0))
@@ -127,38 +107,74 @@ class Scorer:
         """Score matrix, shape (len(clusters), len(targets)).
 
         One RTT-matrix pass through the measurement service's batch API
-        plus one vectorized scoring pass; ``scores[i, j]`` equals
-        ``self.score(clusters[i], targets[j])`` (exactly when
-        measurement noise is off -- noise draws still go through the
-        memo cache, so the two paths agree entry-by-entry either way).
-        Aggregate targets are not supported here; score those via
-        :meth:`score_weighted`.
+        plus one vectorized scoring pass.  With measurement noise on,
+        the noise draws go through the measurement memo, so a pair
+        scores the same in every pass.  Point targets only: rank
+        aggregates with :meth:`rank`.
         """
         for target in targets:
             if target.is_aggregate:
                 raise ValueError(
                     "score_targets handles point targets only; use "
-                    "score_weighted for aggregate targets")
+                    "rank for aggregate targets")
         if not clusters or not targets:
             return np.empty((len(clusters), len(targets)))
         rtt = self.measurement.rtt_matrix_to_targets(clusters, targets)
         scores = self.scores_from_rtt(rtt)
         if self.load_tracker is not None:
-            # One penalty per cluster row; elementwise float64 adds
-            # keep the batch path bit-identical to the scalar one.
+            # One penalty per cluster row.
             penalties = np.array(
                 [self.load_tracker.penalty_ms(c.cluster_id)
                  for c in clusters], dtype=float)
             scores = scores + penalties[:, None]
         return scores
 
-    def score_weighted(self, cluster: Cluster,
-                       targets: list[tuple[MapTarget, float]]) -> float:
-        """Demand-weighted score over a set of targets (CANS mapping)."""
-        total_weight = sum(weight for _, weight in targets)
-        if total_weight <= 0:
-            raise ValueError("weighted scoring needs positive total weight")
-        return sum(
-            weight * self.score(cluster, target)
-            for target, weight in targets
-        ) / total_weight
+    def rank(self, clusters: Sequence[Cluster],
+             targets: Sequence[MapTarget]) -> np.ndarray:
+        """Every cluster ranking, from one :meth:`score_targets` pass.
+
+        Row ``j`` holds indices into ``clusters``, best for
+        ``targets[j]`` first, ordered by ``(score, cluster_id)``:
+        shape (len(targets), len(clusters)).  An aggregate (CANS)
+        target scores as the demand-weighted mean of its members'
+        columns, summed in member order.
+        """
+        points: List[MapTarget] = []
+        for target in targets:
+            if not target.is_aggregate:
+                points.append(target)
+                continue
+            if sum(weight for _, weight in target.members) <= 0:
+                raise ValueError(
+                    "weighted scoring needs positive total weight")
+            points.extend(member for member, _ in target.members)
+        by_id = sorted(range(len(clusters)),
+                       key=lambda i: clusters[i].cluster_id)
+        scores = self.score_targets([clusters[i] for i in by_id], points)
+        if any(target.is_aggregate for target in targets):
+            scores = _merge_members(scores, targets)
+        # Clusters sit in id order and the sort is stable: ties go to
+        # the lower cluster id.
+        order = np.argsort(scores, axis=0, kind="stable")
+        return np.asarray(by_id, dtype=np.intp)[order.T]
+
+
+def _merge_members(scores: np.ndarray,
+                   targets: Sequence[MapTarget]) -> np.ndarray:
+    """One column per target from one column per point: an aggregate's
+    member columns weight-summed in member order over the total."""
+    merged = np.empty((scores.shape[0], len(targets)))
+    column = 0
+    for j, target in enumerate(targets):
+        if not target.is_aggregate:
+            merged[:, j] = scores[:, column]
+            column += 1
+            continue
+        summed = 0.0
+        total = 0.0
+        for _, weight in target.members:
+            summed = summed + weight * scores[:, column]
+            total += weight
+            column += 1
+        merged[:, j] = summed / total
+    return merged

@@ -8,11 +8,9 @@ global and local load balancing, and returns A records plus the RFC
 
 The production split between the (periodic) scoring pipeline and the
 (real-time) name-server path lives in the global load balancer: it
-scores a target's candidates once per score epoch and keeps that
-ranking, so a query pays only the liveness and headroom walk over it.
-Server-assignment decisions are also kept per mapping target for
-``decision_ttl`` simulated seconds; on roll-outs, where one target's
-queries are rarely a minute apart, that keep almost never answers.
+ranks a target's candidates once per score epoch with
+:meth:`~repro.core.scoring.Scorer.rank` and keeps that ranking, so a
+query pays only the liveness and headroom walk over it.
 
 When a :class:`~repro.core.mapmaker.service.MapPublicationService` is
 attached (``attach_control_plane``), the split becomes literal: the
@@ -26,7 +24,7 @@ without a control plane keep the per-query scoring path unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.cdn.content import ContentCatalog
 from repro.cdn.deployments import Cluster, DeploymentPlan
@@ -51,14 +49,6 @@ class MappingStats:
     ecs_resolutions: int = 0
     nxdomain: int = 0
     no_target: int = 0
-    decision_cache_hits: int = 0
-    decision_cache_misses: int = 0
-
-
-@dataclass
-class _Decision:
-    cluster: Cluster
-    expires_at: float
 
 
 class MappingSystem:
@@ -71,7 +61,6 @@ class MappingSystem:
         policy: MappingPolicy,
         scorer: Scorer,
         lb_config: Optional[LoadBalancerConfig] = None,
-        decision_ttl: float = 60.0,
         candidate_index=None,
         obs: Optional[Observability] = None,
     ) -> None:
@@ -85,17 +74,14 @@ class MappingSystem:
             deployments, scorer, self.lb_config,
             candidate_index=candidate_index, obs=self.obs)
         self.local_lb = LocalLoadBalancer(self.lb_config)
-        self.decision_ttl = decision_ttl
         self.stats = MappingStats()
-        self._decisions: Dict[MapTarget, _Decision] = {}
         self.control_plane = None
 
     # -- policy swap (the roll-out flips this) ---------------------------
 
     def set_policy(self, policy: MappingPolicy) -> None:
-        """Switch mapping policy; flushes cached decisions."""
+        """Switch mapping policy; the next answer uses it."""
         self.policy = policy
-        self._decisions.clear()
 
     # -- control plane (the published-map read path) ---------------------
 
@@ -104,12 +90,9 @@ class MappingSystem:
 
         ``service`` is a :class:`~repro.core.mapmaker.service.
         MapPublicationService` (duck-typed: ``lookup`` +
-        ``static_ranking``).  The direct :meth:`assign` API keeps the
-        legacy scoring path -- experiments that bypass DNS measure the
-        scoring kernels, not map publication.
+        ``static_ranking``).
         """
         self.control_plane = service
-        self._decisions.clear()
 
     # -- AnswerSource interface ------------------------------------------
 
@@ -144,12 +127,13 @@ class MappingSystem:
                 self.stats.no_target += 1
                 return ZoneAnswer(rcode=Rcode.SERVFAIL)
 
-            hits_before = self.stats.decision_cache_hits
+            global_lb = self.global_lb
+            hits_before = global_lb.ranking_hits
             tier = None
             if self.control_plane is not None:
                 cluster, tier = self._pick_published(context, target, now)
             else:
-                cluster = self._pick_cluster(target, now)
+                cluster = global_lb.pick_cluster(target)
             if cluster is None:
                 return ZoneAnswer(rcode=Rcode.SERVFAIL)
             servers = self.local_lb.pick_servers(cluster, provider.name)
@@ -159,7 +143,7 @@ class MappingSystem:
                 if tier is not None:
                     cache_label = f"published:{tier}"
                 else:
-                    cache_label = ("hit" if self.stats.decision_cache_hits
+                    cache_label = ("hit" if global_lb.ranking_hits
                                    > hits_before else "miss")
                 span.set(
                     cluster=cluster.cluster_id,
@@ -173,17 +157,6 @@ class MappingSystem:
                 for server in servers
             )
             return ZoneAnswer(records=records, scope_prefix_len=scope)
-
-    # -- direct assignment API (experiments bypass DNS with this) --------
-
-    def assign(self, target: MapTarget, provider_name: str,
-               now: float) -> Tuple[Optional[Cluster], Tuple[int, ...]]:
-        """Cluster + server IPs for a target, outside the DNS path."""
-        cluster = self._pick_cluster(target, now)
-        if cluster is None:
-            return None, ()
-        servers = self.local_lb.pick_servers(cluster, provider_name)
-        return cluster, tuple(s.ip for s in servers)
 
     # -- internals ---------------------------------------------------------
 
@@ -214,17 +187,3 @@ class MappingSystem:
         if cluster is not None:
             self.obs.registry.counter(f"mapping.tier.{tier}").inc()
         return cluster, tier
-
-    def _pick_cluster(self, target: MapTarget,
-                      now: float) -> Optional[Cluster]:
-        decision = self._decisions.get(target)
-        if decision is not None and now < decision.expires_at and (
-                decision.cluster.alive):
-            self.stats.decision_cache_hits += 1
-            return decision.cluster
-        self.stats.decision_cache_misses += 1
-        cluster = self.global_lb.pick_cluster(target)
-        if cluster is not None:
-            self._decisions[target] = _Decision(
-                cluster=cluster, expires_at=now + self.decision_ttl)
-        return cluster

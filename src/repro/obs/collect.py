@@ -16,7 +16,7 @@ Canonical metric names exported for a wired world:
 ``mapping.ecs_resolutions``           ... of which carried ECS
 ``mapping.nxdomain`` / ``no_target``  mapping error counts
 ``mapping.decision_cache.hits`` /
-``mapping.decision_cache.misses``     per-target decision cache
+``mapping.decision_cache.misses``     per-query ranking memo
 ``lb.decisions`` / ``lb.spillovers``  global load balancer
 ``ldns.cache.hits`` / ``lookups`` /
 ``insertions`` / ``evictions`` /
@@ -68,12 +68,10 @@ def register_world_collectors(registry: MetricsRegistry, world) -> None:
         reg.gauge("mapping.ecs_resolutions").set(stats.ecs_resolutions)
         reg.gauge("mapping.nxdomain").set(stats.nxdomain)
         reg.gauge("mapping.no_target").set(stats.no_target)
-        reg.gauge("mapping.decision_cache.hits").set(
-            stats.decision_cache_hits)
-        reg.gauge("mapping.decision_cache.misses").set(
-            stats.decision_cache_misses)
 
         glb = world.mapping.global_lb
+        reg.gauge("mapping.decision_cache.hits").set(glb.ranking_hits)
+        reg.gauge("mapping.decision_cache.misses").set(glb.ranking_misses)
         reg.gauge("lb.decisions").set(glb.decisions)
         reg.gauge("lb.spillovers").set(glb.spillovers)
 

@@ -233,7 +233,7 @@ def _build_world(spec: "ScenarioSpec", load_scale: float = 1.0) -> World:
     catalog = build_catalog(config.n_providers, seed=config.seed + 2,
                             cdn_zone=CDN_ZONE, dns_ttl=config.dns_ttl)
 
-    measurement = MeasurementService(internet.geodb)
+    measurement = MeasurementService()
     scorer = Scorer(measurement, TrafficClass.WEB)
     load_tracker: Optional[ClusterLoadTracker] = None
     if spec.load_feedback is not None:

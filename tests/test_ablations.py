@@ -74,7 +74,7 @@ def _mean_mapping_distance(error_miles: float,
     geodb = internet.geodb
     if error_miles > 0:
         geodb = geodb.with_error(error_miles, seed=9)
-    scorer = Scorer(MeasurementService(geodb))
+    scorer = Scorer(MeasurementService())
     system = MappingSystem(plan, catalog, policy_class(geodb), scorer)
 
     public = internet.public_resolver_ids()
@@ -110,7 +110,7 @@ def test_redirection_penalties_and_http_breakeven():
     redirection; HTTP redirection only pays off for transfers larger
     than a typical web page."""
     world = build_world(WorldConfig.tiny())
-    scorer = Scorer(MeasurementService(world.internet.geodb))
+    scorer = Scorer(MeasurementService())
     glb = GlobalLoadBalancer(world.deployments, scorer)
     llb = LocalLoadBalancer()
     public = world.internet.public_resolver_ids()

@@ -1,9 +1,10 @@
-"""Batch mapping pipeline vs per-query scalar path.
+"""Batch mapping pipeline vs scalar references.
 
 Covers the vectorized hot paths wired in on top of the
 :mod:`repro.net.batch` kernels: TargetGrid nearest-target lookups
-(scalar scan as oracle), MeasurementService batch RTTs and cache
-coherence, Scorer.score_targets, and the canonical weighted-quantile
+(scalar scan as oracle), MeasurementService batch RTTs
+(``LatencyModel.base_rtt_ms`` as oracle) and noise-memo coherence,
+Scorer.score_targets, and the canonical weighted-quantile
 implementation.
 """
 
@@ -27,6 +28,7 @@ from repro.core.measurement import (
 from repro.core.policies import MapTarget
 from repro.core.scoring import Scorer
 from repro.net import batch
+from repro.net.latency import LatencyModel
 from repro.topology.internet import InternetConfig, build_internet
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -87,29 +89,31 @@ class TestTargetGrid:
 class TestMeasurementBatch:
     def test_points_match_scalar_noise_free(self, net, deployments,
                                             targets):
-        service = MeasurementService(net.geodb)
+        service = MeasurementService()
         cluster = next(iter(deployments.clusters.values()))
         lats, lons = batch.geo_columns([t.geo for t in targets])
         asns = [t.asn for t in targets]
         got = service.rtt_cluster_to_points(cluster, lats, lons, asns)
         # numpy's vectorized trig differs from libm by <= 1 ulp, so the
         # two paths agree to machine precision, not bit-for-bit.
+        model = LatencyModel()
         for i, target in enumerate(targets):
             assert got[i] == pytest.approx(
-                service.rtt_cluster_to_point(cluster, target.geo,
-                                             target.asn), rel=1e-12)
+                model.base_rtt_ms(cluster.geo, cluster.asn, target.geo,
+                                  target.asn), rel=1e-12)
 
     def test_matrix_matches_scalar_noise_free(self, net, deployments,
                                               targets):
-        service = MeasurementService(net.geodb)
+        service = MeasurementService()
         clusters = list(deployments.clusters.values())[:6]
         matrix = service.rtt_matrix_to_targets(clusters, targets[:40])
         assert matrix.shape == (6, 40)
+        model = LatencyModel()
         for i, cluster in enumerate(clusters):
             for j, target in enumerate(targets[:40]):
                 assert matrix[i, j] == pytest.approx(
-                    service.rtt_cluster_to_point(cluster, target.geo,
-                                                 target.asn), rel=1e-12)
+                    model.base_rtt_ms(cluster.geo, cluster.asn,
+                                      target.geo, target.asn), rel=1e-12)
 
     def test_noisy_batch_respects_frozen_cache(self, net, deployments,
                                                targets):
@@ -118,41 +122,45 @@ class TestMeasurementBatch:
         lats, lons = batch.geo_columns([t.geo for t in subset])
         asns = [t.asn for t in subset]
 
-        # Scalar first: the frozen draws must win in the batch path.
-        service = MeasurementService(net.geodb, measurement_noise=0.2,
+        # A narrower measurement first: its frozen draws must win in a
+        # wider one, and only the new pairs draw.
+        service = MeasurementService(measurement_noise=0.2,
                                      seed=5)
-        scalar = [service.rtt_cluster_to_point(cluster, t.geo, t.asn)
-                  for t in subset]
+        narrow = service.rtt_cluster_to_points(
+            cluster, lats[:10], lons[:10], asns[:10])
         got = service.rtt_cluster_to_points(cluster, lats, lons, asns)
-        np.testing.assert_array_equal(got, scalar)
+        np.testing.assert_array_equal(got[:10], narrow)
+        assert service.rtt_memo_hits == 10
+        noise_free = MeasurementService().rtt_cluster_to_points(
+            cluster, lats, lons, asns)
+        assert not np.array_equal(got, noise_free)
 
-        # Batch first: its draws must be frozen for later scalar calls.
-        service = MeasurementService(net.geodb, measurement_noise=0.2,
-                                     seed=5)
-        first = service.rtt_cluster_to_points(cluster, lats, lons, asns)
+        # Every later read of a pair, by row or by matrix, is frozen.
         again = service.rtt_cluster_to_points(cluster, lats, lons, asns)
-        np.testing.assert_array_equal(first, again)
-        for i, target in enumerate(subset):
-            assert first[i] == service.rtt_cluster_to_point(
-                cluster, target.geo, target.asn)
+        np.testing.assert_array_equal(got, again)
+        matrix = service.rtt_matrix_to_targets([cluster], subset)
+        np.testing.assert_array_equal(matrix[0], got)
 
 
 class TestBatchScoring:
     def test_score_targets_matches_scalar(self, net, deployments,
                                           targets):
-        scorer = Scorer(MeasurementService(net.geodb))
+        scorer = Scorer(MeasurementService())
         clusters = list(deployments.clusters.values())[:8]
         map_targets = [MapTarget(geo=t.geo, asn=t.asn)
                        for t in targets[:50]]
         matrix = scorer.score_targets(clusters, map_targets)
         assert matrix.shape == (8, 50)
+        model = LatencyModel()
         for i, cluster in enumerate(clusters):
             for j, target in enumerate(map_targets):
+                rtt = model.base_rtt_ms(cluster.geo, cluster.asn,
+                                        target.geo, target.asn)
                 assert matrix[i, j] == pytest.approx(
-                    scorer.score(cluster, target), rel=1e-12)
+                    float(scorer.scores_from_rtt(rtt)), rel=1e-12)
 
     def test_rejects_aggregate_targets(self, net, deployments, targets):
-        scorer = Scorer(MeasurementService(net.geodb))
+        scorer = Scorer(MeasurementService())
         point = MapTarget(geo=targets[0].geo, asn=targets[0].asn)
         aggregate = MapTarget(geo=targets[0].geo, asn=targets[0].asn,
                               members=((point, 1.0),))

@@ -17,7 +17,6 @@ from repro.core import (
     nearest_cluster,
 )
 from repro.core.policies import MapTarget
-from repro.geo.database import GeoDatabase
 from repro.net.geometry import GeoPoint, great_circle_miles
 from repro.topology import InternetConfig, build_internet
 
@@ -115,7 +114,7 @@ class TestCandidateIndex:
 class TestLoadBalancerWithIndex:
     def test_same_choice_as_full_scan_for_typical_targets(self, net,
                                                           plan, index):
-        measurement = MeasurementService(net.geodb)
+        measurement = MeasurementService()
         scorer = Scorer(measurement)
         full = GlobalLoadBalancer(plan, scorer)
         pruned = GlobalLoadBalancer(plan, scorer, candidate_index=index)
@@ -134,7 +133,7 @@ class TestLoadBalancerWithIndex:
 
     def test_index_fallback_when_candidates_dead(self, net, plan,
                                                  index):
-        measurement = MeasurementService(net.geodb)
+        measurement = MeasurementService()
         scorer = Scorer(measurement)
         pruned = GlobalLoadBalancer(plan, scorer, candidate_index=index)
         block = net.blocks[0]
@@ -351,10 +350,10 @@ class TestCompiledDiscoveryMatchesRingWalk:
     def test_rank_covers_oracle(self, kind, seed):
         plan, index, oracle, targets = _case(kind, seed)
         lb = GlobalLoadBalancer(
-            plan, Scorer(MeasurementService(GeoDatabase())),
+            plan, Scorer(MeasurementService()),
             candidate_index=index)
         for target in targets:
-            assert sorted(_ids(lb.rank_clusters(target))) == sorted(
+            assert sorted(_ids(lb.ranking(target))) == sorted(
                 _ids(oracle.candidates(target))), (
                 f"kind={kind} seed={seed} {target}")
 

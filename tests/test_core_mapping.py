@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.cdn import build_catalog, build_deployments
@@ -27,7 +28,6 @@ from repro.core.loadbalancer import spread_load
 from repro.dnsproto.edns import ClientSubnetOption
 from repro.dnsproto.types import QType, Rcode
 from repro.net.geometry import great_circle_miles
-from repro.net.ipv4 import Prefix
 from repro.topology import InternetConfig, build_internet
 
 
@@ -43,8 +43,8 @@ def plan(net):
 
 
 @pytest.fixture(scope="module")
-def measurement(net):
-    return MeasurementService(net.geodb)
+def measurement():
+    return MeasurementService()
 
 
 @pytest.fixture(scope="module")
@@ -65,35 +65,33 @@ class TestMeasurementService:
     def test_rtt_memoized_and_deterministic(self, net, plan, measurement):
         cluster = next(iter(plan.clusters.values()))
         block = net.blocks[0]
-        a = measurement.rtt_cluster_to_prefix(cluster, block.prefix)
-        b = measurement.rtt_cluster_to_prefix(cluster, block.prefix)
+        a = measurement.rtt_matrix_to_targets([cluster], [block])[0, 0]
+        b = measurement.rtt_matrix_to_targets([cluster], [block])[0, 0]
         assert a == b and a > 0
 
-    def test_rtt_unknown_prefix_none(self, plan, measurement):
-        cluster = next(iter(plan.clusters.values()))
-        assert measurement.rtt_cluster_to_prefix(
-            cluster, Prefix.parse("250.250.250.0/24")) is None
-
     def test_noise_frozen_per_pair(self, net, plan):
-        noisy = MeasurementService(net.geodb, measurement_noise=0.3, seed=1)
+        noisy = MeasurementService(measurement_noise=0.3, seed=1)
         cluster = next(iter(plan.clusters.values()))
         block = net.blocks[0]
-        assert noisy.rtt_cluster_to_prefix(
-            cluster, block.prefix) == noisy.rtt_cluster_to_prefix(
-            cluster, block.prefix)
+        first = noisy.rtt_matrix_to_targets([cluster], [block])
+        assert np.array_equal(
+            noisy.rtt_matrix_to_targets([cluster], [block]), first)
+        assert noisy.rtt_memo_hits == 1
 
-    def test_liveness_snapshot(self, plan, measurement):
-        snapshot = measurement.liveness_snapshot(plan)
-        assert len(snapshot) == len(plan)
-        report = next(iter(snapshot.values()))
-        assert report.alive and report.live_servers > 0
-
-    def test_flush_clears_cache(self, net, plan, measurement):
+    def test_flush_clears_cache(self, net, plan):
+        noisy = MeasurementService(measurement_noise=0.3, seed=1)
         cluster = next(iter(plan.clusters.values()))
-        measurement.rtt_cluster_to_prefix(cluster, net.blocks[0].prefix)
-        measurement.flush()
-        assert measurement.rtt_cluster_to_prefix(
-            cluster, net.blocks[0].prefix) is not None
+        block = net.blocks[0]
+        noisy.rtt_matrix_to_targets([cluster], [block])
+        noisy.flush()
+        assert noisy.epoch == 1
+        noisy.rtt_matrix_to_targets([cluster], [block])
+        assert noisy.rtt_memo_hits == 0  # the pair was drawn afresh
+
+    @pytest.mark.parametrize("noise", [-0.1, math.nan, math.inf])
+    def test_rejects_noise_that_is_negative_or_not_finite(self, net, noise):
+        with pytest.raises(ValueError):
+            MeasurementService(measurement_noise=noise)
 
 
 class TestPingTargets:
@@ -133,7 +131,8 @@ class TestScoring:
                    key=lambda c: great_circle_miles(c.geo, block.geo))
         far = max(clusters,
                   key=lambda c: great_circle_miles(c.geo, block.geo))
-        assert scorer.score(near, target) < scorer.score(far, target)
+        scores = scorer.score_targets([near, far], [target])
+        assert scores[0, 0] < scores[1, 0]
 
     def test_traffic_classes_differ(self, measurement):
         web = ScoringWeights.for_class(TrafficClass.WEB)
@@ -141,21 +140,50 @@ class TestScoring:
         assert video.throughput_sensitivity > web.throughput_sensitivity
 
     def test_loss_grows_with_rtt(self, scorer):
-        assert scorer.expected_loss_pct(200) > scorer.expected_loss_pct(10)
+        weights = scorer.weights
+        rtt = np.array([10.0, 200.0])
+        loss = (scorer.scores_from_rtt(rtt) - (
+            weights.latency + weights.throughput_sensitivity) * rtt)
+        assert loss[1] > loss[0] > 0
 
     def test_weighted_score_between_extremes(self, net, plan, scorer):
-        blocks = net.blocks[:2]
-        cluster = next(iter(plan.clusters.values()))
-        t1, t2 = (target_for_block(net, b) for b in blocks)
-        s1 = scorer.score(cluster, t1)
-        s2 = scorer.score(cluster, t2)
-        weighted = scorer.score_weighted(cluster, [(t1, 1.0), (t2, 1.0)])
-        assert min(s1, s2) - 1e-9 <= weighted <= max(s1, s2) + 1e-9
+        """An aggregate (CANS) target ranks by the demand-weighted mean
+        of its members' scores, so its ranking moves from one member's
+        to the other's as the weight shifts."""
+        t1, t2 = (target_for_block(net, b) for b in (
+            min(net.blocks, key=lambda b: b.geo.lon),
+            max(net.blocks, key=lambda b: b.geo.lon)))
+        clusters = list(plan.clusters.values())
+        member_scores = scorer.score_targets(clusters, [t1, t2])
+        for w1, w2 in ((1000.0, 1.0), (1.0, 1.0), (1.0, 1000.0)):
+            aggregate = MapTarget(geo=t1.geo, asn=t1.asn,
+                                  members=((t1, w1), (t2, w2)))
+            weighted = (w1 * member_scores[:, 0]
+                        + w2 * member_scores[:, 1]) / (w1 + w2)
+            assert np.all(weighted >= member_scores.min(axis=1))
+            assert np.all(weighted <= member_scores.max(axis=1))
+            oracle = sorted(range(len(clusters)), key=lambda i: (
+                weighted[i], clusters[i].cluster_id))
+            assert scorer.rank(clusters, [aggregate])[0].tolist() == oracle
+        best = [clusters[int(np.argmin(member_scores[:, j]))]
+                for j in (0, 1)]
+        assert best[0] is not best[1]
+        for (w1, w2), winner in (((1e6, 1.0), best[0]),
+                                 ((1.0, 1e6), best[1])):
+            aggregate = MapTarget(geo=t1.geo, asn=t1.asn,
+                                  members=((t1, w1), (t2, w2)))
+            assert clusters[scorer.rank(clusters, [aggregate])[0, 0]] is (
+                winner)
 
     def test_weighted_score_rejects_zero_weight(self, net, plan, scorer):
-        cluster = next(iter(plan.clusters.values()))
-        with pytest.raises(ValueError):
-            scorer.score_weighted(cluster, [])
+        clusters = list(plan.clusters.values())
+        point = target_for_block(net, net.blocks[0])
+        for weights in ((0.0,), (1.0, -1.0), (-2.0,)):
+            aggregate = MapTarget(geo=point.geo, asn=point.asn,
+                                  members=tuple((point, weight)
+                                                for weight in weights))
+            with pytest.raises(ValueError):
+                scorer.rank(clusters, [point, aggregate])
 
 
 class TestGlobalLoadBalancer:
@@ -291,9 +319,9 @@ class TestPolicies:
         policy = NSMappingPolicy(net.geodb)
         resolver = next(iter(net.resolvers.values()))
         context = ResolutionContext("e1.cdn.example", resolver.ip, None)
-        target = policy.target(context)
+        target, scope = policy.decide(context)
         assert great_circle_miles(target.geo, resolver.geo) < 1
-        assert policy.scope_for(context) == 0
+        assert scope == 0
 
     def test_eu_policy_targets_client_block(self, net):
         policy = EUMappingPolicy(net.geodb)
@@ -301,24 +329,24 @@ class TestPolicies:
         resolver = next(iter(net.resolvers.values()))
         ecs = ClientSubnetOption(block.prefix)
         context = ResolutionContext("e1.cdn.example", resolver.ip, ecs)
-        target = policy.target(context)
+        target, scope = policy.decide(context)
         assert great_circle_miles(target.geo, block.geo) < 1
-        assert policy.scope_for(context) == 24
+        assert scope == 24
 
     def test_eu_policy_falls_back_without_ecs(self, net):
         policy = EUMappingPolicy(net.geodb)
         resolver = next(iter(net.resolvers.values()))
         context = ResolutionContext("e1.cdn.example", resolver.ip, None)
-        target = policy.target(context)
+        target, scope = policy.decide(context)
         assert great_circle_miles(target.geo, resolver.geo) < 1
-        assert policy.scope_for(context) == 0
+        assert scope == 0
 
     def test_eu_scope_clamped_to_source(self, net):
         policy = EUMappingPolicy(net.geodb, scope_prefix_len=24)
         block = net.blocks[0]
         ecs = ClientSubnetOption(block.prefix.supernet(20))
         context = ResolutionContext("x", 1, ecs)
-        assert policy.scope_for(context) == 20
+        assert policy.decide(context)[1] == 20
 
     def test_eu_rejects_bad_scope(self, net):
         with pytest.raises(ValueError):
@@ -331,17 +359,19 @@ class TestPolicies:
             index.observe(resolver.ip, block.prefix, block.demand)
         policy = CANSMappingPolicy(net.geodb, index)
         context = ResolutionContext("x", resolver.ip, None)
-        target = policy.target(context)
+        target, scope = policy.decide(context)
         assert target.is_aggregate
         assert len(target.members) == 5
-        assert policy.scope_for(context) == 0
+        assert scope == 0
 
     def test_cans_falls_back_without_data(self, net):
         index = ClientClusterIndex(net.geodb)
         policy = CANSMappingPolicy(net.geodb, index)
         resolver = next(iter(net.resolvers.values()))
-        target = policy.target(ResolutionContext("x", resolver.ip, None))
+        target, scope = policy.decide(
+            ResolutionContext("x", resolver.ip, None))
         assert target is not None and not target.is_aggregate
+        assert scope == 0
 
     def test_cluster_index_truncates(self, net):
         index = ClientClusterIndex(net.geodb, max_members=3)
@@ -350,6 +380,12 @@ class TestPolicies:
             index.observe(resolver.ip, block.prefix, block.demand)
         target = index.cluster_for(resolver.ip)
         assert len(target.members) == 3
+
+    @pytest.mark.parametrize("max_members", [0, -1])
+    def test_cluster_index_rejects_an_empty_member_budget(self, net,
+                                                          max_members):
+        with pytest.raises(ValueError):
+            ClientClusterIndex(net.geodb, max_members=max_members)
 
 
 class TestMapUnits:
@@ -445,16 +481,6 @@ class TestMappingSystem:
         assert answer.rcode == Rcode.NOERROR
         assert answer.records == ()
 
-    def test_decision_cache_respects_ttl(self, net, catalog, system):
-        provider = catalog.providers[0]
-        resolver = next(iter(net.resolvers.values()))
-        system.answer(provider.cdn_hostname, QType.A, None, resolver.ip, 0)
-        system.answer(provider.cdn_hostname, QType.A, None, resolver.ip, 1)
-        assert system.stats.decision_cache_hits == 1
-        system.answer(provider.cdn_hostname, QType.A, None, resolver.ip,
-                      system.decision_ttl + 2)
-        assert system.stats.decision_cache_misses == 2
-
     def test_eu_maps_closer_than_ns_for_far_ldns(self, net, plan, scorer,
                                                  catalog):
         """The paper's core claim at unit level: for a client whose
@@ -484,20 +510,31 @@ class TestMappingSystem:
             return great_circle_miles(cluster.geo, block.geo)
         assert mapping_distance(eu_answer) < mapping_distance(ns_answer)
 
-    def test_set_policy_flushes_decisions(self, net, plan, scorer, catalog,
-                                          system):
+    def test_set_policy_applies_to_the_next_answer(self, net, plan, scorer,
+                                                   catalog, system):
         provider = catalog.providers[0]
         resolver = next(iter(net.resolvers.values()))
-        system.answer(provider.cdn_hostname, QType.A, None, resolver.ip, 0)
+        ecs = ClientSubnetOption(net.blocks[0].prefix)
+        eu_answer = system.answer(provider.cdn_hostname, QType.A, ecs,
+                                  resolver.ip, 0)
+        assert eu_answer.scope_prefix_len == 24
         system.set_policy(NSMappingPolicy(net.geodb))
-        system.answer(provider.cdn_hostname, QType.A, None, resolver.ip, 1)
-        assert system.stats.decision_cache_hits == 0
+        answer = system.answer(provider.cdn_hostname, QType.A, ecs,
+                               resolver.ip, 1)
+        ns = MappingSystem(plan, catalog, NSMappingPolicy(net.geodb),
+                           scorer)
+        assert answer == ns.answer(provider.cdn_hostname, QType.A, ecs,
+                                   resolver.ip, 1)
+        assert answer.scope_prefix_len == 0
 
     def test_assign_direct_api(self, net, plan, scorer, catalog, system):
+        """Experiments that bypass DNS assign through the two balancers
+        the answer path uses."""
         block = net.blocks[0]
-        cluster, server_ips = system.assign(
-            MapTarget(geo=block.geo, asn=block.asn), "provider0", now=0)
+        cluster = system.global_lb.pick_cluster(
+            MapTarget(geo=block.geo, asn=block.asn))
         assert cluster is not None
-        assert len(server_ips) == 2
-        assert all(plan.cluster_of_server(ip) is cluster
-                   for ip in server_ips)
+        servers = system.local_lb.pick_servers(cluster, "provider0")
+        assert len(servers) == 2
+        assert all(plan.cluster_of_server(server.ip) is cluster
+                   for server in servers)

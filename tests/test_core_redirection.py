@@ -23,7 +23,7 @@ def world():
 
 @pytest.fixture(scope="module")
 def mapper_pair(world):
-    measurement = MeasurementService(world.internet.geodb)
+    measurement = MeasurementService()
     scorer = Scorer(measurement)
     glb = GlobalLoadBalancer(world.deployments, scorer)
     llb = LocalLoadBalancer()

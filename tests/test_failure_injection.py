@@ -48,9 +48,9 @@ class TestServerFailure:
         cluster = world.deployments.cluster_of_server(addresses[0])
         dead = world.deployments.server_index[addresses[0]]
         dead.fail()
-        # After the DNS TTL and the mapping decision TTL expire, new
-        # resolutions must not hand out the dead server.
-        later = world.config.dns_ttl + world.mapping.decision_ttl + 10
+        # Once the DNS TTL expires, new resolutions must not hand out
+        # the dead server.
+        later = world.config.dns_ttl + 10
         fresh = resolve_server(world, block, now=later)
         assert addresses[0] not in fresh
         # Healthy siblings in the same cluster remain eligible.
@@ -66,7 +66,7 @@ class TestClusterFailure:
         cluster = world.deployments.cluster_of_server(addresses[0])
         for server in cluster.servers:
             server.fail()
-        later = world.config.dns_ttl + world.mapping.decision_ttl + 10
+        later = world.config.dns_ttl + 10
         fresh = resolve_server(world, block, now=later)
         fresh_clusters = {world.deployments.cluster_of_server(ip)
                           for ip in fresh}
@@ -82,7 +82,7 @@ class TestClusterFailure:
         cluster = world.deployments.clusters[session.cluster_id]
         for server in cluster.servers:
             server.fail()
-        later = world.config.dns_ttl + world.mapping.decision_ttl + 10
+        later = world.config.dns_ttl + 10
         session2 = simulate_session(world, block, now=later, rng=rng)
         assert session2.cluster_id != session.cluster_id
         for server in cluster.servers:
@@ -96,7 +96,7 @@ class TestOverload:
         cluster = world.deployments.cluster_of_server(addresses[0])
         for server in cluster.servers:
             server.add_load(server.capacity_rps * 2)
-        later = world.config.dns_ttl + world.mapping.decision_ttl + 10
+        later = world.config.dns_ttl + 10
         fresh = resolve_server(world, block, now=later)
         fresh_clusters = {world.deployments.cluster_of_server(ip)
                           for ip in fresh}
@@ -110,7 +110,7 @@ class TestOverload:
         cluster = world.deployments.cluster_of_server(addresses[0])
         for server in cluster.servers:
             server.add_load(server.capacity_rps * 2)
-        ttl_gap = world.config.dns_ttl + world.mapping.decision_ttl + 10
+        ttl_gap = world.config.dns_ttl + 10
         resolve_server(world, block, now=ttl_gap)
         cluster.reset_load()
         fresh = resolve_server(world, block, now=2 * ttl_gap)

@@ -11,10 +11,7 @@ resolves, and two same-seed runs emit byte-identical monitor reports
 """
 
 import datetime
-import difflib
 import json
-import os
-import pathlib
 from dataclasses import replace
 
 import pytest
@@ -34,7 +31,9 @@ from repro.net.ipv4 import parse_ipv4, prefix_of
 from repro.simulation.rollout import RolloutConfig
 from repro.simulation.world import WorldConfig
 
-GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_faults.json"
+from tests.golden import DATA_DIR, check_golden
+
+GOLDEN_PATH = DATA_DIR / "golden_faults.json"
 
 
 def _event(**overrides):
@@ -539,25 +538,7 @@ class TestFaultScenario:
                             "dns.stale_served", "dns.timeout_failovers",
                             "mapping.degraded_share")),
         }
-        rendered = json.dumps(projection, indent=2, sort_keys=True) + "\n"
-        if os.environ.get("REGEN_GOLDEN"):
-            GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-            GOLDEN_PATH.write_text(rendered)
-            pytest.skip(f"regenerated {GOLDEN_PATH}")
-        assert GOLDEN_PATH.exists(), (
-            f"missing fixture {GOLDEN_PATH}; run with REGEN_GOLDEN=1 "
-            "to create it")
-        expected = GOLDEN_PATH.read_text()
-        if rendered != expected:
-            diff = "".join(difflib.unified_diff(
-                expected.splitlines(keepends=True),
-                rendered.splitlines(keepends=True),
-                fromfile="golden_faults.json (checked in)",
-                tofile="golden_faults.json (this run)",
-            ))
-            pytest.fail(
-                "golden fault scenario drifted; if intentional, "
-                f"regenerate with REGEN_GOLDEN=1 and review.\n{diff}")
+        check_golden(GOLDEN_PATH, projection)
 
 
 class TestDegradationExperiment:

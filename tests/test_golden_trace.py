@@ -15,17 +15,14 @@ To regenerate the fixture after an intentional behaviour change::
 and review the fixture diff like any other code change.
 """
 
-import difflib
-import json
-import os
-import pathlib
-
 import pytest
 
 from repro.core.reporting import build_status_report
 from repro.obs.dump import build_payload, run_scenario
 
-GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_trace.json"
+from tests.golden import DATA_DIR, check_golden, render
+
+GOLDEN_PATH = DATA_DIR / "golden_trace.json"
 
 SCENARIO = {"scale": "tiny", "sessions": 10, "seed": 11, "ecs": True,
             "sample_every": 1}
@@ -70,32 +67,10 @@ def _golden_document(world) -> dict:
     }
 
 
-def _pretty(document: dict) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
 class TestGoldenTrace:
     def test_trace_projection_matches_fixture(self, world):
         document = _golden_document(world)
-        rendered = _pretty(document)
-        if os.environ.get("REGEN_GOLDEN"):
-            GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-            GOLDEN_PATH.write_text(rendered)
-            pytest.skip(f"regenerated {GOLDEN_PATH}")
-        assert GOLDEN_PATH.exists(), (
-            f"missing fixture {GOLDEN_PATH}; run with REGEN_GOLDEN=1 "
-            "to create it")
-        expected = GOLDEN_PATH.read_text()
-        if rendered != expected:
-            diff = "".join(difflib.unified_diff(
-                expected.splitlines(keepends=True),
-                rendered.splitlines(keepends=True),
-                fromfile="golden_trace.json (checked in)",
-                tofile="golden_trace.json (this run)",
-            ))
-            pytest.fail(
-                "golden trace drifted; if intentional, regenerate with "
-                f"REGEN_GOLDEN=1 and review.\n{diff}")
+        check_golden(GOLDEN_PATH, document)
 
     def test_every_session_trace_is_complete(self, world):
         traces = world.obs.tracer.export()
@@ -116,8 +91,8 @@ class TestGoldenTrace:
                 == second.obs.tracer.to_json())
         assert (first.obs.registry.to_json()
                 == second.obs.registry.to_json())
-        payload_a = _pretty(build_payload(first, SCENARIO, n_traces=-1))
-        payload_b = _pretty(build_payload(second, SCENARIO, n_traces=-1))
+        payload_a = render(build_payload(first, SCENARIO, n_traces=-1))
+        payload_b = render(build_payload(second, SCENARIO, n_traces=-1))
         assert payload_a == payload_b
 
     def test_report_matches_component_internals(self, world):
@@ -129,12 +104,12 @@ class TestGoldenTrace:
         assert report.mapping_resolutions == stats.resolutions
         assert report.mapping_ecs_share == (
             stats.ecs_resolutions / stats.resolutions)
-        decisions = (stats.decision_cache_hits
-                     + stats.decision_cache_misses)
+        global_lb = world.mapping.global_lb
         assert report.decision_cache_hit_rate == (
-            stats.decision_cache_hits / decisions)
-        assert report.lb_decisions == world.mapping.global_lb.decisions
-        assert report.lb_spillovers == world.mapping.global_lb.spillovers
+            global_lb.ranking_hits / global_lb.decisions)
+        assert report.lb_decisions == global_lb.decisions == (
+            global_lb.ranking_hits + global_lb.ranking_misses)
+        assert report.lb_spillovers == global_lb.spillovers
         ldns_hits = sum(ldns.cache.stats.hits
                         for ldns in world.ldns_registry.values())
         ldns_lookups = sum(ldns.cache.stats.lookups

@@ -12,10 +12,7 @@ fixture, regenerated with ``REGEN_GOLDEN=1``).
 """
 
 import datetime
-import difflib
 import json
-import os
-import pathlib
 from dataclasses import replace
 
 import pytest
@@ -33,14 +30,15 @@ from repro.core.mapmaker import (
     ns_key,
 )
 from repro.core.mapmaker.published import entries_checksum
-from repro.core.policies import MapTarget
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.net.geometry import great_circle_miles
+from repro.net.latency import LatencyModel
 from repro.simulation.rollout import RolloutConfig
 from repro.simulation.world import WorldConfig
 
-GOLDEN_PATH = (pathlib.Path(__file__).parent / "data"
-               / "golden_mapmaker.json")
+from tests.golden import DATA_DIR, check_golden
+
+GOLDEN_PATH = DATA_DIR / "golden_mapmaker.json"
 
 
 class TestPublishedMap:
@@ -144,20 +142,24 @@ class TestCompile:
 
     def test_default_map_matches_the_scalar_reference(self, cp_world):
         """The default map is the per-/24 table: every block's entry is
-        its top live clusters by the scalar ``(score, cluster_id)``
-        order at the block's geolocation and AS."""
+        its top live clusters by ``(score, cluster_id)`` at the block's
+        geolocation and AS, each score from the scalar latency model."""
         service = cp_world.control_plane
         internet, scorer = service.internet, service.scorer
         assert service.unit_scheme == "geo_as"
-        live = sorted(service.deployments.live_clusters(),
-                      key=lambda c: c.cluster_id)
+        assert scorer.load_tracker is None
+        live = service.deployments.live_clusters()
         top = service.config.top_clusters
         entries = service.current.entries
+        model = LatencyModel()
         for block in internet.blocks:
             record = internet.geodb.lookup_prefix(block.prefix)
-            target = MapTarget(record.geo, record.asn)
-            ranked = sorted(live, key=lambda c: (scorer.score(c, target),
-                                                 c.cluster_id))
+
+            def score(cluster):
+                return float(scorer.scores_from_rtt(model.base_rtt_ms(
+                    cluster.geo, cluster.asn, record.geo, record.asn)))
+
+            ranked = sorted(live, key=lambda c: (score(c), c.cluster_id))
             assert entries[eu_key(str(block.prefix))] == tuple(
                 c.cluster_id for c in ranked[:top]), block.prefix
 
@@ -444,25 +446,7 @@ class TestControlPlaneScenario:
                 name for name in report["series"]
                 if name.startswith("mapping.tier_share.")),
         }
-        rendered = json.dumps(projection, indent=2, sort_keys=True) + "\n"
-        if os.environ.get("REGEN_GOLDEN"):
-            GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-            GOLDEN_PATH.write_text(rendered)
-            pytest.skip(f"regenerated {GOLDEN_PATH}")
-        assert GOLDEN_PATH.exists(), (
-            f"missing fixture {GOLDEN_PATH}; run with REGEN_GOLDEN=1 "
-            "to create it")
-        expected = GOLDEN_PATH.read_text()
-        if rendered != expected:
-            diff = "".join(difflib.unified_diff(
-                expected.splitlines(keepends=True),
-                rendered.splitlines(keepends=True),
-                fromfile="golden_mapmaker.json (checked in)",
-                tofile="golden_mapmaker.json (this run)",
-            ))
-            pytest.fail(
-                "golden control-plane scenario drifted; if intentional, "
-                f"regenerate with REGEN_GOLDEN=1 and review.\n{diff}")
+        check_golden(GOLDEN_PATH, projection)
 
 
 class TestInjectorControlPlaneTargets:

@@ -18,19 +18,17 @@ Also covers the obs.dump satellites: the text-mode scenario/trace
 header and the Prometheus exposition format.
 """
 
-import difflib
 import json
 import math
-import os
-import pathlib
 
 import pytest
 
 from repro.obs.monitor import cli as monitor_cli
 from repro.obs import dump as obs_dump
 
-GOLDEN_PATH = (pathlib.Path(__file__).parent / "data"
-               / "golden_monitor.json")
+from tests.golden import DATA_DIR, check_golden
+
+GOLDEN_PATH = DATA_DIR / "golden_monitor.json"
 
 SCENARIO = {"scale": "tiny", "seed": 7}
 
@@ -146,26 +144,7 @@ def _golden_projection(report: dict) -> dict:
 class TestGoldenReport:
     def test_projection_matches_fixture(self, monitored):
         _, _, report = monitored
-        rendered = json.dumps(_golden_projection(report), indent=2,
-                              sort_keys=True) + "\n"
-        if os.environ.get("REGEN_GOLDEN"):
-            GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-            GOLDEN_PATH.write_text(rendered)
-            pytest.skip(f"regenerated {GOLDEN_PATH}")
-        assert GOLDEN_PATH.exists(), (
-            f"missing fixture {GOLDEN_PATH}; run with REGEN_GOLDEN=1 "
-            "to create it")
-        expected = GOLDEN_PATH.read_text()
-        if rendered != expected:
-            diff = "".join(difflib.unified_diff(
-                expected.splitlines(keepends=True),
-                rendered.splitlines(keepends=True),
-                fromfile="golden_monitor.json (checked in)",
-                tofile="golden_monitor.json (this run)",
-            ))
-            pytest.fail(
-                "golden monitor report drifted; if intentional, "
-                f"regenerate with REGEN_GOLDEN=1 and review.\n{diff}")
+        check_golden(GOLDEN_PATH, _golden_projection(report))
 
 
 class TestMonitorCliDeterminism:

@@ -20,9 +20,7 @@ The headline contract is pinned three ways:
 
 import dataclasses
 import datetime
-import difflib
 import json
-import pathlib
 import random
 
 import pytest
@@ -42,7 +40,8 @@ from repro.parallel import (
 from repro.simulation.rollout import RolloutConfig
 from repro.simulation.world import WorldConfig
 
-DATA_DIR = pathlib.Path(__file__).parent / "data"
+from tests.golden import DATA_DIR, check_golden
+
 
 FAULT_SPEC = ScenarioSpec(
     world=dataclasses.replace(WorldConfig.tiny(),
@@ -253,28 +252,6 @@ def _discrete(value):
     return value
 
 
-def _check_golden(path: pathlib.Path, document: dict) -> None:
-    import os
-
-    rendered = json.dumps(document, indent=2, sort_keys=True,
-                          default=str) + "\n"
-    if os.environ.get("REGEN_GOLDEN"):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(rendered)
-        pytest.skip(f"regenerated {path}")
-    assert path.exists(), (f"missing fixture {path}; run with "
-                           "REGEN_GOLDEN=1 to create it")
-    expected = path.read_text()
-    if rendered != expected:
-        diff = "".join(difflib.unified_diff(
-            expected.splitlines(keepends=True),
-            rendered.splitlines(keepends=True),
-            fromfile=f"{path.name} (checked in)",
-            tofile=f"{path.name} (this run)"))
-        pytest.fail("sharded golden fixture drifted; if intentional, "
-                    f"regenerate with REGEN_GOLDEN=1 and review.\n{diff}")
-
-
 def _golden_document(sharded) -> dict:
     snapshot = sharded.registry.snapshot()
     return {
@@ -294,11 +271,11 @@ def _golden_document(sharded) -> dict:
 
 class TestGoldenFixtures:
     def test_fault_scenario_fixture(self, fault_runs):
-        _check_golden(DATA_DIR / "golden_shard_fault.json",
+        check_golden(DATA_DIR / "golden_shard_fault.json",
                       _golden_document(fault_runs[1]))
 
     def test_monitored_rollout_fixture(self, rollout_runs):
-        _check_golden(DATA_DIR / "golden_shard_rollout.json",
+        check_golden(DATA_DIR / "golden_shard_rollout.json",
                       _golden_document(rollout_runs[1]))
 
     def test_load_feedback_fixture(self, feedback_runs):
@@ -313,7 +290,7 @@ class TestGoldenFixtures:
         document["load_gauges"] = sorted(
             name for name in snapshot["gauges"]
             if name.startswith(("cluster.load.", "mapping.load_")))
-        _check_golden(DATA_DIR / "golden_load_feedback.json", document)
+        check_golden(DATA_DIR / "golden_load_feedback.json", document)
 
 
 # -- plan algebra ------------------------------------------------------------

@@ -12,10 +12,7 @@ identity through the sharded engine.
 """
 
 import datetime
-import difflib
 import json
-import os
-import pathlib
 import random
 
 import pytest
@@ -37,8 +34,9 @@ from repro.topology.resolvers import (
     anycast_catchment,
 )
 
-GOLDEN_PATH = (pathlib.Path(__file__).parent / "data"
-               / "golden_resolver_faults.json")
+from tests.golden import DATA_DIR, check_golden
+
+GOLDEN_PATH = DATA_DIR / "golden_resolver_faults.json"
 
 
 def _event(**overrides):
@@ -489,26 +487,7 @@ class TestPopOutageScenario:
                 name for name in report["series"]
                 if name.startswith(("resolver.", "mapping.catchment"))),
         }
-        rendered = json.dumps(projection, indent=2, sort_keys=True) + "\n"
-        if os.environ.get("REGEN_GOLDEN"):
-            GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-            GOLDEN_PATH.write_text(rendered)
-            pytest.skip(f"regenerated {GOLDEN_PATH}")
-        assert GOLDEN_PATH.exists(), (
-            f"missing fixture {GOLDEN_PATH}; run with REGEN_GOLDEN=1 "
-            "to create it")
-        expected = GOLDEN_PATH.read_text()
-        if rendered != expected:
-            diff = "".join(difflib.unified_diff(
-                expected.splitlines(keepends=True),
-                rendered.splitlines(keepends=True),
-                fromfile="golden_resolver_faults.json (checked in)",
-                tofile="golden_resolver_faults.json (this run)",
-            ))
-            pytest.fail(
-                "golden resolver-fault scenario drifted; if "
-                "intentional, regenerate with REGEN_GOLDEN=1 and "
-                f"review.\n{diff}")
+        check_golden(GOLDEN_PATH, projection)
 
 
 class TestResolverSoakMenu:

@@ -281,7 +281,7 @@ class TestRuCompilePath:
     def wired(self, net):
         plan = build_deployments(40, net.geodb, seed=2,
                                  host_ases=list(net.ases.values()))
-        scorer = Scorer(MeasurementService(net.geodb), TrafficClass.WEB)
+        scorer = Scorer(MeasurementService(), TrafficClass.WEB)
         return plan, scorer
 
     def test_compile_emits_ru_namespace(self, net, wired):

@@ -36,7 +36,7 @@ class TestPolicySwap:
         """CANS should improve on NS for clients whose LDNS is far but
         whose sibling clients cluster together (paper Section 6)."""
         world.disable_all_ecs()
-        ttl_gap = world.config.dns_ttl + world.mapping.decision_ttl + 60
+        ttl_gap = world.config.dns_ttl + 60
 
         # Find an LDNS whose observed client cluster is cohesive but
         # far from the LDNS itself: a public deployment serving one
@@ -71,7 +71,7 @@ class TestPolicySwap:
         with ECS globally off the two policies map identically."""
         world.disable_all_ecs()
         block = far_public_block(world)
-        ttl_gap = world.config.dns_ttl + world.mapping.decision_ttl + 60
+        ttl_gap = world.config.dns_ttl + 60
 
         world.set_policy(NSMappingPolicy(world.internet.geodb))
         ns_distance = mapping_distance(world, block, now=10 * ttl_gap)
@@ -82,7 +82,7 @@ class TestPolicySwap:
 
     def test_eu_with_ecs_improves_far_public_client(self, world):
         block = far_public_block(world)
-        ttl_gap = world.config.dns_ttl + world.mapping.decision_ttl + 60
+        ttl_gap = world.config.dns_ttl + 60
         world.set_policy(EUMappingPolicy(world.internet.geodb))
 
         world.disable_all_ecs()
