@@ -31,12 +31,11 @@ determinism.
 
 from __future__ import annotations
 
-import dataclasses
-import datetime
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.codec import OMIT_DEFAULT, RUNTIME, decode, encode
 from repro.core.loadfeedback import LoadFeedbackConfig
 from repro.core.mapmaker import MapMakerConfig
 from repro.core.policies import MappingPolicy
@@ -53,8 +52,7 @@ from repro.simulation.rollout import (
     _run_rollout,
 )
 from repro.simulation.world import World, WorldConfig, _build_world
-from repro.topology.internet import InternetConfig
-from repro.topology.resolvers import PublicProvider, ResolverPolicySet
+from repro.topology.resolvers import ResolverPolicySet
 from repro.topology.traffic import TrafficSchedule
 
 __all__ = [
@@ -72,14 +70,16 @@ class ScenarioSpec:
 
     world: WorldConfig = field(default_factory=WorldConfig.small)
     rollout: RolloutConfig = field(default_factory=RolloutConfig)
-    faults: FaultSchedule = field(default_factory=FaultSchedule)
-    policy: Optional[MappingPolicy] = None
+    faults: FaultSchedule = field(default_factory=FaultSchedule,
+                                  metadata=OMIT_DEFAULT)
+    policy: Optional[MappingPolicy] = field(default=None, metadata=RUNTIME)
     """Mapping policy override; None keeps the default EU mapping."""
-    control_plane: Optional[MapMakerConfig] = None
+    control_plane: Optional[MapMakerConfig] = field(
+        default=None, metadata=OMIT_DEFAULT)
     """Opt into the split control plane: maps are compiled/published
     periodically and the name-server path reads them through the
     age-bounded degradation ladder.  None keeps per-query scoring."""
-    unit_scheme: Optional[str] = None
+    unit_scheme: Optional[str] = field(default=None, metadata=OMIT_DEFAULT)
     """Unit-construction scheme for the published map (requires
     ``control_plane``): a registered :mod:`repro.core.units` scheme
     name, optionally ``routing_aware:<k>``.  The map compiles one
@@ -87,19 +87,21 @@ class ScenarioSpec:
     per client /24."""
     monitor: bool = True
     """Attach a :class:`~repro.obs.monitor.RolloutMonitor` observer."""
-    monitor_rules: Optional[List] = None
+    monitor_rules: Optional[List] = field(default=None, metadata=RUNTIME)
     """Alert-rule override for the monitor; None uses the defaults."""
-    traffic: TrafficSchedule = field(default_factory=TrafficSchedule)
+    traffic: TrafficSchedule = field(default_factory=TrafficSchedule,
+                                     metadata=OMIT_DEFAULT)
     """Surge-traffic shapes (flash crowds, regional events, diurnal
     waves, content surges) layered over the baseline demand.  An empty
     schedule (the default) replays the legacy draw sequence exactly."""
-    load_feedback: Optional[LoadFeedbackConfig] = None
+    load_feedback: Optional[LoadFeedbackConfig] = field(
+        default=None, metadata=OMIT_DEFAULT)
     """Opt into the load-feedback mapping loop: clusters report
     smoothed utilization daily and the scorer penalizes (and past the
     overload threshold, demotes) hot clusters.  None keeps scoring
     load-blind, pinning every existing golden fixture."""
     resolver_policies: ResolverPolicySet = field(
-        default_factory=ResolverPolicySet)
+        default_factory=ResolverPolicySet, metadata=OMIT_DEFAULT)
     """Per-provider ECS policy (whitelist on/off, scope-narrowing
     ceiling) of the public resolvers' anycast PoP fleets, which every
     world has.  Providers not named keep the default policy."""
@@ -161,87 +163,32 @@ class ScenarioSpec:
             raise ValueError(
                 "monitor-rule overrides are live objects and cannot "
                 "serialize; use the default rules for portable specs")
-        doc: Dict = {
-            "schema": _SCHEMA,
-            "schema_version": _SCHEMA_VERSION,
-            "world": _world_to_dict(self.world),
-            "rollout": _rollout_to_dict(self.rollout),
-            "monitor": self.monitor,
-        }
-        if self.faults:
-            doc["faults"] = self.faults.to_dict()
-        if self.control_plane is not None:
-            doc["control_plane"] = dataclasses.asdict(self.control_plane)
-        if self.unit_scheme is not None:
-            doc["unit_scheme"] = self.unit_scheme
-        if self.traffic:
-            doc["traffic"] = self.traffic.to_dict()
-        if self.load_feedback is not None:
-            doc["load_feedback"] = self.load_feedback.to_dict()
-        if self.resolver_policies.policies:
-            doc["resolver_policies"] = self.resolver_policies.to_dict()
-        return doc
+        return {"schema": _SCHEMA, "schema_version": _SCHEMA_VERSION,
+                **encode(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, doc: Dict) -> "ScenarioSpec":
-        """Parse and validate a ``scenario/v1`` document.
-
-        Every malformed document raises ``ValueError`` naming the
-        field: unknown keys (a typo'd field silently reverting to a
-        default is the failure mode this guards), missing fields, and
-        values of the wrong JSON type.
-        """
+        """Parse and validate a ``scenario/v1`` document: the envelope
+        here, the body through :func:`repro.codec.decode` (every
+        malformed value is a ``ValueError`` naming its field)."""
         if not isinstance(doc, dict):
             raise ValueError("a scenario spec is a JSON object")
-        schema = doc.get("schema", _SCHEMA)
+        body = dict(doc)
+        schema = body.pop("schema", _SCHEMA)
         if schema != _SCHEMA:
             raise ValueError(f"unsupported scenario schema: {schema!r}")
         # Missing version means a pre-versioning v1 document; anything
         # other than the one supported version is a hard parse error so
         # future-format specs cannot silently round-trip corrupted.
-        version = doc.get("schema_version", _SCHEMA_VERSION)
+        version = body.pop("schema_version", _SCHEMA_VERSION)
         if version != _SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported scenario schema_version: {version!r} "
                 f"(this build reads version {_SCHEMA_VERSION})")
-        _reject_unknown(
-            doc, ("schema", "schema_version", "world", "rollout",
-                  "monitor", "faults", "control_plane", "unit_scheme",
-                  "traffic", "load_feedback", "resolver_policies"),
-            "scenario")
-        kwargs: Dict = {}
-        if "world" in doc:
-            kwargs["world"] = _world_from_dict(doc["world"])
-        if "rollout" in doc:
-            kwargs["rollout"] = _rollout_from_dict(doc["rollout"])
-        if "monitor" in doc:
-            if not isinstance(doc["monitor"], bool):
-                raise ValueError(
-                    f"monitor must be a JSON boolean, got "
-                    f"{doc['monitor']!r}")
-            kwargs["monitor"] = doc["monitor"]
-        if "control_plane" in doc:
-            names = [f.name for f in dataclasses.fields(MapMakerConfig)]
-            _reject_unknown(doc["control_plane"], names, "control_plane")
-            kwargs["control_plane"] = MapMakerConfig(**_typed(
-                doc["control_plane"], names, MapMakerConfig(),
-                "control_plane"))
-        if "unit_scheme" in doc:
-            kwargs["unit_scheme"] = doc["unit_scheme"]
-        for name, parse in (("faults", FaultSchedule.from_dict),
-                            ("traffic", TrafficSchedule.from_dict),
-                            ("load_feedback", LoadFeedbackConfig.from_dict),
-                            ("resolver_policies",
-                             ResolverPolicySet.from_dict)):
-            if name in doc:
-                try:
-                    kwargs[name] = parse(doc[name])
-                except ValueError as exc:
-                    raise ValueError(f"bad {name}: {exc}") from None
-        return cls(**kwargs)
+        return decode(cls, body)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
@@ -250,130 +197,6 @@ class ScenarioSpec:
 
 _SCHEMA = "scenario/v1"
 _SCHEMA_VERSION = 1
-
-#: Scalar config fields serialized verbatim (dates handled separately).
-_INTERNET_FIELDS = (
-    "n_client_blocks", "n_ases", "enterprise_fraction", "pareto_alpha",
-    "block_jitter_miles", "block_demand_sigma", "secondary_ldns_rate",
-    "isp_anycast_misroute", "total_demand",
-)
-_WORLD_FIELDS = (
-    "n_deployments", "servers_per_cluster", "n_providers",
-    "n_nameservers", "dns_ttl", "serve_stale_window",
-    "server_capacity_rps", "seed",
-)
-_ROLLOUT_DATES = ("start_date", "end_date", "rollout_start",
-                  "rollout_end")
-_ROLLOUT_SCALARS = ("sessions_per_day", "monthly_growth",
-                    "expectation_threshold_miles", "ecs_source_len",
-                    "seed")
-
-
-#: Provider fields a document must carry (``misroute_rate`` may default).
-_PROVIDER_REQUIRED = ("name", "asn", "deployment_cities", "popularity")
-
-_JSON_TYPES = {bool: "a JSON boolean", int: "a JSON integer",
-               float: "a JSON number", str: "a JSON string"}
-
-
-def _reject_unknown(doc: Dict, known, what: str) -> None:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    unknown = set(doc) - set(known)
-    if unknown:
-        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
-
-
-def _typed(doc: Dict, names, defaults, what: str) -> Dict:
-    """The ``names`` fields ``doc`` sets, each of the JSON type of its
-    value in ``defaults`` (an integer passes for a number)."""
-    kwargs = {}
-    for name in names:
-        if name not in doc:
-            continue
-        value, kind = doc[name], type(getattr(defaults, name))
-        if type(value) is not kind and not (kind is float
-                                            and type(value) is int):
-            raise ValueError(f"{what}.{name} must be {_JSON_TYPES[kind]}, "
-                             f"got {value!r}")
-        kwargs[name] = value
-    return kwargs
-
-
-def _provider_to_dict(provider: PublicProvider) -> Dict:
-    # ``deployments`` is builder-populated runtime state, never config.
-    return {
-        "name": provider.name,
-        "asn": provider.asn,
-        "deployment_cities": list(provider.deployment_cities),
-        "popularity": provider.popularity,
-        "misroute_rate": provider.misroute_rate,
-    }
-
-
-def _internet_to_dict(config: InternetConfig) -> Dict:
-    doc = {name: getattr(config, name) for name in _INTERNET_FIELDS}
-    doc["providers"] = [_provider_to_dict(p) for p in config.providers]
-    return doc
-
-
-def _provider_from_dict(doc: Dict) -> PublicProvider:
-    _reject_unknown(doc, _PROVIDER_REQUIRED + ("misroute_rate",),
-                    "world.internet.providers entry")
-    missing = [name for name in _PROVIDER_REQUIRED if name not in doc]
-    if missing:
-        raise ValueError(
-            f"world.internet.providers entry is missing fields "
-            f"{missing}")
-    return PublicProvider(**doc)
-
-
-def _internet_from_dict(doc: Dict) -> InternetConfig:
-    _reject_unknown(doc, _INTERNET_FIELDS + ("providers",), "internet")
-    kwargs = _typed(doc, _INTERNET_FIELDS, InternetConfig(),
-                    "world.internet")
-    if "providers" in doc:
-        if not isinstance(doc["providers"], list):
-            raise ValueError("world.internet.providers must be a JSON list")
-        kwargs["providers"] = tuple(
-            _provider_from_dict(provider) for provider in doc["providers"])
-    return InternetConfig(**kwargs)
-
-
-def _world_to_dict(config: WorldConfig) -> Dict:
-    doc = {name: getattr(config, name) for name in _WORLD_FIELDS}
-    doc["internet"] = _internet_to_dict(config.internet)
-    return doc
-
-
-def _world_from_dict(doc: Dict) -> WorldConfig:
-    _reject_unknown(doc, _WORLD_FIELDS + ("internet",), "world")
-    kwargs = _typed(doc, _WORLD_FIELDS, WorldConfig(), "world")
-    if "internet" in doc:
-        kwargs["internet"] = _internet_from_dict(doc["internet"])
-    return WorldConfig(**kwargs)
-
-
-def _rollout_to_dict(config: RolloutConfig) -> Dict:
-    doc = {name: getattr(config, name).isoformat()
-           for name in _ROLLOUT_DATES}
-    doc.update({name: getattr(config, name)
-                for name in _ROLLOUT_SCALARS})
-    return doc
-
-
-def _rollout_from_dict(doc: Dict) -> RolloutConfig:
-    _reject_unknown(doc, _ROLLOUT_DATES + _ROLLOUT_SCALARS, "rollout")
-    kwargs = _typed(doc, _ROLLOUT_SCALARS, RolloutConfig(), "rollout")
-    for name in _ROLLOUT_DATES:
-        if name in doc:
-            try:
-                kwargs[name] = datetime.date.fromisoformat(doc[name])
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"rollout.{name} must be an ISO date string, got "
-                    f"{doc[name]!r}") from None
-    return RolloutConfig(**kwargs)
 
 
 @dataclass

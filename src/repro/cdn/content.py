@@ -49,10 +49,6 @@ class WebPage:
     origin_think_ms: float
     objects: Tuple[EmbeddedObject, ...]
 
-    @property
-    def total_object_bytes(self) -> int:
-        return sum(obj.size_bytes for obj in self.objects)
-
 
 @dataclass
 class ContentProvider:

@@ -103,9 +103,6 @@ class DeploymentPlan:
             for server in cluster.servers:
                 server.decay_load(retention)
 
-    def total_capacity_rps(self) -> float:
-        return sum(c.capacity_rps for c in self.clusters.values())
-
 
 def build_deployments(
     n_locations: int,

@@ -39,7 +39,6 @@ across shards (replicated-state style -- the hottest shard's view).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -83,24 +82,6 @@ class LoadFeedbackConfig:
         if not 0 < self.ewma_alpha <= 1:
             raise ValueError(
                 f"ewma_alpha must be in (0, 1]: {self.ewma_alpha}")
-
-    def to_dict(self) -> Dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: Dict) -> "LoadFeedbackConfig":
-        if not isinstance(doc, dict):
-            raise ValueError("load_feedback must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(
-                f"unknown load_feedback fields: {sorted(unknown)}")
-        for key, value in doc.items():
-            if type(value) not in (int, float):
-                raise ValueError(
-                    f"{key} must be a JSON number, got {value!r}")
-        return cls(**{key: float(value) for key, value in doc.items()})
 
 
 class ClusterLoadTracker:

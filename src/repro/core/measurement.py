@@ -34,7 +34,7 @@ from repro.net import batch
 from repro.net.geometry import GeoPoint, great_circle_miles
 from repro.net.latency import LatencyModel
 from repro.net.ipv4 import Prefix
-from repro.topology.internet import ClientBlock, Internet
+from repro.topology.internet import Internet
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,7 +154,6 @@ class MeasurementService:
 def build_ping_targets(
     internet: Internet,
     n_targets: int,
-    seed: int = 23,
 ) -> Tuple[List[PingTarget], Dict[Prefix, int]]:
     """Cluster client blocks into representative ping targets.
 
@@ -165,9 +164,8 @@ def build_ping_targets(
     block->target assignment.
 
     Selection is deterministic (demand order with a spacing
-    constraint); ``seed`` is kept for API stability but unused.  The
-    block->target assignment runs as one vectorized bulk pass over the
-    Internet's columnar block arrays.
+    constraint).  The block->target assignment runs as one vectorized
+    bulk pass over the Internet's columnar block arrays.
     """
     if n_targets < 1:
         raise ValueError("need at least one ping target")
@@ -284,10 +282,6 @@ class TargetGrid:
         distance = distance + np.where(self._asn != asn,
                                        self.OFF_AS_PENALTY_MILES, 0.0)
         return int(self._ids[int(np.argmin(distance))])
-
-    def nearest_block(self, block: ClientBlock) -> int:
-        """Nearest target for a client block (assignment metric)."""
-        return self.nearest(block.geo, block.asn)
 
     def nearest_bulk(self, lats, lons, asns,
                      chunk_rows: int = 2048) -> np.ndarray:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.dnsproto.message import Message
 from repro.dnsproto.name import MEMO_SIZE, normalize_name
 from repro.geo.database import GeoDatabase
 from repro.net.ipv4 import format_ipv4
-from repro.net.latency import LatencyModel
+from repro.net.latency import LatencyModel, _mix64
 from repro.obs import NOOP, NULL_SPAN, Observability
 
 
@@ -84,12 +84,10 @@ class Network:
         self,
         geodb: GeoDatabase,
         latency_model: Optional[LatencyModel] = None,
-        rtt_override: Optional[Callable[[int, int], float]] = None,
         obs: Optional[Observability] = None,
     ) -> None:
         self._geodb = geodb
         self._latency = latency_model or LatencyModel()
-        self._rtt_override = rtt_override
         self.obs = obs if obs is not None else NOOP
         self._endpoints: Dict[int, DnsEndpoint] = {}
         self._dotted: Dict[int, str] = {}
@@ -120,10 +118,8 @@ class Network:
         """Deterministic uniform [0,1) stream for packet-loss coin
         flips (SplitMix64 over a private counter)."""
         self._loss_counter += 1
-        z = (self._loss_counter * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        return ((z ^ (z >> 31)) >> 11) / float(1 << 53)
+        mixed = _mix64(self._loss_counter * 0x9E3779B97F4A7C15)
+        return (mixed >> 11) / float(1 << 53)
 
     def register(self, endpoint: DnsEndpoint) -> None:
         existing = self._endpoints.get(endpoint.ip)
@@ -140,9 +136,7 @@ class Network:
         return self._endpoints.get(ip)
 
     def rtt_ms(self, src_ip: int, dst_ip: int) -> float:
-        """RTT between two addresses, via override or geolocation."""
-        if self._rtt_override is not None:
-            return self._rtt_override(src_ip, dst_ip)
+        """RTT between two addresses, via geolocation."""
         key = (src_ip >> 8, dst_ip >> 8)
         cached = self._rtt_cache.get(key)
         if cached is not None:

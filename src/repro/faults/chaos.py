@@ -48,8 +48,10 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.cliutil import output, positive_int
+from repro.codec import encode
 from repro.faults.kinds import KINDS
 from repro.faults.schedule import FaultEvent, FaultSchedule
+from repro.net.latency import _mix64
 
 SCHEMA = "soak/v1"
 
@@ -71,10 +73,7 @@ class SplitMix64:
 
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return (z ^ (z >> 31)) & _MASK64
+        return _mix64(self._state)
 
     def randrange(self, n: int) -> int:
         """Uniform-ish int in [0, n) (modulo bias is irrelevant at
@@ -276,11 +275,11 @@ def run_scenario(config: SoakConfig, index: int) -> Dict:
     row: Dict = {
         "index": index,
         "seed": scenario_seed(config.seed, index),
-        "schedule": spec.faults.to_dict(),
+        "schedule": encode(spec.faults),
         "violations": [],
     }
     if spec.traffic:  # surged scenarios only
-        row["traffic"] = spec.traffic.to_dict()
+        row["traffic"] = encode(spec.traffic)
     try:
         outcome = run_api(spec)
     except Exception as exc:  # invariant: faults never crash the sim

@@ -16,10 +16,10 @@ this module only checks targets against that row's grammar.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
+from repro.codec import OMIT_DEFAULT
 from repro.faults.kinds import KINDS, FaultKind
 
 
@@ -117,7 +117,8 @@ class FaultEvent:
     duration_days: int
     target: str
     kind: str
-    params: Tuple[Tuple[str, float], ...] = ()
+    params: Tuple[Tuple[str, float], ...] = field(default=(),
+                                                  metadata=OMIT_DEFAULT)
 
     def __post_init__(self) -> None:
         if self.start_day < 0:
@@ -143,37 +144,6 @@ class FaultEvent:
             if key == name:
                 return value
         return default
-
-    def to_dict(self) -> Dict:
-        doc = {
-            "start_day": self.start_day,
-            "duration_days": self.duration_days,
-            "target": self.target,
-            "kind": self.kind,
-        }
-        if self.params:
-            doc["params"] = {k: v for k, v in self.params}
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: Dict) -> "FaultEvent":
-        if not isinstance(doc, dict):
-            raise ValueError(f"a fault event is a JSON object, got {doc!r}")
-        try:
-            return cls(
-                start_day=int(doc["start_day"]),
-                duration_days=int(doc["duration_days"]),
-                target=str(doc["target"]),
-                kind=str(doc["kind"]),
-                params=tuple(sorted(
-                    (str(k), float(v))
-                    for k, v in doc.get("params", {}).items())),
-            )
-        except KeyError as exc:
-            raise ValueError(
-                f"fault event {doc!r} is missing field {exc}") from None
-        except (TypeError, AttributeError) as exc:
-            raise ValueError(f"bad fault event {doc!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -259,23 +229,3 @@ class FaultSchedule:
                         f"[{outage.start_day}, {outage.end_day}) and "
                         f"[{blackout.start_day}, {blackout.end_day})")
         return self
-
-    def to_dict(self) -> List[Dict]:
-        return [event.to_dict() for event in self.events]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, docs: List[Dict]) -> "FaultSchedule":
-        """Parse and validate (the hardened deserialization path):
-        anything malformed is a ``ValueError``."""
-        if not isinstance(docs, list):
-            raise ValueError(
-                "a fault schedule is a JSON list of event objects")
-        return cls(tuple(FaultEvent.from_dict(doc)
-                         for doc in docs)).validate()
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultSchedule":
-        return cls.from_dict(json.loads(text))

@@ -89,10 +89,6 @@ class QueryLog:
             self._buckets_total)
         return source.get(bucket, 0)
 
-    def bucket_rate(self, bucket: int, public_only: bool = False) -> float:
-        """Queries per second within one bucket -- O(1)."""
-        return self.bucket_count(bucket, public_only) / self.bucket_seconds
-
     def ecs_share(self) -> float:
         """Fraction of all counted queries that carried client-subnet."""
         return (self.ecs_queries / self.total_queries

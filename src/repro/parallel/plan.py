@@ -35,6 +35,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from repro.net.latency import _mix64
 from repro.simulation.rollout import PopulationSlice
 from repro.topology.traffic import day_weight
 
@@ -43,24 +44,12 @@ from repro.topology.traffic import day_weight
 #: whether 1, 2, or 16 processes execute it.
 DEFAULT_SHARDS = 8
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def _mix64(value: int) -> int:
-    """The SplitMix64 finalizer (the simulator's shared PRNG idiom:
-    the latency model, the network loss stream, and the chaos plane all
-    hash through these constants)."""
-    z = (value + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
 def shard_of_prefix(prefix_addr: int, n_shards: int) -> int:
     """Which shard owns the client block at this prefix address."""
     if n_shards < 1:
         raise ValueError(f"need at least one shard, got {n_shards}")
-    return _mix64(prefix_addr) % n_shards
+    # One SplitMix64 step from the prefix address as the state.
+    return _mix64(prefix_addr + 0x9E3779B97F4A7C15) % n_shards
 
 
 def apportion(total: int, shares: Sequence[float]) -> List[int]:

@@ -17,10 +17,12 @@ from __future__ import annotations
 import argparse
 import datetime
 import sys
+from functools import partial
 from typing import List
 
 from repro.api import ScenarioSpec, build_world, run
 from repro.cliutil import json_document, positive_int
+from repro.codec import decode
 from repro.core.reporting import build_status_report
 from repro.experiments.scales import get_scale, scale_names
 from repro.faults import FaultSchedule
@@ -135,17 +137,13 @@ def _cmd_dnsload(args) -> int:
 
 
 def _cmd_status(args) -> int:
-    import random
+    from repro.obs import SAMPLE_EVERY
+    from repro.obs.dump import run_scenario
 
-    from repro.simulation.session import simulate_session
-
-    world = _build(args.scale)
-    world.enable_ecs(world.public_ldns_ids())
-    rng = random.Random(args.seed)
-    print(f"running {args.sessions} sessions...", file=sys.stderr)
-    for index in range(args.sessions):
-        block = world.internet.pick_block(rng)
-        simulate_session(world, block, now=index * 2.0, rng=rng)
+    print(f"running {args.sessions} sessions (scale={args.scale})...",
+          file=sys.stderr)
+    world = run_scenario(scale=args.scale, sessions=args.sessions,
+                         seed=args.seed, sample_every=SAMPLE_EVERY)
     for line in build_status_report(world).lines():
         print(line)
     return 0
@@ -177,7 +175,8 @@ def main(argv: List[str] | None = None) -> int:
                          help="shard count of the deterministic plan "
                               "(default 8); needs --workers")
     rollout.add_argument("--traffic", type=json_document(
-                             TrafficSchedule.from_dict, "traffic schedule"),
+                             partial(decode, TrafficSchedule, path="traffic"),
+                             "traffic schedule"),
                          default=None, metavar="JSON|@FILE",
                          help="surge-traffic schedule (JSON list of "
                               "shapes, or @path to a file)")
@@ -196,7 +195,8 @@ def main(argv: List[str] | None = None) -> int:
                               "routing_aware[:k], ...; default geo_as); "
                               "requires --control-plane")
     rollout.add_argument("--faults", type=json_document(
-                             FaultSchedule.from_dict, "fault schedule"),
+                             partial(decode, FaultSchedule, path="faults"),
+                             "fault schedule"),
                          default=None, metavar="JSON|@FILE",
                          help="fault schedule (JSON list of events, or "
                               "@path to a file); control-plane kinds "

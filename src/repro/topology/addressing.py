@@ -80,11 +80,6 @@ class AddressAllocator:
         prefix = self.allocate_chunk(1)
         return prefix.network | 1
 
-    @property
-    def blocks_allocated(self) -> int:
-        """Cursor position in /24 units (upper bound on blocks handed out)."""
-        return self._cursor
-
 
 @dataclass
 class BGPTable:

@@ -75,12 +75,6 @@ class AutonomousSystem:
         if self.asn <= 0:
             raise ValueError(f"ASN must be positive: {self.asn}")
 
-    @property
-    def primary_city(self) -> City:
-        if not self.cities:
-            raise ValueError(f"AS{self.asn} has no cities of presence")
-        return self.cities[0]
-
     def resolver_cities(self) -> List[City]:
         """Cities where this AS operates its own resolvers.
 

@@ -170,8 +170,6 @@ class Internet:
     geodb: GeoDatabase
 
     _cum_demand: List[float] = field(default_factory=list, repr=False)
-    _block_by_prefix: Dict[Prefix, ClientBlock] = field(
-        default_factory=dict, repr=False)
     _columns: Optional[BlockColumns] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -180,7 +178,6 @@ class Internet:
         for block in self.blocks:
             running += block.demand
             self._cum_demand.append(running)
-        self._block_by_prefix = {b.prefix: b for b in self.blocks}
         self._columns = None
 
     # -- lookups ---------------------------------------------------------
@@ -191,12 +188,6 @@ class Internet:
 
     def resolver(self, resolver_id: str) -> Resolver:
         return self.resolvers[resolver_id]
-
-    def block_for_prefix(self, prefix: Prefix) -> Optional[ClientBlock]:
-        return self._block_by_prefix.get(prefix)
-
-    def block_for_addr(self, addr: int) -> Optional[ClientBlock]:
-        return self._block_by_prefix.get(Prefix(addr & 0xFFFFFF00, 24))
 
     def pick_block(self, rng: random.Random) -> ClientBlock:
         """Demand-weighted random block (a 'client session arrives')."""
@@ -234,15 +225,6 @@ class Internet:
     def public_resolver_ids(self) -> set:
         return {rid for rid, res in self.resolvers.items() if res.is_public}
 
-    def ldns_demand(self) -> Dict[str, float]:
-        """Demand served by each LDNS (paper's 'LDNS demand')."""
-        out: Dict[str, float] = {}
-        for block in self.blocks:
-            for resolver_id, weight in block.ldns:
-                out[resolver_id] = out.get(resolver_id, 0.0) + (
-                    block.demand * weight)
-        return out
-
     def public_demand_share(self) -> float:
         """Fraction of global demand served via public resolvers."""
         public = self.public_resolver_ids()
@@ -259,12 +241,6 @@ class Internet:
         for block in self.blocks:
             grouped.setdefault(block.country, []).append(block)
         return grouped
-
-    def country_demand(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for block in self.blocks:
-            out[block.country] = out.get(block.country, 0.0) + block.demand
-        return out
 
 
 def build_internet(config: Optional[InternetConfig] = None,

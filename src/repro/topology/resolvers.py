@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.codec import RUNTIME
 from repro.geo.cities import City, city_index
 from repro.net.geometry import GeoPoint, great_circle_miles
 
@@ -75,7 +76,8 @@ class PublicProvider:
     """Probability anycast routes a client past its nearest deployment
     (the paper cites anycast's known limitations, Section 3.2)."""
 
-    deployments: List[Resolver] = field(default_factory=list)
+    deployments: List[Resolver] = field(default_factory=list,
+                                        metadata=RUNTIME)
     """Populated by the topology builder once IPs are allocated."""
 
     def cities(self) -> List[City]:
@@ -214,28 +216,6 @@ class EcsPolicy:
             raise ValueError(
                 f"scope_ceiling must be in (0, 32]: {self.scope_ceiling}")
 
-    def to_dict(self) -> Dict:
-        return {"whitelist_enabled": self.whitelist_enabled,
-                "scope_ceiling": self.scope_ceiling}
-
-    @classmethod
-    def from_dict(cls, doc: Dict) -> "EcsPolicy":
-        if not isinstance(doc, dict):
-            raise ValueError(f"an ECS policy is a JSON object, got {doc!r}")
-        unknown = set(doc) - {"whitelist_enabled", "scope_ceiling"}
-        if unknown:
-            raise ValueError(
-                f"unknown ECS policy keys: {sorted(unknown)}")
-        whitelist = doc.get("whitelist_enabled", True)
-        ceiling = doc.get("scope_ceiling", 32)
-        if not isinstance(whitelist, bool):
-            raise ValueError(f"ECS policy whitelist_enabled must be a "
-                             f"JSON boolean, got {whitelist!r}")
-        if type(ceiling) is not int:
-            raise ValueError(f"ECS policy scope_ceiling must be a JSON "
-                             f"integer, got {ceiling!r}")
-        return cls(whitelist_enabled=whitelist, scope_ceiling=ceiling)
-
 
 @dataclass(frozen=True)
 class ResolverPolicySet:
@@ -261,18 +241,6 @@ class ResolverPolicySet:
             if name == provider:
                 return policy
         return EcsPolicy()
-
-    def to_dict(self) -> Dict:
-        return {name: policy.to_dict() for name, policy in self.policies}
-
-    @classmethod
-    def from_dict(cls, doc: Dict) -> "ResolverPolicySet":
-        if not isinstance(doc, dict):
-            raise ValueError(
-                "resolver policies must be an object keyed by provider")
-        return cls(tuple(
-            (str(name), EcsPolicy.from_dict(policy))
-            for name, policy in doc.items()))
 
 
 @dataclass

@@ -34,10 +34,11 @@ schedule is byte-identical to no schedule at all.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+from repro.codec import OMIT_DEFAULT
 
 
 class ShapeKind:
@@ -106,7 +107,7 @@ class TrafficShape:
     target: str
     kind: str
     magnitude: float
-    period_days: int = 0
+    period_days: int = field(default=0, metadata=OMIT_DEFAULT)
 
     def __post_init__(self) -> None:
         if self.start_day < 0:
@@ -170,44 +171,6 @@ class TrafficShape:
             return block.continent == rest
         return False
 
-    def to_dict(self) -> Dict:
-        doc = {
-            "start_day": self.start_day,
-            "duration_days": self.duration_days,
-            "target": self.target,
-            "kind": self.kind,
-            "magnitude": self.magnitude,
-        }
-        if self.period_days:
-            doc["period_days"] = self.period_days
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: Dict) -> "TrafficShape":
-        if not isinstance(doc, dict):
-            raise ValueError(
-                f"a traffic shape is a JSON object, got {doc!r}")
-        known = {"start_day", "duration_days", "target", "kind",
-                 "magnitude", "period_days"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(
-                f"unknown traffic shape fields: {sorted(unknown)}")
-        try:
-            return cls(
-                start_day=int(doc["start_day"]),
-                duration_days=int(doc["duration_days"]),
-                target=str(doc["target"]),
-                kind=str(doc["kind"]),
-                magnitude=float(doc["magnitude"]),
-                period_days=int(doc.get("period_days", 0)),
-            )
-        except KeyError as exc:
-            raise ValueError(
-                f"traffic shape {doc!r} is missing field {exc}") from None
-        except TypeError as exc:
-            raise ValueError(f"bad traffic shape {doc!r}: {exc}") from None
-
 
 @dataclass(frozen=True)
 class TrafficSchedule:
@@ -256,26 +219,6 @@ class TrafficSchedule:
             if earlier is None or shape.end_day > earlier.end_day:
                 previous[key] = shape
         return self
-
-    def to_dict(self) -> List[Dict]:
-        return [shape.to_dict() for shape in self.shapes]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, docs: List[Dict]) -> "TrafficSchedule":
-        """Parse and validate (the hardened deserialization path):
-        anything malformed is a ``ValueError``."""
-        if not isinstance(docs, list):
-            raise ValueError(
-                "a traffic schedule is a JSON list of shape objects")
-        return cls(tuple(TrafficShape.from_dict(doc)
-                         for doc in docs)).validate()
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrafficSchedule":
-        return cls.from_dict(json.loads(text))
 
 
 # -- runtime resolution ------------------------------------------------------

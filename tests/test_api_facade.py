@@ -23,10 +23,13 @@ import pytest
 
 import repro.__main__ as repro_main
 from repro.api import ScenarioSpec, build_world, run, run_rollout
+from repro.core.mapmaker import MapMakerConfig
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
+from repro.faults.chaos import SoakConfig, _scenario_spec
 from repro.obs.monitor import RolloutMonitor
 from repro.simulation.rollout import RolloutConfig
 from repro.simulation.world import WorldConfig
+from repro.topology.resolvers import EcsPolicy, ResolverPolicySet
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -57,6 +60,14 @@ class TestDeprecatedShims:
         assert len(by_hand.rum) == len(outcome.result.rum)
         assert (json.dumps(by_hand_report, sort_keys=True)
                 == json.dumps(api_report, sort_keys=True))
+
+
+_FAULT = {"start_day": 1, "duration_days": 2, "target": "ns:0",
+          "kind": "auth_outage"}
+_SHAPE = {"start_day": 1, "duration_days": 2, "target": "continent:NA",
+          "kind": "flash_crowd", "magnitude": 2.0}
+_PROVIDER = {"name": "X", "asn": 1, "deployment_cities": ["London"],
+             "popularity": 1.0}
 
 
 class TestScenarioSpec:
@@ -123,16 +134,63 @@ class TestScenarioSpec:
         ({"resolver_policies": {"GloboDNS": {"whitelist_enabled": "no"}}},
          "whitelist_enabled"),
         ({"monitor": "no"}, "monitor"),
+        ({"faults": [dict(_FAULT, start_day=2.7)]}, "faults[0].start_day"),
+        ({"faults": [dict(_FAULT, duration_days="3")]},
+         "faults[0].duration_days"),
+        ({"faults": [dict(_FAULT, param={"loss_rate": 0.5})]},
+         "faults[0]: ['param']"),
+        ({"traffic": [dict(_SHAPE, start_day=1.9)]}, "traffic[0].start_day"),
+        ({"traffic": [dict(_SHAPE, magnitude="3")]}, "traffic[0].magnitude"),
+        ({"world": {"internet": {"providers": [
+            dict(_PROVIDER, deployment_cities="London")]}}},
+         "world.internet.providers[0].deployment_cities"),
+        ({"world": {"internet": {"providers": [
+            dict(_PROVIDER, asn="15169")]}}},
+         "world.internet.providers[0].asn"),
     ], ids=["string-int", "string-world-int", "bool-float", "null-float",
             "int-date", "bad-date", "faults-object", "provider-fields",
             "fault-without-duration", "shape-without-duration",
-            "shape-not-object", "string-bool-policy", "string-monitor"])
+            "shape-not-object", "string-bool-policy", "string-monitor",
+            "float-fault-day", "string-fault-duration", "typo-fault-key",
+            "float-shape-day", "string-magnitude", "string-cities",
+            "string-asn"])
     def test_from_dict_names_the_bad_field(self, doc, field):
         """Wrong JSON types and missing fields are ``ValueError``s that
         name the field -- never a ``TypeError``/``KeyError`` crash, and
         never a truthy string silently read as ``True``."""
         with pytest.raises(ValueError, match=re.escape(field)):
             ScenarioSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("index", range(45))
+    def test_soak_specs_round_trip(self, index):
+        spec = _scenario_spec(SoakConfig(seed=2025), index)
+        text = spec.to_json()
+        assert ScenarioSpec.from_json(text) == spec
+        assert ScenarioSpec.from_json(text).to_json() == text
+
+    def test_rich_spec_round_trips(self):
+        # The planes the soak's generated specs leave at defaults.
+        spec = ScenarioSpec(
+            world=WorldConfig.tiny(), rollout=SHORT,
+            control_plane=MapMakerConfig(publish_interval_days=2,
+                                         top_clusters=5),
+            unit_scheme="routing_aware:40",
+            resolver_policies=ResolverPolicySet((
+                ("GloboDNS", EcsPolicy(whitelist_enabled=False)),
+                ("OpenFast", EcsPolicy(scope_ceiling=20)))))
+        text = spec.to_json()
+        assert ScenarioSpec.from_json(text) == spec
+        assert ScenarioSpec.from_json(text).to_json() == text
+        doc = json.loads(text)
+        assert doc["unit_scheme"] == "routing_aware:40"
+        assert doc["resolver_policies"]["GloboDNS"] == {
+            "whitelist_enabled": False, "scope_ceiling": 32}
+
+    def test_providers_encode_without_runtime_state(self):
+        doc = ScenarioSpec(world=WorldConfig.tiny()).to_dict()
+        for provider in doc["world"]["internet"]["providers"]:
+            assert set(provider) == {"name", "asn", "deployment_cities",
+                                     "popularity", "misroute_rate"}
 
     def test_control_plane_fault_kinds_need_a_control_plane(self):
         faults = FaultSchedule((FaultEvent(

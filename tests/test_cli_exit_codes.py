@@ -221,8 +221,10 @@ class TestResolverFaultsValidation:
         ' "public:GloboDNS:dallas:extra", "kind": "pop_outage"}]',
         '[{"start_day": 0, "duration_days": 2, "target": "public:",'
         ' "kind": "anycast_flap"}]',        # empty suffix
+        '[{"start_day": 0, "duration_days": 2, "target": "isp:*",'
+        ' "kind": "link_degradation", "param": {"loss_rate": 0.5}}]',
     ], ids=["not-json", "not-a-list", "missing-fields", "bad-head",
-            "three-level-target", "empty-suffix"])
+            "three-level-target", "empty-suffix", "typo-key"])
     def test_sim_rollout_rejects_malformed_schedules(self, value):
         code, _, err = _run(["sim", "rollout", "--faults", value])
         assert code == 2

@@ -18,6 +18,7 @@ import random
 import pytest
 
 from repro.api import build_world
+from repro.codec import encode
 from repro.core.mapmaker import MapMakerConfig
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultSchedule
 from repro.faults.chaos import world_restored
@@ -171,7 +172,7 @@ class TestHoldOracle:
                                world, event.target)}
                 broken = {id(victim) for victim in population
                           if _is_broken(world, row, victim)}
-                assert broken == covered, (seed, day, schedule.to_dict())
+                assert broken == covered, (seed, day, encode(schedule))
             assert not injector.active_events
             assert world_restored(world) == []
 

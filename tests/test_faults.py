@@ -17,6 +17,7 @@ from dataclasses import replace
 import pytest
 
 from repro.api import ScenarioSpec, build_world, run
+from repro.codec import decode, encode
 from repro.dnsproto.message import ResourceRecord
 from repro.dnsproto.rdata import ARdata
 from repro.dnsproto.types import QType, Rcode
@@ -72,7 +73,7 @@ class TestFaultEvent:
     def test_dict_roundtrip(self):
         event = _event(kind=FaultKind.LINK_DEGRADATION, target="isp:1",
                        params=(("loss_rate", 0.1),))
-        assert FaultEvent.from_dict(event.to_dict()) == event
+        assert decode(FaultEvent, encode(event)) == event
 
 
 class TestFaultSchedule:
@@ -94,11 +95,12 @@ class TestFaultSchedule:
         schedule = FaultSchedule((
             _event(), _event(start_day=5, kind=FaultKind.LINK_DEGRADATION,
                              target="isp:*", params=(("loss_rate", 0.3),))))
-        assert FaultSchedule.from_json(schedule.to_json()) == schedule
+        text = json.dumps(encode(schedule))
+        assert decode(FaultSchedule, json.loads(text)) == schedule
 
 
 class TestScheduleValidation:
-    """Parse-time hardening: ``from_json``/``from_dict`` reject bad
+    """Parse-time hardening: decoding a schedule rejects bad
     grammar and overlapping same-target events with a clear
     ``ValueError`` instead of surfacing deep inside injector replay."""
 
@@ -126,7 +128,7 @@ class TestScheduleValidation:
     def test_bad_target_grammar_rejected(self, kind, target, hint):
         text = self._json(dict(kind=kind, target=target))
         with pytest.raises(ValueError, match=hint):
-            FaultSchedule.from_json(text)
+            decode(FaultSchedule, json.loads(text))
 
     def test_good_grammar_across_kinds_accepted(self):
         text = self._json(
@@ -137,7 +139,7 @@ class TestScheduleValidation:
             dict(kind=FaultKind.MAPMAKER_HANG, target="mapmaker:1"),
             dict(kind=FaultKind.MAPMAKER_CRASH, target="mapmaker:standby"),
         )
-        assert len(FaultSchedule.from_json(text)) == 6
+        assert len(decode(FaultSchedule, json.loads(text))) == 6
 
     @pytest.mark.parametrize("field,value,hint", [
         ("duration_days", 0, "duration_days"),
@@ -149,7 +151,7 @@ class TestScheduleValidation:
                     kind=FaultKind.AUTH_OUTAGE)]
         doc[0][field] = value
         with pytest.raises(ValueError, match=hint):
-            FaultSchedule.from_dict(doc)
+            decode(FaultSchedule, doc)
 
     def test_overlapping_same_target_rejected(self):
         text = json.dumps([
@@ -159,7 +161,7 @@ class TestScheduleValidation:
                  kind=FaultKind.AUTH_OUTAGE),
         ])
         with pytest.raises(ValueError, match="overlapping"):
-            FaultSchedule.from_json(text)
+            decode(FaultSchedule, json.loads(text))
 
     def test_adjacent_and_distinct_targets_allowed(self):
         text = json.dumps([
@@ -176,7 +178,7 @@ class TestScheduleValidation:
             dict(start_day=2, duration_days=4, target="public:0",
                  kind=FaultKind.ECS_STRIP),
         ])
-        assert len(FaultSchedule.from_json(text)) == 4
+        assert len(decode(FaultSchedule, json.loads(text))) == 4
 
     def test_direct_construction_skips_grammar_checks(self):
         # Building the dataclass directly stays permissive (the

@@ -18,6 +18,7 @@ import random
 import pytest
 
 from repro.api import ScenarioSpec, build_world, run
+from repro.codec import decode, encode
 from repro.faults import (
     FaultEvent,
     FaultInjector,
@@ -64,9 +65,9 @@ class TestEcsPolicy:
 
     def test_dict_roundtrip_and_unknown_keys(self):
         policy = EcsPolicy(whitelist_enabled=False, scope_ceiling=20)
-        assert EcsPolicy.from_dict(policy.to_dict()) == policy
-        with pytest.raises(ValueError, match="unknown ECS policy"):
-            EcsPolicy.from_dict({"scope_celing": 20})
+        assert decode(EcsPolicy, encode(policy)) == policy
+        with pytest.raises(ValueError, match=r"\['scope_celing'\]"):
+            decode(EcsPolicy, {"scope_celing": 20})
 
     def test_policy_set_sorts_and_rejects_duplicates(self):
         policies = ResolverPolicySet((
@@ -83,10 +84,12 @@ class TestEcsPolicy:
     def test_policy_set_wire_format(self):
         policies = ResolverPolicySet((
             ("GloboDNS", EcsPolicy(scope_ceiling=20)),))
-        assert ResolverPolicySet.from_dict(
-            policies.to_dict()) == policies
-        with pytest.raises(ValueError, match="object keyed by provider"):
-            ResolverPolicySet.from_dict(["GloboDNS"])
+        assert encode(policies) == {
+            "GloboDNS": {"whitelist_enabled": True, "scope_ceiling": 20}}
+        assert decode(ResolverPolicySet, encode(policies)) == policies
+        with pytest.raises(ValueError, match="resolver_policies must be "
+                                             "a JSON object"):
+            decode(ResolverPolicySet, ["GloboDNS"], "resolver_policies")
 
 
 class TestResolverTargetGrammar:
@@ -94,8 +97,8 @@ class TestResolverTargetGrammar:
     and the pop_outage/ldns_blackout conflict rule, at parse time."""
 
     def _schedule(self, *rows):
-        return FaultSchedule.from_dict(
-            [dict(start_day=1, duration_days=2, **row) for row in rows])
+        return decode(FaultSchedule, [
+            dict(start_day=1, duration_days=2, **row) for row in rows])
 
     @pytest.mark.parametrize("kind", [
         FaultKind.POP_OUTAGE, FaultKind.ANYCAST_FLAP,
@@ -160,7 +163,7 @@ class TestResolverTargetGrammar:
         assert len(schedule) == 3
 
     def test_disjoint_windows_do_not_conflict(self):
-        schedule = FaultSchedule.from_dict([
+        schedule = decode(FaultSchedule, [
             dict(start_day=1, duration_days=2,
                  kind=FaultKind.POP_OUTAGE, target="public:GloboDNS"),
             dict(start_day=3, duration_days=2,
@@ -177,7 +180,8 @@ class TestResolverTargetGrammar:
             _event(start_day=10, kind=FaultKind.ECS_WHITELIST_REVOKE,
                    target="public:*"),
         ))
-        assert FaultSchedule.from_json(schedule.to_json()) == schedule
+        text = json.dumps(encode(schedule))
+        assert decode(FaultSchedule, json.loads(text)) == schedule
 
 
 class TestFleetRouting:
@@ -518,7 +522,7 @@ class TestResolverSoakMenu:
     def test_resolver_menu_targets_parse(self):
         from repro.faults.kinds import KINDS
         rows = [KINDS[kind] for kind in FaultKind.RESOLVER_PLANE]
-        schedule = FaultSchedule.from_dict([
+        schedule = decode(FaultSchedule, [
             dict(start_day=1, duration_days=2, kind=row.name,
                  target=row.soak_targets[0])
             for row in rows])
@@ -574,7 +578,8 @@ class TestScenarioSpecResolverPolicies:
     def test_bad_policy_document_rejected(self):
         doc = ScenarioSpec(world=WorldConfig.tiny()).to_dict()
         doc["resolver_policies"] = {"GloboDNS": {"scope_celing": 8}}
-        with pytest.raises(ValueError, match="unknown ECS policy"):
+        with pytest.raises(ValueError, match=r"resolver_policies\.GloboDNS"
+                                             r".*\['scope_celing'\]"):
             ScenarioSpec.from_dict(doc)
 
 

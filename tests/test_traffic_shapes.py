@@ -8,12 +8,14 @@ when inactive, and per-day server-load decay keeps a multi-day run's
 utilization at a plateau instead of integrating forever.
 """
 
+import json
 import math
 import random
 
 import pytest
 
 from repro.api import ScenarioSpec
+from repro.codec import decode, encode
 from repro.core.loadfeedback import LoadFeedbackConfig
 from repro.core.mapmaker import MapMakerConfig
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
@@ -134,30 +136,40 @@ class TestRoundTrip:
     @pytest.mark.parametrize("shape", ONE_OF_EACH,
                              ids=[s.kind for s in ONE_OF_EACH])
     def test_every_kind_round_trips(self, shape):
-        assert TrafficShape.from_dict(shape.to_dict()) == shape
+        assert decode(TrafficShape, encode(shape)) == shape
 
     def test_schedule_round_trips_through_json(self):
         schedule = TrafficSchedule(ONE_OF_EACH).validate()
-        assert TrafficSchedule.from_json(schedule.to_json()) == schedule
+        text = json.dumps(encode(schedule))
+        assert decode(TrafficSchedule, json.loads(text)) == schedule
 
     def test_period_days_omitted_when_zero(self):
-        assert "period_days" not in _shape().to_dict()
+        assert "period_days" not in encode(_shape())
 
     def test_unknown_shape_field_rejected(self):
-        doc = _shape().to_dict()
+        doc = encode(_shape())
         doc["ramp"] = "linear"
-        with pytest.raises(ValueError, match="unknown traffic shape"):
-            TrafficShape.from_dict(doc)
+        with pytest.raises(ValueError,
+                           match=r"unknown fields in traffic\[0\]: "
+                                 r"\['ramp'\]"):
+            decode(TrafficSchedule, [doc], "traffic")
+
+    def test_integer_magnitude_reads_as_a_float(self):
+        doc = encode(_shape())
+        doc["magnitude"] = 3
+        shape = decode(TrafficShape, doc)
+        assert shape == _shape() and type(shape.magnitude) is float
 
     def test_schedule_must_be_a_list(self):
-        with pytest.raises(ValueError, match="JSON list"):
-            TrafficSchedule.from_json('{"kind": "flash_crowd"}')
+        with pytest.raises(ValueError, match="traffic must be a JSON list"):
+            decode(TrafficSchedule, json.loads('{"kind": "flash_crowd"}'),
+                   "traffic")
 
     def test_from_dict_validates_grammar(self):
-        doc = _shape(target="continent:NA").to_dict()
+        doc = encode(_shape(target="continent:NA"))
         doc["target"] = "cluster:3"
         with pytest.raises(ValueError, match="bad flash_crowd target"):
-            TrafficSchedule.from_dict([doc])
+            decode(TrafficSchedule, [doc])
 
     def test_scenario_spec_round_trips_with_traffic_and_feedback(self):
         spec = ScenarioSpec(
@@ -181,10 +193,10 @@ class TestRoundTrip:
         assert doc["load_feedback"] is True
 
     def test_load_feedback_config_rejects_unknown_keys(self):
-        doc = LoadFeedbackConfig().to_dict()
+        doc = encode(LoadFeedbackConfig())
         doc["boost"] = 2.0
-        with pytest.raises(ValueError, match="unknown"):
-            LoadFeedbackConfig.from_dict(doc)
+        with pytest.raises(ValueError, match=r"unknown.*\['boost'\]"):
+            decode(LoadFeedbackConfig, doc)
 
 
 class TestGenerator:
