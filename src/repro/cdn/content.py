@@ -36,6 +36,33 @@ class EmbeddedObject:
             raise ValueError(f"negative object size for {self.name}")
 
 
+#: Parallel persistent connections a browser opens per host; embedded
+#: object ``i`` of a page rides connection ``i % PARALLEL_CONNECTIONS``.
+PARALLEL_CONNECTIONS = 6
+
+
+@dataclass(frozen=True, slots=True)
+class PagePlan:
+    """A page's per-session columns, compiled once per page.
+
+    The edge-cache columns (``keys``/``sizes``/``cacheable``) list the
+    page's requests in the order a session makes them: the base
+    document (key ``<provider><url>#base``) first when the page is
+    static -- a dynamic base always goes to origin and never touches
+    the cache -- then every embedded object.
+    The object columns (``object_sizes``/``connections``) drive the
+    content-download arithmetic.
+    """
+
+    provider_name: str
+    keys: Tuple[str, ...]
+    sizes: Tuple[int, ...]
+    cacheable: Tuple[bool, ...]
+    object_sizes: Tuple[int, ...]
+    connections: Tuple[int, ...]
+    """``index % PARALLEL_CONNECTIONS`` for each embedded object."""
+
+
 @dataclass(frozen=True, slots=True)
 class WebPage:
     """One page: dynamic base document plus embedded objects."""
@@ -48,6 +75,33 @@ class WebPage:
     component mapping cannot improve (Section 4.1)."""
     origin_think_ms: float
     objects: Tuple[EmbeddedObject, ...]
+    _plan: Optional[PagePlan] = field(default=None, init=False,
+                                      repr=False, compare=False)
+
+    def plan(self, provider_name: str) -> PagePlan:
+        """This page's :class:`PagePlan` as served by ``provider_name``
+        (whose name prefixes the base document's cache key), compiled
+        on first use and kept on the page."""
+        plan = self._plan
+        if plan is None or plan.provider_name != provider_name:
+            keys = tuple(obj.name for obj in self.objects)
+            object_sizes = tuple(obj.size_bytes for obj in self.objects)
+            sizes = object_sizes
+            cacheable = tuple(obj.cacheable for obj in self.objects)
+            if not self.dynamic:
+                keys = (f"{provider_name}{self.url}#base",) + keys
+                sizes = (self.base_size_bytes,) + sizes
+                cacheable = (True,) + cacheable
+            plan = PagePlan(
+                provider_name=provider_name,
+                keys=keys,
+                sizes=sizes,
+                cacheable=cacheable,
+                object_sizes=object_sizes,
+                connections=tuple(index % PARALLEL_CONNECTIONS
+                                  for index in range(len(self.objects))))
+            object.__setattr__(self, "_plan", plan)
+        return plan
 
 
 @dataclass

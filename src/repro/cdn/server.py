@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import List, Sequence
+
+from repro.cdn.content import PagePlan
 
 #: Fraction of a server's accumulated load that survives into the next
 #: simulated day.  Load accounting (``spread_load`` / ``add_load``)
@@ -73,6 +76,43 @@ class LruCache:
             self._fill(key, size_bytes)
         return False
 
+    def access_page(self, keys: Sequence[str], sizes: Sequence[int],
+                    cacheable: Sequence[bool]) -> List[bool]:
+        """Serve a page's requests in order; returns each one's hit flag.
+
+        A cacheable request is exactly :meth:`access`; a non-cacheable
+        one is a miss that neither serves from nor fills the cache (and
+        adds no ``bytes_served``).  Stats, fills, evictions and LRU
+        order end up as if each request had been made on its own.
+        """
+        if sizes and min(sizes) < 0:
+            raise ValueError(f"negative object size: {min(sizes)}")
+        entries = self._entries
+        capacity = self.capacity_bytes
+        flags: List[bool] = []
+        flag = flags.append
+        hits = misses = served = 0
+        for key, size, cache in zip(keys, sizes, cacheable):
+            if not cache:
+                misses += 1
+                flag(False)
+            elif key in entries:
+                entries.move_to_end(key)
+                hits += 1
+                served += size
+                flag(True)
+            else:
+                misses += 1
+                served += size
+                if size <= capacity:
+                    self._fill(key, size)
+                flag(False)
+        stats = self.stats
+        stats.hits += hits
+        stats.misses += misses
+        stats.bytes_served += served
+        return flags
+
     def _fill(self, key: str, size_bytes: int) -> None:
         while self.used_bytes + size_bytes > self.capacity_bytes:
             _victim, victim_size = self._entries.popitem(last=False)
@@ -125,6 +165,13 @@ class EdgeServer:
         if not self.alive:
             raise RuntimeError(f"server {self.ip} is down")
         return self.cache.access(object_key, size_bytes)
+
+    def serve_page(self, plan: PagePlan) -> List[bool]:
+        """Serve one page's edge-cache requests (see
+        :class:`~repro.cdn.content.PagePlan`); one hit flag each."""
+        if not self.alive:
+            raise RuntimeError(f"server {self.ip} is down")
+        return self.cache.access_page(plan.keys, plan.sizes, plan.cacheable)
 
     def add_load(self, rps: float) -> None:
         self.load_rps = max(0.0, self.load_rps + rps)

@@ -8,7 +8,8 @@ order of magnitude faster and keeps hot loops allocation-free.
 Contents:
 
 * :mod:`repro.net.ipv4` -- IPv4 addresses as integers, CIDR prefixes.
-* :mod:`repro.net.trie` -- binary radix trie for longest-prefix matching.
+* :mod:`repro.net.trie` -- longest-prefix matching, one hash table per
+  prefix length.
 * :mod:`repro.net.geometry` -- great-circle geometry on the WGS84 sphere.
 * :mod:`repro.net.latency` -- distance- and topology-driven latency model.
 * :mod:`repro.net.batch` -- vectorized numpy kernels for the geometry

@@ -1,89 +1,74 @@
-"""Binary radix trie for longest-prefix matching over IPv4 prefixes.
+"""Longest-prefix matching over IPv4 prefixes: one hash table per length.
 
-Used by the geolocation database (address -> geo record), the BGP CIDR
-table (address -> routed CIDR), and the ECS-aware DNS cache (client block
--> cached answer whose *scope* covers the block).
+Used by the geolocation database (address -> geo record) and the BGP
+CIDR table (address -> routed CIDR announcement).
 
-The trie is a plain uncompressed binary trie: insertion walks at most 32
-levels, lookup walks until the path ends.  That is ample for this code
-base -- tries here hold at most a few hundred thousand prefixes, and the
-constant factors of path compression are not worth the complexity.
+Each prefix length in use has its own ``{network: value}`` dict, and a
+lookup probes the lengths present, longest first, with the plain key
+``addr & mask`` -- the probe the ECS-aware DNS cache uses for its
+scopes.  A match costs one dict probe per *distinct length in use*, not
+one step per address bit: the geo database holds only /24s, so its
+lookup is a single probe, and a routing-aware table with a handful of
+lengths (Gürsun's partitions, PAPERS.md) pays a handful.  The probe
+order is rebuilt when a length appears or disappears, never per lookup.
 """
 
 from __future__ import annotations
 
-from typing import Generic, Iterator, Optional, Tuple, TypeVar
+from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
-from repro.net.ipv4 import Prefix
+from repro.net.ipv4 import Prefix, mask_of
 
 V = TypeVar("V")
 
-
-class _Node(Generic[V]):
-    __slots__ = ("children", "value", "has_value")
-
-    def __init__(self) -> None:
-        self.children: list[Optional["_Node[V]"]] = [None, None]
-        self.value: Optional[V] = None
-        self.has_value = False
+#: Sentinel for "no entry": a stored value may itself be None.
+_ABSENT = object()
 
 
 class RadixTrie(Generic[V]):
     """Map :class:`Prefix` keys to values with longest-prefix-match lookup."""
 
+    __slots__ = ("_tables", "_probe", "_size")
+
     def __init__(self) -> None:
-        self._root: _Node[V] = _Node()
+        self._tables: Dict[int, Dict[int, V]] = {}
+        self._probe: List[Tuple[int, int, Dict[int, V]]] = []
+        """``(length, mask, table)`` per length in use, longest first."""
         self._size = 0
 
     def __len__(self) -> int:
         return self._size
 
+    def _reindex(self) -> None:
+        self._probe = [(length, mask_of(length), self._tables[length])
+                       for length in sorted(self._tables, reverse=True)]
+
     def insert(self, prefix: Prefix, value: V) -> None:
         """Insert or replace the value stored at ``prefix``."""
-        node = self._root
-        for bit_index in range(prefix.length):
-            bit = (prefix.network >> (31 - bit_index)) & 1
-            child = node.children[bit]
-            if child is None:
-                child = _Node()
-                node.children[bit] = child
-            node = child
-        if not node.has_value:
+        table = self._tables.get(prefix.length)
+        if table is None:
+            table = self._tables[prefix.length] = {}
+            self._reindex()
+        if prefix.network not in table:
             self._size += 1
-        node.value = value
-        node.has_value = True
+        table[prefix.network] = value
 
     def remove(self, prefix: Prefix) -> bool:
-        """Remove the value at ``prefix``.  Returns True if it was present.
-
-        Nodes are not physically pruned; tries in this code base are
-        build-once structures, and removal is rare (cache eviction paths
-        use their own indexes).
-        """
-        node: Optional[_Node[V]] = self._root
-        for bit_index in range(prefix.length):
-            if node is None:
-                return False
-            bit = (prefix.network >> (31 - bit_index)) & 1
-            node = node.children[bit]
-        if node is None or not node.has_value:
+        """Remove the value at ``prefix``.  Returns True if it was present."""
+        table = self._tables.get(prefix.length)
+        if table is None or prefix.network not in table:
             return False
-        node.value = None
-        node.has_value = False
+        del table[prefix.network]
         self._size -= 1
+        if not table:
+            del self._tables[prefix.length]
+            self._reindex()
         return True
 
     def exact(self, prefix: Prefix) -> Optional[V]:
         """Return the value stored exactly at ``prefix``, or None."""
-        node: Optional[_Node[V]] = self._root
-        for bit_index in range(prefix.length):
-            if node is None:
-                return None
-            bit = (prefix.network >> (31 - bit_index)) & 1
-            node = node.children[bit]
-        if node is None or not node.has_value:
-            return None
-        return node.value
+        table = self._tables.get(prefix.length)
+        return None if table is None else table.get(prefix.network)
 
     def longest_match(self, addr: int) -> Optional[Tuple[Prefix, V]]:
         """Longest-prefix match for a single address.
@@ -91,44 +76,27 @@ class RadixTrie(Generic[V]):
         Returns the matching ``(prefix, value)`` pair, or None if no
         inserted prefix covers the address.
         """
-        node: Optional[_Node[V]] = self._root
-        best: Optional[Tuple[int, V]] = None
-        if node is not None and node.has_value:
-            best = (0, node.value)  # type: ignore[arg-type]
-        for bit_index in range(32):
-            bit = (addr >> (31 - bit_index)) & 1
-            node = node.children[bit] if node else None
-            if node is None:
-                break
-            if node.has_value:
-                best = (bit_index + 1, node.value)  # type: ignore[arg-type]
-        if best is None:
-            return None
-        length, value = best
-        mask = ((1 << length) - 1) << (32 - length) if length else 0
-        return Prefix(addr & mask, length), value
+        for length, mask, table in self._probe:
+            network = addr & mask
+            value = table.get(network, _ABSENT)
+            if value is not _ABSENT:
+                return Prefix(network, length), value  # type: ignore
+        return None
 
     def lookup(self, addr: int) -> Optional[V]:
         """Longest-prefix-match value for a single address, or None."""
-        match = self.longest_match(addr)
-        return match[1] if match else None
+        for _length, mask, table in self._probe:
+            value = table.get(addr & mask, _ABSENT)
+            if value is not _ABSENT:
+                return value  # type: ignore[return-value]
+        return None
 
     def items(self) -> Iterator[Tuple[Prefix, V]]:
-        """Iterate all stored (prefix, value) pairs in address order."""
-        stack: list[Tuple[_Node[V], int, int]] = [(self._root, 0, 0)]
-        # Depth-first, visiting the 0-child before the 1-child yields
-        # prefixes sorted by (network, length-at-equal-network) order.
-        out: list[Tuple[Prefix, V]] = []
-        while stack:
-            node, network, depth = stack.pop()
-            if node.has_value:
-                out.append(
-                    (Prefix(network << (32 - depth) if depth else 0, depth),
-                     node.value)  # type: ignore[arg-type]
-                )
-            for bit in (1, 0):
-                child = node.children[bit]
-                if child is not None:
-                    stack.append((child, (network << 1) | bit, depth + 1))
-        out.sort(key=lambda item: (item[0].network, item[0].length))
-        return iter(out)
+        """Iterate all stored (prefix, value) pairs in address order
+        (ties on network: shorter prefix first)."""
+        rows = sorted(((network, length, value)
+                       for length, table in self._tables.items()
+                       for network, value in table.items()),
+                      key=lambda row: (row[0], row[1]))
+        return iter([(Prefix(network, length), value)
+                     for network, length, value in rows])

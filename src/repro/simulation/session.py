@@ -25,20 +25,18 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from repro.cdn.content import ContentProvider, WebPage
+from repro.cdn.content import PARALLEL_CONNECTIONS, ContentProvider, WebPage
 from repro.core.loadbalancer import spread_load
 from repro.dnssrv.stub import StubResolver
 from repro.net.geometry import great_circle_miles
-from repro.obs import NULL_SPAN
+from repro.obs import NULL_SPAN, Counter
 from repro.simulation.world import World
 from repro.topology.internet import ClientBlock
 
 #: Effective TCP window for the transfer model (bytes).
 TCP_WINDOW_BYTES = 64 * 1024
-#: Parallel persistent connections a browser opens per host.
-PARALLEL_CONNECTIONS = 6
 #: Edge server base processing time for a cache hit (ms).
 EDGE_PROCESS_MS = 4.0
 #: TCP connect timeout burned per dead edge server the client tries
@@ -101,7 +99,6 @@ def simulate_session(
     rng: random.Random,
     provider: Optional[ContentProvider] = None,
     page: Optional[WebPage] = None,
-    account_load: bool = True,
 ) -> SessionResult:
     """Run one client session end to end through the real stack."""
     provider = provider or world.catalog.pick_provider(rng)
@@ -113,13 +110,16 @@ def simulate_session(
         if tracer.active:
             root.set(block=str(block.prefix), provider=provider.name)
         result = _run_session(world, block, now, rng, provider, page,
-                              client_ip, account_load, root)
-    _record_session_metrics(world.obs.registry, block, result)
+                              client_ip, root)
+    metrics = world.session_metrics
+    if metrics is None:
+        metrics = world.session_metrics = SessionMetrics(world.obs.registry)
+    metrics.record(block, result)
     return result
 
 
 def _run_session(world, block, now, rng, provider, page, client_ip,
-                 account_load, root) -> SessionResult:
+                 root) -> SessionResult:
     # --- DNS ----------------------------------------------------------------
     resolver_id = block.pick_ldns(rng)
     # The resolver plane may re-home the session: anycast routes around
@@ -169,22 +169,24 @@ def _run_session(world, block, now, rng, provider, page, client_ip,
     # Try the answered addresses in order; footnote 2 of the paper has
     # two servers returned "as a precaution against transient
     # failures" -- a dead first server costs a connect timeout, not
-    # the session.
-    server_ip = None
-    server = None
+    # the session.  Every live answered server shares the load.
+    server_index = world.deployments.server_index
+    live = []
     dead_tried = 0
     for ip in resolution.addresses:
-        candidate = world.deployments.server_index.get(ip)
+        candidate = server_index.get(ip)
         if candidate is None:
             raise RuntimeError(f"mapped to unknown server {ip}")
         if candidate.alive:
-            server_ip, server = ip, candidate
-            break
-        dead_tried += 1
-    if server is None:
+            live.append(candidate)
+        elif not live:
+            dead_tried += 1
+    if not live:
         root.set(failed=True, dead_servers=dead_tried)
         return _failed_session(world, block, provider, resolver_id,
                                ldns, resolution)
+    server = live[0]
+    server_ip = server.ip
     cluster = world.deployments.cluster_of_server(server_ip)
     if cluster is None:
         raise RuntimeError(f"mapped to unknown server {server_ip}")
@@ -194,55 +196,15 @@ def _run_session(world, block, now, rng, provider, page, client_ip,
     rtt = _with_noise(base_rtt + block.last_mile_ms, rng)
     connect_ms = rtt + dead_tried * CONNECT_TIMEOUT_MS
 
-    # --- base page (TTFB) ------------------------------------------------------
+    # --- page: TTFB and content download --------------------------------------
     origin = world.origins[provider.name]
     edge_origin_rtt = world.network.rtt_ms(server_ip, origin.ip)
-    base_key = f"{provider.name}{page.url}#base"
-    requests = 1
-    cache_hits = 0
-    if page.dynamic:
-        # Personalized: always goes to origin over the overlay.
-        server_time = origin.fetch_time_ms(edge_origin_rtt,
-                                           page.origin_think_ms)
-    else:
-        hit = server.serve(base_key, page.base_size_bytes)
-        if hit:
-            cache_hits += 1
-            server_time = EDGE_PROCESS_MS
-        else:
-            server_time = origin.fetch_time_ms(edge_origin_rtt,
-                                               page.origin_think_ms)
-    ttfb_ms = rtt + server_time
-
-    # --- embedded content -----------------------------------------------------
-    per_connection: List[float] = [0.0] * PARALLEL_CONNECTIONS
-    throughput_bytes_per_ms = TCP_WINDOW_BYTES / max(rtt, 1.0)
-    for index, obj in enumerate(page.objects):
-        requests += 1
-        key = obj.name
-        if obj.cacheable:
-            hit = server.serve(key, obj.size_bytes)
-        else:
-            hit = False
-            server.cache.stats.misses += 1
-        object_ms = rtt + obj.size_bytes / throughput_bytes_per_ms
-        if hit:
-            cache_hits += 1
-            object_ms += EDGE_PROCESS_MS
-        else:
-            object_ms += origin.fetch_time_ms(edge_origin_rtt,
-                                              think_ms=8.0)
-        connection = index % PARALLEL_CONNECTIONS
-        per_connection[connection] += object_ms
-    download_ms = max(per_connection) if page.objects else 0.0
+    ttfb_ms, download_ms, cache_hits = _serve_page(
+        server, origin, edge_origin_rtt, rtt, provider, page)
+    requests = 1 + len(page.objects)
 
     # --- bookkeeping -----------------------------------------------------------
-    if account_load:
-        answered = [world.deployments.server_index[ip]
-                    for ip in resolution.addresses
-                    if ip in world.deployments.server_index
-                    and world.deployments.server_index[ip].alive]
-        spread_load(answered, rps=0.01 * requests)
+    spread_load(live, rps=0.01 * requests)
 
     ecs_used = (ldns.ecs_enabled and not ldns.ecs_stripped
                 and ldns.ecs_whitelisted)
@@ -283,6 +245,42 @@ def _run_session(world, block, now, rng, provider, page, client_ip,
         catchment_shifted=catchment_shifted,
         cold_cache_miss=catchment_shifted and not resolution.ldns_cache_hit,
     )
+
+
+def _serve_page(server, origin, edge_origin_rtt: float, rtt: float,
+                provider: ContentProvider, page: WebPage):
+    """``(ttfb_ms, download_ms, edge_cache_hits)`` of one page view.
+
+    The page's :class:`~repro.cdn.content.PagePlan` makes one call into
+    the edge cache for the whole page; the arithmetic per object stays
+    as it was, in index order: rtt + window-limited transfer, then the
+    edge's processing time on a hit or an origin fetch on a miss,
+    summed into the object's connection.  Float addition does not
+    associate, so that order is what keeps every milestone (and every
+    digest over them) bit-identical.
+    """
+    plan = page.plan(provider.name)
+    hits = server.serve_page(plan)
+    if page.dynamic:
+        # Personalized: always goes to origin over the overlay.
+        server_time = origin.fetch_time_ms(edge_origin_rtt,
+                                           page.origin_think_ms)
+        object_hits = hits
+    else:
+        server_time = (EDGE_PROCESS_MS if hits[0] else
+                       origin.fetch_time_ms(edge_origin_rtt,
+                                            page.origin_think_ms))
+        object_hits = hits[1:]
+    per_connection: List[float] = [0.0] * PARALLEL_CONNECTIONS
+    throughput_bytes_per_ms = TCP_WINDOW_BYTES / max(rtt, 1.0)
+    fetch_ms = origin.fetch_time_ms(edge_origin_rtt, think_ms=8.0)
+    for connection, size, hit in zip(plan.connections, plan.object_sizes,
+                                     object_hits):
+        object_ms = rtt + size / throughput_bytes_per_ms
+        object_ms += EDGE_PROCESS_MS if hit else fetch_ms
+        per_connection[connection] += object_ms
+    download_ms = max(per_connection) if page.objects else 0.0
+    return rtt + server_time, download_ms, hits.count(True)
 
 
 class _DarkFleet:
@@ -371,41 +369,74 @@ def _failed_session(world, block, provider, resolver_id, ldns,
     )
 
 
-def _record_session_metrics(registry, block: ClientBlock,
-                            result: SessionResult) -> None:
-    """Session-level registry metrics (demand-weighted histograms).
+class SessionMetrics:
+    """Session-level registry metrics (demand-weighted histograms),
+    bound once per world (``World.session_metrics``).
 
     Failed sessions count only toward ``sessions.failed`` -- their
-    zeroed milestones would poison the latency histograms.  The
-    fault-path counters (``sessions.failed`` / ``.degraded`` /
-    ``.stale``) are created lazily on first increment, so a healthy
-    run's registry snapshot is unchanged by their existence.
+    zeroed milestones would poison the latency histograms.  A completed
+    session's three counters and five histograms are bound by the
+    world's first completed session.  The conditional counters
+    (``sessions.ecs_used`` and the fault path: ``sessions.failed`` /
+    ``.degraded`` / ``.stale``, ``resolver.pop_failovers`` /
+    ``.cold_cache_misses``) are created on first increment, so a
+    healthy run's registry snapshot is unchanged by their existence.
+    Either way each instrument is asked of the registry once.
     """
-    if result.failed:
-        registry.counter("sessions.failed").inc()
-        return
-    registry.counter("sessions.completed").inc()
-    registry.counter("sessions.requests").inc(result.requests)
-    registry.counter("sessions.edge_cache_hits").inc(
-        result.edge_cache_hits)
-    if result.ecs_used:
-        registry.counter("sessions.ecs_used").inc()
-    if result.degraded:
-        registry.counter("sessions.degraded").inc()
-    if result.stale_served:
-        registry.counter("sessions.stale").inc()
-    if result.catchment_shifted:
-        registry.counter("resolver.pop_failovers").inc()
-    if result.cold_cache_miss:
-        registry.counter("resolver.cold_cache_misses").inc()
-    weight = block.demand
-    registry.histogram("session.dns_ms").observe(result.dns_ms, weight)
-    registry.histogram("session.rtt_ms").observe(result.rtt_ms, weight)
-    registry.histogram("session.ttfb_ms").observe(result.ttfb_ms, weight)
-    registry.histogram("session.page_load_ms").observe(
-        result.page_load_ms, weight)
-    registry.histogram("session.mapping_distance_miles").observe(
-        result.mapping_distance_miles, weight)
+
+    __slots__ = ("registry", "completed", "requests", "edge_cache_hits",
+                 "dns_ms", "rtt_ms", "ttfb_ms", "page_load_ms",
+                 "mapping_distance_miles", "_conditional")
+
+    def __init__(self, registry) -> None:
+        self.registry = registry
+        self.completed = None
+        self._conditional: Dict[str, Counter] = {}
+
+    def _bind(self) -> None:
+        registry = self.registry
+        self.completed = registry.counter("sessions.completed")
+        self.requests = registry.counter("sessions.requests")
+        self.edge_cache_hits = registry.counter("sessions.edge_cache_hits")
+        self.dns_ms = registry.histogram("session.dns_ms")
+        self.rtt_ms = registry.histogram("session.rtt_ms")
+        self.ttfb_ms = registry.histogram("session.ttfb_ms")
+        self.page_load_ms = registry.histogram("session.page_load_ms")
+        self.mapping_distance_miles = registry.histogram(
+            "session.mapping_distance_miles")
+
+    def _count(self, name: str) -> None:
+        counter = self._conditional.get(name)
+        if counter is None:
+            counter = self._conditional[name] = self.registry.counter(name)
+        counter.inc()
+
+    def record(self, block: ClientBlock, result: SessionResult) -> None:
+        if result.failed:
+            self._count("sessions.failed")
+            return
+        if self.completed is None:
+            self._bind()
+        self.completed.inc()
+        self.requests.inc(result.requests)
+        self.edge_cache_hits.inc(result.edge_cache_hits)
+        if result.ecs_used:
+            self._count("sessions.ecs_used")
+        if result.degraded:
+            self._count("sessions.degraded")
+        if result.stale_served:
+            self._count("sessions.stale")
+        if result.catchment_shifted:
+            self._count("resolver.pop_failovers")
+        if result.cold_cache_miss:
+            self._count("resolver.cold_cache_misses")
+        weight = block.demand
+        self.dns_ms.observe(result.dns_ms, weight)
+        self.rtt_ms.observe(result.rtt_ms, weight)
+        self.ttfb_ms.observe(result.ttfb_ms, weight)
+        self.page_load_ms.observe(result.page_load_ms, weight)
+        self.mapping_distance_miles.observe(
+            result.mapping_distance_miles, weight)
 
 
 def _with_noise(rtt_ms: float, rng: random.Random,

@@ -51,6 +51,7 @@ from repro.topology.resolvers import ResolverFleets
 
 if TYPE_CHECKING:
     from repro.api import ScenarioSpec
+    from repro.simulation.session import SessionMetrics
 
 CDN_ZONE = "cdn.example"
 WHOAMI_NAME = f"whoami.{CDN_ZONE}"
@@ -138,6 +139,10 @@ class World:
     """The load-feedback report channel, when the spec asks for one:
     the engines observe it once per day and the scorer reads its
     penalties.  None keeps scoring load-blind."""
+    session_metrics: Optional["SessionMetrics"] = field(
+        default=None, init=False, repr=False, compare=False)
+    """The session path's registry instruments, bound by the world's
+    first session (:class:`~repro.simulation.session.SessionMetrics`)."""
 
     def set_policy(self, policy: MappingPolicy) -> None:
         """Swap the mapping policy (NS / EU / CANS) world-wide."""

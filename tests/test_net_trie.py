@@ -1,4 +1,4 @@
-"""Unit and property tests for the radix trie (longest-prefix match)."""
+"""Unit and property tests for longest-prefix matching (`RadixTrie`)."""
 
 import pytest
 from hypothesis import given
@@ -103,3 +103,64 @@ class TestRadixTrie:
             unique.add(prefix)
             trie.insert(prefix, 0)
         assert len(trie) == len(unique)
+
+
+# Addresses and lengths drawn from a small pool collide often, so the
+# model sees overwrites, removals of present keys and nested prefixes.
+pooled_addresses = st.one_of(
+    st.sampled_from([0, 0x0A000000, 0x0A010203, 0x0A01FFFF, 0xC0A80001,
+                     (1 << 32) - 1]),
+    addresses)
+pooled_lengths = st.one_of(st.sampled_from([0, 8, 16, 22, 24, 32]),
+                           st.integers(min_value=0, max_value=32))
+operations = st.lists(
+    st.tuples(st.sampled_from(["insert", "insert", "remove"]),
+              pooled_addresses, pooled_lengths,
+              st.one_of(st.none(), st.integers(min_value=0, max_value=3))),
+    max_size=60)
+
+
+def linear_longest_match(model, addr):
+    covering = [prefix for prefix in model if prefix.contains(addr)]
+    if not covering:
+        return None
+    best = max(covering, key=lambda prefix: prefix.length)
+    return best, model[best]
+
+
+@given(operations, st.lists(pooled_addresses, max_size=8))
+def test_matches_linear_scan_model_under_updates(ops, probes):
+    """Interleaved insert/overwrite/remove (stored None included)
+    against a dict scanned linearly: every query agrees after every
+    operation."""
+    trie = RadixTrie()
+    model = {}
+    for op, addr, length, value in ops:
+        prefix = prefix_of(addr, length)
+        if op == "insert":
+            trie.insert(prefix, value)
+            model[prefix] = value
+        else:
+            assert trie.remove(prefix) == (prefix in model)
+            model.pop(prefix, None)
+        assert len(trie) == len(model)
+        assert trie.exact(prefix) == model.get(prefix)
+        for probe in [addr, *probes]:
+            expected = linear_longest_match(model, probe)
+            assert trie.longest_match(probe) == expected
+            assert trie.lookup(probe) == (expected[1] if expected
+                                          else None)
+    assert list(trie.items()) == sorted(
+        model.items(),
+        key=lambda item: (item[0].network, item[0].length))
+
+
+def test_stored_none_is_a_match():
+    trie = build([("10.0.0.0/8", "a"), ("10.1.0.0/16", None)])
+    assert trie.longest_match(parse_ipv4("10.1.2.3")) == (
+        Prefix.parse("10.1.0.0/16"), None)
+    assert trie.lookup(parse_ipv4("10.1.2.3")) is None
+    assert trie.lookup(parse_ipv4("10.2.0.0")) == "a"
+    assert len(trie) == 2
+    assert trie.remove(Prefix.parse("10.1.0.0/16"))
+    assert trie.lookup(parse_ipv4("10.1.2.3")) == "a"
