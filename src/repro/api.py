@@ -269,8 +269,9 @@ def run(spec: Optional[ScenarioSpec] = None,
     if workers is not None:
         from repro.parallel import DEFAULT_SHARDS, run_sharded
 
-        return run_sharded(spec, workers=workers,
-                           n_shards=shards or DEFAULT_SHARDS)
+        return run_sharded(
+            spec, workers=workers,
+            n_shards=DEFAULT_SHARDS if shards is None else shards)
     if shards is not None:
         raise ValueError("shards=N requires workers=N")
     world = _build_world(spec)

@@ -282,6 +282,24 @@ class MetricsRegistry:
         for collector in self._collectors:
             collector(self)
 
+    def detach(self) -> None:
+        """Drop every collector, keeping the instruments.
+
+        Collectors are closures over live component objects (a whole
+        :class:`~repro.simulation.world.World`); a detached registry is
+        a passive record holding what the last :meth:`collect` left and
+        pins none of them.  Shard workers collect, then detach, before
+        handing the registry back.
+        """
+        self.__dict__.update(self._passive_state())
+
+    def _passive_state(self) -> Dict:
+        """The instance state with no collectors: what :meth:`detach`
+        leaves and what pickling ships."""
+        state = self.__dict__.copy()
+        state["_collectors"] = []
+        return state
+
     # -- merge / clone / pickling ----------------------------------------
 
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
@@ -346,17 +364,10 @@ class MetricsRegistry:
         return copy
 
     def __getstate__(self) -> Dict:
-        """Pickle support for process-pool transport.
-
-        Collectors are closures over live component objects (a whole
-        :class:`~repro.simulation.world.World`) and cannot cross a
-        process boundary; shard workers run :meth:`collect` before
-        shipping the registry, so the materialized gauge values travel
-        while the closures stay behind.
-        """
-        state = self.__dict__.copy()
-        state["_collectors"] = []
-        return state
+        """Pickle support for transport between processes: collectors
+        cannot cross a process boundary, so a pickled registry arrives
+        detached (see :meth:`detach`)."""
+        return self._passive_state()
 
     def __setstate__(self, state: Dict) -> None:
         self.__dict__.update(state)

@@ -13,9 +13,10 @@ count.
 * :mod:`repro.parallel.plan` -- the deterministic prefix partitioner
   and the per-shard population slice (RNG stream, session quota,
   block pick) the day loop runs over.
-* :mod:`repro.parallel.engine` -- the shard worker (build world, slice,
-  run the loop, package), the process pool, and the monitor fed one
-  merged day record per day.
+* :mod:`repro.parallel.engine` -- the shard task (build the static
+  ecosystem once), the shard worker (wire a live world over it, slice,
+  run the loop, package), one worker process per task, and the monitor
+  fed one merged day record per day.
 * :mod:`repro.parallel.merge` -- the merge algebra for everything a
   shard produces (registries, RUM beacons, query logs, traces, day
   records).

@@ -11,10 +11,11 @@ world scale, Python hash randomization, and, critically, of how many
 worker processes execute the shards.
 
 Closed-world invariant: a shard owns its blocks' *sessions*, but every
-shard worker rebuilds the full world from the same spec, so shared
-infrastructure -- published maps, the fault schedule, the ECS roll-out
-timeline, name servers, cluster geometry -- is replicated identically
-everywhere.  Only client-driven activity differs per shard, and that
+shard runs over a full world of the same spec -- the static ecosystem
+(Internet, catalog) built once per worker task, a live world wired
+fresh per shard -- so shared infrastructure -- published maps, the
+fault schedule, the ECS roll-out timeline, name servers, cluster
+geometry -- is replicated identically everywhere.  Only client-driven activity differs per shard, and that
 is exactly the part the merge algebra can add back together.
 
 Per-day load: the day loop computes one global session count per day.
@@ -137,9 +138,10 @@ class ShardPlan:
 def plan_shards(internet, n_shards: int = DEFAULT_SHARDS) -> ShardPlan:
     """Partition a built Internet's client blocks into shards.
 
-    Pure function of (block prefixes, demands, n_shards): every worker
-    process recomputes the identical plan from its own copy of the
-    world, so no plan state ever needs to cross a process boundary.
+    Pure function of (block prefixes, demands, n_shards): each worker
+    task computes the identical plan once from its own Internet and
+    shares it across the shards it runs, so no plan state ever needs to
+    cross a process boundary.
     """
     if n_shards < 1:
         raise ValueError(f"need at least one shard, got {n_shards}")

@@ -24,6 +24,7 @@ from repro.measurement.querylog import QueryLog
 from repro.obs.monitor.driver import DayRecord
 from repro.simulation.session import simulate_session
 from repro.simulation.world import World
+from repro.topology.internet import Internet
 from repro.topology.traffic import DayTraffic, TrafficSchedule
 
 DAY_SECONDS = 86400.0
@@ -151,18 +152,19 @@ def split_expectation_groups(
     return high, set(medians) - high
 
 
-def classify_expectation_groups(world: World) -> Dict[str, float]:
+def classify_expectation_groups(internet: Internet) -> Dict[str, float]:
     """Median client--public-LDNS distance per country (Section 4.1.1).
 
     Computed from NetSession pairing data exactly as the paper derives
     its country split from Figure 8; the caller applies the threshold
-    (:func:`split_expectation_groups`).
+    (:func:`split_expectation_groups`).  A pure function of the
+    Internet, so every world built over one Internet shares the result.
     """
-    dataset = NetSessionCollector(world.internet).collect_ground_truth()
+    dataset = NetSessionCollector(internet).collect_ground_truth()
     return median_public_distances(
         dataset.observations,
-        world.internet.public_resolver_ids(),
-        {b.prefix: b.country for b in world.internet.blocks})
+        internet.public_resolver_ids(),
+        {b.prefix: b.country for b in internet.blocks})
 
 
 def _whole_quota(sessions_global: int, traffic, day: int) -> int:
@@ -192,7 +194,8 @@ def _run_rollout(world: World,
                  observer=None,
                  injector=None,
                  traffic: Optional[TrafficSchedule] = None,
-                 population: Optional[PopulationSlice] = None
+                 population: Optional[PopulationSlice] = None,
+                 expectation_medians: Optional[Dict[str, float]] = None,
                  ) -> RolloutResult:
     """Run the full roll-out timeline against a world.
 
@@ -221,6 +224,11 @@ def _run_rollout(world: World,
     each day's session volume, block picks, and provider picks flow
     through a :class:`~repro.topology.traffic.DayTraffic` view.  An
     empty/None schedule replays the legacy draw sequence bit-for-bit.
+
+    ``expectation_medians`` is
+    :func:`classify_expectation_groups` of the world's Internet, when
+    the caller already holds it (a shard task computes it once for
+    every shard it runs); None computes it here.
     """
     config = config or RolloutConfig()
     if population is None:
@@ -231,7 +239,8 @@ def _run_rollout(world: World,
                                      pick_block=world.internet.pick_block)
     rng = population.rng
 
-    medians = classify_expectation_groups(world)
+    medians = (classify_expectation_groups(world.internet)
+               if expectation_medians is None else expectation_medians)
     high_expectation, _ = split_expectation_groups(
         medians, config.expectation_threshold_miles)
 
@@ -244,7 +253,7 @@ def _run_rollout(world: World,
         rum=RumCollector(),
         query_log=world.query_log,
         high_expectation_countries=sorted(high_expectation),
-        median_public_distance=medians,
+        median_public_distance=dict(medians),
     )
 
     registry = world.obs.registry

@@ -214,16 +214,49 @@ class World:
         return sorted(self.internet.public_resolver_ids())
 
 
-def _build_world(spec: "ScenarioSpec", load_scale: float = 1.0) -> World:
+@dataclass(frozen=True)
+class Ecosystem:
+    """The static part of a world: a pure function of its
+    :class:`WorldConfig` and read-only once built.
+
+    Nothing a world does after wiring writes to these objects (faults
+    flip fleet, recursive, cluster, maker and name-server attributes;
+    a world build re-registers its cluster and origin /24s into
+    ``internet.geodb``, records identical under one config).  So one
+    ecosystem can back many live worlds in turn: a shard task builds
+    it once and wires a fresh world over it per shard.
+    """
+
+    config: WorldConfig
+    internet: Internet
+    catalog: ContentCatalog
+
+
+def build_ecosystem(config: WorldConfig) -> Ecosystem:
+    """Build the Internet and content catalog a world config names."""
+    return Ecosystem(
+        config=config,
+        internet=build_internet(config.internet, seed=config.seed),
+        catalog=build_catalog(config.n_providers, seed=config.seed + 2,
+                              cdn_zone=CDN_ZONE, dns_ttl=config.dns_ttl))
+
+
+def _build_world(spec: "ScenarioSpec", load_scale: float = 1.0,
+                 ecosystem: Optional[Ecosystem] = None) -> World:
     """Build and wire the world a spec describes, every plane it asks
     for attached.  ``load_scale`` multiplies observed load -- shard
     workers pass their shard count, since each sees only its own slice
-    of the global demand."""
+    of the global demand.  ``ecosystem`` reuses an already built
+    :class:`Ecosystem` of ``spec.world``; by default one is built."""
     config = spec.world
+    if ecosystem is None:
+        ecosystem = build_ecosystem(config)
+    elif ecosystem.config != config:
+        raise ValueError("ecosystem was built for a different WorldConfig")
     rng = random.Random(config.seed ^ 0xC0FFEE)
     obs = Observability()
 
-    internet = build_internet(config.internet, seed=config.seed)
+    internet, catalog = ecosystem.internet, ecosystem.catalog
     network = Network(internet.geodb, LatencyModel(), obs=obs)
 
     deployments = build_deployments(
@@ -234,9 +267,6 @@ def _build_world(spec: "ScenarioSpec", load_scale: float = 1.0) -> World:
         server_capacity_rps=config.server_capacity_rps,
         host_ases=list(internet.ases.values()),
     )
-
-    catalog = build_catalog(config.n_providers, seed=config.seed + 2,
-                            cdn_zone=CDN_ZONE, dns_ttl=config.dns_ttl)
 
     measurement = MeasurementService()
     scorer = Scorer(measurement, TrafficClass.WEB)

@@ -25,6 +25,7 @@ import random
 
 import pytest
 
+import repro.parallel
 from repro.api import ScenarioSpec, build_world, run
 from repro.core.loadfeedback import LoadFeedbackConfig
 from repro.core.mapmaker import MapMakerConfig
@@ -391,6 +392,17 @@ class TestValidation:
                 run_sharded(ROLLOUT_SPEC, workers=bad, n_shards=2)
         with pytest.raises(ValueError):
             run_sharded(ROLLOUT_SPEC, workers=1, n_shards=0)
+
+    def test_zero_shards_is_refused_not_defaulted(self, monkeypatch):
+        with pytest.raises(ValueError, match="n_shards"):
+            run(ROLLOUT_SPEC, workers=1, shards=0)
+        seen = []
+        monkeypatch.setattr(
+            repro.parallel, "run_sharded",
+            lambda spec, workers, n_shards: seen.append(n_shards))
+        run(ROLLOUT_SPEC, workers=1)
+        run(ROLLOUT_SPEC, workers=1, shards=None)
+        assert seen == [DEFAULT_SHARDS, DEFAULT_SHARDS]
 
     def test_live_policy_objects_cannot_shard(self):
         spec = ScenarioSpec(world=WorldConfig.tiny(), policy=object())

@@ -124,14 +124,14 @@ class TestSessionModel:
 
 class TestExpectationClassification:
     def test_medians_positive(self, world):
-        medians = classify_expectation_groups(world)
+        medians = classify_expectation_groups(world.internet)
         assert medians
         assert all(m >= 0 for m in medians.values())
 
     def test_known_split_tendency(self, world):
         """Countries the paper flags as high-expectation should have
         larger medians than the well-served ones when both present."""
-        medians = classify_expectation_groups(world)
+        medians = classify_expectation_groups(world.internet)
         high_side = [medians[c] for c in ("IN", "BR", "AR")
                      if c in medians]
         low_side = [medians[c] for c in ("GB", "DE", "NL", "FR")
