@@ -24,9 +24,14 @@ strings parse through :func:`parse_unit_scheme`; only
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.core.units.base import MapUnit, MapUnitScheme
+
+#: ``routing_aware:<k>``'s count: ASCII digits only (``int()`` would
+#: also take a sign, spaces, ``_`` separators and non-ASCII digits).
+_UNIT_COUNT = re.compile(r"[1-9][0-9]*")
 
 
 class UnitBuilder(Protocol):
@@ -198,32 +203,28 @@ def parse_unit_scheme(spec: str) -> Tuple[str, Dict]:
     """Parse a scheme spec string into (scheme name, builder params).
 
     The grammar is ``<scheme>`` or ``routing_aware:<k>`` (an explicit
-    unit count); anything else raises ``ValueError`` so CLI surfaces
-    can map it to the exit-code-2 usage contract before a world is
-    built.
+    unit count, spelled ``[1-9][0-9]*`` so one count has one spelling);
+    anything else raises ``ValueError`` so CLI surfaces can map it to
+    the exit-code-2 usage contract before a world is built.
     """
     if not isinstance(spec, str) or not spec:
         raise ValueError(f"bad unit scheme: {spec!r}")
-    name, _, param = spec.partition(":")
+    name, colon, param = spec.partition(":")
     if name not in _BUILDERS:
         raise ValueError(
             f"unknown unit scheme {name!r}; known: "
             f"{available_schemes()}")
-    if not param:
+    if not colon:
         return name, {}
     if name != "routing_aware":
         raise ValueError(
             f"unit scheme {name!r} takes no parameter "
             f"(got {spec!r}); only routing_aware:<k> does")
-    try:
-        n_units = int(param)
-    except ValueError:
+    if not _UNIT_COUNT.fullmatch(param):
         raise ValueError(
-            f"bad unit count in {spec!r}: expected an integer"
-        ) from None
-    if n_units < 1:
-        raise ValueError(f"unit count must be >= 1, got {n_units}")
-    return name, {"n_units": n_units}
+            f"bad unit count in {spec!r}: expected a positive integer "
+            f"in plain ASCII digits, no sign, spaces or leading zero")
+    return name, {"n_units": int(param)}
 
 
 def build_units(scheme: str, internet, **params) -> List[MapUnit]:

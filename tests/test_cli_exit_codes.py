@@ -185,7 +185,8 @@ class TestUnitSchemeValidation:
 
     @pytest.mark.parametrize("value", ["routing_aware:x",
                                        "routing_aware:0",
-                                       "routing_aware:-5"])
+                                       "routing_aware:-5",
+                                       "routing_aware:05"])
     def test_bad_unit_count_exits_two(self, value):
         code, _, err = _run(["sim", "rollout", "--control-plane",
                              "--unit-scheme", value])

@@ -126,6 +126,11 @@ class TestSchemeGrammar:
     @pytest.mark.parametrize("spec", [
         "", "nope", "ldns:4", "geo_as:2", "routing_aware:x",
         "routing_aware:0", "routing_aware:-3", None, 42,
+        # int() would read each of these as 5 or 50.
+        "routing_aware:5_0", "routing_aware:+5", "routing_aware: 5",
+        "routing_aware:5 ", "routing_aware:05", "routing_aware:\u0665",
+        # An empty count used to read as the default one.
+        "routing_aware:",
     ])
     def test_invalid_specs(self, spec):
         with pytest.raises(ValueError):
