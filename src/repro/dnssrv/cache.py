@@ -53,7 +53,7 @@ def aged(records: Tuple[ResourceRecord, ...],
                  for record in records)
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
     """One cached answer with its validity scope.
 
@@ -69,6 +69,13 @@ class CacheEntry:
     stored_at: float
     expires_at: float
     rcode: int = 0
+    answer: Tuple[Tuple[ResourceRecord, ...], float] = field(
+        init=False, repr=False, compare=False)
+    """``(records, stored_at)``, built once: every resolution the entry
+    answers shares this pair instead of allocating its own."""
+
+    def __post_init__(self) -> None:
+        self.answer = (self.records, self.stored_at)
 
     @property
     def negative(self) -> bool:

@@ -21,7 +21,7 @@ cache machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.dnsproto.edns import ClientSubnetOption
 from repro.dnsproto.message import (
@@ -57,40 +57,46 @@ _STALE_TTL = 30
 
 
 #: One step of a resolution: the records as the cache stores them and
-#: the whole seconds they had spent there when the resolver read them
-#: (0 for a step answered upstream).
-Step = Tuple[Tuple[ResourceRecord, ...], int]
+#: when they were stored (the resolve time, for a step answered
+#: upstream).  A hit shares its entry's pair (``CacheEntry.answer``).
+Step = Tuple[Tuple[ResourceRecord, ...], float]
 
 
 class AgedAnswer:
     """Answer records as the cache holds them, aged when read.
 
-    A hit keeps the stored tuple and its age instead of copying every
-    record under a reduced TTL that most callers never look at.  Both
-    are fixed at resolve time and record tuples are immutable, so
-    whenever :attr:`records` is first read it shows the TTLs the client
-    was owed at that moment -- a later eviction or overwrite of the
-    cache entry cannot change them.
+    A hit keeps the stored tuple and when it was stored, plus the
+    resolve time ``now``, instead of copying every record under a
+    reduced TTL that most callers never look at.  All are fixed at
+    resolve time and record tuples are immutable, so whenever
+    :attr:`records` is first read it shows the TTLs the client was owed
+    at that moment -- a later eviction or overwrite of the cache entry
+    cannot change them.  The steps are a tuple of pairs the cache
+    entries already hold, so an answer kept by its caller costs two
+    GC-tracked objects (itself and that tuple), not one per step more.
     """
 
-    __slots__ = ("steps", "_records")
+    __slots__ = ("steps", "now", "_records")
 
-    def __init__(self, steps: Sequence[Step]) -> None:
+    def __init__(self, steps: Tuple[Step, ...], now: float) -> None:
         self.steps = steps
+        self.now = now
         self._records: Optional[Tuple[ResourceRecord, ...]] = None
 
     @property
     def records(self) -> Tuple[ResourceRecord, ...]:
-        """The answer chain in order, TTLs reduced by the time each
-        step had spent in cache; built on first read, then kept."""
+        """The answer chain in order, TTLs reduced by the whole seconds
+        each step had spent in cache; built on first read, then kept."""
         records = self._records
         if records is None:
-            steps = self.steps
+            steps, now = self.steps, self.now
             if len(steps) == 1:
-                records = aged(*steps[0])
+                stored, stored_at = steps[0]
+                records = aged(stored, int(now - stored_at))
             else:
-                records = tuple(record for step in steps
-                                for record in aged(*step))
+                records = tuple(
+                    record for stored, stored_at in steps
+                    for record in aged(stored, int(now - stored_at)))
             self._records = records
         return records
 
@@ -113,11 +119,11 @@ class RecursionResult(AgedAnswer):
     __slots__ = ("rcode", "cache_hit", "upstream_queries",
                  "upstream_rtt_ms", "stale")
 
-    def __init__(self, steps: Sequence[Step], rcode: int,
+    def __init__(self, steps: Tuple[Step, ...], now: float, rcode: int,
                  cache_hit: bool, upstream_queries: int,
                  upstream_rtt_ms: float,
                  stale: bool = False) -> None:
-        AgedAnswer.__init__(self, steps)
+        AgedAnswer.__init__(self, steps, now)
         self.rcode = rcode
         self.cache_hit = cache_hit
         """True when no upstream query was needed at all."""
@@ -270,7 +276,7 @@ class RecursiveResolver:
                 if entry is not None:
                     records = entry.records
                     rcode = entry.rcode
-                    steps.append((records, int(now - entry.stored_at)))
+                    steps.append(entry.answer)
                     if traced:
                         tracer.event(
                             "step", qname=current, cache="hit",
@@ -284,7 +290,7 @@ class RecursiveResolver:
                             current, qtype, client_ip, now, step_span)
                     records = step.records
                     rcode = step.rcode
-                    steps.append((records, 0))
+                    steps.append((records, now))
                     total_queries += step.queries
                     total_rtt += step.rtt_ms
                     any_stale = any_stale or step.stale
@@ -312,7 +318,7 @@ class RecursiveResolver:
                     span.set(stale=True)
         if rcode == _SERVFAIL:
             self.servfail_responses += 1
-        return RecursionResult(steps, rcode, every_step_hit,
+        return RecursionResult(tuple(steps), now, rcode, every_step_hit,
                                total_queries, total_rtt, any_stale)
 
     def handle_query(self, wire: bytes, src_ip: int, now: float,

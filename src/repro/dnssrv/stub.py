@@ -13,7 +13,7 @@ is why the client--LDNS distance matters even when mapping is perfect.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Tuple
 
 from repro.dnsproto.types import QType, Rcode
 from repro.dnssrv.recursive import AgedAnswer, RecursiveResolver, Step
@@ -34,11 +34,11 @@ class Resolution(AgedAnswer):
     __slots__ = ("rcode", "dns_time_ms", "ldns_cache_hit",
                  "upstream_queries", "failed_over", "stale")
 
-    def __init__(self, steps: Sequence[Step], rcode: int,
+    def __init__(self, steps: Tuple[Step, ...], now: float, rcode: int,
                  dns_time_ms: float, ldns_cache_hit: bool,
                  upstream_queries: int, failed_over: bool = False,
                  stale: bool = False) -> None:
-        AgedAnswer.__init__(self, steps)
+        AgedAnswer.__init__(self, steps, now)
         self.rcode = rcode
         self.dns_time_ms = dns_time_ms
         self.ldns_cache_hit = ldns_cache_hit
@@ -86,17 +86,17 @@ class StubResolver:
                     timeout=True, penalty_ms=LDNS_TIMEOUT_MS)
             burned = client_hop_ms + LDNS_TIMEOUT_MS
             if fallback is None or not getattr(fallback, "alive", True):
-                return Resolution((), Rcode.SERVFAIL, burned, False, 0,
-                                  failed_over=True)
+                return Resolution((), now, Rcode.SERVFAIL, burned, False,
+                                  0, failed_over=True)
             inner = self.resolve(qname, fallback, now, qtype)
             return Resolution(
-                inner.steps, inner.rcode, burned + inner.dns_time_ms,
+                inner.steps, now, inner.rcode, burned + inner.dns_time_ms,
                 inner.ldns_cache_hit, inner.upstream_queries,
                 failed_over=True, stale=inner.stale)
         if tracer.active:
             tracer.event("stub.hop", ldns=ldns.name, rtt_ms=client_hop_ms)
         result = ldns.resolve(qname, qtype, self.client_ip, now)
         return Resolution(
-            result.steps, result.rcode,
+            result.steps, now, result.rcode,
             client_hop_ms + result.upstream_rtt_ms, result.cache_hit,
             result.upstream_queries, stale=result.stale)

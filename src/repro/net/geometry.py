@@ -44,13 +44,25 @@ def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
 
 def _haversine(a: GeoPoint, b: GeoPoint) -> float:
     """Central angle between two points, in radians."""
-    lat1, lon1 = math.radians(a.lat), math.radians(a.lon)
-    lat2, lon2 = math.radians(b.lat), math.radians(b.lon)
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
+    lat1 = math.radians(a.lat)
+    lat2 = math.radians(b.lat)
+    return central_angle(lat1, math.radians(a.lon), math.cos(lat1),
+                         lat2, math.radians(b.lon), math.cos(lat2))
+
+
+def central_angle(lat1: float, lon1: float, cos_lat1: float,
+                  lat2: float, lon2: float, cos_lat2: float) -> float:
+    """Haversine central angle, in radians, between two points given in
+    radians with their latitudes' cosines precomputed.
+
+    The one home of the formula: callers that measure many distances
+    from one point (the topology generator's anycast catchments) keep
+    its radians and cosine instead of recomputing them per distance,
+    and get the float :func:`great_circle_miles` would, bit for bit.
+    """
     h = (
-        math.sin(dlat / 2.0) ** 2
-        + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
+        math.sin((lat2 - lat1) / 2.0) ** 2
+        + cos_lat1 * cos_lat2 * math.sin((lon2 - lon1) / 2.0) ** 2
     )
     # Clamp against floating-point drift before the asin.
     h = min(1.0, max(0.0, h))
@@ -115,16 +127,25 @@ def displace(origin: GeoPoint, distance_miles: float,
     Used to jitter client blocks and resolver deployments around their
     host city so that co-located entities are not all at one exact point.
     """
-    angular = distance_miles / EARTH_RADIUS_MILES
     lat1 = math.radians(origin.lat)
-    lon1 = math.radians(origin.lon)
+    return displace_from(lat1, math.radians(origin.lon), math.sin(lat1),
+                         math.cos(lat1), distance_miles, bearing_rad)
+
+
+def displace_from(lat1: float, lon1: float, sin_lat1: float,
+                  cos_lat1: float, distance_miles: float,
+                  bearing_rad: float) -> GeoPoint:
+    """:func:`displace` from an origin given in radians with its
+    latitude's sine and cosine precomputed: the one home of the
+    formula, for callers that jitter many points around one city."""
+    angular = distance_miles / EARTH_RADIUS_MILES
     lat2 = math.asin(
-        math.sin(lat1) * math.cos(angular)
-        + math.cos(lat1) * math.sin(angular) * math.cos(bearing_rad)
+        sin_lat1 * math.cos(angular)
+        + cos_lat1 * math.sin(angular) * math.cos(bearing_rad)
     )
     lon2 = lon1 + math.atan2(
-        math.sin(bearing_rad) * math.sin(angular) * math.cos(lat1),
-        math.cos(angular) - math.sin(lat1) * math.sin(lat2),
+        math.sin(bearing_rad) * math.sin(angular) * cos_lat1,
+        math.cos(angular) - sin_lat1 * math.sin(lat2),
     )
     lon_deg = math.degrees(lon2)
     lon_deg = ((lon_deg + 180.0) % 360.0) - 180.0

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
-from repro.net.ipv4 import Prefix, format_ipv4
+from repro.net.ipv4 import Prefix
 from repro.net.trie import RadixTrie
 
 # Pool starts are cursors in units of /24 blocks (address >> 8).
@@ -134,8 +134,3 @@ class BGPTable:
         return (f"BGPTable({len(self._announcements)} announcements, "
                 f"first {first.cidr} via AS{first.asn})")
 
-
-def describe_chunk(prefix: Prefix) -> str:
-    """Human-readable chunk description for logs and reports."""
-    return (f"{format_ipv4(prefix.network)}/{prefix.length} "
-            f"({prefix.num_addresses // 256} x /24)")

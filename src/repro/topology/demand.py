@@ -43,14 +43,6 @@ def lognormal_weights(
     return [math.exp(rng.gauss(0.0, sigma)) for _ in range(n)]
 
 
-def normalize(weights: List[float], total: float = 1.0) -> List[float]:
-    """Scale weights so they sum to ``total``."""
-    s = sum(weights)
-    if s <= 0:
-        raise ValueError("weights must have positive sum")
-    return [w * total / s for w in weights]
-
-
 def zipf_weights(n: int, exponent: float = 0.9) -> List[float]:
     """Deterministic Zipf rank weights 1/r^exponent for r = 1..n.
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ import numpy as np
 
 from repro.geo.cities import City, WORLD_CITIES, cities_by_country, city_index
 from repro.geo.database import GeoDatabase, GeoRecord
-from repro.net.geometry import GeoPoint, displace
+from repro.net.geometry import GeoPoint, displace, displace_from
 from repro.net.ipv4 import Prefix
 from repro.topology.addressing import (
     AddressAllocator,
@@ -39,11 +40,11 @@ from repro.topology.demand import (
 from repro.topology.profiles import profile_for
 from repro.topology.resolvers import (
     DEFAULT_PUBLIC_PROVIDERS,
+    AnycastFleet,
     PublicProvider,
     Resolver,
     ResolverKind,
     anycast_catchment,
-    pick_provider,
 )
 
 #: Access-technology last-mile RTT penalties (ms) and their global mix.
@@ -54,6 +55,8 @@ _LAST_MILE_CHOICES: Tuple[Tuple[str, float], ...] = (
     ("cellular", 45.0),
 )
 _LAST_MILE_WEIGHTS: Tuple[float, ...] = (0.15, 0.30, 0.35, 0.20)
+_TWO_PI = 2 * math.pi
+_set_slot = object.__setattr__
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,6 +123,17 @@ class InternetConfig:
         if self.n_ases < 50:
             raise ValueError(
                 "n_ases < 50 cannot cover the gazetteer's countries")
+        # The anycast candidate cut needs blocks within a finite reach
+        # of their city.  NaN fails every comparison below.
+        if not 0.0 <= self.block_jitter_miles < math.inf:
+            raise ValueError(
+                f"bad block_jitter_miles: {self.block_jitter_miles}")
+        for name in ("secondary_ldns_rate", "isp_anycast_misroute"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(
+                    f"{name} not in [0, 1]: {getattr(self, name)}")
+        if not 0.0 < self.total_demand < math.inf:
+            raise ValueError(f"bad total_demand: {self.total_demand}")
 
     @classmethod
     def tiny(cls) -> "InternetConfig":
@@ -173,11 +187,8 @@ class Internet:
     _columns: Optional[BlockColumns] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        running = 0.0
-        self._cum_demand = []
-        for block in self.blocks:
-            running += block.demand
-            self._cum_demand.append(running)
+        self._cum_demand = list(itertools.accumulate(
+            block.demand for block in self.blocks))
         self._columns = None
 
     # -- lookups ---------------------------------------------------------
@@ -204,20 +215,16 @@ class Internet:
         never goes stale.  Row ``i`` is ``self.blocks[i]``.
         """
         if self._columns is None:
-            n = len(self.blocks)
+            blocks = self.blocks
+
+            def column(values: Iterable, dtype: type = float) -> np.ndarray:
+                return np.fromiter(values, dtype=dtype, count=len(blocks))
             self._columns = BlockColumns(
-                lat=np.fromiter((b.geo.lat for b in self.blocks),
-                                dtype=float, count=n),
-                lon=np.fromiter((b.geo.lon for b in self.blocks),
-                                dtype=float, count=n),
-                asn=np.fromiter((b.asn for b in self.blocks),
-                                dtype=np.int64, count=n),
-                demand=np.fromiter((b.demand for b in self.blocks),
-                                   dtype=float, count=n),
-                last_mile_ms=np.fromiter(
-                    (b.last_mile_ms for b in self.blocks),
-                    dtype=float, count=n),
-            )
+                lat=column(b.geo.lat for b in blocks),
+                lon=column(b.geo.lon for b in blocks),
+                asn=column((b.asn for b in blocks), np.int64),
+                demand=column(b.demand for b in blocks),
+                last_mile_ms=column(b.last_mile_ms for b in blocks))
         return self._columns
 
     # -- aggregate views -------------------------------------------------
@@ -236,12 +243,6 @@ class Internet:
         )
         return served / self.total_demand if self.total_demand else 0.0
 
-    def blocks_by_country(self) -> Dict[str, List[ClientBlock]]:
-        grouped: Dict[str, List[ClientBlock]] = {}
-        for block in self.blocks:
-            grouped.setdefault(block.country, []).append(block)
-        return grouped
-
 
 def build_internet(config: Optional[InternetConfig] = None,
                    seed: int = 2014) -> Internet:
@@ -256,15 +257,10 @@ def build_internet(config: Optional[InternetConfig] = None,
     ases = _generate_ases(config, rng)
     bgp = BGPTable()
     geodb = GeoDatabase()
-    client_alloc = AddressAllocator()
-    resolver_alloc = AddressAllocator(RESOLVER_SPACE_START)
-
-    resolvers = _deploy_public_providers(config.providers, resolver_alloc,
-                                         geodb, bgp, rng)
-    resolvers.update(
-        _deploy_as_resolvers(ases.values(), resolver_alloc, geodb, bgp, rng))
-
-    blocks = _generate_blocks(config, ases, resolvers, client_alloc,
+    resolvers = _deploy_resolvers(
+        config.providers, ases.values(),
+        AddressAllocator(RESOLVER_SPACE_START), geodb, bgp, rng)
+    blocks = _generate_blocks(config, ases, resolvers, AddressAllocator(),
                               geodb, bgp, rng)
 
     return Internet(
@@ -539,75 +535,41 @@ def _enterprise_office_pool() -> Tuple[List[City], List[float]]:
 # Resolver deployment
 
 
-def _deploy_public_providers(
+def _deploy_resolvers(
     providers: Iterable[PublicProvider],
-    alloc: AddressAllocator,
-    geodb: GeoDatabase,
-    bgp: BGPTable,
-    rng: random.Random,
-) -> Dict[str, Resolver]:
-    resolvers: Dict[str, Resolver] = {}
-    for provider in providers:
-        provider.deployments.clear()
-        for city in provider.cities():
-            geo = displace(city.geo, rng.uniform(0, 5),
-                           rng.uniform(0, 2 * math.pi))
-            ip = alloc.allocate_host()
-            resolver = Resolver(
-                resolver_id=f"pub-{provider.name}-{_slug(city.name)}",
-                ip=ip,
-                geo=geo,
-                city=city.name,
-                country=city.country,
-                asn=provider.asn,
-                kind=ResolverKind.PUBLIC,
-                provider=provider.name,
-                supports_ecs=True,
-            )
-            provider.deployments.append(resolver)
-            resolvers[resolver.resolver_id] = resolver
-            _register_resolver(resolver, geodb, bgp, city)
-    return resolvers
-
-
-def _deploy_as_resolvers(
     ases: Iterable[AutonomousSystem],
     alloc: AddressAllocator,
     geodb: GeoDatabase,
     bgp: BGPTable,
     rng: random.Random,
 ) -> Dict[str, Resolver]:
-    resolvers: Dict[str, Resolver] = {}
+    """Every LDNS site: public PoPs within 5 miles of their cities (each
+    joins its provider's ``deployments``), then AS resolvers within 8."""
+    sites = [(f"pub-{p.name}", p.asn, ResolverKind.PUBLIC, p.name, 5,
+              p.deployments, city)
+             for p in providers for city in p.cities()]
     for as_obj in ases:
-        kind = (ResolverKind.ENTERPRISE
-                if as_obj.kind == ASKind.ENTERPRISE else ResolverKind.ISP)
+        kind = (ResolverKind.ENTERPRISE if as_obj.kind == ASKind.ENTERPRISE
+                else ResolverKind.ISP)
         tag = "ent" if kind == ResolverKind.ENTERPRISE else "isp"
-        for city in as_obj.resolver_cities():
-            geo = displace(city.geo, rng.uniform(0, 8),
-                           rng.uniform(0, 2 * math.pi))
-            resolver = Resolver(
-                resolver_id=f"{tag}-{as_obj.asn}-{_slug(city.name)}",
-                ip=alloc.allocate_host(),
-                geo=geo,
-                city=city.name,
-                country=city.country,
-                asn=as_obj.asn,
-                kind=kind,
-                provider=as_obj.name,
-                supports_ecs=False,
-            )
-            resolvers[resolver.resolver_id] = resolver
-            _register_resolver(resolver, geodb, bgp, city)
+        sites += [(f"{tag}-{as_obj.asn}", as_obj.asn, kind, as_obj.name, 8,
+                   [], city) for city in as_obj.resolver_cities()]
+    resolvers: Dict[str, Resolver] = {}
+    for tag, asn, kind, operator, radius, fleet, city in sites:
+        geo = displace(city.geo, rng.uniform(0, radius),
+                       rng.uniform(0, 2 * math.pi))
+        resolver = Resolver(
+            resolver_id=f"{tag}-{_slug(city.name)}", ip=alloc.allocate_host(),
+            geo=geo,
+            city=city.name, country=city.country, asn=asn, kind=kind,
+            provider=operator, supports_ecs=kind == ResolverKind.PUBLIC)
+        fleet.append(resolver)
+        resolvers[resolver.resolver_id] = resolver
+        block = Prefix(resolver.ip & 0xFFFFFF00, 24)
+        geodb.register(block, GeoRecord(geo, city.name, city.country,
+                                        city.continent, asn))
+        bgp.announce(block, asn)
     return resolvers
-
-
-def _register_resolver(resolver: Resolver, geodb: GeoDatabase,
-                       bgp: BGPTable, city: City) -> None:
-    block = Prefix(resolver.ip & 0xFFFFFF00, 24)
-    geodb.register(block, GeoRecord(
-        geo=resolver.geo, city=city.name, country=city.country,
-        continent=city.continent, asn=resolver.asn))
-    bgp.announce(block, resolver.asn)
 
 
 def _slug(name: str) -> str:
@@ -627,158 +589,149 @@ def _generate_blocks(
     bgp: BGPTable,
     rng: random.Random,
 ) -> List[ClientBlock]:
-    as_list = sorted(ases.values(), key=lambda a: a.asn)
-    total_demand = sum(a.demand for a in as_list)
+    """Client /24 blocks, AS by AS in ASN order, with their LDNSes.
 
-    # Index each AS's own resolver deployments once (avoids a full scan
-    # of the resolver table per client block).
-    own_resolvers: Dict[int, List[Resolver]] = {}
-    for resolver in resolvers.values():
-        if resolver.kind != ResolverKind.PUBLIC:
-            own_resolvers.setdefault(resolver.asn, []).append(resolver)
-    for deployments in own_resolvers.values():
-        deployments.sort(key=lambda r: r.resolver_id)
-
-    # Apportion the block budget by demand, one block minimum.
-    budgets: Dict[int, int] = {}
-    for as_obj in as_list:
-        budgets[as_obj.asn] = max(
-            1, round(config.n_client_blocks * as_obj.demand / total_demand))
-
-    blocks: List[ClientBlock] = []
-    # Per-country demand accounting for quota-based public-resolver
-    # adoption: [total demand seen, demand assigned to public LDNS].
-    country_acc: Dict[str, List[float]] = {}
-    for as_obj in as_list:
-        n_blocks = budgets[as_obj.asn]
-        city_pool = as_obj.cities
-        city_weights = [c.weight for c in city_pool]
-        # Distribute blocks across presence cities (demand-weighted).
-        per_city: Dict[str, int] = {}
-        for _ in range(n_blocks):
-            city = rng.choices(city_pool, weights=city_weights, k=1)[0]
-            per_city[city.name] = per_city.get(city.name, 0) + 1
-        city_index = {c.name: c for c in city_pool}
-        demand_split = lognormal_weights(n_blocks, rng,
-                                         config.block_demand_sigma)
-        split_total = sum(demand_split)
-        split_iter = iter(demand_split)
-
-        for city_name, count in sorted(per_city.items()):
-            city = city_index[city_name]
-            # Pad every allocation to at least 16 x /24 (a /20): RIR
-            # allocations leave growth room, so distinct cities rarely
-            # share fine prefixes.  This is what makes coarse /x
-            # mapping units geographically coherent (Figure 22: 87.3%
-            # of /20 clusters have radius <= 100 miles).
-            chunk = alloc.allocate_chunk(max(count, 16))
-            bgp.announce(chunk, as_obj.asn)
-            for i, block_prefix in enumerate(chunk.subnets(24)):
-                if i >= count:
-                    break
-                share = next(split_iter) / split_total
-                geo = displace(city.geo,
-                               rng.uniform(0, config.block_jitter_miles),
-                               rng.uniform(0, 2 * math.pi))
-                access, last_mile = rng.choices(
-                    _LAST_MILE_CHOICES, weights=_LAST_MILE_WEIGHTS, k=1)[0]
-                ldns = _assign_ldns(
-                    as_obj, geo, own_resolvers.get(as_obj.asn, []),
-                    as_obj.demand * share, city.country, country_acc,
-                    config, rng)
-                block = ClientBlock(
-                    prefix=block_prefix,
-                    geo=geo,
-                    city=city.name,
-                    country=city.country,
-                    continent=city.continent,
-                    asn=as_obj.asn,
-                    demand=as_obj.demand * share,
-                    last_mile_ms=last_mile,
-                    access=access,
-                    ldns=ldns,
-                )
-                blocks.append(block)
-                geodb.register(block_prefix, GeoRecord(
-                    geo=geo, city=city.name, country=city.country,
-                    continent=city.continent, asn=as_obj.asn))
-    return blocks
-
-
-def _assign_ldns(
-    as_obj: AutonomousSystem,
-    block_geo: GeoPoint,
-    own_resolvers: List[Resolver],
-    block_demand: float,
-    block_country: str,
-    country_acc: Dict[str, List[float]],
-    config: InternetConfig,
-    rng: random.Random,
-) -> Tuple[Tuple[str, float], ...]:
-    """Choose the LDNS(es) used by one client block.
+    The draw order is a contract (DESIGN.md section 10): per AS, one
+    city draw per block and the demand split, then per city (by name)
+    and block the jitter, bearing, access and LDNS draws.  Each
+    ``random.choices``/``random.uniform`` draw is inlined as the library
+    makes it, from cumulative weights built once.
 
     Public-resolver adoption uses a per-country demand quota rather
     than an independent coin per block, so every country converges to
     its profile's adoption share regardless of how few blocks it has
     (Figure 9's per-country percentages are calibration targets).
     """
-    profile = profile_for(block_country)
-    acc = country_acc.setdefault(block_country, [0.0, 0.0])
-    acc[0] += block_demand
-    outsourced = as_obj.strategy == ResolverStrategy.OUTSOURCED_PUBLIC
-    # Quota from below: assign public only if doing so keeps the
-    # country at or under its adoption target (avoids the first-block
-    # bias that would make every tiny country's lone block public).
-    below_quota = (acc[1] + block_demand
-                   <= profile.public_adoption * acc[0])
-    use_public = outsourced or below_quota
-    if use_public:
-        acc[1] += block_demand
-        primary = _public_ldns(block_geo, config, rng)
-    else:
-        primary = _isp_ldns(block_geo, own_resolvers, config, rng)
+    as_list = sorted(ases.values(), key=lambda a: a.asn)
+    total_demand = sum(a.demand for a in as_list)
+    # Each AS's own resolver deployments, in resolver-id order.
+    own_resolvers: Dict[int, List[Resolver]] = {}
+    for resolver in sorted(resolvers.values(), key=lambda r: r.resolver_id):
+        if resolver.kind != ResolverKind.PUBLIC:
+            own_resolvers.setdefault(resolver.asn, []).append(resolver)
 
-    if rng.random() >= config.secondary_ldns_rate:
-        return ((primary, 1.0),)
+    random_ = rng.random
+    jitter = config.block_jitter_miles
+    providers = config.providers
+    provider_cum, provider_total = _cumulative(p.popularity for p in providers)
+    # Blocks lie within ``jitter`` of their city: every fleet's reach.
+    public_fleets = [AnycastFleet(p.deployments, jitter) for p in providers]
+    last_mile_cum, last_mile_total = _cumulative(_LAST_MILE_WEIGHTS)
 
-    # A secondary LDNS.  Most secondaries are another resolver of the
-    # same operator; users configure a public fallback only while the
-    # country's adoption quota allows it (so low-adoption countries
-    # like Korea stay low, Figure 9).
-    secondary = None
-    if own_resolvers and len(own_resolvers) > 1 and rng.random() < 0.7:
-        alternates = [r for r in own_resolvers
-                      if r.resolver_id != primary]
-        secondary = rng.choice(alternates).resolver_id
-    elif use_public or (acc[1] + 0.15 * block_demand
-                        <= profile.public_adoption * acc[0]):
-        secondary = _public_ldns(block_geo, config, rng)
-        if not use_public:
-            acc[1] += 0.15 * block_demand
-    if secondary is None or secondary == primary:
-        return ((primary, 1.0),)
-    return ((primary, 0.85), (secondary, 0.15))
+    def public_ldns(geo: GeoPoint, city: City) -> str:
+        """pick_provider's draw, then the provider's catchment."""
+        if not providers:
+            raise ValueError("no public providers configured")
+        i = bisect.bisect(provider_cum, random_() * provider_total,
+                          0, len(providers) - 1)
+        return anycast_catchment(geo, public_fleets[i], rng,
+                                 providers[i].misroute_rate,
+                                 home=city).resolver_id
+
+    # Per city, once: the centre's radians and trig, and the country's
+    # public-resolver adoption target.
+    places: Dict[str, Tuple[float, float, float, float, float]] = {}
+    blocks: List[ClientBlock] = []
+    # Per country: [total demand seen, demand assigned to public LDNS].
+    country_acc: Dict[str, List[float]] = {}
+    for as_obj in as_list:
+        asn, as_demand, city_pool = as_obj.asn, as_obj.demand, as_obj.cities
+        # Apportion the block budget by demand, one block minimum, and
+        # distribute the blocks across presence cities by weight.
+        n_blocks = max(1, round(
+            config.n_client_blocks * as_demand / total_demand))
+        city_cum, city_total = _cumulative(c.weight for c in city_pool)
+        per_city: Dict[str, int] = {}
+        for _ in range(n_blocks):
+            city = city_pool[bisect.bisect(
+                city_cum, random_() * city_total, 0, len(city_pool) - 1)]
+            per_city[city.name] = per_city.get(city.name, 0) + 1
+        by_name = {c.name: c for c in city_pool}
+        split = lognormal_weights(n_blocks, rng, config.block_demand_sigma)
+        split_total = sum(split)
+        shares = iter(split)
+        outsourced = as_obj.strategy == ResolverStrategy.OUTSOURCED_PUBLIC
+        own = own_resolvers.get(asn, [])
+        own_fleet = AnycastFleet(own, jitter) if len(own) > 1 else None
+
+        for city_name, count in sorted(per_city.items()):
+            city = by_name[city_name]
+            country, continent = city.country, city.continent
+            if city_name not in places:
+                lat = math.radians(city.geo.lat)
+                places[city_name] = (
+                    lat, math.radians(city.geo.lon), math.sin(lat),
+                    math.cos(lat), profile_for(country).public_adoption)
+            lat, lon, sin_lat, cos_lat, adoption = places[city_name]
+            acc = country_acc.setdefault(country, [0.0, 0.0])
+            # Pad every allocation to at least 16 x /24 (a /20): RIR
+            # allocations leave growth room, so distinct cities rarely
+            # share fine prefixes.  This is what makes coarse /x
+            # mapping units geographically coherent (Figure 22: 87.3%
+            # of /20 clusters have radius <= 100 miles).
+            chunk = alloc.allocate_chunk(max(count, 16))
+            bgp.announce(chunk, asn)
+            for network in range(chunk.network,
+                                 chunk.network + (count << 8), 256):
+                # The chunk is aligned: its /24s need no validation.
+                prefix = object.__new__(Prefix)
+                _set_slot(prefix, "network", network)
+                _set_slot(prefix, "length", 24)
+                demand = as_demand * (next(shares) / split_total)
+                geo = displace_from(lat, lon, sin_lat, cos_lat,
+                                    0 + jitter * random_(),
+                                    _TWO_PI * random_())
+                access, last_mile = _LAST_MILE_CHOICES[bisect.bisect(
+                    last_mile_cum, random_() * last_mile_total, 0, 3)]
+
+                # The LDNS(es): public while the country's quota allows
+                # it (quota from below, so a tiny country's lone block
+                # does not go public first), else the AS's own.
+                acc[0] += demand
+                use_public = (outsourced
+                              or acc[1] + demand <= adoption * acc[0])
+                if use_public:
+                    acc[1] += demand
+                    primary = public_ldns(geo, city)
+                elif own_fleet is not None:
+                    primary = anycast_catchment(
+                        geo, own_fleet, rng, config.isp_anycast_misroute,
+                        home=city).resolver_id
+                elif own:
+                    primary = own[0].resolver_id
+                else:
+                    # Strategy said self-hosted but no deployment exists.
+                    primary = public_ldns(geo, city)
+                secondary = None
+                if random_() < config.secondary_ldns_rate:
+                    # Most secondaries are another resolver of the same
+                    # operator; users configure a public fallback only
+                    # while the country's adoption quota allows it (so
+                    # low-adoption countries like Korea stay low,
+                    # Figure 9).
+                    if own_fleet is not None and random_() < 0.7:
+                        secondary = rng.choice(
+                            [r for r in own if r.resolver_id != primary]
+                        ).resolver_id
+                    elif use_public or (acc[1] + 0.15 * demand
+                                        <= adoption * acc[0]):
+                        secondary = public_ldns(geo, city)
+                        if not use_public:
+                            acc[1] += 0.15 * demand
+                if secondary is None or secondary == primary:
+                    ldns: Tuple[Tuple[str, float], ...] = ((primary, 1.0),)
+                else:
+                    ldns = ((primary, 0.85), (secondary, 0.15))
+                # Positional: keyword binding costs a block 1.6 us.
+                blocks.append(ClientBlock(
+                    prefix, geo, city_name, country, continent, asn,
+                    demand, last_mile, access, ldns))
+                geodb.register(prefix, GeoRecord(
+                    geo, city_name, country, continent, asn))
+    return blocks
 
 
-def _public_ldns(block_geo: GeoPoint, config: InternetConfig,
-                 rng: random.Random) -> str:
-    provider = pick_provider(config.providers, rng)
-    deployment = anycast_catchment(block_geo, provider.deployments, rng,
-                                   provider.misroute_rate)
-    return deployment.resolver_id
-
-
-def _isp_ldns(
-    block_geo: GeoPoint,
-    own_resolvers: List[Resolver],
-    config: InternetConfig,
-    rng: random.Random,
-) -> str:
-    if not own_resolvers:
-        # Defensive: strategy said self-hosted but no deployments exist.
-        return _public_ldns(block_geo, config, rng)
-    if len(own_resolvers) == 1:
-        return own_resolvers[0].resolver_id
-    chosen = anycast_catchment(block_geo, own_resolvers, rng,
-                               config.isp_anycast_misroute)
-    return chosen.resolver_id
+def _cumulative(weights: Iterable[float]) -> Tuple[List[float], float]:
+    """``random.choices``' table: cumulative weights and float total."""
+    cum = list(itertools.accumulate(weights))
+    return cum, (cum[-1] if cum else 0) + 0.0

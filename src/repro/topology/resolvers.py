@@ -24,11 +24,16 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.codec import RUNTIME
 from repro.geo.cities import City, city_index
-from repro.net.geometry import GeoPoint, great_circle_miles
+from repro.net.geometry import (
+    EARTH_RADIUS_MILES,
+    GeoPoint,
+    central_angle,
+    great_circle_miles,
+)
 
 
 class ResolverKind(enum.Enum):
@@ -121,37 +126,102 @@ DEFAULT_PUBLIC_PROVIDERS: Tuple[PublicProvider, ...] = (
 )
 
 
+#: Float headroom on the candidate cut, in miles: far above the
+#: nanomile error of a computed distance or block displacement, so it
+#: can only admit a PoP, never drop a nearest one.
+_CUT_SLACK_MILES = 1e-3
+
+
+def _radians(geo: GeoPoint) -> Tuple[float, float, float]:
+    lat = math.radians(geo.lat)
+    return lat, math.radians(geo.lon), math.cos(lat)
+
+
+class AnycastFleet:
+    """A deployment list prepared for many catchment picks.
+
+    Each PoP's radians and latitude cosine are computed once.  For
+    clients within ``reach_miles`` of a city centre, :meth:`near` cuts
+    the fleet once per city: with ``m`` the centre's distance to its
+    nearest PoP, that PoP is within ``m + reach`` of every such client,
+    while a PoP farther than ``m + 2 * reach`` from the centre is
+    farther than ``m + reach`` from all of them (triangle inequality).
+    So the cut holds every client's nearest PoP, ties included.
+    """
+
+    __slots__ = ("deployments", "reach_miles", "_points", "_near")
+
+    def __init__(self, deployments: Sequence[Resolver],
+                 reach_miles: float = 0.0) -> None:
+        self.deployments = tuple(deployments)
+        self.reach_miles = reach_miles
+        self._points = tuple(_radians(dep.geo) for dep in self.deployments)
+        self._near: Dict[str, Sequence[int]] = {}
+
+    def miles(self, geo: GeoPoint,
+              indices: Optional[Sequence[int]] = None) -> List[float]:
+        """``great_circle_miles(geo, pop)``, bit for bit, for the PoPs at
+        ``indices`` (default: all, in fleet order)."""
+        client, points = _radians(geo), self._points
+        return [central_angle(*client, *points[i]) * EARTH_RADIUS_MILES
+                for i in (range(len(points)) if indices is None
+                          else indices)]
+
+    def near(self, city: City) -> Sequence[int]:
+        """Indices, in fleet order, of the PoPs that can be nearest to a
+        client within ``reach_miles`` of ``city``; memoised per city."""
+        cut = self._near.get(city.name)
+        if cut is None:
+            miles = self.miles(city.geo)
+            limit = min(miles) + 2.0 * self.reach_miles + _CUT_SLACK_MILES
+            cut = self._near[city.name] = tuple(
+                i for i, d in enumerate(miles) if d <= limit)
+        return cut
+
+
 def anycast_catchment(
     client_geo: GeoPoint,
-    deployments: Sequence[Resolver],
+    deployments: Union[Sequence[Resolver], AnycastFleet],
     rng: random.Random,
     misroute_rate: float = 0.12,
+    home: Optional[City] = None,
 ) -> Resolver:
     """Pick the anycast deployment a client's packets actually reach.
 
     With probability ``1 - misroute_rate`` the geographically nearest
-    deployment wins (the intended behaviour).  Otherwise BGP path
-    selection sends the client somewhere else; misroutes prefer nearer
-    alternates but occasionally cross continents, reproducing the heavy
-    upper percentiles of public-resolver client--LDNS distance.
+    deployment wins (the intended behaviour; ties go to the first in
+    fleet order).  Otherwise BGP path selection sends the client
+    somewhere else; misroutes prefer nearer alternates but occasionally
+    cross continents, reproducing the heavy upper percentiles of
+    public-resolver client--LDNS distance.
+
+    ``deployments`` may be a prebuilt :class:`AnycastFleet`.  Given the
+    ``home`` city the client lies within the fleet's reach of, a pick
+    that is not misrouted measures only that city's cut, and a lone
+    candidate no distance at all.
     """
-    if not deployments:
+    fleet = (deployments if isinstance(deployments, AnycastFleet)
+             else AnycastFleet(deployments))
+    pops = fleet.deployments
+    if not pops:
         raise ValueError("anycast catchment over an empty deployment list")
-    if len(deployments) == 1:
+    if len(pops) == 1:
         # Single-draw pick parity (the convention topology.traffic
         # follows): consume the misroute draw even when the choice is
         # trivial, so a fleet shrinking to one PoP mid-run keeps the
         # RNG stream aligned with the healthy world's.
         rng.random()
-        return deployments[0]
-    ranked = sorted(
-        deployments,
-        key=lambda dep: great_circle_miles(client_geo, dep.geo),
-    )
+        return pops[0]
     if rng.random() >= misroute_rate:
-        return ranked[0]
+        cut = range(len(pops)) if home is None else fleet.near(home)
+        if len(cut) == 1:
+            return pops[cut[0]]
+        miles = fleet.miles(client_geo, cut)
+        return pops[cut[miles.index(min(miles))]]
     # Misrouted: geometric preference for lower-ranked alternates.
-    alternates = ranked[1:]
+    miles = fleet.miles(client_geo)
+    ranked = sorted(range(len(pops)), key=miles.__getitem__)
+    alternates = [pops[i] for i in ranked[1:]]
     weights = [math.pow(0.5, i) for i in range(len(alternates))]
     return rng.choices(alternates, weights=weights, k=1)[0]
 
@@ -170,16 +240,6 @@ def providers_by_name(
     providers: Sequence[PublicProvider],
 ) -> Dict[str, PublicProvider]:
     return {p.name: p for p in providers}
-
-
-def nearest_deployment(
-    geo: GeoPoint, deployments: Sequence[Resolver]
-) -> Optional[Resolver]:
-    """The geographically nearest deployment, or None if list is empty."""
-    if not deployments:
-        return None
-    return min(deployments,
-               key=lambda dep: great_circle_miles(geo, dep.geo))
 
 
 # ---------------------------------------------------------------------------

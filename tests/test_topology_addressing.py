@@ -7,7 +7,6 @@ from repro.topology.addressing import (
     AddressAllocator,
     BGPTable,
     CLIENT_SPACE_START,
-    describe_chunk,
 )
 
 
@@ -44,10 +43,6 @@ class TestAddressAllocator:
             alloc.allocate_chunk(0)
         with pytest.raises(ValueError):
             alloc.allocate_chunk((1 << 16) + 1)
-
-    def test_describe_chunk(self):
-        desc = describe_chunk(Prefix.parse("10.0.0.0/22"))
-        assert "4 x /24" in desc
 
 
 class TestBGPTable:

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.api import ScenarioSpec
 from repro.net.geometry import great_circle_miles
 from repro.topology import (
     InternetConfig,
@@ -19,7 +20,6 @@ from repro.topology import (
 from repro.topology.ases import demand_shares
 from repro.topology.demand import (
     lognormal_weights,
-    normalize,
     pareto_weights,
     zipf_weights,
 )
@@ -37,12 +37,6 @@ class TestDemandHelpers:
         weights.sort(reverse=True)
         top_share = sum(weights[:20]) / sum(weights)
         assert top_share > 0.25  # top 1% carries a big share
-
-    def test_normalize(self):
-        out = normalize([1.0, 3.0], total=8.0)
-        assert out == [2.0, 6.0]
-        with pytest.raises(ValueError):
-            normalize([0.0, 0.0])
 
     def test_zipf_decreasing(self):
         weights = zipf_weights(10)
@@ -201,10 +195,9 @@ class TestDistanceStructure:
         assert pub_median > 500  # paper: 1028 miles
 
     def test_korea_closer_than_india(self, net):
-        by_country = net.blocks_by_country()
         def median_for(code):
             samples = []
-            for block in by_country.get(code, []):
+            for block in (b for b in net.blocks if b.country == code):
                 for rid, w in block.ldns:
                     resolver = net.resolvers[rid]
                     samples.append(
@@ -237,6 +230,35 @@ class TestConfig:
     def test_rejects_too_few_ases(self):
         with pytest.raises(ValueError):
             InternetConfig(n_client_blocks=100, n_ases=10)
+
+    @pytest.mark.parametrize("field,value", [
+        ("block_jitter_miles", -25.0),
+        ("block_jitter_miles", float("nan")),
+        ("block_jitter_miles", float("inf")),
+        ("secondary_ldns_rate", 1.5),
+        ("secondary_ldns_rate", -0.1),
+        ("secondary_ldns_rate", float("nan")),
+        ("isp_anycast_misroute", -0.2),
+        ("isp_anycast_misroute", 1.01),
+        ("total_demand", 0.0),
+        ("total_demand", -1.0),
+        ("total_demand", float("nan")),
+        ("total_demand", float("inf")),
+    ])
+    def test_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            InternetConfig(**{field: value})
+
+    def test_accepts_the_edges(self):
+        InternetConfig(block_jitter_miles=0.0, secondary_ldns_rate=1.0,
+                       isp_anycast_misroute=0.0)
+        InternetConfig(secondary_ldns_rate=0.0, isp_anycast_misroute=1.0)
+
+    def test_scenario_document_with_a_bad_value_is_refused(self):
+        doc = {"world": {"internet": {"block_jitter_miles": -25.0}}}
+        with pytest.raises(ValueError,
+                           match="world.internet: bad block_jitter_miles"):
+            ScenarioSpec.from_dict(doc)
 
     def test_scales_are_ordered(self):
         assert (InternetConfig.tiny().n_client_blocks

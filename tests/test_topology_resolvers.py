@@ -17,7 +17,6 @@ from repro.topology.resolvers import (
     Resolver,
     ResolverKind,
     anycast_catchment,
-    nearest_deployment,
     pick_provider,
     providers_by_name,
 )
@@ -89,11 +88,6 @@ class TestProviderHelpers:
     def test_providers_by_name(self):
         index = providers_by_name(DEFAULT_PUBLIC_PROVIDERS)
         assert set(index) == {"GloboDNS", "OpenFast", "UltraLevel"}
-
-    def test_nearest_deployment(self, deployments):
-        boston = GeoPoint(42.36, -71.06)
-        assert nearest_deployment(boston, deployments).resolver_id == "ny"
-        assert nearest_deployment(boston, []) is None
 
     def test_no_south_america_deployments(self):
         """The paper's Figure 8 mechanism requires public providers to
