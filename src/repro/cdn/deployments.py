@@ -60,6 +60,16 @@ class Cluster:
     def alive(self) -> bool:
         return any(s.alive for s in self.servers)
 
+    def live_utilization(self) -> Optional[float]:
+        """:attr:`utilization` when :attr:`alive`, else None: both
+        from one look at the servers, with the same ``sum`` calls."""
+        live = self.live_servers()
+        if not live:
+            return None
+        capacity = sum(s.capacity_rps for s in live)
+        return (sum(s.load_rps for s in self.servers) / capacity
+                if capacity else math.inf)
+
     def live_servers(self) -> List[EdgeServer]:
         return [s for s in self.servers if s.alive]
 

@@ -19,7 +19,8 @@ server(s) within the chosen cluster (local load balancing)".
   against transient failures", paper footnote 2) using rendezvous
   hashing keyed by content provider, so requests for one provider's
   content concentrate on few servers per cluster -- the cache-affinity
-  consideration of Section 1.
+  consideration of Section 1.  Each (cluster, provider) is ranked
+  once; a pick filters that order by liveness and load.
 """
 
 from __future__ import annotations
@@ -88,6 +89,8 @@ class GlobalLoadBalancer:
         self.ranking_misses = 0
         self._ranked: Dict[MapTarget, Tuple[Cluster, ...]] = {}
         self._epoch = scorer.epoch
+        # Created on first use, like the instrument itself.
+        self._overloaded_picks = None
 
     def ranking(self, target: MapTarget) -> Tuple[Cluster, ...]:
         """Every candidate cluster of ``target``, dead ones included,
@@ -169,26 +172,37 @@ class GlobalLoadBalancer:
         it, the least loaded of them.  None when nothing is alive.
         """
         ceiling = self.config.utilization_ceiling
+        limit = self.config.candidate_limit
         considered: List[Cluster] = []
+        utilizations: List[float] = []
         for cluster in ranked:
-            if not cluster.alive:
+            utilization = cluster.live_utilization()
+            if utilization is None:
                 continue
-            if cluster.utilization < ceiling:
+            if utilization < ceiling:
                 if considered:
                     self.spillovers += 1
                 return cluster
             considered.append(cluster)
-            if len(considered) == self.config.candidate_limit:
+            utilizations.append(utilization)
+            if len(considered) == limit:
                 break
         if not considered:
             return None
         # Everything over the ceiling: degrade gracefully to the
-        # least-loaded candidate rather than failing the resolution.
-        fallback = min(considered, key=lambda c: c.utilization)
+        # least-loaded candidate (the first of equals) rather than
+        # failing the resolution.
+        fallback = considered[min(range(len(utilizations)),
+                                  key=utilizations.__getitem__)]
         self.spillovers += 1
-        # Created lazily: fault-free runs at fixture scale never
-        # saturate every candidate, so snapshots there are unchanged.
-        self.obs.registry.counter("lb.overloaded_picks").inc()
+        counter = self._overloaded_picks
+        if counter is None:
+            # Created lazily: fault-free runs at fixture scale never
+            # saturate every candidate, so snapshots there are
+            # unchanged.
+            counter = self._overloaded_picks = self.obs.registry.counter(
+                "lb.overloaded_picks")
+        counter.inc()
         return fallback
 
 
@@ -203,35 +217,49 @@ class LocalLoadBalancer:
 
     def __init__(self, config: Optional[LoadBalancerConfig] = None) -> None:
         self.config = config or LoadBalancerConfig()
-        # Rendezvous weights are a pure function of (provider, server
-        # address); bounded by providers x servers.
-        self._weights: Dict[Tuple[str, int], float] = {}
+        # Per cluster and provider, the indices of the cluster's servers
+        # by rendezvous weight, a pure function of (provider, server
+        # addresses); bounded by clusters x providers.  Each weight is
+        # hashed once, when its order is built.  Tuples of ints hold no
+        # references, so the cyclic collector stops tracking them.
+        self._orders: Dict[Cluster, Dict[str, Tuple[int, ...]]] = {}
 
-    def _weight(self, provider_key: str, server: EdgeServer) -> float:
-        key = (provider_key, server.ip)
-        weight = self._weights.get(key)
-        if weight is None:
-            digest = hashlib.blake2b(
-                f"{provider_key}|{server.ip}".encode(),
-                digest_size=8).digest()
-            weight = self._weights[key] = (
-                int.from_bytes(digest, "big") / float(1 << 64))
-        return weight
+    @staticmethod
+    def _weight(provider_key: str, server: EdgeServer) -> float:
+        digest = hashlib.blake2b(f"{provider_key}|{server.ip}".encode(),
+                                 digest_size=8).digest()
+        return int.from_bytes(digest, "big") / float(1 << 64)
 
     def pick_servers(self, cluster: Cluster,
                      provider_key: str) -> List[EdgeServer]:
-        """Two (configurable) live servers for this provider."""
-        live = [s for s in cluster.live_servers() if not s.overloaded]
-        if not live:
-            live = cluster.live_servers()
-        if not live:
-            return []
-        ranked = sorted(
-            live,
-            key=lambda s: self._weight(provider_key, s),
-            reverse=True,
-        )
-        return ranked[: self.config.servers_per_answer]
+        """Two (configurable) live servers for this provider: the
+        heaviest not overloaded, or when every live one is, the
+        heaviest live ones.
+
+        The sort is stable, so filtering the cluster's one weight order
+        picks what sorting the filtered servers would.
+        """
+        servers = cluster.servers
+        orders = self._orders.get(cluster)
+        if orders is None:
+            orders = self._orders[cluster] = {}
+        order = orders.get(provider_key)
+        if order is None:
+            order = orders[provider_key] = tuple(sorted(
+                range(len(servers)),
+                key=lambda i: self._weight(provider_key, servers[i]),
+                reverse=True))
+        wanted = self.config.servers_per_answer
+        picks = []
+        for i in order:
+            server = servers[i]
+            if server.alive and not server.overloaded:
+                picks.append(server)
+                if len(picks) == wanted:
+                    return picks
+        if picks:
+            return picks
+        return [servers[i] for i in order if servers[i].alive][:wanted]
 
 
 def spread_load(servers: Sequence[EdgeServer], rps: float) -> None:

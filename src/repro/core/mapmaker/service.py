@@ -27,7 +27,7 @@ under ``mapping.tier.<tier>``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core import units as unit_api
 from repro.core.mapmaker.maker import (
@@ -113,6 +113,15 @@ class MapPublicationService:
         builder = unit_api.get_builder(name)
         self.units = builder.build(internet, **params)
         self._unit_index = builder.index(internet, self.units)
+        # The read path's keys, kept as first used: the unit index by
+        # (network, length) -- every prefix it holds, and prefixes it
+        # does not while the memo is under twice its size -- each
+        # unit's ``eu:`` map key, and (from the first lookup) each
+        # resolver's ``ns:`` map key.  Bounded by the unit set and the
+        # Internet.
+        self._unit_keys: Dict[Tuple[int, int], Optional[str]] = {}
+        self._eu_keys: Dict[str, str] = {}
+        self._ns_keys: Optional[Dict[int, str]] = None
         self._unit_stats = unit_api.cohesion_stats(self.units)
         self.makers: List[MapMaker] = [
             MapMaker("mapmaker-0", ROLE_PRIMARY),
@@ -237,12 +246,21 @@ class MapPublicationService:
         if client_prefix is not None and age <= config.stale_age_days:
             unit_key = self.unit_key_for(client_prefix)
             if unit_key is not None:
-                ids = current.lookup(eu_key(unit_key))
+                key = self._eu_keys.get(unit_key)
+                if key is None:
+                    key = self._eu_keys[unit_key] = eu_key(unit_key)
+                ids = current.lookup(key)
                 if ids:
                     return ids, ("fresh_eu" if age <= config.fresh_age_days
                                  else "stale_eu")
         if age <= config.ns_age_days:
-            ids = current.lookup(ns_key(ldns_ip))
+            ns_keys = self._ns_keys
+            if ns_keys is None:
+                ns_keys = self._ns_keys = {
+                    resolver.ip: ns_key(resolver.ip)
+                    for resolver in self.internet.resolvers.values()}
+            key = ns_keys.get(ldns_ip)
+            ids = current.lookup(ns_key(ldns_ip) if key is None else key)
             if ids:
                 return ids, ("ns" if client_prefix is None
                              else "ns_fallback")
@@ -250,8 +268,20 @@ class MapPublicationService:
 
     def unit_key_for(self, prefix) -> Optional[str]:
         """Key of the mapping unit owning one client prefix, or None
-        when the prefix is in no unit (the index holds client /24s)."""
-        return self._unit_index.get(str(prefix))
+        when the prefix is in no unit (the index holds client /24s).
+
+        The builder's index is keyed by ``str(prefix)``; a prefix is
+        formatted once, then found by its two ints.
+        """
+        key = (prefix.network, prefix.length)
+        unit_keys = self._unit_keys
+        if key in unit_keys:
+            return unit_keys[key]
+        unit_key = self._unit_index.get(str(prefix))
+        if (unit_key is not None
+                or len(unit_keys) < 2 * len(self._unit_index)):
+            unit_keys[key] = unit_key
+        return unit_key
 
     def static_ranking(self, geo) -> List:
         """Bottom rung: live clusters by great-circle distance."""

@@ -19,12 +19,19 @@ latest *published map* through the service's age-bounded degradation
 ladder (fresh EU -> stale EU -> NS fallback -> static geo), applying
 only the load-balancer headroom walk to the published ranking.  Worlds
 without a control plane keep the per-query scoring path unchanged.
+
+What an answer builds.  Both paths share what repeats: one tuple of A
+records per (name, TTL, server addresses), for the first
+``_RECORD_SETS`` such sets, one tuple of clusters per published id
+tuple (per map version), one counter handle per ladder tier.  All are
+bounded by catalog x deployment and held here, on the world's mapping
+system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cdn.content import ContentCatalog
 from repro.cdn.deployments import Cluster, DeploymentPlan
@@ -40,7 +47,17 @@ from repro.dnsproto.message import ResourceRecord
 from repro.dnsproto.rdata import ARdata
 from repro.dnsproto.types import QType, Rcode
 from repro.dnssrv.authoritative import ZoneAnswer
-from repro.obs import NOOP, NULL_SPAN, Observability
+from repro.obs import NOOP, NULL_SPAN, Counter, Observability
+
+
+#: Server sets whose A records an answer keeps.  A `tiny` world
+#: answers from a few hundred; a world whose servers run hot picks
+#: thousands (3 327 in one `rollout_planes` pass), and keeping every
+#: one of those records promoted enough objects to the oldest
+#: generation to add a full garbage collection, about 0.25 s, to each
+#: pass -- more than rebuilding them costs.  Past the bound a set's
+#: records are built per answer.
+_RECORD_SETS = 1024
 
 
 @dataclass
@@ -76,6 +93,11 @@ class MappingSystem:
         self.local_lb = LocalLoadBalancer(self.lb_config)
         self.stats = MappingStats()
         self.control_plane = None
+        self._records: Dict[tuple, Tuple[ResourceRecord, ...]] = {}
+        self._published: Dict[Tuple[str, ...], Tuple[Cluster, ...]] = {}
+        self._published_version: Optional[int] = None
+        # ``mapping.tier.<tier>`` counters, created on first use.
+        self._tier_counters: Dict[str, Counter] = {}
 
     # -- policy swap (the roll-out flips this) ---------------------------
 
@@ -151,11 +173,15 @@ class MappingSystem:
                     scope=scope,
                     servers=len(servers),
                 )
-            records = tuple(
-                ResourceRecord(qname, QType.A, provider.dns_ttl,
-                               ARdata(server.ip))
-                for server in servers
-            )
+            ttl = provider.dns_ttl
+            key = (qname, ttl, *[server.ip for server in servers])
+            records = self._records.get(key)
+            if records is None:
+                records = tuple(
+                    ResourceRecord(qname, QType.A, ttl, ARdata(ip))
+                    for ip in key[2:])
+                if len(self._records) < _RECORD_SETS:
+                    self._records[key] = records
             return ZoneAnswer(records=records, scope_prefix_len=scope)
 
     # -- internals ---------------------------------------------------------
@@ -174,16 +200,35 @@ class MappingSystem:
         day = int(now // 86400.0)
         client_prefix = (context.ecs.prefix if context.ecs is not None
                          else None)
-        ids, tier = self.control_plane.lookup(client_prefix,
-                                              context.ldns_ip, day)
-        clusters = self.deployments.clusters
-        cluster = self.global_lb.walk(
-            clusters[cluster_id] for cluster_id in ids
-            if cluster_id in clusters)
+        control_plane = self.control_plane
+        ids, tier = control_plane.lookup(client_prefix, context.ldns_ip,
+                                         day)
+        cluster = self.global_lb.walk(self._published_clusters(ids))
         if cluster is None:
             tier = "static_geo"
             cluster = self.global_lb.walk(
-                self.control_plane.static_ranking(target.geo))
+                control_plane.static_ranking(target.geo))
         if cluster is not None:
-            self.obs.registry.counter(f"mapping.tier.{tier}").inc()
+            counter = self._tier_counters.get(tier)
+            if counter is None:
+                counter = self._tier_counters[tier] = (
+                    self.obs.registry.counter("mapping.tier." + tier))
+            counter.inc()
         return cluster, tier
+
+    def _published_clusters(self, ids: Tuple[str, ...]
+                            ) -> Tuple[Cluster, ...]:
+        """The deployed clusters a published id tuple names, in its
+        order; resolved once per id tuple while the map version
+        stands."""
+        version = self.control_plane.current.version
+        if version != self._published_version:
+            self._published.clear()
+            self._published_version = version
+        clusters = self._published.get(ids)
+        if clusters is None:
+            deployed = self.deployments.clusters
+            clusters = self._published[ids] = tuple(
+                deployed[cluster_id] for cluster_id in ids
+                if cluster_id in deployed)
+        return clusters

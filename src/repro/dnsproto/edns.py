@@ -41,6 +41,10 @@ _OPT_FIXED = struct.Struct("!BHHIH")
 _OPTION_HEADER = struct.Struct("!HH")
 #: FAMILY, SOURCE PREFIX-LENGTH, SCOPE PREFIX-LENGTH.
 _ECS_FIXED = struct.Struct("!HBB")
+#: The host bits of an IPv4 address under each prefix length.
+_HOST_BITS = tuple(~mask_of(length) & 0xFFFFFFFF for length in range(33))
+#: Writes a field of a frozen dataclass instance under construction.
+_set_slot = object.__setattr__
 
 
 def _encode_option(code: int, body: bytes) -> bytes:
@@ -135,12 +139,17 @@ class ClientSubnetOption:
     def decode(cls, data: bytes) -> "ClientSubnetOption":
         address, source_len, scope_len = _decode_ecs(
             data, ECS_FAMILY_IPV4, 32)
-        if address & ~mask_of(source_len) & 0xFFFFFFFF:
+        if address & _HOST_BITS[source_len]:
             # RFC 7871 Section 6: bits beyond SOURCE PREFIX-LENGTH must
             # be zero; anything else gets FORMERR.
             raise WireFormatError("ECS address bits set beyond source "
                                   "prefix length")
-        return cls(Prefix(address, source_len), scope_len)
+        # Everything Prefix checks was just checked: SOURCE is at most
+        # 32, the address fits in 32 bits and has no host bit set.
+        prefix = object.__new__(Prefix)
+        _set_slot(prefix, "network", address)
+        _set_slot(prefix, "length", source_len)
+        return cls(prefix, scope_len)
 
     def __str__(self) -> str:
         return f"ECS {self.prefix} scope /{self.scope_prefix_len}"

@@ -23,11 +23,16 @@ differ in the 2-byte ID and, when ECS is on, the client subnet; the
 parser and the encoder sit behind two bounded memos keyed on everything
 *but* the ID (:func:`_decode_payload`, :func:`_encode_payload`), so a
 message seen before costs a lookup, its ID and a new :class:`Message`.
-The memos hold this codec's own output for equal input -- bytes it has
-not seen go through :func:`_parse_message`, a call that raises is
-never remembered -- and the parts they share between callers are the
-frozen ``Flags``/``Question``/``ResourceRecord``/``OptRecord`` objects,
-never a list.
+A message whose only additional record is an OPT carrying one IPv4
+client-subnet option (source > 0) and nothing else ends in that
+option's address bytes; such a message is also looked up without them
+-- a *client-subnet template* -- and the real address is decoded (and
+validated) or patched in, so a new client /24 costs no parse and no
+encode.  The memos hold this codec's own output for equal input --
+bytes it has not seen go through :func:`_parse_message`, a call that
+raises is never remembered -- and the parts they share between callers
+are the frozen ``Flags``/``Question``/``ResourceRecord``/``OptRecord``
+objects, never a list.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from repro.dnsproto.name import (
 from repro.dnsproto.rdata import Rdata, decode_rdata
 from repro.dnsproto.types import Opcode, QClass, QType, Rcode
 from repro.dnsproto.wire import WireFormatError, WireReader, WireWriter
+from repro.net.ipv4 import Prefix, mask_of
 
 #: ID, flags, QDCOUNT, ANCOUNT, NSCOUNT, ARCOUNT (RFC 1035 4.1.1).
 _HEADER = struct.Struct("!HHHHHH")
@@ -253,28 +259,40 @@ class Message:
                 # 20.0 and True hash and compare equal to 20 and 1 but
                 # do not pack like them: keep them out of the key space.
                 return head + _encode_payload.__wrapped__(*sections)
+        key = sections
+        address = b""
+        if self.opt is not None and not additionals:
+            # The client-subnet template: the same message with its ECS
+            # address zeroed, whose last bytes are then that address.
+            key_opt, address = _address_template(self.opt)
+            if address:
+                key = sections[:5] + (key_opt,)
         try:
-            return head + _encode_payload(*sections)
+            payload = _encode_payload(*key)
         except TypeError:
             # A field that cannot be hashed (a TXT built on a list) is
             # no key; the encoder does not mind it.
             return head + _encode_payload.__wrapped__(*sections)
+        if address:
+            return head + payload[:-len(address)] + address
+        return head + payload
 
     @classmethod
     def decode(cls, data: bytes) -> "Message":
         if type(data) is not bytes:
             data = bytes(data)
+        sections = _decode_by_template(data)
         try:
-            (flags, questions, answers, authorities, additionals,
-             opt) = _decode_payload(data[2:])
+            if sections is None:
+                sections = _decode_payload(data[2:])
         except WireFormatError:
             # Malformed, or a compression pointer aimed at the ID
             # bytes the key leaves out: the parser says which, on the
             # real bytes.
-            (msg_id, flags, questions, answers, authorities, additionals,
-             opt) = _parse_message(data)
+            msg_id, *sections = _parse_message(data)
         else:
             msg_id = (data[0] << 8) | data[1]
+        flags, questions, answers, authorities, additionals, opt = sections
         return cls(msg_id, flags, list(questions), list(answers),
                    list(authorities), list(additionals), opt)
 
@@ -351,12 +369,112 @@ def _parse_message(data: bytes) -> tuple:
 
 
 @lru_cache(maxsize=_PAYLOAD_MEMO_SIZE)
-def _decode_payload(payload: bytes) -> tuple:
+def _decode_payload(payload: bytes, address_len: int = 0) -> tuple:
     """``(flags, questions, answers, authorities, additionals, opt)``
     of the message whose bytes after the ID are ``payload``, sections
     as tuples; shared (all frozen) while the payload stays in the
-    memo."""
-    return _parse_message(_ID_TRAP + payload)[1:]
+    memo.
+
+    With ``address_len`` k > 0, ``payload`` lacks the message's last k
+    bytes and the result is its client-subnet template: the sections
+    of the message with those bytes zeroed, which must be the address
+    of the OPT's only option, an IPv4 ECS of a source k calls for, and
+    that OPT the only additional record.  Anything else raises (and
+    so is not kept).  OPT's owner is the root and compression pointers
+    only point backwards, so nothing before the option reads those
+    bytes: every message with this prefix parses to these sections but
+    for the option's address.
+    """
+    if not address_len:
+        return _parse_message(_ID_TRAP + payload)[1:]
+    sections = _parse_message(_ID_TRAP + payload + bytes(address_len))[1:]
+    opt = sections[5]
+    if sections[4] or opt is None:
+        raise WireFormatError("no client-subnet template")
+    options = opt.options
+    ecs = options.client_subnet
+    if (ecs is None or options.client_subnet_v6 is not None
+            or options.unknown_options
+            or (ecs.prefix.length + 7) // 8 != address_len):
+        raise WireFormatError("no client-subnet template")
+    return sections
+
+
+#: The tail of a message that may fit a client-subnet template, by
+#: address length k: OPT's RDLENGTH (8 + k), then the option's code
+#: (ECS), length (4 + k) and family (IPv4), the 8 bytes before SOURCE
+#: and SCOPE.  Most common length first (a /24 or a /22).
+_ECS_TAILS = tuple(
+    (k, bytes((0, 8 + k, 0, 8, 0, 4 + k, 0, 1))) for k in (3, 4, 2, 1))
+#: Root owner and TYPE OPT, 19 + k bytes from the end.
+_OPT_HEAD = b"\x00" + _OPT_RTYPE
+
+
+def _ecs_address_len(data: bytes) -> int:
+    """k when ``data`` looks like a message with a client-subnet
+    template whose address is its last k bytes, else 0.  A guess from
+    the framing only: the template's own parse decides."""
+    if len(data) < 32 or data[11] != 1 or data[10]:
+        return 0
+    for k, tail in _ECS_TAILS:
+        # RDLENGTH's low byte first: one index rules most k out.
+        if (data[-9 - k] == 8 + k
+                and data[-10 - k:-2 - k] == tail
+                and (data[-2 - k] + 7) >> 3 == k
+                and data[-19 - k:-16 - k] == _OPT_HEAD):
+            return k
+    return 0
+
+
+def _decode_by_template(data: bytes) -> Optional[tuple]:
+    """The sections of ``data`` through its client-subnet template, or
+    None when it has none (or is malformed: the caller's parse says
+    how).  The option is decoded from the real bytes every time, so
+    its address is validated every time."""
+    k = _ecs_address_len(data)
+    if not k:
+        return None
+    try:
+        ecs = ClientSubnetOption.decode(data[-4 - k:])
+        (flags, questions, answers, authorities, additionals,
+         opt) = _decode_payload(data[2:-k], k)
+    except WireFormatError:
+        return None
+    options = opt.options
+    return (flags, questions, answers, authorities, additionals,
+            OptRecord(EdnsOptions(options.payload_size,
+                                  options.extended_rcode, options.version,
+                                  options.dnssec_ok, ecs)))
+
+
+def _address_template(opt: OptRecord) -> Tuple[OptRecord, bytes]:
+    """``(opt with its ECS address zeroed, the address bytes the
+    encoder writes)`` when ``opt`` holds exactly one option, an IPv4
+    ECS with source > 0; ``(opt, b"")`` otherwise."""
+    options = opt.options
+    ecs = options.client_subnet
+    if (ecs is None or options.client_subnet_v6 is not None
+            or options.unknown_options):
+        return opt, b""
+    prefix = ecs.prefix
+    source = prefix.length
+    if not source:
+        return opt, b""
+    address = (prefix.network & mask_of(source)).to_bytes(4, "big")
+    return (_zeroed_opt(options.payload_size, options.extended_rcode,
+                        options.version, options.dnssec_ok, source,
+                        ecs.scope_prefix_len),
+            address[:(source + 7) >> 3])
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _zeroed_opt(payload_size: int, extended_rcode: int, version: int,
+                dnssec_ok: bool, source: int, scope: int) -> OptRecord:
+    """The OPT whose only option is an IPv4 ECS for ``0.0.0.0/source``:
+    the encode key every client subnet of that shape shares."""
+    return OptRecord(EdnsOptions(
+        payload_size, extended_rcode, version, dnssec_ok,
+        ClientSubnetOption(Prefix(0, source), scope)))
 
 
 @lru_cache(maxsize=_PAYLOAD_MEMO_SIZE)

@@ -12,6 +12,9 @@ when ECS is enabled:
   scope 0 answers are shared by all clients, scope /y answers only by
   clients in the same /y block.  One popular name can therefore occupy
   many cache entries -- the paper's query-inflation mechanism.
+* A response whose ECS option echoes another family, source length or
+  address than the query sent is dropped as if it were lost (RFC 7871
+  Section 7.3): caching it would serve one subnet's answer to another.
 
 CNAME chains are chased iteratively (content-provider domains CNAME
 onto CDN domains, Section 2.2), each link resolved through the same
@@ -204,6 +207,9 @@ class RecursiveResolver:
         self.servfail_responses = 0
         self.notimp_count = 0
         self.stale_served = 0
+        self.ecs_mismatches = 0
+        """Responses dropped because their ECS echo was not the
+        query's (RFC 7871 Section 7.3)."""
         self.retry_penalty_ms_total = 0.0
         """Cumulative retry-timer backoff charged while re-querying
         unresponsive authorities (the latency cost of outages that
@@ -378,12 +384,15 @@ class RecursiveResolver:
                 self.upstream_queries_total += 1
                 queries += 1
                 if hop.response is not None:
-                    total_rtt += hop.rtt_ms
-                    response = hop.response
-                    break
-                # Timed out: burn an exponentially backed-off retry
-                # timer, then re-query the same server (RFC 1035
-                # suggests retrying before abandoning an authority).
+                    if _echoes(hop.response, ecs):
+                        total_rtt += hop.rtt_ms
+                        response = hop.response
+                        break
+                    self.ecs_mismatches += 1
+                # Timed out, or the reply was dropped: burn an
+                # exponentially backed-off retry timer, then re-query
+                # the same server (RFC 1035 suggests retrying before
+                # abandoning an authority).
                 penalty = _TIMEOUT_PENALTY_MS * (2.0 ** attempt)
                 hop.span.set(penalty_ms=penalty)
                 self.retry_penalty_ms_total += penalty
@@ -402,13 +411,16 @@ class RecursiveResolver:
                 self.upstream_queries_total += 1
                 queries += 1
                 total_rtt += tcp_hop.rtt_ms
-                if tcp_hop.response is None:
+                response = tcp_hop.response
+                if response is not None and not _echoes(response, ecs):
+                    self.ecs_mismatches += 1
+                    response = None
+                if response is None:
                     self.tcp_failovers += 1
                     tcp_hop.span.set(penalty_ms=_TIMEOUT_PENALTY_MS)
                     self.retry_penalty_ms_total += _TIMEOUT_PENALTY_MS
                     total_rtt += _TIMEOUT_PENALTY_MS
                     continue
-                response = tcp_hop.response
             return self._process_response(qname, qtype, client_ip,
                                           response, now, queries,
                                           total_rtt, span)
@@ -469,6 +481,20 @@ class RecursiveResolver:
         msg_id = self._next_id
         self._next_id = (self._next_id + 1) % 0x10000 or 1
         return msg_id
+
+
+def _echoes(response: Message, ecs: Optional[ClientSubnetOption]) -> bool:
+    """Whether ``response`` may answer a query that sent ``ecs``: RFC
+    7871 Section 7.3 has FAMILY, SOURCE PREFIX-LENGTH and the ADDRESS
+    bits under it echoed unchanged.  No ECS sent, or none echoed (an
+    authority that ignores the option), always may."""
+    if ecs is None or response.opt is None:
+        return True
+    options = response.opt.options
+    if options.client_subnet_v6 is not None:
+        return False
+    echo = options.client_subnet
+    return echo is None or echo.prefix == ecs.prefix
 
 
 def _cname_target(records: Tuple[ResourceRecord, ...],

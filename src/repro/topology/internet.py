@@ -619,7 +619,7 @@ def _generate_blocks(
     last_mile_cum, last_mile_total = _cumulative(_LAST_MILE_WEIGHTS)
 
     def public_ldns(geo: GeoPoint, city: City) -> str:
-        """pick_provider's draw, then the provider's catchment."""
+        """A provider drawn by market share, then its catchment."""
         if not providers:
             raise ValueError("no public providers configured")
         i = bisect.bisect(provider_cum, random_() * provider_total,

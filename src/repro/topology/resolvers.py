@@ -226,16 +226,6 @@ def anycast_catchment(
     return rng.choices(alternates, weights=weights, k=1)[0]
 
 
-def pick_provider(
-    providers: Sequence[PublicProvider], rng: random.Random
-) -> PublicProvider:
-    """Choose a public provider according to market share."""
-    if not providers:
-        raise ValueError("no public providers configured")
-    weights = [p.popularity for p in providers]
-    return rng.choices(list(providers), weights=weights, k=1)[0]
-
-
 def providers_by_name(
     providers: Sequence[PublicProvider],
 ) -> Dict[str, PublicProvider]:

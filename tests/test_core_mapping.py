@@ -263,8 +263,8 @@ class TestLocalLoadBalancer:
         b = [s.ip for s in llb.pick_servers(cluster, "provider0")]
         assert a == b
 
-    def test_weight_memo_keeps_the_fresh_balancers_order(self, plan):
-        # Weights are hashed once per (provider, server) and per
+    def test_order_memo_keeps_the_fresh_balancers_order(self, plan):
+        # A cluster's servers are ordered once per provider and per
         # instance; a warmed balancer must answer like a fresh one.
         warmed = LocalLoadBalancer(LoadBalancerConfig(servers_per_answer=4))
         cluster = next(c for c in plan.clusters.values()
@@ -274,8 +274,11 @@ class TestLocalLoadBalancer:
                 LoadBalancerConfig(servers_per_answer=4))
             assert ([s.ip for s in warmed.pick_servers(cluster, provider)]
                     == [s.ip for s in fresh.pick_servers(cluster, provider)])
-        assert len(warmed._weights) == 2 * len(cluster.servers)
-        assert not LocalLoadBalancer()._weights
+        orders = warmed._orders[cluster]
+        assert sorted(orders) == ["provider0", "provider1"]
+        assert all(sorted(order) == list(range(len(cluster.servers)))
+                   for order in orders.values())
+        assert not LocalLoadBalancer()._orders
 
     def test_different_providers_spread(self, plan):
         llb = LocalLoadBalancer(LoadBalancerConfig(servers_per_answer=1))

@@ -2,7 +2,8 @@
 
 The compiled codec validates a name once per distinct name and a wire
 label once per distinct label, and parses or encodes a message once
-per distinct payload after the ID.  These tests pin that with the
+per distinct payload after the ID -- or, for a message ending in its
+IPv4 ECS address, once per client-subnet template.  These tests pin that with the
 memos' own counters, and pin what keeps the memos safe: an input that
 fails validation is never remembered, and no input stream grows them
 past their bound.
@@ -92,12 +93,33 @@ class TestLabelText:
         assert _label_text.cache_info()[:2] == (0, 3)
         assert _decode_payload.cache_info()[:2] == (2, 1)
 
-    def test_another_subnet_parses_but_validates_no_label(self):
-        for third_octet in (1, 2):
-            ecs = ClientSubnetOption(Prefix.parse(f"10.0.{third_octet}.0/24"))
-            Message.decode(make_query("www.cdn.example", ecs=ecs).encode())
-        assert _decode_payload.cache_info()[:2] == (0, 2)
-        assert _label_text.cache_info()[:2] == (3, 3)
+    def test_another_subnet_reuses_the_template_and_validates_its_address(
+            self, monkeypatch):
+        validated = []
+        decode_ecs = ClientSubnetOption.decode.__func__
+
+        def counting(cls, data):
+            validated.append(data)
+            return decode_ecs(cls, data)
+
+        monkeypatch.setattr(ClientSubnetOption, "decode",
+                            classmethod(counting))
+        prefixes = [Prefix.parse(f"10.0.{third_octet}.0/24")
+                    for third_octet in (1, 2)]
+        for prefix in prefixes:
+            wire = make_query("www.cdn.example",
+                              ecs=ClientSubnetOption(prefix)).encode()
+            assert Message.decode(wire).client_subnet.prefix == prefix
+        # One parse and one encode, of the first subnet's template;
+        # the second subnet's address is checked but nothing else is.
+        assert _decode_payload.cache_info()[:2] == (1, 1)
+        assert _encode_payload.cache_info()[:2] == (1, 1)
+        assert _label_text.cache_info()[:2] == (0, 3)
+        # The first subnet's address, the template's zero address as
+        # it is parsed, the second subnet's address.
+        assert validated == [b"\x00\x01\x18\x00\x0a\x00\x01",
+                             b"\x00\x01\x18\x00\x00\x00\x00",
+                             b"\x00\x01\x18\x00\x0a\x00\x02"]
 
     def test_label_text_is_shared(self):
         assert _label_text(b"Example") is _label_text(b"Example")

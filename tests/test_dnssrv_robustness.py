@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dnsproto.edns import ClientSubnetOption
 from repro.dnsproto.message import Message, ResourceRecord, make_query
 from repro.dnsproto.rdata import ARdata, CNAMERdata, TXTRdata
 from repro.dnsproto.types import QType, Rcode
@@ -310,3 +311,90 @@ class TestOptIsEchoedNotInvented:
         assert len(with_opt) - len(without) == 11
         # Upstream the resolver speaks EDNS0 for itself, either way.
         assert network.queries_sent == 1
+
+
+class _SubnetZone:
+    """Answers each client /24 with its own address, at scope /24."""
+
+    def answer(self, qname, qtype, ecs, src_ip, now):
+        network = ecs.prefix.network if ecs is not None else 0
+        return ZoneAnswer(records=(ResourceRecord(
+            qname, QType.A, 60, ARdata(network | 1)),),
+            scope_prefix_len=24)
+
+
+class _WrongSubnetAuthority:
+    """An authority that answers a query for one /24 as if it came from
+    the next /24 up, and echoes that /24 in its ECS option."""
+
+    def __init__(self, server):
+        self.server = server
+        self.ip = server.ip
+
+    def handle_query(self, wire, src_ip, now, tcp=False):
+        query = Message.decode(wire)
+        ecs = query.client_subnet
+        if ecs is not None:
+            query.with_client_subnet(ClientSubnetOption(Prefix(
+                ecs.prefix.network + 256, ecs.prefix.length)))
+        return self.server.handle_query(query.encode(), src_ip, now,
+                                        tcp=tcp)
+
+
+class TestEcsEchoIsChecked:
+    """RFC 7871 Section 7.3: a reply whose ECS option names another
+    client subnet than the query's is dropped, not cached for the
+    subnet that asked."""
+
+    def _wire(self, liars):
+        geodb = GeoDatabase()
+        for text, city in (("10.0.0.0/24", "New York"),
+                           ("10.0.1.0/24", "Boston"),
+                           ("20.0.0.0/24", "New York"),
+                           ("30.0.0.0/24", "New York"),
+                           ("30.0.1.0/24", "London")):
+            geodb.register(Prefix.parse(text), geo(city, 100))
+        network = Network(geodb)
+        directory = AuthorityDirectory()
+        for ip in (AUTH_NEAR, AUTH_FAR):
+            server = AuthoritativeServer(ip)
+            server.attach_zone("cdn.example", _SubnetZone())
+            network.register(_WrongSubnetAuthority(server) if ip in liars
+                             else server)
+        directory.delegate("cdn.example", [AUTH_NEAR, AUTH_FAR])
+        return RecursiveResolver(LDNS_IP, network, directory,
+                                 ecs_enabled=True)
+
+    def test_a_wrong_echo_is_dropped_and_the_next_authority_answers(self):
+        ldns = self._wire(liars={AUTH_NEAR})
+        result = ldns.resolve("a.cdn.example", QType.A, CLIENT, now=0)
+        assert result.addresses == [parse_ipv4("10.0.0.1")]
+        # Both tries at the near authority were dropped, as if lost.
+        assert ldns.ecs_mismatches == 2
+        assert ldns.timeout_failovers == 1
+        assert result.upstream_queries == 3
+        assert result.upstream_rtt_ms > 400
+        # The next client of the /24 is served the right answer, from
+        # the cache.
+        again = ldns.resolve("a.cdn.example", QType.A,
+                             parse_ipv4("10.0.0.77"), now=1)
+        assert again.cache_hit
+        assert again.addresses == [parse_ipv4("10.0.0.1")]
+
+    def test_when_every_echo_is_wrong_nothing_is_cached(self):
+        ldns = self._wire(liars={AUTH_NEAR, AUTH_FAR})
+        result = ldns.resolve("a.cdn.example", QType.A, CLIENT, now=0)
+        assert result.rcode == Rcode.SERVFAIL
+        assert ldns.ecs_mismatches == 4
+        assert ldns.timeout_failovers == 2
+        again = ldns.resolve("a.cdn.example", QType.A,
+                             parse_ipv4("10.0.0.77"), now=1)
+        assert not again.cache_hit
+        assert again.rcode == Rcode.SERVFAIL
+
+    def test_a_right_echo_is_kept(self):
+        ldns = self._wire(liars=set())
+        result = ldns.resolve("a.cdn.example", QType.A, CLIENT, now=0)
+        assert result.addresses == [parse_ipv4("10.0.0.1")]
+        assert ldns.ecs_mismatches == 0
+        assert result.upstream_queries == 1

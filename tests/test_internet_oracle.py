@@ -48,7 +48,6 @@ from repro.topology.resolvers import (
     Resolver,
     ResolverKind,
     anycast_catchment,
-    pick_provider,
 )
 
 # ---------------------------------------------------------------------------
@@ -169,7 +168,9 @@ def _oracle_assign_ldns(as_obj, block_geo, own_resolvers, block_demand,
 
 
 def _oracle_public_ldns(block_geo, config, rng):
-    provider = pick_provider(config.providers, rng)
+    providers = list(config.providers)
+    provider = rng.choices(providers,
+                           weights=[p.popularity for p in providers])[0]
     return oracle_catchment(block_geo, provider.deployments, rng,
                             provider.misroute_rate).resolver_id
 

@@ -17,7 +17,6 @@ from repro.topology.resolvers import (
     Resolver,
     ResolverKind,
     anycast_catchment,
-    pick_provider,
     providers_by_name,
 )
 
@@ -73,18 +72,6 @@ class TestAnycastCatchment:
 
 
 class TestProviderHelpers:
-    def test_pick_provider_by_popularity(self):
-        rng = random.Random(4)
-        counts = Counter(pick_provider(DEFAULT_PUBLIC_PROVIDERS,
-                                       rng).name
-                         for _ in range(4000))
-        assert counts["GloboDNS"] > counts["OpenFast"] > counts[
-            "UltraLevel"]
-
-    def test_pick_provider_empty(self):
-        with pytest.raises(ValueError):
-            pick_provider([], random.Random(0))
-
     def test_providers_by_name(self):
         index = providers_by_name(DEFAULT_PUBLIC_PROVIDERS)
         assert set(index) == {"GloboDNS", "OpenFast", "UltraLevel"}
