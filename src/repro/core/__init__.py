@@ -32,7 +32,6 @@ from repro.core.units import (
     MapUnitScheme,
     UnitBuilder,
     available_schemes,
-    build_unit_index,
     build_units,
     get_builder,
     parse_unit_scheme,
@@ -93,7 +92,6 @@ __all__ = [
     "UnitBuilder",
     "available_schemes",
     "build_ping_targets",
-    "build_unit_index",
     "build_units",
     "get_builder",
     "parse_unit_scheme",

@@ -10,8 +10,9 @@
 * a watchdog that promotes the standby when the primary misses
   heartbeats for ``watchdog_timeout_days``;
 * the mapping-unit set every publication compiles over, built once
-  by the ``unit_scheme`` builder (``geo_as`` by default), and its
-  client-/24 -> unit index;
+  by the ``unit_scheme`` builder (``geo_as`` by default), its
+  client-/24 -> unit index and the ``eu:``/``ns:`` map key of each
+  unit and resolver;
 * the **degradation ladder** the name-server path reads through
   (:meth:`lookup`): fresh EU -> stale EU -> NS fallback -> static
   geo map.  The ladder is age-bounded -- EU entries are trusted only
@@ -112,16 +113,14 @@ class MapPublicationService:
         name, params = unit_api.parse_unit_scheme(self.unit_scheme)
         builder = unit_api.get_builder(name)
         self.units = builder.build(internet, **params)
-        self._unit_index = builder.index(internet, self.units)
-        # The read path's keys, kept as first used: the unit index by
-        # (network, length) -- every prefix it holds, and prefixes it
-        # does not while the memo is under twice its size -- each
-        # unit's ``eu:`` map key, and (from the first lookup) each
-        # resolver's ``ns:`` map key.  Bounded by the unit set and the
-        # Internet.
-        self._unit_keys: Dict[Tuple[int, int], Optional[str]] = {}
-        self._eu_keys: Dict[str, str] = {}
-        self._ns_keys: Optional[Dict[int, str]] = None
+        # Everything the read path looks up, built here and never
+        # grown: no key is formatted per query.
+        self._block_units = unit_api.block_index(self.units)
+        self._eu_map_keys: Dict[str, str] = {
+            unit.key: eu_key(unit.key) for unit in self.units}
+        self._ns_map_keys: Dict[int, str] = {
+            resolver.ip: ns_key(resolver.ip)
+            for resolver in internet.resolvers.values()}
         self._unit_stats = unit_api.cohesion_stats(self.units)
         self.makers: List[MapMaker] = [
             MapMaker("mapmaker-0", ROLE_PRIMARY),
@@ -246,21 +245,15 @@ class MapPublicationService:
         if client_prefix is not None and age <= config.stale_age_days:
             unit_key = self.unit_key_for(client_prefix)
             if unit_key is not None:
-                key = self._eu_keys.get(unit_key)
-                if key is None:
-                    key = self._eu_keys[unit_key] = eu_key(unit_key)
-                ids = current.lookup(key)
+                ids = current.lookup(self._eu_map_keys[unit_key])
                 if ids:
                     return ids, ("fresh_eu" if age <= config.fresh_age_days
                                  else "stale_eu")
         if age <= config.ns_age_days:
-            ns_keys = self._ns_keys
-            if ns_keys is None:
-                ns_keys = self._ns_keys = {
-                    resolver.ip: ns_key(resolver.ip)
-                    for resolver in self.internet.resolvers.values()}
-            key = ns_keys.get(ldns_ip)
-            ids = current.lookup(ns_key(ldns_ip) if key is None else key)
+            # The map carries ``ns:`` entries for the Internet's
+            # resolvers only, so any other address has none.
+            key = self._ns_map_keys.get(ldns_ip)
+            ids = current.lookup(key) if key is not None else ()
             if ids:
                 return ids, ("ns" if client_prefix is None
                              else "ns_fallback")
@@ -268,20 +261,8 @@ class MapPublicationService:
 
     def unit_key_for(self, prefix) -> Optional[str]:
         """Key of the mapping unit owning one client prefix, or None
-        when the prefix is in no unit (the index holds client /24s).
-
-        The builder's index is keyed by ``str(prefix)``; a prefix is
-        formatted once, then found by its two ints.
-        """
-        key = (prefix.network, prefix.length)
-        unit_keys = self._unit_keys
-        if key in unit_keys:
-            return unit_keys[key]
-        unit_key = self._unit_index.get(str(prefix))
-        if (unit_key is not None
-                or len(unit_keys) < 2 * len(self._unit_index)):
-            unit_keys[key] = unit_key
-        return unit_key
+        when the prefix is in no unit."""
+        return unit_api.unit_key_in(self._block_units, prefix)
 
     def static_ranking(self, geo) -> List:
         """Bottom rung: live clusters by great-circle distance."""

@@ -11,8 +11,10 @@ the routing-aware clustering scheme in
 from repro.core.units.base import (
     MapUnit,
     MapUnitScheme,
+    block_index,
     cohesion_stats,
     demand_coverage_curve,
+    unit_key_in,
     units_needed_for_share,
 )
 from repro.core.units.builders import (
@@ -22,7 +24,6 @@ from repro.core.units.builders import (
     LdnsUnitBuilder,
     UnitBuilder,
     available_schemes,
-    build_unit_index,
     build_units,
     get_builder,
     parse_unit_scheme,
@@ -43,12 +44,13 @@ __all__ = [
     "GeoAsUnitBuilder",
     "RoutingAwareUnitBuilder",
     "available_schemes",
-    "build_unit_index",
+    "block_index",
     "build_units",
     "cohesion_stats",
     "demand_coverage_curve",
     "get_builder",
     "parse_unit_scheme",
     "register_builder",
+    "unit_key_in",
     "units_needed_for_share",
 ]

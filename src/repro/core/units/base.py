@@ -6,7 +6,8 @@ uses one unit per LDNS; end-user mapping uses /x client blocks, with
 x <= 24; BGP CIDR merging collapses /24 blocks that share a routed
 CIDR into one unit (3.76M -> 444K in the paper's data).
 
-This module holds the unit *data model* and the demand-coverage
+This module holds the unit *data model*, the client-/24 index the
+published-map read path finds units by, and the demand-coverage
 analysis (Figures 21/22); the pluggable construction strategies live
 in :mod:`repro.core.units.builders` and
 :mod:`repro.core.units.routing`.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,20 +44,20 @@ class MapUnit:
     asn: Optional[int] = None
     """Demand-dominant member AS: the AS half of the unit's scoring
     target (builders that compile into published maps set this)."""
-    prefixes: List[str] = field(default_factory=list)
-    """Member /24 prefixes (as strings), recorded by builders whose
-    units index client blocks for the published-map read path."""
+    networks: List[int] = field(default_factory=list)
+    """Network addresses of the client /24s this unit holds for the
+    published-map read path (:func:`block_index`)."""
     cohesion_rtt_ms: Optional[float] = None
     """Routing-aware cohesion: demand-weighted mean RTT-feature
     distance of members to the unit's medoid (ms).  None for purely
     geographic constructions."""
 
     def add(self, geo: GeoPoint, demand: float,
-            prefix: Optional[str] = None) -> None:
+            network: Optional[int] = None) -> None:
         self.members.append((geo, demand))
         self.demand += demand
-        if prefix is not None:
-            self.prefixes.append(prefix)
+        if network is not None:
+            self.networks.append(network)
         self._centroid = None
 
     def radius_miles(self) -> float:
@@ -91,6 +92,25 @@ class MapUnit:
             lat, lon = batch.weighted_centroid_arrays(lats, lons, weights)
             self._centroid = GeoPoint(lat, lon)
         return self._centroid
+
+
+def block_index(units: List[MapUnit]) -> Dict[int, str]:
+    """Client /24 network address -> key of the unit holding it.
+
+    Built from the networks the builders recorded; a /24 two units
+    record belongs to the later one.  :func:`unit_key_in` is its one
+    reader.
+    """
+    return {network: unit.key
+            for unit in units for network in unit.networks}
+
+
+def unit_key_in(index: Dict[int, str], prefix) -> Optional[str]:
+    """Key of the unit in ``index`` holding one client prefix, or None.
+
+    Units hold client /24s, so a prefix of any other length is in none.
+    """
+    return index.get(prefix.network) if prefix.length == 24 else None
 
 
 def demand_coverage_curve(units: List[MapUnit]) -> List[Tuple[int, float]]:

@@ -15,9 +15,11 @@ Every way of carving the client population into mapping units is a
                           count)
 ========================  ==================================================
 
-A builder produces :class:`~repro.core.units.base.MapUnit` lists and a
-*unit index* (client /24 -> unit key) so the published-map read path
-can resolve an ECS prefix to its ``eu:<unit key>`` entry.  Scheme
+A builder produces :class:`~repro.core.units.base.MapUnit` lists whose
+units record the network address of each client /24 they hold, so the
+published-map read path can index them
+(:func:`~repro.core.units.base.block_index`) and resolve an ECS prefix
+to its ``eu:<unit key>`` entry.  Scheme
 strings parse through :func:`parse_unit_scheme`; only
 ``routing_aware`` takes a ``:<k>`` parameter.
 """
@@ -40,27 +42,19 @@ class UnitBuilder(Protocol):
     scheme: str
 
     def build(self, internet, **params) -> List[MapUnit]:
-        """Construct the unit set for one generated Internet."""
+        """Construct the unit set for one generated Internet, each
+        client /24 recorded (``MapUnit.networks``) in the one unit the
+        read path should find it in."""
         ...
-
-    def index(self, internet, units: List[MapUnit]) -> Dict[str, str]:
-        """Client /24 prefix (string) -> unit key, for map lookups."""
-        ...
-
-
-class _PrefixIndexMixin:
-    """Default index: read the member prefixes the builder recorded."""
-
-    def index(self, internet, units: List[MapUnit]) -> Dict[str, str]:
-        out: Dict[str, str] = {}
-        for unit in units:
-            for prefix in unit.prefixes:
-                out[prefix] = unit.key
-        return out
 
 
 class LdnsUnitBuilder:
-    """One unit per LDNS: the NS-based mapping granularity."""
+    """One unit per LDNS: the NS-based mapping granularity.
+
+    A block splitting its queries across two LDNSes is a member of
+    both units but recorded only in its primary LDNS's, the one it
+    uses most.
+    """
 
     scheme = "ldns"
 
@@ -76,7 +70,9 @@ class LdnsUnitBuilder:
                     units[resolver_id] = unit
                     demand_by_asn[resolver_id] = {}
                 unit.add(block.geo, block.demand * weight,
-                         prefix=str(block.prefix))
+                         network=(block.prefix.network
+                                  if resolver_id == block.primary_ldns
+                                  else None))
                 by_asn = demand_by_asn[resolver_id]
                 by_asn[block.asn] = by_asn.get(block.asn, 0.0) + (
                     block.demand * weight)
@@ -84,16 +80,8 @@ class LdnsUnitBuilder:
             unit.asn = _dominant_asn(demand_by_asn[resolver_id])
         return list(units.values())
 
-    def index(self, internet, units: List[MapUnit]) -> Dict[str, str]:
-        # A block splitting its queries across two LDNSes belongs to
-        # both units; the index resolves it to the one it uses most.
-        keys = {unit.key for unit in units}
-        return {str(block.prefix): block.primary_ldns
-                for block in internet.blocks
-                if block.primary_ldns in keys}
 
-
-class BlockUnitBuilder(_PrefixIndexMixin):
+class BlockUnitBuilder:
     """/x client-block units: the end-user mapping granularity.
 
     ``prefix_len`` sweeps the Figure 22 trade-off: smaller x -> fewer,
@@ -113,11 +101,12 @@ class BlockUnitBuilder(_PrefixIndexMixin):
                 unit = MapUnit(key=str(super_prefix),
                                scheme=MapUnitScheme.BLOCK)
                 units[super_prefix] = unit
-            unit.add(block.geo, block.demand, prefix=str(block.prefix))
+            unit.add(block.geo, block.demand,
+                     network=block.prefix.network)
         return list(units.values())
 
 
-class BgpMergedUnitBuilder(_PrefixIndexMixin):
+class BgpMergedUnitBuilder:
     """Merge /x units that fall inside one routed BGP CIDR.
 
     Blocks inside the same announced CIDR "are likely proximal in the
@@ -141,11 +130,12 @@ class BgpMergedUnitBuilder(_PrefixIndexMixin):
             if unit is None:
                 unit = MapUnit(key=key, scheme=MapUnitScheme.BGP_MERGED)
                 units[key] = unit
-            unit.add(block.geo, block.demand, prefix=str(block.prefix))
+            unit.add(block.geo, block.demand,
+                     network=block.prefix.network)
         return list(units.values())
 
 
-class GeoAsUnitBuilder(_PrefixIndexMixin):
+class GeoAsUnitBuilder:
     """Per-/24 geo+AS units: the default map-maker scheme.
 
     One unit per client /24, carrying the block's geolocation and AS
@@ -158,10 +148,10 @@ class GeoAsUnitBuilder(_PrefixIndexMixin):
     def build(self, internet) -> List[MapUnit]:
         units: List[MapUnit] = []
         for block in internet.blocks:
-            key = str(block.prefix)
-            unit = MapUnit(key=key, scheme=MapUnitScheme.GEO_AS,
-                           asn=block.asn)
-            unit.add(block.geo, block.demand, prefix=key)
+            unit = MapUnit(key=str(block.prefix),
+                           scheme=MapUnitScheme.GEO_AS, asn=block.asn)
+            unit.add(block.geo, block.demand,
+                     network=block.prefix.network)
             units.append(unit)
         return units
 
@@ -234,14 +224,6 @@ def build_units(scheme: str, internet, **params) -> List[MapUnit]:
         scheme, parsed = parse_unit_scheme(scheme)
         merged.update(parsed)
     return get_builder(scheme).build(internet, **merged)
-
-
-def build_unit_index(scheme: str, internet,
-                     units: List[MapUnit]) -> Dict[str, str]:
-    """Client /24 -> unit key for an already-built unit set."""
-    if ":" in scheme:
-        scheme, _ = parse_unit_scheme(scheme)
-    return get_builder(scheme).index(internet, units)
 
 
 def _register_defaults() -> None:

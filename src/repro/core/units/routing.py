@@ -33,7 +33,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.core.units.base import MapUnit, MapUnitScheme
-from repro.core.units.builders import _PrefixIndexMixin
 from repro.net import batch
 
 #: Landmark columns per block: enough to separate continental routing
@@ -167,13 +166,10 @@ def _lloyd_rounds(features: np.ndarray, demand: np.ndarray,
         yield medoid_rows, assignment
 
 
-class RoutingAwareUnitBuilder(_PrefixIndexMixin):
+class RoutingAwareUnitBuilder:
     """k-medoids-style clustering of client blocks over RTT columns."""
 
     scheme = "routing_aware"
-
-    def __init__(self, n_landmarks: int = DEFAULT_LANDMARKS) -> None:
-        self.n_landmarks = n_landmarks
 
     def default_units(self, internet) -> int:
         """Unit budget when ``:<k>`` is not given: the LDNS population
@@ -203,9 +199,9 @@ class RoutingAwareUnitBuilder(_PrefixIndexMixin):
     # -- internals -------------------------------------------------------
 
     def _features(self, internet) -> np.ndarray:
-        """n_blocks x n_landmarks noise-free RTT feature matrix."""
+        """n_blocks x landmarks noise-free RTT feature matrix."""
         cols = internet.block_columns()
-        count = min(self.n_landmarks, len(internet.blocks))
+        count = min(DEFAULT_LANDMARKS, len(internet.blocks))
         rng = random.Random(f"{internet.seed}:routing_aware:landmarks")
         rows = sorted(rng.sample(range(len(internet.blocks)), count))
         landmarks = np.asarray(rows, dtype=np.int64)
@@ -251,7 +247,8 @@ class RoutingAwareUnitBuilder(_PrefixIndexMixin):
             weights: List[float] = []
             for row in rows[lo:hi]:
                 block = blocks[row]
-                unit.add(block.geo, block.demand, prefix=prefixes[row])
+                unit.add(block.geo, block.demand,
+                         network=block.prefix.network)
                 demand_by_asn[block.asn] = demand_by_asn.get(
                     block.asn, 0.0) + block.demand
                 weights.append(block.demand)

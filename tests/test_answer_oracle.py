@@ -7,10 +7,12 @@ tuple per published id tuple, the ladder's map keys and its counter
 handles.  The reference below is the code that built each of those
 afresh per query -- the headroom walk, the server pick, the record
 building, the published-map read and the ladder lookup as they stood
-before -- swapped into a twin world.  Both twins see the same queries
-under the same injected load, dead servers and dead clusters, over
-every ladder tier; answers, spillovers, balancer counters and registry
-snapshots must stay equal throughout.
+before, the ladder over the builders' string-keyed unit index -- swapped
+into a twin world.  Both twins see the same queries under the same
+injected load, dead servers and dead clusters, over every ladder tier,
+client prefixes of every length and resolvers the Internet does not
+have; answers, spillovers, balancer counters and registry snapshots
+must stay equal throughout.
 """
 
 import random
@@ -19,12 +21,15 @@ import pytest
 
 import repro.api
 import repro.core.loadbalancer as loadbalancer_module
+import repro.core.mapmaker.maker as maker_module
+import repro.core.mapmaker.service as service_module
 import repro.core.system as system_module
 from repro.core.loadbalancer import GlobalLoadBalancer, LocalLoadBalancer
 from repro.core.mapmaker import MapMakerConfig
 from repro.core.mapmaker.maker import eu_key, ns_key
 from repro.core.policies import ResolutionContext
 from repro.core.system import MappingSystem
+from repro.core.units import parse_unit_scheme
 from repro.dnsproto.edns import ClientSubnetOption
 from repro.dnsproto.message import ResourceRecord
 from repro.dnsproto.rdata import ARdata
@@ -33,6 +38,7 @@ from repro.dnssrv.authoritative import ZoneAnswer
 from repro.net.ipv4 import Prefix, prefix_of
 from repro.obs import NULL_SPAN
 from repro.simulation.world import WorldConfig
+from tests.test_units import reference_index
 
 DAY = 86400.0
 
@@ -76,12 +82,12 @@ class ReferenceLocalLoadBalancer(LocalLoadBalancer):
         return ranked[: self.config.servers_per_answer]
 
 
-def reference_lookup(service, client_prefix, ldns_ip, day):
+def reference_lookup(service, unit_index, client_prefix, ldns_ip, day):
     current = service.current
     age = current.age(day)
     config = service.config
     if client_prefix is not None and age <= config.stale_age_days:
-        unit_key = service._unit_index.get(str(client_prefix))
+        unit_key = unit_index.get(str(client_prefix))
         if unit_key is not None:
             ids = current.lookup(eu_key(unit_key))
             if ids:
@@ -147,7 +153,8 @@ class ReferenceMappingSystem(MappingSystem):
         day = int(now // 86400.0)
         client_prefix = (context.ecs.prefix if context.ecs is not None
                          else None)
-        ids, tier = reference_lookup(self.control_plane, client_prefix,
+        ids, tier = reference_lookup(self.control_plane,
+                                     self.reference_index, client_prefix,
                                      context.ldns_ip, day)
         clusters = self.deployments.clusters
         cluster = self.global_lb.walk(
@@ -167,6 +174,11 @@ def as_reference(world):
     mapping.__class__ = ReferenceMappingSystem
     mapping.global_lb.__class__ = ReferenceGlobalLoadBalancer
     mapping.local_lb.__class__ = ReferenceLocalLoadBalancer
+    service = world.control_plane
+    if service is not None:
+        scheme, _ = parse_unit_scheme(service.unit_scheme)
+        mapping.reference_index = reference_index(
+            scheme, world.internet, service.units)
     return world
 
 
@@ -180,11 +192,17 @@ def build(scale, published):
                        else None))
 
 
+#: A resolver address the Internet does not have (TEST-NET-1).
+UNKNOWN_LDNS = 0xC0000201
+
+
 def make_stream(world, seed, n, days):
     """Queries as plain values, so both twins can replay them: (qname,
     ECS prefix or None, resolver address, time)."""
     rng = random.Random(seed)
     internet = world.internet
+    assert UNKNOWN_LDNS not in {resolver.ip for resolver
+                                in internet.resolvers.values()}
     names = [name for provider in world.catalog.providers
              for name in (provider.cdn_hostname, provider.domain)]
     names.append("nowhere.invalid")
@@ -192,15 +210,20 @@ def make_stream(world, seed, n, days):
     for index in range(n):
         block = rng.choice(internet.blocks)
         ldns_ip = internet.resolvers[block.pick_ldns(rng)].ip
+        if rng.random() < 0.05:
+            ldns_ip = UNKNOWN_LDNS
         client_ip = block.prefix.network | rng.randrange(256)
         roll = rng.random()
         if roll < 0.3:
             ecs = None
-        elif roll < 0.55:
+        elif roll < 0.5:
             ecs = prefix_of(client_ip, 22)
-        elif roll < 0.6:
+        elif roll < 0.55:
             # A /24 in no block: no unit holds it.
             ecs = Prefix(0xC6336400 | rng.randrange(4) << 8, 24)
+        elif roll < 0.6:
+            # Lengths no unit holds, around the block's own /24.
+            ecs = prefix_of(client_ip, rng.choice((0, 25, 32)))
         else:
             ecs = prefix_of(client_ip, 24)
         stream.append((rng.choice(names), ecs, ldns_ip,
@@ -366,15 +389,55 @@ def test_a_repeated_cluster_and_provider_sorts_nothing(monkeypatch,
     assert sorts == []
 
 
-@pytest.mark.parametrize("length", [22, 24])
+def _counting_keys(monkeypatch):
+    """The calls that format a prefix or a map key, from now on: one
+    list per formatter."""
+    formatted = [_counting(monkeypatch, Prefix, "__str__", Prefix.__str__)]
+    for module in (maker_module, service_module):
+        formatted.append(_counting(monkeypatch, module, "eu_key", eu_key))
+        formatted.append(_counting(monkeypatch, module, "ns_key", ns_key))
+    return formatted
+
+
+@pytest.mark.parametrize("length", [None, 0, 22, 24, 25, 32])
 def test_a_repeated_published_lookup_formats_no_prefix(monkeypatch,
                                                        published_world,
                                                        length):
-    query = _query(published_world, length)
-    first = published_world.mapping.answer(*query)
-    formatted = _counting(monkeypatch, Prefix, "__str__", Prefix.__str__)
-    assert published_world.mapping.answer(*query) == first
-    assert formatted == []
-    if length == 24:
-        assert published_world.control_plane.unit_key_for(
-            query[2].prefix) is not None
+    """No published lookup formats a prefix or a map key: neither the
+    first nor a repeated one, on any tier, whatever the client prefix
+    (or none) and whether or not the Internet has the resolver."""
+    qname, qtype, ecs, ldns_ip, _ = _query(
+        published_world, 24 if length is None else length)
+    if length is None:
+        ecs = None
+    formatted = _counting_keys(monkeypatch)
+    answers = [published_world.mapping.answer(qname, qtype, ecs, resolver,
+                                              day * DAY)
+               for resolver in (ldns_ip, UNKNOWN_LDNS)
+               # fresh_eu, stale_eu, ns, static_geo
+               for day in (0, 4, 8, 20)
+               for _ in range(2)]
+    assert formatted == [[]] * 5
+    assert answers[0] == answers[1]
+    tiers = published_world.obs.registry.snapshot()["counters"]
+    assert sum(count for name, count in tiers.items()
+               if name.startswith("mapping.tier.")) >= 8
+    if ecs is not None:
+        found = published_world.control_plane.unit_key_for(ecs.prefix)
+        assert (found is not None) == (length == 24)
+
+
+def test_a_pass_grows_no_table_of_the_service():
+    world = build("tiny", published=True)
+    service = world.control_plane
+
+    def sizes():
+        return {name: len(value) for name, value in vars(service).items()
+                if isinstance(value, dict)}
+
+    built = sizes()
+    assert len(built) >= 3
+    for qname, ecs, ldns_ip, now in make_stream(world, 14, 1500, 15):
+        option = None if ecs is None else ClientSubnetOption(ecs)
+        world.mapping.answer(qname, QType.A, option, ldns_ip, now)
+    assert sizes() == built

@@ -88,7 +88,7 @@ def _oracle_materialize(blocks, features, medoid_rows, assignment):
         medoid_feature = features[int(medoid_rows[slot])]
         for row in members:
             block = blocks[int(row)]
-            unit.add(block.geo, block.demand, prefix=str(block.prefix))
+            unit.add(block.geo, block.demand, network=block.prefix.network)
             demand_by_asn[block.asn] = demand_by_asn.get(
                 block.asn, 0.0) + block.demand
             gap = float(np.sqrt(np.mean(
@@ -181,7 +181,7 @@ def _assert_same_build(internet, n_units=None):
     for unit, want in zip(units, expected):
         assert unit.key == want.key
         assert unit.scheme == want.scheme
-        assert unit.prefixes == want.prefixes
+        assert unit.networks == want.networks
         assert unit.members == want.members
         assert unit.demand == want.demand
         assert unit.asn == want.asn

@@ -1,10 +1,16 @@
 """Tests for the pluggable unit-construction layer (repro.core.units).
 
 Covers the builder registry and scheme grammar, determinism of the
-routing-aware clustering, coverage/cohesion edge cases, and a
+routing-aware clustering, coverage/cohesion edge cases, the client-/24
+index against the builders' string-keyed index it replaced, and a
 non-default unit set through the map maker's compile and the
 degradation ladder.
+
+``python -m tests.test_units paper`` runs the index differential at
+paper scale, which the tier-1 scales never reach.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -22,17 +28,19 @@ from repro.core.units import (
     MapUnit,
     MapUnitScheme,
     available_schemes,
-    build_unit_index,
+    block_index,
     build_units,
     cohesion_stats,
     demand_coverage_curve,
     get_builder,
     parse_unit_scheme,
     register_builder,
+    unit_key_in,
     units_needed_for_share,
 )
 from repro.core.units.builders import _BUILDERS
 from repro.core.units.routing import RoutingAwareUnitBuilder
+from repro.net.ipv4 import Prefix
 from repro.topology import InternetConfig, build_internet
 from repro.topology.internet import BlockColumns
 
@@ -97,18 +105,17 @@ class TestRegistry:
                 unit = MapUnit(key="all", scheme=MapUnitScheme.BLOCK)
                 for block in internet.blocks:
                     unit.add(block.geo, block.demand,
-                             prefix=str(block.prefix))
+                             network=block.prefix.network)
                 return [unit]
-
-            def index(self, internet, units):
-                return {p: "all" for p in units[0].prefixes}
 
         register_builder(OneBigUnit())
         try:
             units = build_units("one_big_unit", net)
             assert len(units) == 1
-            index = build_unit_index("one_big_unit", net, units)
+            index = block_index(units)
+            assert len(index) == len(net.blocks)
             assert set(index.values()) == {"all"}
+            assert unit_key_in(index, net.blocks[-1].prefix) == "all"
         finally:
             del _BUILDERS["one_big_unit"]
 
@@ -154,7 +161,7 @@ class TestBuilders:
     def test_index_covers_every_block(self, net):
         for scheme in available_schemes():
             units = build_units(scheme, net)
-            index = build_unit_index(scheme, net, units)
+            index = block_index(units)
             assert len(index) == len(net.blocks), scheme
             keys = {u.key for u in units}
             assert set(index.values()) <= keys, scheme
@@ -207,9 +214,75 @@ class TestRoutingAware:
 
     def test_landmarks_clamped_to_population(self, net):
         tiny = _SlicedInternet(net, 5)
-        builder = RoutingAwareUnitBuilder(n_landmarks=64)
-        units = builder.build(tiny, n_units=2)
+        units = RoutingAwareUnitBuilder().build(tiny, n_units=2)
         assert sum(len(u.members) for u in units) == 5
+
+
+# -- the index differential ------------------------------------------------
+
+def reference_index(scheme, internet, units):
+    """Client /24 (as a string) -> unit key, as the builders' ``index``
+    methods built it before units recorded their /24s as ints.
+
+    ``ldns`` is the old ``LdnsUnitBuilder.index``: a block splitting its
+    queries across two LDNSes resolves to its primary one.  Every other
+    scheme is the old default, which read the member prefixes the
+    builder recorded, the later unit winning; builders recorded each
+    member block's ``str(block.prefix)``, a /24.
+    """
+    if scheme == "ldns":
+        keys = {unit.key for unit in units}
+        return {str(block.prefix): block.primary_ldns
+                for block in internet.blocks
+                if block.primary_ldns in keys}
+    out = {}
+    for unit in units:
+        for network in unit.networks:
+            out[str(Prefix(network, 24))] = unit.key
+    return out
+
+
+#: Every scheme, ``routing_aware`` at two unit counts.
+INDEX_SPECS = ("ldns", "block", "bgp_merged", "geo_as",
+               "routing_aware:16", "routing_aware:256")
+
+
+def assert_index_matches_reference(spec, internet):
+    """The index built from the units equals the reference, and finds
+    every /24 of it; returns the index's size."""
+    name, params = parse_unit_scheme(spec)
+    units = get_builder(name).build(internet, **params)
+    if name != "ldns":
+        # Each member block was recorded once, as its own /24.
+        networks = {block.prefix.network for block in internet.blocks}
+        for unit in units:
+            assert len(unit.networks) == len(unit.members), unit.key
+            assert set(unit.networks) <= networks, unit.key
+    reference = {Prefix.parse(text): key for text, key
+                 in reference_index(name, internet, units).items()}
+    assert {prefix.length for prefix in reference} <= {24}, spec
+    index = block_index(units)
+    assert index == {prefix.network: key
+                     for prefix, key in reference.items()}, spec
+    for prefix, key in reference.items():
+        assert unit_key_in(index, prefix) == key
+        assert unit_key_in(index, prefix.supernet(22)) is None
+    return len(index)
+
+
+@pytest.fixture(scope="module")
+def scaled_internets(net):
+    return {"tiny": net,
+            "small": build_internet(InternetConfig.small(), seed=5)}
+
+
+@pytest.mark.parametrize("scale", ["tiny", "small"])
+@pytest.mark.parametrize("spec", INDEX_SPECS)
+def test_index_matches_the_string_keyed_reference(scaled_internets,
+                                                  scale, spec):
+    internet = scaled_internets[scale]
+    assert assert_index_matches_reference(spec, internet) == len(
+        internet.blocks)
 
 
 class TestCoverageEdgeCases:
@@ -289,7 +362,7 @@ class TestRuCompilePath:
         scorer = Scorer(MeasurementService(), TrafficClass.WEB)
         return plan, scorer
 
-    def test_compile_emits_ru_namespace(self, net, wired):
+    def test_compile_emits_one_eu_key_per_unit(self, net, wired):
         plan, scorer = wired
         units = build_units("routing_aware:24", net)
         entries = compile_entries(plan, scorer, net, units)
@@ -297,7 +370,7 @@ class TestRuCompilePath:
         assert unit_keys == sorted(eu_key(u.key) for u in units)
         assert any(k.startswith("ns:") for k in entries)
 
-    def test_service_lookup_walks_ru_tiers(self, net, wired):
+    def test_service_lookup_walks_eu_tiers(self, net, wired):
         plan, scorer = wired
         service = MapPublicationService(
             MapMakerConfig(), deployments=plan, scorer=scorer,
@@ -327,3 +400,17 @@ class TestRuCompilePath:
         gauges = obs.registry.snapshot()["gauges"]
         assert gauges["units.total"] == len(net.blocks)
         assert gauges["units.cohesion_miles_mean"] == 0.0
+
+
+def _main(argv):
+    scale = argv[0] if argv else "paper"
+    internet = build_internet(getattr(InternetConfig, scale)())
+    for spec in INDEX_SPECS:
+        size = assert_index_matches_reference(spec, internet)
+        print(f"{scale} {spec}: {size} of {len(internet.blocks)} "
+              f"blocks indexed, equal to the reference")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_main(sys.argv[1:]))
