@@ -22,11 +22,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.dnsproto.edns import ClientSubnetOption
-from repro.geo.database import GeoDatabase
+from repro.geo.database import GeoDatabase, GeoRecord
+from repro.hashonce import hash_once, hash_slot
 from repro.net.geometry import GeoPoint
 from repro.net.ipv4 import Prefix
 
+_set_slot = object.__setattr__
 
+
+@hash_once
 @dataclass(frozen=True, slots=True)
 class MapTarget:
     """What the scorer optimizes for: a point (or weighted set)."""
@@ -36,15 +40,31 @@ class MapTarget:
     members: Tuple[Tuple["MapTarget", float], ...] = ()
     """Non-empty for aggregate targets (CANS): (target, weight) pairs.
     The top-level geo/asn then hold the demand-weighted centroid."""
+    _hash: Optional[int] = hash_slot()
 
     @property
     def is_aggregate(self) -> bool:
         return bool(self.members)
 
 
-@dataclass(frozen=True, slots=True)
+def target_of(record: GeoRecord) -> MapTarget:
+    """The point target of a geolocation record: one per record, built
+    on its first query and kept on the record (``GeoRecord.target``),
+    so every query that lands on the record shares it -- the ranking
+    memo and the published path's static-geo fallback alike."""
+    target = record.target
+    if target is None:
+        target = MapTarget(record.geo, record.asn)
+        _set_slot(record, "target", target)
+    return target
+
+
+@dataclass(slots=True)
 class ResolutionContext:
-    """Everything the policy may inspect for one query."""
+    """Everything the policy may inspect for one query.
+
+    Written once, by the query that builds it; not frozen, because a
+    frozen constructor pays a call per field."""
 
     qname: str
     ldns_ip: int
@@ -79,7 +99,7 @@ class NSMappingPolicy:
         record = self._geodb.lookup(context.ldns_ip)
         if record is None:
             return None, 0
-        return MapTarget(geo=record.geo, asn=record.asn), 0
+        return target_of(record), 0
 
 
 class EUMappingPolicy:
@@ -111,7 +131,7 @@ class EUMappingPolicy:
         if ecs is not None:
             record = self._geodb.lookup_prefix(ecs.prefix)
             if record is not None:
-                return (MapTarget(geo=record.geo, asn=record.asn),
+                return (target_of(record),
                         min(self.scope_prefix_len, ecs.source_prefix_len))
         return self._fallback.decide(context)
 
@@ -151,8 +171,7 @@ class ClientClusterIndex:
             record = self._geodb.lookup_prefix(prefix)
             if record is None:
                 continue
-            members.append(
-                (MapTarget(geo=record.geo, asn=record.asn), weight))
+            members.append((target_of(record), weight))
         if not members:
             return None
         # Centroid summary for callers that need one point.

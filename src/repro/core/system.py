@@ -58,6 +58,9 @@ from repro.obs import NOOP, NULL_SPAN, Counter, Observability
 #: pass -- more than rebuilding them costs.  Past the bound a set's
 #: records are built per answer.
 _RECORD_SETS = 1024
+#: Enum members read off their class cost a metaclass lookup each.
+_ANSWERED_QTYPES = (QType.A, QType.ANY)
+_NOERROR = Rcode.NOERROR
 
 
 @dataclass
@@ -130,7 +133,7 @@ class MappingSystem:
         if provider is None:
             self.stats.nxdomain += 1
             return ZoneAnswer(rcode=Rcode.NXDOMAIN)
-        if qtype not in (QType.A, QType.ANY):
+        if qtype not in _ANSWERED_QTYPES:
             # NODATA: the name exists but we only publish A records.
             return ZoneAnswer(rcode=Rcode.NOERROR)
 
@@ -142,8 +145,7 @@ class MappingSystem:
         with (tracer.span("mapping.decision", qname=qname,
                           policy=self.policy.name, ecs=ecs is not None)
               if traced else NULL_SPAN) as span:
-            context = ResolutionContext(qname=qname, ldns_ip=src_ip,
-                                        ecs=ecs)
+            context = ResolutionContext(qname, src_ip, ecs)
             target, scope = self.policy.decide(context)
             if target is None:
                 self.stats.no_target += 1
@@ -182,7 +184,7 @@ class MappingSystem:
                     for ip in key[2:])
                 if len(self._records) < _RECORD_SETS:
                     self._records[key] = records
-            return ZoneAnswer(records=records, scope_prefix_len=scope)
+            return ZoneAnswer(records, _NOERROR, scope)
 
     # -- internals ---------------------------------------------------------
 

@@ -24,7 +24,7 @@ from repro.dnssrv.authoritative import (
 )
 from repro.dnssrv.cache import CacheEntry, CacheStats, EcsAwareCache
 from repro.dnssrv.recursive import RecursionResult, RecursiveResolver
-from repro.dnssrv.stub import Resolution, StubResolver
+from repro.dnssrv.stub import StubResolver
 from repro.dnssrv.transport import AuthorityDirectory, Network, QuerySink
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "QuerySink",
     "RecursionResult",
     "RecursiveResolver",
-    "Resolution",
     "StaticZone",
     "StubResolver",
     "WhoAmIZone",

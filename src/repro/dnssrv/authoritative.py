@@ -39,8 +39,12 @@ from repro.dnsproto.wire import WireFormatError
 from repro.net.ipv4 import format_ipv4
 from repro.obs import NOOP, NULL_SPAN, Observability
 
+#: Read once: an enum member read off its class costs a metaclass
+#: lookup.
+_CNAME = QType.CNAME
 
-@dataclass
+
+@dataclass(slots=True)
 class ZoneAnswer:
     """What an answer source returns for one question."""
 
@@ -84,11 +88,11 @@ class StaticZone:
         qname = normalize_name(qname)
         exact = self.records.get((qname, qtype))
         if exact:
-            return ZoneAnswer(records=exact)
+            return ZoneAnswer(exact)
         # CNAME applies regardless of qtype (RFC 1034 3.6.2).
-        cname = self.records.get((qname, QType.CNAME))
-        if cname and qtype != QType.CNAME:
-            return ZoneAnswer(records=cname)
+        cname = self.records.get((qname, _CNAME))
+        if cname and qtype != _CNAME:
+            return ZoneAnswer(cname)
         if qname in self.names:
             return ZoneAnswer(rcode=Rcode.NOERROR)  # NODATA
         return ZoneAnswer(rcode=Rcode.NXDOMAIN)
@@ -211,11 +215,8 @@ class AuthoritativeServer:
                 answer = source.answer(question.name, question.qtype,
                                        query.client_subnet, src_ip, now)
                 response = make_response(
-                    query,
-                    answers=answer.records,
-                    rcode=answer.rcode,
-                    scope_prefix_len=answer.scope_prefix_len,
-                )
+                    query, answer.records, answer.rcode, True,
+                    answer.scope_prefix_len)
             try:
                 encoded = response.encode()
             except WireFormatError:

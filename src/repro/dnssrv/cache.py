@@ -60,6 +60,10 @@ class CacheEntry:
     ``rcode`` supports negative caching (RFC 2308): an NXDOMAIN or
     NODATA answer is stored with empty records and the error code, so
     repeated queries for missing names do not hammer the authority.
+
+    Every resolution a hit answers keeps the entry itself as its step
+    (:class:`~repro.dnssrv.recursive.Step`), so no field is ever
+    reassigned once the entry is stored.
     """
 
     scope: Optional[Prefix]
@@ -69,13 +73,6 @@ class CacheEntry:
     stored_at: float
     expires_at: float
     rcode: int = 0
-    answer: Tuple[Tuple[ResourceRecord, ...], float] = field(
-        init=False, repr=False, compare=False)
-    """``(records, stored_at)``, built once: every resolution the entry
-    answers shares this pair instead of allocating its own."""
-
-    def __post_init__(self) -> None:
-        self.answer = (self.records, self.stored_at)
 
     @property
     def negative(self) -> bool:
@@ -307,14 +304,13 @@ class EcsAwareCache:
         """Insert an answer; replaces any entry with the same scope."""
         if ttl < 0:
             raise ValueError(f"negative TTL: {ttl}")
-        entry = CacheEntry(
-            scope=scope,
-            records=records,
-            stored_at=now,
-            expires_at=now + ttl,
-            rcode=rcode,
-        )
-        slot = self._store.setdefault((qname, qtype), _NameSlot())
+        entry = CacheEntry(scope, records, now, now + ttl, rcode)
+        key = (qname, qtype)
+        slot = self._store.get(key)
+        if slot is None:
+            # Built only when the name has none: a setdefault default
+            # would be built, and dropped, on every store to a held name.
+            slot = self._store[key] = _NameSlot()
         if slot.put(entry):
             self._size += 1
         self.stats.insertions += 1

@@ -24,7 +24,7 @@ cache machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Protocol, Tuple
 
 from repro.dnsproto.edns import ClientSubnetOption
 from repro.dnsproto.message import (
@@ -47,6 +47,7 @@ _MAX_CNAME_CHAIN = 8
 # Reading a member off an enum class goes through the metaclass, about
 # 0.1 us a time; the hit loop compares against these on every step.
 _NOERROR = Rcode.NOERROR
+_NXDOMAIN = Rcode.NXDOMAIN
 _SERVFAIL = Rcode.SERVFAIL
 _A = QType.A
 _CNAME = QType.CNAME
@@ -59,74 +60,49 @@ _TIMEOUT_PENALTY_MS = 400.0
 _STALE_TTL = 30
 
 
-#: One step of a resolution: the records as the cache stores them and
-#: when they were stored (the resolve time, for a step answered
-#: upstream).  A hit shares its entry's pair (``CacheEntry.answer``).
-Step = Tuple[Tuple[ResourceRecord, ...], float]
+class Step(Protocol):
+    """One step of a resolution: its ``records`` as the cache stores
+    them and when they were stored (``stored_at``, the resolve time for
+    a step answered upstream).  A hit's step is the
+    :class:`~repro.dnssrv.cache.CacheEntry` itself; a miss's is the
+    step's own result."""
+
+    records: Tuple[ResourceRecord, ...]
+    stored_at: float
 
 
-class AgedAnswer:
-    """Answer records as the cache holds them, aged when read.
+class RecursionResult:
+    """Outcome of one client resolution at the LDNS.
 
-    A hit keeps the stored tuple and when it was stored, plus the
-    resolve time ``now``, instead of copying every record under a
-    reduced TTL that most callers never look at.  All are fixed at
-    resolve time and record tuples are immutable, so whenever
-    :attr:`records` is first read it shows the TTLs the client was owed
-    at that moment -- a later eviction or overwrite of the cache entry
-    cannot change them.  The steps are a tuple of pairs the cache
-    entries already hold, so an answer kept by its caller costs two
-    GC-tracked objects (itself and that tuple), not one per step more.
+    It is also what the client learns: the stub
+    (:func:`repro.dnssrv.stub.resolve`) adds its own hop to
+    :attr:`dns_time_ms` and hands back this same object, so one client
+    lookup builds one result.
+
+    Its answer records are kept as the cache holds them and aged when
+    read.  A hit keeps the cache entry, plus the resolve time ``now``,
+    instead of copying every record under a reduced TTL that most
+    callers never look at.  An entry's records and store time never
+    change and record tuples are immutable, so whenever :attr:`records`
+    is first read it shows the TTLs the client was owed at that moment
+    -- a later eviction or overwrite of the cache entry cannot change
+    them.  The steps are objects the resolution built anyway (the
+    entries a hit read, the result of a step that went upstream), so a
+    result kept by its caller costs two GC-tracked objects (itself and
+    the steps tuple), not one per step more.
     """
 
-    __slots__ = ("steps", "now", "_records")
-
-    def __init__(self, steps: Tuple[Step, ...], now: float) -> None:
-        self.steps = steps
-        self.now = now
-        self._records: Optional[Tuple[ResourceRecord, ...]] = None
-
-    @property
-    def records(self) -> Tuple[ResourceRecord, ...]:
-        """The answer chain in order, TTLs reduced by the whole seconds
-        each step had spent in cache; built on first read, then kept."""
-        records = self._records
-        if records is None:
-            steps, now = self.steps, self.now
-            if len(steps) == 1:
-                stored, stored_at = steps[0]
-                records = aged(stored, int(now - stored_at))
-            else:
-                records = tuple(
-                    record for stored, stored_at in steps
-                    for record in aged(stored, int(now - stored_at)))
-            self._records = records
-        return records
-
-    @property
-    def addresses(self) -> List[int]:
-        """A-record addresses in answer order."""
-        return [record.rdata.address for records, _ in self.steps
-                for record in records if record.rtype == _A]
-
-    def __repr__(self) -> str:
-        fields = [f"{name}={getattr(self, name)!r}"
-                  for name in type(self).__slots__]
-        return (f"{type(self).__name__}({', '.join(fields)}, "
-                f"records={self.records!r})")
-
-
-class RecursionResult(AgedAnswer):
-    """Outcome of one client resolution at the LDNS."""
-
-    __slots__ = ("rcode", "cache_hit", "upstream_queries",
-                 "upstream_rtt_ms", "stale")
+    __slots__ = ("steps", "now", "_records", "rcode", "cache_hit",
+                 "upstream_queries", "upstream_rtt_ms", "stale",
+                 "dns_time_ms", "failed_over")
 
     def __init__(self, steps: Tuple[Step, ...], now: float, rcode: int,
                  cache_hit: bool, upstream_queries: int,
                  upstream_rtt_ms: float,
                  stale: bool = False) -> None:
-        AgedAnswer.__init__(self, steps, now)
+        self.steps = steps
+        self.now = now
+        self._records: Optional[Tuple[ResourceRecord, ...]] = None
         self.rcode = rcode
         self.cache_hit = cache_hit
         """True when no upstream query was needed at all."""
@@ -137,13 +113,71 @@ class RecursionResult(AgedAnswer):
         """True when any step was answered from an expired cache entry
         because every authority was unreachable (RFC 8767
         serve-stale)."""
+        self.dns_time_ms = upstream_rtt_ms
+        """The lookup's time as the client sees it: the LDNS's upstream
+        time here, plus the client's own hop once a stub has added
+        it."""
+        self.failed_over = False
+        """True when the client's configured LDNS was dark and its stub
+        retried through a fallback resolver (after burning the
+        timeout)."""
+
+    @property
+    def records(self) -> Tuple[ResourceRecord, ...]:
+        """The answer chain in order, TTLs reduced by the whole seconds
+        each step had spent in cache; built on first read, then kept."""
+        records = self._records
+        if records is None:
+            steps, now = self.steps, self.now
+            if len(steps) == 1:
+                step = steps[0]
+                records = aged(step.records, int(now - step.stored_at))
+            else:
+                records = tuple(
+                    record for step in steps
+                    for record in aged(step.records,
+                                       int(now - step.stored_at)))
+            self._records = records
+        return records
+
+    @property
+    def addresses(self) -> List[int]:
+        """A-record addresses in answer order."""
+        return [record.rdata.address for step in self.steps
+                for record in step.records if record.rtype == _A]
+
+    @property
+    def ldns_cache_hit(self) -> bool:
+        """The client's name for :attr:`cache_hit`."""
+        return self.cache_hit
+
+    @property
+    def ok(self) -> bool:
+        """NOERROR with at least one address; walks the steps without
+        building :attr:`addresses`."""
+        if self.rcode != _NOERROR:
+            return False
+        for step in self.steps:
+            for record in step.records:
+                if record.rtype == _A:
+                    return True
+        return False
+
+    def __repr__(self) -> str:
+        fields = [f"{name}={getattr(self, name)!r}"
+                  for name in self.__slots__[3:]]
+        return (f"{type(self).__name__}({', '.join(fields)}, "
+                f"records={self.records!r})")
 
 
-@dataclass
+@dataclass(slots=True)
 class _StepResult:
-    """One step of the chain that had to go upstream."""
+    """One step of the chain that had to go upstream; the resolution
+    keeps it as that step (a :class:`Step`)."""
 
     records: Tuple[ResourceRecord, ...]
+    stored_at: float
+    """The resolve time: a step answered upstream is this fresh."""
     rcode: int
     queries: int
     rtt_ms: float
@@ -256,8 +290,8 @@ class RecursiveResolver:
                 now: float) -> RecursionResult:
         """Resolve a name on behalf of a client, chasing CNAMEs.
 
-        A step the cache answers costs the lookup and a pair kept for
-        :class:`AgedAnswer`; only a miss opens a span of its own and
+        A step the cache answers costs the lookup and the entry, kept
+        as the step; only a miss opens a span of its own and
         goes upstream.  Span attributes are computed while a trace is
         open and not otherwise.
         """
@@ -282,7 +316,7 @@ class RecursiveResolver:
                 if entry is not None:
                     records = entry.records
                     rcode = entry.rcode
-                    steps.append(entry.answer)
+                    steps.append(entry)
                     if traced:
                         tracer.event(
                             "step", qname=current, cache="hit",
@@ -296,7 +330,7 @@ class RecursiveResolver:
                             current, qtype, client_ip, now, step_span)
                     records = step.records
                     rcode = step.rcode
-                    steps.append((records, now))
+                    steps.append(step)
                     total_queries += step.queries
                     total_rtt += step.rtt_ms
                     any_stale = any_stale or step.stale
@@ -357,7 +391,7 @@ class RecursiveResolver:
                         now: float, span=NULL_SPAN) -> _StepResult:
         authority = self.directory.authority_for(qname)
         if authority is None:
-            return _StepResult((), Rcode.SERVFAIL, 0, 0.0)
+            return _StepResult((), now, Rcode.SERVFAIL, 0, 0.0)
         zone, server_ips = authority
         ranking = self._server_ranking.get(zone)
         if ranking is None:
@@ -378,8 +412,7 @@ class RecursiveResolver:
         for server_ip in ranking:
             response = None
             for attempt in range(1 + self.max_retries):
-                query = make_query(qname, qtype, msg_id=self._take_id(),
-                                   ecs=ecs)
+                query = make_query(qname, qtype, self._take_id(), ecs)
                 hop = self.network.query(self._ip, server_ip, query, now)
                 self.upstream_queries_total += 1
                 queries += 1
@@ -433,10 +466,10 @@ class RecursiveResolver:
         if stale is not None:
             self.stale_served += 1
             span.set(stale=True)
-            return _StepResult(stale.stale_records(_STALE_TTL),
+            return _StepResult(stale.stale_records(_STALE_TTL), now,
                                Rcode.NOERROR, queries, total_rtt,
                                stale=True)
-        return _StepResult((), Rcode.SERVFAIL, queries, total_rtt)
+        return _StepResult((), now, Rcode.SERVFAIL, queries, total_rtt)
 
     def _process_response(self, qname: str, qtype: int, client_ip: int,
                           response: Message, now: float, queries: int,
@@ -446,21 +479,21 @@ class RecursiveResolver:
         scope = self._scope_for(response, client_ip)
         if span is not NULL_SPAN:
             span.set(scope=str(scope) if scope is not None else None)
-        if rcode == Rcode.NXDOMAIN or (
-                rcode == Rcode.NOERROR and not response.answers):
+        if rcode == _NXDOMAIN or (
+                rcode == _NOERROR and not response.answers):
             # Negative caching (RFC 2308): remember that the name does
             # not exist / has no data so misses do not hammer the
             # authority.
             self.cache.store(qname, qtype, scope, (),
                              _DEFAULT_NEGATIVE_TTL, now, rcode=rcode)
-            return _StepResult((), rcode, queries, total_rtt)
-        if rcode != Rcode.NOERROR:
+            return _StepResult((), now, rcode, queries, total_rtt)
+        if rcode != _NOERROR:
             # Transient server errors are not cached.
-            return _StepResult((), rcode, queries, total_rtt)
+            return _StepResult((), now, rcode, queries, total_rtt)
         records = tuple(response.answers)
-        ttl = min(r.ttl for r in records)
+        ttl = min([r.ttl for r in records])
         self.cache.store(qname, qtype, scope, records, ttl, now)
-        return _StepResult(records, Rcode.NOERROR, queries, total_rtt)
+        return _StepResult(records, now, _NOERROR, queries, total_rtt)
 
     def _scope_for(self, response: Message,
                    client_ip: int) -> Optional[Prefix]:

@@ -65,7 +65,7 @@ class LinkImpairment:
                              f"{self.loss_rate}")
 
 
-@dataclass
+@dataclass(slots=True)
 class HopResult:
     """Outcome of one query/response exchange over the network."""
 
@@ -198,10 +198,9 @@ class Network:
             if traced:
                 hop.set(rtt_ms=rtt, timeout=response_wire is None)
         if response_wire is None:
-            return HopResult(response=None, rtt_ms=rtt, span=hop)
+            return HopResult(None, rtt, hop)
         self.bytes_sent += len(response_wire)
-        return HopResult(response=Message.decode(response_wire),
-                         rtt_ms=rtt, span=hop)
+        return HopResult(Message.decode(response_wire), rtt, hop)
 
 
 class AuthorityDirectory:

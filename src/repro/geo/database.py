@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Tuple
 
 from repro.net.geometry import GeoPoint, displace
@@ -33,6 +33,11 @@ class GeoRecord:
     country: str
     continent: str
     asn: int
+    target: object = field(default=None, init=False, repr=False,
+                           compare=False)
+    """The mapping target :func:`repro.core.policies.target_of` derives
+    from this record: built on the record's first query and kept with
+    it, so a query builds none."""
 
 
 class GeoDatabase:

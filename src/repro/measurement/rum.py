@@ -22,9 +22,13 @@ METRICS = ("mapping_distance_miles", "rtt_ms", "ttfb_ms", "download_ms",
            "dns_ms")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RumBeacon:
-    """One page-download measurement from one client."""
+    """One page-download measurement from one client.
+
+    Written once, when the session that measured it ends, and never
+    after; not frozen, because a frozen constructor pays a call per
+    field."""
 
     day: int
     """Simulated day index (0 = first day of the timeline)."""

@@ -335,20 +335,22 @@ def _run_rollout(world: World,
                 degraded_today += 1
             if session.catchment_shifted:
                 shifted_today += 1
+            # Positional, in field order: keyword binding would cost
+            # more than the beacon itself.
             result.rum.record(RumBeacon(
-                day=day,
-                block=block.prefix,
-                country=block.country,
-                domain=session.domain,
-                high_expectation=block.country in high_expectation,
-                via_public_resolver=session.via_public_resolver,
-                dns_ms=session.dns_ms,
-                rtt_ms=session.rtt_ms,
-                ttfb_ms=session.ttfb_ms,
-                download_ms=session.download_ms,
-                mapping_distance_miles=session.mapping_distance_miles,
-                server_ip=session.server_ip,
-                ecs_used=session.ecs_used,
+                day,
+                block.prefix,
+                block.country,
+                session.domain,
+                block.country in high_expectation,
+                session.via_public_resolver,
+                session.dns_ms,
+                session.rtt_ms,
+                session.ttfb_ms,
+                session.download_ms,
+                session.mapping_distance_miles,
+                session.server_ip,
+                session.ecs_used,
             ))
         result.sessions_per_day[day] = sessions_today
         result.requests_per_day[day] = requests_today

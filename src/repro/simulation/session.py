@@ -29,7 +29,8 @@ from typing import Dict, List, Optional
 
 from repro.cdn.content import PARALLEL_CONNECTIONS, ContentProvider, WebPage
 from repro.core.loadbalancer import spread_load
-from repro.dnssrv.stub import StubResolver
+from repro.dnsproto.types import QType
+from repro.dnssrv import stub
 from repro.net.geometry import great_circle_miles
 from repro.obs import NULL_SPAN, Counter
 from repro.simulation.world import World
@@ -42,11 +43,15 @@ EDGE_PROCESS_MS = 4.0
 #: TCP connect timeout burned per dead edge server the client tries
 #: before the next address in the answer (fault-injection path only).
 CONNECT_TIMEOUT_MS = 3000.0
+_A = QType.A
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SessionResult:
-    """One completed page download."""
+    """One completed page download.
+
+    Written once, by the session that builds it, and never after; not
+    frozen, because a frozen constructor pays a call per field."""
 
     block: ClientBlock
     provider_name: str
@@ -146,16 +151,16 @@ def _run_session(world, block, now, rng, provider, page, client_ip,
                                                resolver_id)
     if fleet_dark:
         ldns = _DarkFleet(ldns)
-    stub = StubResolver(client_ip, world.network)
     tracer = world.obs.tracer
     traced = tracer.active
     with (tracer.span("dns", resolver=resolver_id)
           if traced else NULL_SPAN) as dns_span:
-        resolution = stub.resolve(provider.domain, ldns, now,
+        resolution = stub.resolve(client_ip, world.network,
+                                  provider.domain, ldns, now,
                                   fallback=fallback)
         if traced:
             dns_span.set(dns_ms=resolution.dns_time_ms,
-                         cache_hit=resolution.ldns_cache_hit,
+                         cache_hit=resolution.cache_hit,
                          upstream_queries=resolution.upstream_queries)
             if resolution.failed_over:
                 dns_span.set(failed_over=True, fallback=fallback_id)
@@ -169,18 +174,23 @@ def _run_session(world, block, now, rng, provider, page, client_ip,
     # Try the answered addresses in order; footnote 2 of the paper has
     # two servers returned "as a precaution against transient
     # failures" -- a dead first server costs a connect timeout, not
-    # the session.  Every live answered server shares the load.
+    # the session.  Every live answered server shares the load.  The
+    # walk reads the answer's records where the cache keeps them.
     server_index = world.deployments.server_index
     live = []
     dead_tried = 0
-    for ip in resolution.addresses:
-        candidate = server_index.get(ip)
-        if candidate is None:
-            raise RuntimeError(f"mapped to unknown server {ip}")
-        if candidate.alive:
-            live.append(candidate)
-        elif not live:
-            dead_tried += 1
+    for step in resolution.steps:
+        for record in step.records:
+            if record.rtype != _A:
+                continue
+            candidate = server_index.get(record.rdata.address)
+            if candidate is None:
+                raise RuntimeError(
+                    f"mapped to unknown server {record.rdata.address}")
+            if candidate.alive:
+                live.append(candidate)
+            elif not live:
+                dead_tried += 1
     if not live:
         root.set(failed=True, dead_servers=dead_tried)
         return _failed_session(world, block, provider, resolver_id,
@@ -222,28 +232,31 @@ def _run_session(world, block, now, rng, provider, page, client_ip,
         if catchment_shifted:
             root.set(catchment_shifted=True)
     meta = world.internet.resolvers[resolver_id]
+    # Positional, in field order: binding 21 keywords costs three times
+    # what the constructor does.
     return SessionResult(
-        block=block,
-        provider_name=provider.name,
-        domain=provider.domain,
-        resolver_id=resolver_id,
-        via_public_resolver=meta.is_public,
-        ecs_used=ecs_used,
-        server_ip=server_ip,
-        cluster_id=cluster.cluster_id,
-        dns_ms=resolution.dns_time_ms,
-        connect_ms=connect_ms,
-        rtt_ms=rtt,
-        ttfb_ms=ttfb_ms,
-        download_ms=download_ms,
-        mapping_distance_miles=great_circle_miles(block.geo, cluster.geo),
-        upstream_dns_queries=resolution.upstream_queries,
-        requests=requests,
-        edge_cache_hits=cache_hits,
-        degraded=degraded,
-        stale_served=resolution.stale,
-        catchment_shifted=catchment_shifted,
-        cold_cache_miss=catchment_shifted and not resolution.ldns_cache_hit,
+        block,
+        provider.name,
+        provider.domain,
+        resolver_id,
+        meta.is_public,  # via_public_resolver
+        ecs_used,
+        server_ip,
+        cluster.cluster_id,
+        resolution.dns_time_ms,  # dns_ms
+        connect_ms,
+        rtt,  # rtt_ms
+        ttfb_ms,
+        download_ms,
+        great_circle_miles(block.geo, cluster.geo),  # mapping distance
+        resolution.upstream_queries,  # upstream_dns_queries
+        requests,
+        cache_hits,  # edge_cache_hits
+        False,  # failed
+        degraded,
+        resolution.stale,  # stale_served
+        catchment_shifted,
+        catchment_shifted and not resolution.cache_hit,  # cold_cache_miss
     )
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.dnssrv.cache as cache_module
 from repro.dnsproto.message import ResourceRecord
 from repro.dnsproto.rdata import ARdata
 from repro.dnsproto.types import QType
@@ -133,6 +134,39 @@ class TestStoreSemantics:
         cache.store("mid.net", QType.A, None, a_records(), 100, 0)
         assert cache.lookup("short.net", QType.A, None, 1) is None
         assert cache.lookup("long.net", QType.A, None, 1) is not None
+
+    def test_a_store_to_a_held_name_builds_no_slot(self, monkeypatch):
+        """One ``_NameSlot`` per (name, type) the cache holds: a store
+        to a held name builds none, and counting the slots changes no
+        stat and no eviction choice."""
+        built = []
+        original = cache_module._NameSlot.__init__
+
+        def counting(slot):
+            built.append(slot)
+            original(slot)
+
+        monkeypatch.setattr(cache_module._NameSlot, "__init__", counting)
+        cache = EcsAwareCache(max_entries=3)
+        for third_octet, ttl in ((1, 50), (2, 10), (3, 30)):
+            cache.store("foo.net", QType.A,
+                        Prefix.parse(f"9.9.{third_octet}.0/24"),
+                        a_records(), ttl, 0)
+        assert len(built) == 1
+        cache.store("foo.net", QType.A, None, a_records(), 40, 0)
+        assert len(built) == 1
+        cache.store("bar.net", QType.A, None, a_records(), 20, 0)
+        assert len(built) == 2
+        # Over the bound twice, each time the earliest expiry went:
+        # foo's 9.9.2.0/24 (10 s), then bar.net itself (20 s).
+        assert cache.stats.as_dict() == {
+            "hits": 0, "misses": 0, "lookups": 0, "insertions": 5,
+            "evictions": 2, "expirations": 0, "stale_hits": 0}
+        held = sorted((str(entry.scope), entry.expires_at)
+                      for entry in cache.entries_for("foo.net", QType.A))
+        assert held == [("9.9.1.0/24", 50), ("9.9.3.0/24", 30),
+                        ("None", 40)]
+        assert cache.entries_for("bar.net", QType.A) == []
 
     def test_flush(self):
         cache = EcsAwareCache()
