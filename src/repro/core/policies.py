@@ -23,14 +23,12 @@ from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.dnsproto.edns import ClientSubnetOption
 from repro.geo.database import GeoDatabase, GeoRecord
-from repro.hashonce import hash_once, hash_slot
 from repro.net.geometry import GeoPoint
 from repro.net.ipv4 import Prefix
 
 _set_slot = object.__setattr__
 
 
-@hash_once
 @dataclass(frozen=True, slots=True)
 class MapTarget:
     """What the scorer optimizes for: a point (or weighted set)."""
@@ -40,7 +38,6 @@ class MapTarget:
     members: Tuple[Tuple["MapTarget", float], ...] = ()
     """Non-empty for aggregate targets (CANS): (target, weight) pairs.
     The top-level geo/asn then hold the demand-weighted centroid."""
-    _hash: Optional[int] = hash_slot()
 
     @property
     def is_aggregate(self) -> bool:

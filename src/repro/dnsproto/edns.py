@@ -32,7 +32,6 @@ from repro.dnsproto.types import (
     QType,
 )
 from repro.dnsproto.wire import WireFormatError, WireReader, WireWriter
-from repro.hashonce import hash_once, hash_slot
 from repro.net.ipv4 import Prefix, mask_of
 
 #: Root owner, TYPE, CLASS (= UDP payload size), TTL (= extended rcode,
@@ -200,7 +199,6 @@ class ClientSubnetV6Option:
         return cls(*_decode_ecs(data, ECS_FAMILY_IPV6, 128))
 
 
-@hash_once
 @dataclass(frozen=True, slots=True)
 class EdnsOptions:
     """Decoded contents of an OPT pseudo-record."""
@@ -212,10 +210,8 @@ class EdnsOptions:
     client_subnet: Optional[ClientSubnetOption] = None
     client_subnet_v6: Optional[ClientSubnetV6Option] = None
     unknown_options: Tuple[Tuple[int, bytes], ...] = ()
-    _hash: Optional[int] = hash_slot()
 
 
-@hash_once
 @dataclass(frozen=True, slots=True)
 class OptRecord:
     """The OPT pseudo-RR that carries EDNS0 in the additional section.
@@ -225,7 +221,6 @@ class OptRecord:
     """
 
     options: EdnsOptions = field(default_factory=EdnsOptions)
-    _hash: Optional[int] = hash_slot()
 
     def encode(self, writer: WireWriter) -> None:
         opts = self.options

@@ -52,7 +52,6 @@ from repro.dnsproto.name import (
 from repro.dnsproto.rdata import Rdata, decode_rdata
 from repro.dnsproto.types import Opcode, QClass, QType, Rcode
 from repro.dnsproto.wire import WireFormatError, WireReader, WireWriter
-from repro.hashonce import hash_once, hash_slot
 from repro.net.ipv4 import Prefix, mask_of
 
 #: ID, flags, QDCOUNT, ANCOUNT, NSCOUNT, ARCOUNT (RFC 1035 4.1.1).
@@ -68,7 +67,6 @@ _OPT_RTYPE = int(QType.OPT).to_bytes(2, "big")
 _set_slot = object.__setattr__
 
 
-@hash_once
 @dataclass(frozen=True, slots=True)
 class Flags:
     """Header flag bits (RFC 1035 4.1.1)."""
@@ -80,7 +78,6 @@ class Flags:
     rd: bool = True
     ra: bool = False
     rcode: int = Rcode.NOERROR
-    _hash: Optional[int] = hash_slot()
 
     def encode(self) -> int:
         value = 0
@@ -114,7 +111,6 @@ class Flags:
         )
 
 
-@hash_once
 @dataclass(frozen=True, slots=True)
 class Question:
     """One entry of the question section."""
@@ -122,7 +118,6 @@ class Question:
     name: str
     qtype: int = QType.A
     qclass: int = QClass.IN
-    _hash: Optional[int] = hash_slot()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "name", normalize_name(self.name))
@@ -148,7 +143,6 @@ class Question:
         return cls(name, qtype, qclass)
 
 
-@hash_once
 @dataclass(frozen=True, slots=True)
 class ResourceRecord:
     """One resource record with typed RDATA."""
@@ -158,7 +152,6 @@ class ResourceRecord:
     ttl: int
     rdata: Rdata
     rclass: int = QClass.IN
-    _hash: Optional[int] = hash_slot()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "name", normalize_name(self.name))
@@ -182,7 +175,6 @@ class ResourceRecord:
         _set_slot(copy, "ttl", ttl)
         _set_slot(copy, "rdata", self.rdata)
         _set_slot(copy, "rclass", self.rclass)
-        _set_slot(copy, "_hash", None)
         return copy
 
     def encode(self, writer: WireWriter,

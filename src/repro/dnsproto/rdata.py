@@ -15,7 +15,6 @@ from typing import ClassVar, Dict, Optional, Tuple, Type
 from repro.dnsproto.name import decode_name, encode_name, normalize_name
 from repro.dnsproto.types import QType
 from repro.dnsproto.wire import WireFormatError, WireReader, WireWriter
-from repro.hashonce import hash_once, hash_slot
 from repro.net.ipv4 import format_ipv4
 
 
@@ -43,14 +42,12 @@ class Rdata:
         return Rdata._registry.get(rtype)
 
 
-@hash_once
 @dataclass(frozen=True, slots=True)
 class ARdata(Rdata):
     """IPv4 address record; the payload of every mapping answer."""
 
     address: int
     rtype: ClassVar[int] = QType.A
-    _hash: Optional[int] = hash_slot()
 
     def __post_init__(self) -> None:
         if not 0 <= self.address < (1 << 32):

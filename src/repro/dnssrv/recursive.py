@@ -24,7 +24,7 @@ cache machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Tuple
+from typing import Iterator, List, Optional, Protocol, Tuple
 
 from repro.dnsproto.edns import ClientSubnetOption
 from repro.dnsproto.message import (
@@ -140,11 +140,18 @@ class RecursionResult:
             self._records = records
         return records
 
+    def iter_addresses(self) -> Iterator[int]:
+        """A-record addresses in answer order, read from the steps'
+        records where the cache keeps them (no TTL ageing needed)."""
+        for step in self.steps:
+            for record in step.records:
+                if record.rtype == _A:
+                    yield record.rdata.address
+
     @property
     def addresses(self) -> List[int]:
         """A-record addresses in answer order."""
-        return [record.rdata.address for step in self.steps
-                for record in step.records if record.rtype == _A]
+        return list(self.iter_addresses())
 
     @property
     def ldns_cache_hit(self) -> bool:
@@ -153,15 +160,10 @@ class RecursionResult:
 
     @property
     def ok(self) -> bool:
-        """NOERROR with at least one address; walks the steps without
-        building :attr:`addresses`."""
-        if self.rcode != _NOERROR:
-            return False
-        for step in self.steps:
-            for record in step.records:
-                if record.rtype == _A:
-                    return True
-        return False
+        """NOERROR with at least one address; stops at the first one
+        without building :attr:`addresses`."""
+        return (self.rcode == _NOERROR
+                and next(self.iter_addresses(), None) is not None)
 
     def __repr__(self) -> str:
         fields = [f"{name}={getattr(self, name)!r}"

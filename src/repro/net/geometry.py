@@ -12,22 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
-
-from repro.hashonce import hash_once, hash_slot
+from typing import Iterable, Sequence, Tuple
 
 EARTH_RADIUS_MILES = 3958.7613
 EARTH_RADIUS_KM = 6371.0088
 
 
-@hash_once
 @dataclass(frozen=True, slots=True)
 class GeoPoint:
     """A point on the Earth's surface, in decimal degrees."""
 
     lat: float
     lon: float
-    _hash: Optional[int] = hash_slot()
 
     def __post_init__(self) -> None:
         if not -90.0 <= self.lat <= 90.0:

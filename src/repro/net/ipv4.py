@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 _MAX_IPV4 = (1 << 32) - 1
-#: Writes a field of a frozen dataclass instance under construction.
-_set_slot = object.__setattr__
 
 
 def parse_ipv4(text: str) -> int:
@@ -144,14 +142,5 @@ def prefix_of(addr: int, length: int) -> Prefix:
 
     This is the paper's "/x prefix of the client's IP": the EDNS0
     client-subnet option carries ``prefix_of(client_ip, 24)``.
-
-    Built without :class:`Prefix`'s checks, which hold by construction:
-    ``mask_of`` checks the length, and an address under a 32-bit mask
-    is in range with no host bit set.  A resolver builds one per
-    client-subnet query.
     """
-    network = addr & mask_of(length)
-    prefix = object.__new__(Prefix)
-    _set_slot(prefix, "network", network)
-    _set_slot(prefix, "length", length)
-    return prefix
+    return Prefix(addr & mask_of(length), length)

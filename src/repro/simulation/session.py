@@ -29,7 +29,6 @@ from typing import Dict, List, Optional
 
 from repro.cdn.content import PARALLEL_CONNECTIONS, ContentProvider, WebPage
 from repro.core.loadbalancer import spread_load
-from repro.dnsproto.types import QType
 from repro.dnssrv import stub
 from repro.net.geometry import great_circle_miles
 from repro.obs import NULL_SPAN, Counter
@@ -43,7 +42,6 @@ EDGE_PROCESS_MS = 4.0
 #: TCP connect timeout burned per dead edge server the client tries
 #: before the next address in the answer (fault-injection path only).
 CONNECT_TIMEOUT_MS = 3000.0
-_A = QType.A
 
 
 @dataclass(slots=True)
@@ -179,18 +177,14 @@ def _run_session(world, block, now, rng, provider, page, client_ip,
     server_index = world.deployments.server_index
     live = []
     dead_tried = 0
-    for step in resolution.steps:
-        for record in step.records:
-            if record.rtype != _A:
-                continue
-            candidate = server_index.get(record.rdata.address)
-            if candidate is None:
-                raise RuntimeError(
-                    f"mapped to unknown server {record.rdata.address}")
-            if candidate.alive:
-                live.append(candidate)
-            elif not live:
-                dead_tried += 1
+    for address in resolution.iter_addresses():
+        candidate = server_index.get(address)
+        if candidate is None:
+            raise RuntimeError(f"mapped to unknown server {address}")
+        if candidate.alive:
+            live.append(candidate)
+        elif not live:
+            dead_tried += 1
     if not live:
         root.set(failed=True, dead_servers=dead_tried)
         return _failed_session(world, block, provider, resolver_id,
