@@ -61,6 +61,10 @@ _RECORD_SETS = 1024
 #: Enum members read off their class cost a metaclass lookup each.
 _ANSWERED_QTYPES = (QType.A, QType.ANY)
 _NOERROR = Rcode.NOERROR
+#: Ladder rungs that answer from the resolver's ``ns:`` entry.  Such
+#: an answer holds for every client behind the resolver, so it
+#: declares scope 0 (RFC 7871 §7.2.1) whatever subnet the query sent.
+_RESOLVER_TIERS = ("ns", "ns_fallback")
 
 
 @dataclass
@@ -156,6 +160,8 @@ class MappingSystem:
             tier = None
             if self.control_plane is not None:
                 cluster, tier = self._pick_published(context, target, now)
+                if tier in _RESOLVER_TIERS:
+                    scope = 0
             else:
                 cluster = global_lb.pick_cluster(target)
             if cluster is None:

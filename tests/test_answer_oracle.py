@@ -127,6 +127,8 @@ class ReferenceMappingSystem(MappingSystem):
             tier = None
             if self.control_plane is not None:
                 cluster, tier = self._pick_published(context, target, now)
+                if tier in ("ns", "ns_fallback"):
+                    scope = 0
             else:
                 cluster = global_lb.pick_cluster(target)
             if cluster is None:

@@ -30,6 +30,8 @@ from repro.core.mapmaker import (
     ns_key,
 )
 from repro.core.mapmaker.published import entries_checksum
+from repro.dnsproto.edns import ClientSubnetOption
+from repro.dnsproto.types import QType
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.net.geometry import great_circle_miles
 from repro.net.latency import LatencyModel
@@ -322,6 +324,44 @@ class TestPublicationService:
         ids, tier = service.lookup(coarse, 0, day=0)
         assert tier == "static_geo" and ids == ()
         assert tier in TIERS
+
+
+
+def test_scope_follows_the_rung():
+    """An answer from a resolver-keyed rung (``ns``, ``ns_fallback``)
+    declares scope 0, whatever subnet the query carried; the rungs
+    that rank for the client keep its scope."""
+    world = build_world(WorldConfig.tiny(), control_plane=MapMakerConfig())
+    service = world.control_plane
+    config = service.config
+    assert service.current.published_day == 0
+    qname = world.catalog.providers[0].cdn_hostname
+    prefix = world.internet.blocks[0].prefix
+    ldns_ip = next(meta.ip for meta in world.internet.resolvers.values()
+                   if ns_key(meta.ip) in service.current.entries)
+    tiers = world.obs.registry
+
+    def answer(client_prefix, day):
+        before = {tier: tiers.counter("mapping.tier." + tier).value
+                  for tier in TIERS}
+        ecs = (None if client_prefix is None
+               else ClientSubnetOption(client_prefix))
+        result = world.mapping.answer(qname, QType.A, ecs, ldns_ip,
+                                      day * 86400.0)
+        assert result.records
+        rung, = (tier for tier in TIERS
+                 if tiers.counter("mapping.tier." + tier).value
+                 > before[tier])
+        return rung, result.scope_prefix_len
+
+    assert answer(prefix, 0) == ("fresh_eu", 24)
+    assert answer(prefix, config.fresh_age_days + 1) == ("stale_eu", 24)
+    assert answer(None, 0) == ("ns", 0)
+    # An ECS /22 is in no unit: resolver granularity, scope 0 (not 22).
+    assert answer(prefix.supernet(22), 0) == ("ns_fallback", 0)
+    # A /24 once the map is past its stale bound: scope 0 (not 24).
+    assert answer(prefix, config.stale_age_days + 1) == ("ns_fallback", 0)
+    assert answer(prefix, config.ns_age_days + 1) == ("static_geo", 24)
 
 
 # -- the acceptance scenario ------------------------------------------------
