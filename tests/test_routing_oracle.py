@@ -13,14 +13,18 @@ and across two), one block, and none.
 
 import dataclasses
 from typing import Dict, List, Tuple
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.units import MapUnit, MapUnitScheme
+from repro.core.units import MapUnit, MapUnitScheme, routing
 from repro.core.units.routing import (
     RoutingAwareUnitBuilder,
     _lloyd_rounds,
+    _NearestMedoids,
 )
 from repro.net.ipv4 import Prefix
 from repro.topology import InternetConfig, build_internet
@@ -92,7 +96,7 @@ def _oracle_materialize(blocks, features, medoid_rows, assignment):
             demand_by_asn[block.asn] = demand_by_asn.get(
                 block.asn, 0.0) + block.demand
             gap = float(np.sqrt(np.mean(
-                (features[int(row)] - medoid_feature) ** 2)))
+                (features[int(row)] - medoid_feature) ** 2)) / 1000.0)
             gaps.append((gap, block.demand))
         total = sum(weight for _, weight in gaps)
         if total > 0:
@@ -106,22 +110,29 @@ def _oracle_materialize(blocks, features, medoid_rows, assignment):
     return units
 
 
-def _oracle(internet, n_units):
-    """(medoid rows, assignment) per round, and the units."""
-    blocks = internet.blocks
-    features = RoutingAwareUnitBuilder()._features(internet)
-    medoid_rows = _oracle_initial_medoids(blocks, n_units)
+def _oracle_rounds(features, demand, medoid_rows):
+    """(medoid rows, assignment) per round, every round recomputed in
+    full."""
     assignment = _oracle_nearest_medoids(features, medoid_rows)
     rounds = [(medoid_rows, assignment)]
     for _ in range(8):
-        updated = _oracle_update_medoids(
-            features, internet.block_columns().demand, assignment,
-            medoid_rows)
+        updated = _oracle_update_medoids(features, demand, assignment,
+                                         medoid_rows)
         if np.array_equal(updated, medoid_rows):
             break
         medoid_rows = updated
         assignment = _oracle_nearest_medoids(features, medoid_rows)
         rounds.append((medoid_rows, assignment))
+    return rounds
+
+
+def _oracle(internet, n_units):
+    """(medoid rows, assignment) per round, and the units."""
+    blocks = internet.blocks
+    features = RoutingAwareUnitBuilder()._features(internet)
+    rounds = _oracle_rounds(features, internet.block_columns().demand,
+                            _oracle_initial_medoids(blocks, n_units))
+    medoid_rows, assignment = rounds[-1]
     return rounds, _oracle_materialize(blocks, features, medoid_rows,
                                        assignment)
 
@@ -165,11 +176,10 @@ def _assert_same_build(internet, n_units=None):
     k = max(1, min(k, len(internet.blocks)))
     expected_rounds, expected = _oracle(internet, k)
 
-    blocks = internet.blocks
-    prefixes = [str(block.prefix) for block in blocks]
-    seeds = builder._initial_medoids(blocks, prefixes, k)
-    rounds = list(_lloyd_rounds(builder._features(internet),
-                                internet.block_columns().demand, seeds))
+    demand = internet.block_columns().demand
+    seeds = builder._initial_medoids(internet.blocks, demand, k)
+    rounds = list(_lloyd_rounds(builder._features(internet), demand,
+                                seeds))
     assert len(rounds) == len(expected_rounds)
     for index, ((medoids, assignment), (want_medoids, want_assignment)) \
             in enumerate(zip(rounds, expected_rounds)):
@@ -228,8 +238,9 @@ def test_twin_medoid_loses_every_tie(internets):
 
 
 def test_twins_across_distance_chunks(internets):
-    # 300 medoids span two 256-row chunks; the twins of rows 106-149
-    # sit in the second, so the earlier chunk must keep the tie.
+    # 300 medoids span two of the oracle's 256-medoid chunks; the twins
+    # of rows 106-149 sit in the second, so the earlier chunk must keep
+    # the tie -- under any BLAS thread count.
     net = _twins(internets("tiny", 7), 150)
     units = _assert_same_build(net, len(net.blocks))
     assert len(units) == 150
@@ -250,3 +261,96 @@ def test_no_blocks(internets):
     empty = _block_internet([], net)
     assert RoutingAwareUnitBuilder().build(empty) == []
     assert RoutingAwareUnitBuilder().build(empty, n_units=3) == []
+
+
+# -- the incremental assignment against a full recompute -----------------
+
+@st.composite
+def _feature_matrices(draw):
+    """Small whole-µs feature matrices, close values so distances tie
+    often, with some rows copied to later rows as exact twins."""
+    n_base = draw(st.integers(0, 14))
+    columns = draw(st.integers(1, 4))
+    base = draw(st.lists(
+        st.lists(st.integers(0, 6), min_size=columns, max_size=columns),
+        min_size=n_base, max_size=n_base))
+    twins = draw(st.lists(st.integers(0, max(n_base - 1, 0)),
+                          max_size=6 if n_base else 0))
+    rows = base + [base[row] for row in twins]
+    return np.asarray(rows, dtype=float).reshape(len(rows), columns)
+
+
+def _medoid_steps(draw, n_blocks):
+    """A seed medoid set and a few next sets, each moving a random
+    subset of the last one out and random blocks in."""
+    steps = []
+    rows = set(draw(st.sets(st.integers(0, max(n_blocks - 1, 0)),
+                            min_size=min(n_blocks, 1),
+                            max_size=n_blocks)) if n_blocks else ())
+    for _ in range(draw(st.integers(1, 5))):
+        steps.append(np.asarray(sorted(rows), dtype=np.int64))
+        out = draw(st.sets(st.sampled_from(sorted(rows)))) if rows else set()
+        into = (draw(st.sets(st.integers(0, n_blocks - 1), max_size=4))
+                if n_blocks else set())
+        rows = (rows - out) | into or rows
+    return steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(features=_feature_matrices(), data=st.data(),
+       chunk=st.sampled_from([1, 2, 5, 1 << 16]))
+def test_incremental_assignment_equals_a_full_recompute(features, data,
+                                                        chunk):
+    """Random medoid sets moved by random subsets, with twins within
+    and across block chunks of any size (a chunk of 1 puts every block
+    in its own product), one block and none: each call equals the
+    chunked full recompute and a fresh build's first call."""
+    with mock.patch.object(routing, "ASSIGN_CHUNK", chunk):
+        nearest = _NearestMedoids(features)
+        for medoid_rows in _medoid_steps(data.draw, features.shape[0]):
+            got = nearest(medoid_rows)
+            assert np.array_equal(
+                got, _oracle_nearest_medoids(features, medoid_rows))
+            assert np.array_equal(
+                got, _NearestMedoids(features)(medoid_rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(features=_feature_matrices(), data=st.data())
+def test_incremental_rounds_equal_full_rounds(features, data):
+    """Lloyd rounds that assign and update only what moved equal rounds
+    recomputed in full, with zero-demand members and clusters."""
+    n_blocks = features.shape[0]
+    demand = np.asarray(data.draw(st.lists(
+        st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.25]),
+        min_size=n_blocks, max_size=n_blocks)), dtype=float)
+    seeds = _medoid_steps(data.draw, n_blocks)[0]
+    rounds = list(_lloyd_rounds(features, demand, seeds))
+    expected = _oracle_rounds(features, demand, seeds)
+    assert len(rounds) == len(expected)
+    for (medoids, assignment), (want_medoids, want_assignment) in zip(
+            rounds, expected):
+        assert np.array_equal(medoids, want_medoids)
+        assert np.array_equal(assignment, want_assignment)
+
+
+def test_a_moved_in_twin_below_the_kept_medoid_takes_the_tie():
+    features = np.asarray([[0.0], [5.0], [5.0], [9.0]])
+    nearest = _NearestMedoids(features)
+    assert nearest(np.asarray([0, 2])).tolist() == [0, 1, 1, 1]
+    # Row 1 moves in: it ties row 2, which stays, at every block that
+    # row 2 held, and the lower row wins.
+    assert nearest(np.asarray([0, 1, 2])).tolist() == [0, 1, 1, 1]
+    assert nearest.best_row.tolist() == [0, 1, 1, 1]
+
+
+def test_features_past_the_exact_bound_are_refused():
+    # 4 x 24 columns x (2^24)^2 = 96 x 2^48 > 2^53: some partial sum of
+    # a distance could round.
+    with pytest.raises(ValueError, match=r"2\^53"):
+        _NearestMedoids(np.full((3, 24), 2.0 ** 24))
+    with pytest.raises(ValueError, match=r"2\^53"):
+        list(_lloyd_rounds(np.full((3, 24), -(2.0 ** 24)), np.ones(3),
+                           np.asarray([0])))
+    # Whole-µs RTTs sit far inside the bound.
+    _NearestMedoids(np.full((3, 24), 2.0 ** 21))
