@@ -51,7 +51,7 @@ def main():
           f"{', '.join(format_ipv4(c) for c in clients)}\n")
 
     print("== Phase 1: ECS disabled (classic resolver) ==")
-    ldns.ecs_enabled = False
+    world.enable_ecs([])
     upstream = 0
     for i, client in enumerate(clients):
         outcome = ldns.resolve(name, QType.A, client, now=float(i))
@@ -60,7 +60,7 @@ def main():
     show_cache(ldns, cdn_name)
 
     print("\n== Phase 2: ECS enabled (scope /24 answers) ==")
-    ldns.ecs_enabled = True
+    world.enable_ecs([public_id])
     ldns.cache.flush()
     upstream = 0
     for i, client in enumerate(clients):

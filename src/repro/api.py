@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.codec import OMIT_DEFAULT, RUNTIME, decode, encode
 from repro.core.loadfeedback import LoadFeedbackConfig
@@ -87,8 +87,6 @@ class ScenarioSpec:
     per client /24."""
     monitor: bool = True
     """Attach a :class:`~repro.obs.monitor.RolloutMonitor` observer."""
-    monitor_rules: Optional[List] = field(default=None, metadata=RUNTIME)
-    """Alert-rule override for the monitor; None uses the defaults."""
     traffic: TrafficSchedule = field(default_factory=TrafficSchedule,
                                      metadata=OMIT_DEFAULT)
     """Surge-traffic shapes (flash crowds, regional events, diurnal
@@ -152,17 +150,13 @@ class ScenarioSpec:
         """JSON-safe document of the whole spec (``scenario/v1``).
 
         Live objects have no declarative form: a spec carrying a
-        ``policy`` or ``monitor_rules`` override refuses to serialize
-        rather than silently dropping behaviour.
+        ``policy`` override refuses to serialize rather than silently
+        dropping behaviour.
         """
         if self.policy is not None:
             raise ValueError(
                 "a live policy object cannot serialize; specs with "
                 "policy overrides are in-process only")
-        if self.monitor_rules is not None:
-            raise ValueError(
-                "monitor-rule overrides are live objects and cannot "
-                "serialize; use the default rules for portable specs")
         return {"schema": _SCHEMA, "schema_version": _SCHEMA_VERSION,
                 **encode(self)}
 
@@ -235,10 +229,9 @@ def build_world(config: Optional[WorldConfig] = None,
 def _monitor_for_spec(spec: ScenarioSpec) -> RolloutMonitor:
     """The monitor a spec asks for (shared with the sharded engine,
     so a sharded monitor evaluates the same rule set)."""
-    rules = spec.monitor_rules
-    if rules is None and spec.control_plane is not None:
-        # A control-plane world also watches its map pipeline;
-        # explicit rule overrides win as-is.
+    rules = None
+    if spec.control_plane is not None:
+        # A control-plane world also watches its map pipeline.
         rules = (default_rollout_rules(rollout_windows(spec.rollout))
                  + control_plane_rules(spec.control_plane))
     return RolloutMonitor.for_config(spec.rollout, rules=rules)

@@ -66,10 +66,12 @@ class MapUnit:
             raise ValueError(f"unit {self.key} has no members")
         if len(self.members) == 1:
             return 0.0
+        center = self.centroid()
         lats, lons = batch.geo_columns([geo for geo, _ in self.members])
         weights = np.fromiter((w for _, w in self.members), dtype=float,
                               count=len(self.members))
-        return batch.cluster_radius_miles_arrays(lats, lons, weights)
+        return batch.mean_distance_miles_arrays(center.lat, center.lon,
+                                                lats, lons, weights)
 
     _centroid: Optional[GeoPoint] = field(default=None, repr=False,
                                           compare=False)

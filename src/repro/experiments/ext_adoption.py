@@ -55,7 +55,6 @@ def _measure_rtt(world, blocks, now_base: float) -> Dict[str, float]:
 def run(scale: str) -> ExperimentResult:
     spec = get_scale(scale)
     world = build_world(spec.world)
-    world.disable_all_ecs()
 
     public = world.internet.public_resolver_ids()
     rng = random.Random(17)
@@ -67,11 +66,10 @@ def run(scale: str) -> ExperimentResult:
     # Baseline: classic NS mapping (no ECS anywhere).
     before = _measure_rtt(world, sample, now_base=0.0)
 
-    # The future: every resolver supports and sends ECS.  We bypass the
-    # supports_ecs gate deliberately -- that flag models 2014 software,
-    # and this experiment asks what happens once the software updates.
-    for ldns in world.ldns_registry.values():
-        ldns.ecs_enabled = True
+    # The future: every resolver, ISP ones included, sends ECS -- the
+    # 2014 roll-out reached only public resolvers, and this experiment
+    # asks what happens once the rest adopt it.
+    world.enable_ecs(list(world.ldns_registry))
     # Past every cached answer, so each lookup reaches the authoritative.
     gap = spec.world.dns_ttl + 100.0
     after = _measure_rtt(world, sample, now_base=gap)

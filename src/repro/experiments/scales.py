@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from repro.simulation.dnsload import DnsLoadConfig
 from repro.simulation.rollout import RolloutConfig
 from repro.simulation.world import WorldConfig
-from repro.topology.internet import InternetConfig
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,6 @@ class Fig25Spec:
 @dataclass(frozen=True)
 class ScaleSpec:
     name: str
-    internet: InternetConfig
     world: WorldConfig
     rollout: RolloutConfig
     dnsload_before: DnsLoadConfig
@@ -59,7 +57,6 @@ def _rollout(sessions: int, full_timeline: bool,
 _SCALES = {
     "tiny": ScaleSpec(
         name="tiny",
-        internet=InternetConfig.tiny(),
         world=WorldConfig.tiny(),
         rollout=_rollout(sessions=120, full_timeline=False),
         dnsload_before=DnsLoadConfig(lookups_per_day=70_000, n_days=1,
@@ -73,7 +70,6 @@ _SCALES = {
     ),
     "small": ScaleSpec(
         name="small",
-        internet=InternetConfig.small(),
         world=WorldConfig.small(),
         rollout=_rollout(sessions=350, full_timeline=True),
         dnsload_before=DnsLoadConfig(lookups_per_day=150_000, n_days=1,
@@ -87,7 +83,6 @@ _SCALES = {
     ),
     "paper": ScaleSpec(
         name="paper",
-        internet=InternetConfig.paper(),
         world=WorldConfig.paper(),
         rollout=_rollout(sessions=900, full_timeline=True, seed=99),
         dnsload_before=DnsLoadConfig(lookups_per_day=400_000, n_days=1,

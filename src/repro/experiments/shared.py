@@ -59,8 +59,8 @@ def get_internet(scale_name: str) -> Internet:
     from repro.experiments.scales import get_scale
     if scale_name not in _internet_cache:
         spec = get_scale(scale_name)
-        _internet_cache[scale_name] = build_internet(spec.internet,
-                                                     seed=2014)
+        _internet_cache[scale_name] = build_internet(
+            spec.world.internet, seed=spec.world.seed)
     return _internet_cache[scale_name]
 
 
@@ -98,7 +98,6 @@ def get_dnsload(scale_name: str) -> DnsLoadArtifacts:
         dns_ttl=spec.dnsload_ttl,
     )
     world = build_world(world_config)
-    world.disable_all_ecs()
     world.query_log.track_pairs()
     day = 86400.0
 

@@ -17,7 +17,7 @@ module provides the same math as numpy array kernels:
   the scalar code's explicit masking);
 * :func:`rtt_matrix` -- the full noise-free RTT of
   :meth:`LatencyModel.base_rtt_ms` as one cluster x target matrix;
-* :func:`weighted_centroid_arrays` / :func:`cluster_radius_miles_arrays`
+* :func:`weighted_centroid_arrays` / :func:`mean_distance_miles_arrays`
   -- the Section 3.3 cluster geometry as numpy reductions.
 
 Equivalence with the scalar path is pinned by
@@ -211,19 +211,6 @@ def weighted_centroid_arrays(lats, lons, weights) -> Tuple[float, float]:
     z_unit = min(1.0, max(-1.0, z / norm))
     return (float(np.degrees(np.arcsin(z_unit))),
             float(np.degrees(np.arctan2(y, x))))
-
-
-def cluster_radius_miles_arrays(lats, lons, weights) -> float:
-    """Demand-weighted mean distance to the weighted centroid.
-
-    Numpy reduction form of
-    :func:`repro.net.geometry.cluster_radius_miles` (the paper's
-    client-cluster radius, Section 3.3 footnote 7).
-    """
-    c_lat, c_lon = weighted_centroid_arrays(lats, lons, weights)
-    w = np.asarray(weights, dtype=float)
-    distances = haversine_miles(lats, lons, c_lat, c_lon)
-    return float(np.dot(w, distances) / w.sum())
 
 
 def mean_distance_miles_arrays(lat: float, lon: float,

@@ -46,8 +46,7 @@ def run_scenario(scale: str = "tiny", sessions: int = 25, seed: int = 7,
     spec = get_scale(scale)
     world = build_world(spec.world)
     world.obs.tracer.sample_every = sample_every
-    if ecs:
-        world.enable_ecs(world.public_ldns_ids())
+    world.enable_ecs(world.public_ldns_ids() if ecs else [])
     rng = random.Random(seed)
     for index in range(sessions):
         block = world.internet.pick_block(rng)

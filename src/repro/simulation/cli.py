@@ -116,12 +116,10 @@ def _cmd_rollout(args) -> int:
 
 def _cmd_dnsload(args) -> int:
     world = _build(args.scale)
+    enabled = world.enable_ecs(world.public_ldns_ids() if args.ecs else [])
     if args.ecs:
-        flipped = world.enable_ecs(world.public_ldns_ids())
-        print(f"enabled ECS at {flipped} public resolver deployments",
+        print(f"enabled ECS at {enabled} public resolver deployments",
               file=sys.stderr)
-    else:
-        world.disable_all_ecs()
     config = DnsLoadConfig(lookups_per_day=args.lookups,
                            n_days=args.days, seed=args.seed)
     result = drive_dns_load(world, config)

@@ -74,6 +74,13 @@ class RolloutConfig:
             return 1.0
         return (day - start) / max(1, end - start)
 
+    def ecs_tranche(self, day: int,
+                    public_ids: Sequence[str]) -> Sequence[str]:
+        """The public resolvers sending ECS on ``day``: the first
+        ``rollout_fraction(day)`` of ``public_ids``, rounded."""
+        return public_ids[:round(self.rollout_fraction(day)
+                                 * len(public_ids))]
+
 
 @dataclass
 class RolloutResult:
@@ -244,7 +251,6 @@ def _run_rollout(world: World,
     high_expectation, _ = split_expectation_groups(
         medians, config.expectation_threshold_miles)
 
-    world.disable_all_ecs()
     world.query_log.track_pairs()
     public_ids = world.public_ldns_ids()
 
@@ -276,12 +282,12 @@ def _run_rollout(world: World,
         if world.control_plane is not None:
             world.control_plane.tick(day)
 
-        # --- roll-out progress: flip the next tranche of resolvers ----
-        fraction = config.rollout_fraction(day)
-        n_enabled = int(round(fraction * len(public_ids)))
-        world.enable_ecs(public_ids[:n_enabled],
-                         source_prefix_len=config.ecs_source_len)
-        result.ecs_resolvers_per_day[day] = world.ecs_enabled_count()
+        # --- roll-out progress: today's tranche sends ECS -------------
+        # Every resolver outside the tranche goes off, so a world
+        # reused after ECS was switched on starts the timeline clean.
+        result.ecs_resolvers_per_day[day] = world.enable_ecs(
+            config.ecs_tranche(day, public_ids),
+            source_prefix_len=config.ecs_source_len)
         # Roll-out progress is replicated state, not activity: every
         # shard of a sharded run walks the identical timeline, so these
         # merge by max instead of multiply-counting.

@@ -171,44 +171,26 @@ class World:
         return CANSMappingPolicy(self.internet.geodb, index)
 
     def enable_ecs(self, resolver_ids, source_prefix_len: int = 24) -> int:
-        """Turn on EDNS0 client-subnet at the given LDNSes.
+        """Make exactly ``resolver_ids`` send EDNS0 client-subnet.
 
-        Only resolvers whose software supports ECS actually flip (the
-        paper's roll-out targeted public resolvers because they are the
-        ones that implement the extension).  Returns how many flipped.
-        Flipping flushes the resolver's cache scope bookkeeping is not
-        needed: existing scope-0 entries simply age out.
+        The one writer of LDNS ECS state after construction: ECS goes
+        on, at ``source_prefix_len``, at every listed resolver and off
+        at every other, so an empty list switches it off everywhere and
+        a roll-out day applies its whole tranche in one call.  Returns
+        how many resolvers send ECS afterwards.  Existing scope-0 cache
+        entries are not flushed; they simply age out.
         """
         if not 0 < source_prefix_len <= 32:
             raise ValueError(
                 f"bad ECS source length {source_prefix_len}")
-        flipped = 0
-        for resolver_id in resolver_ids:
-            ldns = self.ldns_registry.get(resolver_id)
-            meta = self.internet.resolvers.get(resolver_id)
-            if ldns is None or meta is None or not meta.supports_ecs:
-                continue
-            if not ldns.ecs_enabled:
-                ldns.ecs_enabled = True
+        enabled = set(resolver_ids)
+        count = 0
+        for resolver_id, ldns in self.ldns_registry.items():
+            ldns.ecs_enabled = resolver_id in enabled
+            if ldns.ecs_enabled:
                 ldns.ecs_source_len = source_prefix_len
-                flipped += 1
-        return flipped
-
-    def disable_all_ecs(self) -> None:
-        for ldns in self.ldns_registry.values():
-            ldns.ecs_enabled = False
-
-    def ecs_enabled_ids(self) -> List[str]:
-        """Resolver ids with ECS on, sorted so monitoring exports that
-        embed the list are deterministic regardless of wiring order."""
-        return sorted(rid for rid, ldns in self.ldns_registry.items()
-                      if ldns.ecs_enabled)
-
-    def ecs_enabled_count(self) -> int:
-        """How many LDNSes currently send client-subnet (the roll-out
-        progress gauge, polled every simulated day)."""
-        return sum(1 for ldns in self.ldns_registry.values()
-                   if ldns.ecs_enabled)
+                count += 1
+        return count
 
     def public_ldns_ids(self) -> List[str]:
         return sorted(self.internet.public_resolver_ids())

@@ -562,7 +562,7 @@ def _deploy_resolvers(
             resolver_id=f"{tag}-{_slug(city.name)}", ip=alloc.allocate_host(),
             geo=geo,
             city=city.name, country=city.country, asn=asn, kind=kind,
-            provider=operator, supports_ecs=kind == ResolverKind.PUBLIC)
+            provider=operator)
         fleet.append(resolver)
         resolvers[resolver.resolver_id] = resolver
         block = Prefix(resolver.ip & 0xFFFFFF00, 24)

@@ -57,9 +57,6 @@ class Resolver:
     kind: ResolverKind
     provider: str
     """Operator name: AS name for ISP/enterprise, provider for public."""
-    supports_ecs: bool
-    """Whether this resolver implements the EDNS0 client-subnet
-    extension (public providers: yes; 2014-era ISP resolvers: no)."""
 
     @property
     def is_public(self) -> bool:

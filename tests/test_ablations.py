@@ -193,7 +193,7 @@ def _authoritative_query_rate(ttl: int) -> float:
                          n_deployments=30, n_providers=6,
                          n_nameservers=3, dns_ttl=ttl)
     world = build_world(config)
-    world.disable_all_ecs()
+    world.enable_ecs([])
     drive_dns_load(world, DnsLoadConfig(lookups_per_day=20_000, n_days=1,
                                         start_day=0, seed=5))
     return world.query_log.rate_in(0, 86400)

@@ -55,9 +55,9 @@ class TestScales:
         tiny = get_scale("tiny")
         small = get_scale("small")
         paper = get_scale("paper")
-        assert (tiny.internet.n_client_blocks
-                < small.internet.n_client_blocks
-                < paper.internet.n_client_blocks)
+        assert (tiny.world.internet.n_client_blocks
+                < small.world.internet.n_client_blocks
+                < paper.world.internet.n_client_blocks)
         assert tiny.fig25.universe_size < paper.fig25.universe_size
 
     def test_unknown_scale(self):

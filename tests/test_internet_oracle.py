@@ -223,7 +223,7 @@ def fingerprint(net: Internet) -> str:
     for rid, res in net.resolvers.items():
         lines.append(f"R {rid} {res.ip} {_geo(res.geo)} {res.city}|"
                      f"{res.country} {res.asn} {res.kind.value} "
-                     f"{res.provider} {res.supports_ecs}")
+                     f"{res.provider}")
     for provider in net.providers:
         lines.append(f"P {provider.name} " + ",".join(
             dep.resolver_id for dep in provider.deployments))
@@ -266,9 +266,9 @@ SCALES = {"tiny": InternetConfig.tiny, "small": InternetConfig.small,
 #: the reference above must keep reproducing it.
 PINNED = {
     ("tiny", 2014):
-        "076d91343329f77c2cecdb903a3b4d23c7a5b1bd750ef73db9b4d11bdac90e69",
+        "d71821e5631ce6da28d0297722e6cc7b9327f420c2f701443f7354173f159300",
     ("small", 99):
-        "43452d553c3c7e66e2386ff8cfb63eeabad26ba9bba676047b4d7814bbf3b20b",
+        "9af5b092470fb4ef964824624512e60339ee79447a222935c407891cdf2c48e7",
 }
 
 
@@ -346,8 +346,7 @@ def test_synthetic_worlds_reach_every_fleet_shape():
 
 def _resolver(rid: str, geo: GeoPoint) -> Resolver:
     return Resolver(resolver_id=rid, ip=1, geo=geo, city="X", country="US",
-                    asn=1, kind=ResolverKind.PUBLIC, provider="P",
-                    supports_ecs=True)
+                    asn=1, kind=ResolverKind.PUBLIC, provider="P")
 
 
 @pytest.mark.parametrize("misroute", [0.0, 0.5, 0.99])

@@ -13,6 +13,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.units import MapUnit, MapUnitScheme
 from repro.net import batch
 from repro.net.geometry import (
     GeoPoint,
@@ -215,14 +216,16 @@ class TestClusterGeometryKernels:
         assert c_lon == pytest.approx(want.lon, abs=1e-9)
 
     def test_radius_matches_scalar(self):
+        """A unit's radius: the mean-distance kernel from its memoized
+        centroid, against the scalar cluster radius."""
         rng = random.Random(43)
         points = _random_points(rng, 25)
         weights = [rng.uniform(0.1, 5.0) for _ in range(25)]
-        lats, lons = batch.geo_columns(points)
-        got = batch.cluster_radius_miles_arrays(lats, lons,
-                                                np.array(weights))
-        assert got == pytest.approx(cluster_radius_miles(points, weights),
-                                    rel=REL_TOL)
+        unit = MapUnit(key="u", scheme=MapUnitScheme.BLOCK)
+        for point, weight in zip(points, weights):
+            unit.add(point, weight)
+        assert unit.radius_miles() == pytest.approx(
+            cluster_radius_miles(points, weights), rel=REL_TOL)
 
     def test_mean_distance_matches_scalar(self):
         rng = random.Random(47)

@@ -1,6 +1,8 @@
 """Integration tests: world builder, session model, roll-out, DNS load."""
 
 import datetime
+import hashlib
+import json
 import random
 
 import pytest
@@ -38,28 +40,44 @@ class TestWorldBuilder:
         assert world.directory.authority_for("e1000.cdn.example") is not None
 
     def test_ecs_flipping(self, world):
-        world.disable_all_ecs()
-        assert world.ecs_enabled_ids() == []
+        """ECS ends up on at exactly the given resolvers, at the given
+        source length, and off at every other; the count comes back."""
         public = world.public_ldns_ids()
-        flipped = world.enable_ecs(public)
-        assert flipped == len(public)
-        assert sorted(world.ecs_enabled_ids()) == sorted(public)
-        # Second call is a no-op.
-        assert world.enable_ecs(public) == 0
-        world.disable_all_ecs()
+        assert world.enable_ecs(public) == len(public)
+        assert ecs_senders(world) == public
+        # Idempotent, and each call replaces the last set whole.
+        assert world.enable_ecs(public) == len(public)
+        assert world.enable_ecs(public[:3], source_prefix_len=20) == 3
+        assert ecs_senders(world) == public[:3]
+        assert {world.ldns_registry[rid].ecs_source_len
+                for rid in public[:3]} == {20}
+        assert world.enable_ecs([]) == 0
+        assert ecs_senders(world) == []
 
     def test_isp_resolvers_never_flip(self, world):
-        isp_ids = [rid for rid in world.ldns_registry
-                   if rid not in set(world.public_ldns_ids())]
-        assert world.enable_ecs(isp_ids[:5]) == 0
+        """No roll-out tranche names an ISP resolver; the setter itself
+        has no gate and switches on whatever it is given."""
+        public = world.public_ldns_ids()
+        config = RolloutConfig()
+        tranches = [config.ecs_tranche(day, public)
+                    for day in range(config.n_days)]
+        assert tranches[0] == [] and tranches[-1] == public
+        assert all(later[:len(earlier)] == earlier
+                   for earlier, later in zip(tranches, tranches[1:]))
+        isp_ids = sorted(set(world.ldns_registry) - set(public))
+        assert world.enable_ecs(isp_ids[:5]) == 5
+        assert ecs_senders(world) == isp_ids[:5]
+        world.enable_ecs([])
 
     @pytest.mark.parametrize("length", [0, -1, 33])
     def test_enable_ecs_rejects_bad_source_length(self, world, length):
-        before = world.ecs_enabled_ids()
+        world.enable_ecs(world.public_ldns_ids()[:4], source_prefix_len=20)
+        before = ecs_state(world)
         with pytest.raises(ValueError, match="ECS source length"):
             world.enable_ecs(world.public_ldns_ids(),
                              source_prefix_len=length)
-        assert world.ecs_enabled_ids() == before
+        assert ecs_state(world) == before
+        world.enable_ecs([])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -194,6 +212,19 @@ class TestRollout:
         mean_after = sum(after) / len(after)
         assert 0.5 < mean_after / mean_before < 2.0
 
+    def test_rollout_resets_ecs_left_on(self):
+        """The day loop's tranche is the whole ECS state: a world with
+        ECS on at every resolver replays the fresh world's roll-out."""
+        config = RolloutConfig(
+            start_date=datetime.date(2014, 3, 26),
+            end_date=datetime.date(2014, 4, 17),
+            sessions_per_day=20, seed=3)
+        fresh = build_world(WorldConfig.tiny())
+        reused = build_world(WorldConfig.tiny())
+        reused.enable_ecs(list(reused.ldns_registry), source_prefix_len=16)
+        assert (rollout_digest(fresh, config)
+                == rollout_digest(reused, config))
+
     def test_requests_exceed_sessions(self, result):
         rollout, _ = result
         for day, sessions in rollout.sessions_per_day.items():
@@ -226,7 +257,7 @@ class TestDnsLoad:
         world = build_world(WorldConfig(
             internet=world_internet(), n_deployments=30, n_providers=6,
             n_nameservers=3, dns_ttl=1200))
-        world.disable_all_ecs()
+        world.enable_ecs([])
         config = DnsLoadConfig(lookups_per_day=15000, n_days=1,
                                start_day=0, seed=1)
         drive_dns_load(world, config)
@@ -240,7 +271,7 @@ class TestDnsLoad:
         assert after > 1.2 * before
 
     def test_counters_consistent(self, world):
-        world.disable_all_ecs()
+        world.enable_ecs([])
         result = drive_dns_load(world, DnsLoadConfig(
             lookups_per_day=500, n_days=2, start_day=10, seed=3))
         assert result.lookups == 1000
@@ -252,6 +283,27 @@ class TestDnsLoad:
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             DnsLoadConfig(lookups_per_day=0)
+
+
+def rollout_digest(world, config):
+    result = run_rollout(world, config)
+    document = {
+        "ecs": sorted(result.ecs_resolvers_per_day.items()),
+        "beacons": [repr(beacon) for beacon in result.rum.beacons],
+        "snapshot": world.obs.registry.snapshot(),
+    }
+    text = json.dumps(document, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def ecs_senders(world):
+    return sorted(rid for rid, ldns in world.ldns_registry.items()
+                  if ldns.ecs_enabled)
+
+
+def ecs_state(world):
+    return {rid: (ldns.ecs_enabled, ldns.ecs_source_len)
+            for rid, ldns in world.ldns_registry.items()}
 
 
 def world_internet():

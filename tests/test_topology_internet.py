@@ -133,15 +133,6 @@ class TestBuilderStructure:
 
 
 class TestResolverPopulation:
-    def test_public_resolvers_support_ecs(self, net):
-        for rid in net.public_resolver_ids():
-            assert net.resolvers[rid].supports_ecs
-
-    def test_isp_resolvers_do_not_support_ecs(self, net):
-        for rid, res in net.resolvers.items():
-            if not res.is_public:
-                assert not res.supports_ecs
-
     def test_provider_deployments_match_config(self, net):
         for provider in net.providers:
             assert len(provider.deployments) == len(

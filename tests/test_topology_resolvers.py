@@ -26,7 +26,7 @@ def deployment(name, city_name, ip):
     return Resolver(
         resolver_id=name, ip=ip, geo=city.geo, city=city.name,
         country=city.country, asn=99, kind=ResolverKind.PUBLIC,
-        provider="test", supports_ecs=True)
+        provider="test")
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ class TestPolicySwap:
     def test_cans_beats_pure_ns_for_cohesive_far_cluster(self, world):
         """CANS should improve on NS for clients whose LDNS is far but
         whose sibling clients cluster together (paper Section 6)."""
-        world.disable_all_ecs()
+        world.enable_ecs([])
         ttl_gap = world.config.dns_ttl + 60
 
         # Find an LDNS whose observed client cluster is cohesive but
@@ -69,7 +69,7 @@ class TestPolicySwap:
     def test_eu_without_ecs_behaves_like_ns(self, world):
         """EU policy falls back to the LDNS when no ECS arrives, so
         with ECS globally off the two policies map identically."""
-        world.disable_all_ecs()
+        world.enable_ecs([])
         block = far_public_block(world)
         ttl_gap = world.config.dns_ttl + 60
 
@@ -85,9 +85,9 @@ class TestPolicySwap:
         ttl_gap = world.config.dns_ttl + 60
         world.set_policy(EUMappingPolicy(world.internet.geodb))
 
-        world.disable_all_ecs()
+        world.enable_ecs([])
         before = mapping_distance(world, block, now=20 * ttl_gap)
         world.enable_ecs(world.public_ldns_ids())
         after = mapping_distance(world, block, now=21 * ttl_gap)
-        world.disable_all_ecs()
+        world.enable_ecs([])
         assert after < 0.5 * before
