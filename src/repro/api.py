@@ -17,6 +17,8 @@ the monitoring options, and :func:`run` executes the whole scenario:
 The lower-level :func:`build_world` / :func:`run_rollout` here are the
 only spellings of the hand-driven path (build a world, then drive the
 timeline over it); :func:`run` is exactly that composition.
+:func:`run_dnsload` drives dense DNS-only periods over the same spec's
+world instead of the roll-out's sessions.
 
 There is one day loop (:mod:`repro.simulation.rollout`).  ``run`` and
 ``run_rollout`` walk it over the whole population from one
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.codec import OMIT_DEFAULT, RUNTIME, decode, encode
 from repro.core.loadfeedback import LoadFeedbackConfig
@@ -46,6 +48,8 @@ from repro.obs.monitor.driver import (
     default_rollout_rules,
     rollout_windows,
 )
+from repro.simulation.dnsload import (DnsLoadConfig, DnsLoadResult,
+                                      _drive_dns_load)
 from repro.simulation.rollout import (
     RolloutConfig,
     RolloutResult,
@@ -60,6 +64,7 @@ __all__ = [
     "ScenarioSpec",
     "build_world",
     "run",
+    "run_dnsload",
     "run_rollout",
 ]
 
@@ -274,3 +279,18 @@ def run(spec: Optional[ScenarioSpec] = None,
                           injector=injector, traffic=spec.traffic)
     return ScenarioRun(spec=spec, world=world, result=result,
                        monitor=monitor, injector=injector)
+
+
+def run_dnsload(spec: ScenarioSpec, periods: Sequence[DnsLoadConfig]
+                ) -> Tuple[World, List[DnsLoadResult]]:
+    """Drive dense DNS-only periods, in order, over the spec's world
+    (every plane wired, pairs tracked); each day ticks the control plane
+    and takes the roll-out's ECS tranche.  Faults and traffic are refused
+    before any world is built: a dense period has no day loop for them."""
+    if spec.faults or spec.traffic:
+        raise ValueError("a DNS-load period steps neither faults nor "
+                         "traffic; run the spec through run() instead")
+    world = _build_world(spec)
+    world.query_log.track_pairs()
+    return world, [_drive_dns_load(world, period, spec.rollout)
+                   for period in periods]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import datetime
 from dataclasses import dataclass
 
-from repro.simulation.dnsload import DnsLoadConfig
 from repro.simulation.rollout import RolloutConfig
 from repro.simulation.world import WorldConfig
 
@@ -31,9 +30,7 @@ class ScaleSpec:
     name: str
     world: WorldConfig
     rollout: RolloutConfig
-    dnsload_before: DnsLoadConfig
-    dnsload_after: DnsLoadConfig
-    dnsload_ttl: int
+    dnsload_lookups: int  # per day of each DNS-load period (figs 2, 23, 24)
     fig25: Fig25Spec
 
 
@@ -59,11 +56,7 @@ _SCALES = {
         name="tiny",
         world=WorldConfig.tiny(),
         rollout=_rollout(sessions=120, full_timeline=False),
-        dnsload_before=DnsLoadConfig(lookups_per_day=70_000, n_days=1,
-                                     start_day=0, seed=1),
-        dnsload_after=DnsLoadConfig(lookups_per_day=70_000, n_days=1,
-                                    start_day=3, seed=2),
-        dnsload_ttl=1800,
+        dnsload_lookups=70_000,
         fig25=Fig25Spec(universe_size=160, n_targets=300,
                         n_client_samples=500, n_runs=4,
                         deployment_counts=(10, 20, 40, 80, 160)),
@@ -72,11 +65,7 @@ _SCALES = {
         name="small",
         world=WorldConfig.small(),
         rollout=_rollout(sessions=350, full_timeline=True),
-        dnsload_before=DnsLoadConfig(lookups_per_day=150_000, n_days=1,
-                                     start_day=0, seed=1),
-        dnsload_after=DnsLoadConfig(lookups_per_day=150_000, n_days=1,
-                                    start_day=3, seed=2),
-        dnsload_ttl=1800,
+        dnsload_lookups=150_000,
         fig25=Fig25Spec(universe_size=320, n_targets=800,
                         n_client_samples=1500, n_runs=10,
                         deployment_counts=(10, 20, 40, 80, 160, 320)),
@@ -85,11 +74,7 @@ _SCALES = {
         name="paper",
         world=WorldConfig.paper(),
         rollout=_rollout(sessions=900, full_timeline=True, seed=99),
-        dnsload_before=DnsLoadConfig(lookups_per_day=400_000, n_days=1,
-                                     start_day=0, seed=1),
-        dnsload_after=DnsLoadConfig(lookups_per_day=400_000, n_days=1,
-                                    start_day=3, seed=2),
-        dnsload_ttl=1800,
+        dnsload_lookups=400_000,
         fig25=Fig25Spec(universe_size=640, n_targets=2000,
                         n_client_samples=4000, n_runs=25,
                         deployment_counts=(10, 20, 40, 80, 160, 320, 640)),

@@ -2,7 +2,8 @@
 
 Several figures derive from the same underlying run: Figures 5-11 share
 one NetSession dataset, Figures 12-20 share one roll-out, Figures 2, 23
-and 24 share one DNS-load run.  Building them once per scale keeps
+and 24 share one DNS-load run (:func:`repro.api.run_dnsload`).  Building
+them once per scale keeps
 ``run all`` tractable and guarantees the figures are mutually
 consistent (they describe the same simulated world, as in the paper).
 """
@@ -11,15 +12,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.measurement.netsession import (
     ClientLdnsDataset,
     NetSessionCollector,
 )
+from repro.experiments.scales import get_scale
 from repro.measurement.querylog import PairKey
-from repro.simulation.dnsload import drive_dns_load
-from repro.api import ScenarioSpec, build_world, run
+from repro.api import ScenarioSpec, run, run_dnsload
+from repro.simulation.dnsload import DnsLoadConfig
 from repro.simulation.rollout import RolloutResult
 from repro.simulation.world import World
 from repro.topology.internet import Internet, build_internet
@@ -28,6 +30,7 @@ _internet_cache: Dict[str, Internet] = {}
 _dataset_cache: Dict[str, ClientLdnsDataset] = {}
 _rollout_cache: Dict[str, RolloutResult] = {}
 _dnsload_cache: Dict[str, "DnsLoadArtifacts"] = {}
+DNSLOAD_TTL = 1800  # seconds; the DNS-load world's TTL at every scale
 
 
 @dataclass
@@ -56,7 +59,6 @@ def clear_caches() -> None:
 
 
 def get_internet(scale_name: str) -> Internet:
-    from repro.experiments.scales import get_scale
     if scale_name not in _internet_cache:
         spec = get_scale(scale_name)
         _internet_cache[scale_name] = build_internet(
@@ -73,7 +75,6 @@ def get_netsession_dataset(scale_name: str) -> ClientLdnsDataset:
 
 
 def get_rollout(scale_name: str) -> RolloutResult:
-    from repro.experiments.scales import get_scale
     if scale_name not in _rollout_cache:
         spec = get_scale(scale_name)
         _rollout_cache[scale_name] = run(ScenarioSpec(
@@ -87,30 +88,22 @@ def get_dnsload(scale_name: str) -> DnsLoadArtifacts:
     Uses a deliberately concentrated world (few providers) so that
     popular (domain, LDNS) pairs reach cache-capped query rates, which
     is the regime where ECS inflation is visible -- the real Internet
-    is in that regime by sheer volume (1.6M queries/second)."""
-    from repro.experiments.scales import get_scale
+    is in that regime by sheer volume (1.6M queries/second).  "Before"
+    is day 0, "after" the roll-out's last day (every public LDNS on)."""
     if scale_name in _dnsload_cache:
         return _dnsload_cache[scale_name]
-    spec = get_scale(scale_name)
-    world_config = replace(
-        spec.world,
-        n_providers=max(6, spec.world.n_providers // 4),
-        dns_ttl=spec.dnsload_ttl,
-    )
-    world = build_world(world_config)
-    world.query_log.track_pairs()
-    day = 86400.0
-
-    before_cfg = spec.dnsload_before
-    before = drive_dns_load(world, before_cfg)
-    before_window = (before_cfg.start_day * day,
-                     (before_cfg.start_day + before_cfg.n_days) * day)
-
-    world.enable_ecs(world.public_ldns_ids())
-    after_cfg = spec.dnsload_after
-    after = drive_dns_load(world, after_cfg)
-    after_window = (after_cfg.start_day * day,
-                    (after_cfg.start_day + after_cfg.n_days) * day)
+    scale = get_scale(scale_name)
+    spec = ScenarioSpec(
+        world=replace(scale.world,
+                      n_providers=max(6, scale.world.n_providers // 4),
+                      dns_ttl=DNSLOAD_TTL),
+        rollout=scale.rollout, monitor=False)
+    after_day = scale.rollout.day_index(scale.rollout.rollout_end)
+    periods = [DnsLoadConfig(lookups_per_day=scale.dnsload_lookups,
+                             n_days=1, start_day=day, seed=seed)
+               for day, seed in ((0, 1), (after_day, 2))]
+    world, (before, after) = run_dnsload(spec, periods)
+    before_window, after_window = (period.window for period in periods)
 
     log = world.query_log
     artifacts = DnsLoadArtifacts(
@@ -121,10 +114,10 @@ def get_dnsload(scale_name: str) -> DnsLoadArtifacts:
         rate_after_public=log.rate_in(*after_window, public_only=True),
         pairs_before=log.pair_counts(*before_window),
         pairs_after=log.pair_counts(*after_window),
-        window_seconds=before_cfg.n_days * day,
+        window_seconds=before_window[1] - before_window[0],
         requests_before=before.client_requests,
         requests_after=after.client_requests,
-        ttl=world_config.dns_ttl,
+        ttl=DNSLOAD_TTL,
     )
     _dnsload_cache[scale_name] = artifacts
     return artifacts
@@ -134,7 +127,3 @@ def deterministic_rng(tag: str, scale_name: str) -> random.Random:
     """Seeded RNG unique to (experiment, scale), stable across runs."""
     import zlib
     return random.Random(zlib.crc32(f"{tag}|{scale_name}".encode()))
-
-
-def public_resolver_ids(scale_name: str) -> Tuple[str, ...]:
-    return tuple(sorted(get_internet(scale_name).public_resolver_ids()))

@@ -270,8 +270,3 @@ def city_index() -> Dict[str, City]:
     if len(index) != len(WORLD_CITIES):
         raise AssertionError("duplicate city names in gazetteer")
     return index
-
-
-def total_weight() -> float:
-    """Sum of all city weights (for normalizing demand shares)."""
-    return sum(city.weight for city in WORLD_CITIES)

@@ -20,25 +20,20 @@ import sys
 from functools import partial
 from typing import List
 
-from repro.api import ScenarioSpec, build_world, run
+from repro.api import ScenarioSpec, build_world, run, run_dnsload
 from repro.cliutil import json_document, positive_int
 from repro.codec import decode
 from repro.core.reporting import build_status_report
 from repro.experiments.scales import get_scale, scale_names
 from repro.faults import FaultSchedule
-from repro.simulation.dnsload import DnsLoadConfig, drive_dns_load
+from repro.simulation.dnsload import DnsLoadConfig
 from repro.simulation.rollout import RolloutConfig
 from repro.topology.traffic import TrafficSchedule
 
 
-def _build(scale: str):
-    spec = get_scale(scale)
-    print(f"building world (scale={scale})...", file=sys.stderr)
-    return build_world(spec.world)
-
-
 def _cmd_world_info(args) -> int:
-    world = _build(args.scale)
+    print(f"building world (scale={args.scale})...", file=sys.stderr)
+    world = build_world(get_scale(args.scale).world)
     internet = world.internet
     print(f"client /24 blocks     {len(internet.blocks)}")
     print(f"autonomous systems    {len(internet.ases)}")
@@ -115,21 +110,25 @@ def _cmd_rollout(args) -> int:
 
 
 def _cmd_dnsload(args) -> int:
-    world = _build(args.scale)
-    enabled = world.enable_ecs(world.public_ldns_ids() if args.ecs else [])
-    if args.ecs:
+    scale = get_scale(args.scale)
+    rollout = scale.rollout
+    period = DnsLoadConfig(
+        lookups_per_day=args.lookups, n_days=args.days, seed=args.seed,
+        start_day=rollout.day_index(rollout.rollout_end) if args.ecs else 0)
+    print(f"building world (scale={args.scale})...", file=sys.stderr)
+    world, (result,) = run_dnsload(
+        ScenarioSpec(world=scale.world, rollout=rollout, monitor=False),
+        [period])
+    enabled = max(result.ecs_resolvers_per_day.values())
+    if enabled:
         print(f"enabled ECS at {enabled} public resolver deployments",
               file=sys.stderr)
-    config = DnsLoadConfig(lookups_per_day=args.lookups,
-                           n_days=args.days, seed=args.seed)
-    result = drive_dns_load(world, config)
-    window = args.days * 86400.0
     log = world.query_log
     print(f"lookups               {result.lookups}")
     print(f"LDNS cache hit rate   {result.hit_rate:.1%}")
-    print(f"authoritative qps     {log.rate_in(0, window):.4f}")
+    print(f"authoritative qps     {log.rate_in(*period.window):.4f}")
     print(f"  from public LDNS    "
-          f"{log.rate_in(0, window, public_only=True):.4f}")
+          f"{log.rate_in(*period.window, public_only=True):.4f}")
     print(f"ECS queries           {log.ecs_queries}")
     return 0
 
@@ -204,9 +203,13 @@ def main(argv: List[str] | None = None) -> int:
     add_common(dnsload)
     dnsload.add_argument("--lookups", type=positive_int,
                          default=30_000, help="lookups per day")
-    dnsload.add_argument("--days", type=positive_int, default=1)
+    dnsload.add_argument("--days", type=positive_int, default=1,
+                         help="each day sends ECS from its roll-out "
+                              "tranche: a run longer than the 27 "
+                              "pre-roll-out days at tiny sees it begin")
     dnsload.add_argument("--ecs", action="store_true",
-                         help="enable ECS at public resolvers first")
+                         help="start on the roll-out's last day (every "
+                              "public resolver sends ECS), not day 0")
 
     status = sub.add_parser(
         "status", help="run sessions then print the ops status report")

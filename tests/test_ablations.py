@@ -14,7 +14,7 @@ import statistics
 from dataclasses import replace
 
 from repro.analysis.stats import weighted_quantile
-from repro.api import build_world
+from repro.api import ScenarioSpec, build_world, run_dnsload
 from repro.cdn import build_catalog, build_deployments
 from repro.core import (
     EUMappingPolicy,
@@ -35,7 +35,7 @@ from repro.dnsproto.types import QType
 from repro.measurement.netsession import NetSessionCollector
 from repro.net.geometry import great_circle_miles
 from repro.simulation import WorldConfig
-from repro.simulation.dnsload import DnsLoadConfig, drive_dns_load
+from repro.simulation.dnsload import DnsLoadConfig
 from repro.topology import InternetConfig, build_internet
 from repro.topology.resolvers import DEFAULT_PUBLIC_PROVIDERS
 
@@ -192,10 +192,10 @@ def _authoritative_query_rate(ttl: int) -> float:
     config = WorldConfig(internet=InternetConfig.tiny(),
                          n_deployments=30, n_providers=6,
                          n_nameservers=3, dns_ttl=ttl)
-    world = build_world(config)
-    world.enable_ecs([])
-    drive_dns_load(world, DnsLoadConfig(lookups_per_day=20_000, n_days=1,
-                                        start_day=0, seed=5))
+    world, _ = run_dnsload(
+        ScenarioSpec(world=config, monitor=False),
+        [DnsLoadConfig(lookups_per_day=20_000, n_days=1, start_day=0,
+                       seed=5)])
     return world.query_log.rate_in(0, 86400)
 
 

@@ -8,13 +8,13 @@ import random
 import pytest
 
 from repro.core.policies import EUMappingPolicy, NSMappingPolicy
-from repro.api import build_world, run_rollout
+from repro.api import ScenarioSpec, build_world, run_dnsload, run_rollout
 from repro.simulation import (
     RolloutConfig,
     WorldConfig,
     simulate_session,
 )
-from repro.simulation.dnsload import DnsLoadConfig, drive_dns_load
+from repro.simulation.dnsload import DnsLoadConfig
 from repro.simulation.rollout import classify_expectation_groups
 
 
@@ -254,31 +254,40 @@ class TestRollout:
 class TestDnsLoad:
     def test_inflation_mechanism(self):
         """ECS must raise authoritative query rate from public LDNSes."""
-        world = build_world(WorldConfig(
-            internet=world_internet(), n_deployments=30, n_providers=6,
-            n_nameservers=3, dns_ttl=1200))
-        world.enable_ecs([])
-        config = DnsLoadConfig(lookups_per_day=15000, n_days=1,
-                               start_day=0, seed=1)
-        drive_dns_load(world, config)
-        before = world.query_log.rate_in(0, 86400, public_only=True)
-        world.enable_ecs(world.public_ldns_ids())
-        config2 = DnsLoadConfig(lookups_per_day=15000, n_days=1,
-                                start_day=2, seed=2)
-        drive_dns_load(world, config2)
-        after = world.query_log.rate_in(2 * 86400, 3 * 86400,
+        rollout = RolloutConfig()
+        before_cfg = DnsLoadConfig(lookups_per_day=15000, n_days=1,
+                                   start_day=0, seed=1)
+        after_cfg = DnsLoadConfig(
+            lookups_per_day=15000, n_days=1, seed=2,
+            start_day=rollout.day_index(rollout.rollout_end))
+        world, _ = run_dnsload(ScenarioSpec(
+            world=WorldConfig(
+                internet=world_internet(), n_deployments=30,
+                n_providers=6, n_nameservers=3, dns_ttl=1200),
+            rollout=rollout, monitor=False), [before_cfg, after_cfg])
+        before = world.query_log.rate_in(*before_cfg.window,
+                                         public_only=True)
+        after = world.query_log.rate_in(*after_cfg.window,
                                         public_only=True)
         assert after > 1.2 * before
 
-    def test_counters_consistent(self, world):
-        world.enable_ecs([])
-        result = drive_dns_load(world, DnsLoadConfig(
-            lookups_per_day=500, n_days=2, start_day=10, seed=3))
-        assert result.lookups == 1000
-        assert result.cache_hits + result.upstream_queries >= (
-            result.lookups - result.upstream_queries)
-        assert result.client_requests > result.lookups
-        assert sorted(result.lookups_per_day_series) == [10, 11]
+    def test_counters_consistent(self):
+        """Each CDN-zone query the log sees in the period's window came
+        from one LDNS miss, and each miss asked upstream at least once;
+        nothing is logged outside the period's days."""
+        config = DnsLoadConfig(lookups_per_day=5000, n_days=2,
+                               start_day=10, seed=3)
+        world, (result,) = run_dnsload(ScenarioSpec(
+            world=WorldConfig.tiny(), monitor=False), [config])
+        log = world.query_log
+        assert result.lookups == 10_000
+        assert result.client_requests == 20 * result.lookups
+        assert result.ecs_resolvers_per_day == {10: 0, 11: 0}
+        assert log.buckets() == [10, 11]
+        logged = sum(log.pair_counts(*config.window).values())
+        assert logged == log.total_queries
+        misses = result.lookups - result.cache_hits
+        assert 0 < logged <= misses <= result.upstream_queries
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
