@@ -48,8 +48,8 @@ class MapUnit:
     """Network addresses of the client /24s this unit holds for the
     published-map read path (:func:`block_index`)."""
     cohesion_rtt_ms: Optional[float] = None
-    """Routing-aware cohesion: demand-weighted mean RTT-feature
-    distance of members to the unit's medoid (ms).  None for purely
+    """Routing-aware cohesion: demand-weighted mean RMS RTT-feature
+    gap of the unit's CIDRs to its medoid CIDR (ms).  None for purely
     geographic constructions."""
 
     def add(self, geo: GeoPoint, demand: float,
@@ -58,23 +58,31 @@ class MapUnit:
         self.demand += demand
         if network is not None:
             self.networks.append(network)
-        self._centroid = None
+        self._centroid = self._radius = None
 
     def radius_miles(self) -> float:
-        """Demand-weighted cluster radius (paper Section 3.3 metric)."""
-        if not self.members:
-            raise ValueError(f"unit {self.key} has no members")
-        if len(self.members) == 1:
-            return 0.0
-        center = self.centroid()
-        lats, lons = batch.geo_columns([geo for geo, _ in self.members])
-        weights = np.fromiter((w for _, w in self.members), dtype=float,
-                              count=len(self.members))
-        return batch.mean_distance_miles_arrays(center.lat, center.lon,
-                                                lats, lons, weights)
+        """Demand-weighted cluster radius (paper Section 3.3 metric).
+        Memoized; ``add`` invalidates."""
+        if self._radius is None:
+            if not self.members:
+                raise ValueError(f"unit {self.key} has no members")
+            if len(self.members) == 1:
+                return 0.0
+            center = self.centroid()
+            lats, lons = batch.geo_columns(
+                [geo for geo, _ in self.members])
+            weights = np.fromiter((w for _, w in self.members),
+                                  dtype=float, count=len(self.members))
+            self._radius = batch.mean_distance_miles_arrays(
+                center.lat, center.lon, lats, lons, weights)
+        return self._radius
 
+    # A builder that computes every unit's geometry in one pass may set
+    # both memos after its last ``add``.
     _centroid: Optional[GeoPoint] = field(default=None, repr=False,
                                           compare=False)
+    _radius: Optional[float] = field(default=None, repr=False,
+                                     compare=False)
 
     def centroid(self) -> GeoPoint:
         """Demand-weighted member centroid: the geo half of the unit's

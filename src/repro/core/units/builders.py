@@ -9,8 +9,8 @@ Every way of carving the client population into mapping units is a
 ``bgp_merged``            /x blocks merged by covering BGP CIDR
 ``geo_as``                per-/24 geo+AS units -- the scheme the map
                           maker compiles over when none is named
-``routing_aware``         k-medoids-style clustering of blocks over
-                          batched RTT columns (ROADMAP item 3; accepts
+``routing_aware``         k-medoids-style clustering of announced CIDRs
+                          over batched RTT columns (accepts
                           ``routing_aware:<k>`` for an explicit unit
                           count)
 ========================  ==================================================
@@ -110,22 +110,24 @@ class BgpMergedUnitBuilder:
     """Merge /x units that fall inside one routed BGP CIDR.
 
     Blocks inside the same announced CIDR "are likely proximal in the
-    network sense" and can share one mapping decision.  Blocks whose
-    covering CIDR is unknown stay as standalone units.
+    network sense" and can share one mapping decision.  Each block's
+    CIDR is the generator's record (``block_columns().cidr``); a block
+    whose CIDR is longer than /x stays in its own /x unit.
     """
 
     scheme = "bgp_merged"
 
     def build(self, internet, prefix_len: int = 24) -> List[MapUnit]:
+        announcements = list(internet.bgp.announcements())
+        rows = internet.block_columns().cidr.tolist()
+        cidr_keys = {row: f"cidr:{announcements[row].cidr}"
+                     for row in set(rows)
+                     if announcements[row].cidr.length <= prefix_len}
         units: Dict[str, MapUnit] = {}
-        for block in internet.blocks:
-            sub = block.prefix.supernet(
-                min(prefix_len, block.prefix.length))
-            cidr = internet.bgp.covering_cidr(block.prefix)
-            if cidr is not None and cidr.length <= prefix_len:
-                key = f"cidr:{cidr}"
-            else:
-                key = f"block:{sub}"
+        for block, row in zip(internet.blocks, rows):
+            key = cidr_keys.get(row)
+            if key is None:
+                key = f"block:{block.prefix.supernet(min(prefix_len, 24))}"
             unit = units.get(key)
             if unit is None:
                 unit = MapUnit(key=key, scheme=MapUnitScheme.BGP_MERGED)

@@ -11,9 +11,9 @@ schemes on one seeded world:
   coarse accuracy;
 * ``geo_as``        -- today's per-/24 geo+AS units: the accuracy
   ceiling, at one unit per client block;
-* ``routing_aware`` -- k-medoids clustering of blocks over batched RTT
-  columns, run at a unit count *matched to the ldns arm* (plus a
-  half-count sweep point for the tradeoff curve).
+* ``routing_aware`` -- k-medoids clustering of announced CIDRs over
+  batched RTT columns, run at a unit count *matched to the ldns arm*
+  (plus a half-count sweep point for the tradeoff curve).
 
 Each arm drives the same roll-out timeline through the split control
 plane and reports unit count, mapping accuracy (median mapping

@@ -105,18 +105,20 @@ class QueryLog:
 
     def rate_in(self, t_lo: float, t_hi: float,
                 public_only: bool = False) -> float:
-        """Mean queries/second across buckets fully inside [t_lo, t_hi)."""
+        """Mean queries/second over the buckets ``[t_lo, t_hi)`` spans,
+        from the one holding ``t_lo`` to the one before ``t_hi``'s: a
+        bucket that logged no query counts as a silent one."""
         if t_hi <= t_lo:
             raise ValueError("empty interval")
         source = self._buckets_public if public_only else (
             self._buckets_total)
         lo_bucket = int(t_lo // self.bucket_seconds)
         hi_bucket = int(t_hi // self.bucket_seconds)
-        counts = [count for bucket, count in source.items()
-                  if lo_bucket <= bucket < hi_bucket]
-        if not counts:
+        if hi_bucket <= lo_bucket:
             return 0.0
-        return sum(counts) / (len(counts) * self.bucket_seconds)
+        total = sum(count for bucket, count in source.items()
+                    if lo_bucket <= bucket < hi_bucket)
+        return total / ((hi_bucket - lo_bucket) * self.bucket_seconds)
 
     def merge(self, other: "QueryLog") -> "QueryLog":
         """Fold another log's accounting into this one.

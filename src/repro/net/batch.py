@@ -213,6 +213,45 @@ def weighted_centroid_arrays(lats, lons, weights) -> Tuple[float, float]:
             float(np.degrees(np.arctan2(y, x))))
 
 
+def segment_centroids_and_radii(lats, lons, weights, starts
+                                ) -> Tuple[np.ndarray, np.ndarray,
+                                           np.ndarray]:
+    """Per segment ``[starts[i], starts[i + 1])`` of the points (the
+    last runs to the end): the weighted spherical centroid's latitude
+    and longitude and the weighted mean distance to it, in one pass.
+
+    The segmented form of :func:`weighted_centroid_arrays` and
+    :func:`mean_distance_miles_arrays`, same formulas and fallback;
+    its sums run in another order, so the last bits may differ.  Every
+    segment's total weight must be positive.
+    """
+    lats = np.asarray(lats, dtype=float)
+    lons = np.asarray(lons, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    sizes = np.diff(np.append(starts, lats.size))
+    total = np.add.reduceat(w, starts)
+    if not (total > 0.0).all():
+        raise ValueError("total weight must be positive")
+    lat_r = np.radians(lats)
+    lon_r = np.radians(lons)
+    cos_lat = np.cos(lat_r)
+    share = w / np.repeat(total, sizes)
+    x = np.add.reduceat(share * (cos_lat * np.cos(lon_r)), starts)
+    y = np.add.reduceat(share * (cos_lat * np.sin(lon_r)), starts)
+    z = np.add.reduceat(share * np.sin(lat_r), starts)
+    norm = np.sqrt(x * x + y * y + z * z)
+    z_unit = np.clip(z / np.where(norm > 0.0, norm, 1.0), -1.0, 1.0)
+    c_lat = np.degrees(np.arcsin(z_unit))
+    c_lon = np.degrees(np.arctan2(y, x))
+    # Degenerate (antipodal cancellation): the segment's first point.
+    degenerate = norm < 1e-12
+    c_lat[degenerate] = lats[starts][degenerate]
+    c_lon[degenerate] = lons[starts][degenerate]
+    miles = haversine_miles(lats, lons, np.repeat(c_lat, sizes),
+                            np.repeat(c_lon, sizes))
+    return c_lat, c_lon, np.add.reduceat(w * miles, starts) / total
+
+
 def mean_distance_miles_arrays(lat: float, lon: float,
                                lats, lons, weights) -> float:
     """Weighted mean distance from one point to many (numpy reduction)."""

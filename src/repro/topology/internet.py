@@ -165,6 +165,9 @@ class BlockColumns:
     asn: np.ndarray
     demand: np.ndarray
     last_mile_ms: np.ndarray
+    cidr: np.ndarray
+    """Row in ``Internet.bgp.announcements()`` of the routed CIDR that
+    covers the block: the AS x city chunk it was made in."""
 
     def __len__(self) -> int:
         return int(self.lat.size)
@@ -182,6 +185,10 @@ class Internet:
     providers: Tuple[PublicProvider, ...]
     bgp: BGPTable
     geodb: GeoDatabase
+    block_cidrs: Sequence[int]
+    """Per block, in ``blocks`` order: the row in ``bgp.announcements()``
+    of its covering CIDR, recorded by the generator as it announced the
+    block's chunk (:attr:`BlockColumns.cidr`)."""
 
     _cum_demand: List[float] = field(default_factory=list, repr=False)
     _columns: Optional[BlockColumns] = field(default=None, repr=False)
@@ -209,7 +216,7 @@ class Internet:
         return self.blocks[min(index, len(self.blocks) - 1)]
 
     def block_columns(self) -> BlockColumns:
-        """Columnar lat/lon/asn/demand arrays over ``blocks``.
+        """Columnar lat/lon/asn/demand/CIDR arrays over ``blocks``.
 
         Extracted once and cached; blocks are immutable so the view
         never goes stale.  Row ``i`` is ``self.blocks[i]``.
@@ -224,7 +231,8 @@ class Internet:
                 lon=column(b.geo.lon for b in blocks),
                 asn=column((b.asn for b in blocks), np.int64),
                 demand=column(b.demand for b in blocks),
-                last_mile_ms=column(b.last_mile_ms for b in blocks))
+                last_mile_ms=column(b.last_mile_ms for b in blocks),
+                cidr=column(self.block_cidrs, np.int64))
         return self._columns
 
     # -- aggregate views -------------------------------------------------
@@ -260,8 +268,8 @@ def build_internet(config: Optional[InternetConfig] = None,
     resolvers = _deploy_resolvers(
         config.providers, ases.values(),
         AddressAllocator(RESOLVER_SPACE_START), geodb, bgp, rng)
-    blocks = _generate_blocks(config, ases, resolvers, AddressAllocator(),
-                              geodb, bgp, rng)
+    blocks, block_cidrs = _generate_blocks(
+        config, ases, resolvers, AddressAllocator(), geodb, bgp, rng)
 
     return Internet(
         config=config,
@@ -272,6 +280,7 @@ def build_internet(config: Optional[InternetConfig] = None,
         providers=config.providers,
         bgp=bgp,
         geodb=geodb,
+        block_cidrs=block_cidrs,
     )
 
 
@@ -588,8 +597,9 @@ def _generate_blocks(
     geodb: GeoDatabase,
     bgp: BGPTable,
     rng: random.Random,
-) -> List[ClientBlock]:
-    """Client /24 blocks, AS by AS in ASN order, with their LDNSes.
+) -> Tuple[List[ClientBlock], List[int]]:
+    """Client /24 blocks, AS by AS in ASN order, with their LDNSes, and
+    each block's row in ``bgp.announcements()``.
 
     The draw order is a contract (DESIGN.md section 10): per AS, one
     city draw per block and the demand split, then per city (by name)
@@ -632,6 +642,7 @@ def _generate_blocks(
     # public-resolver adoption target.
     places: Dict[str, Tuple[float, float, float, float, float]] = {}
     blocks: List[ClientBlock] = []
+    block_cidrs: List[int] = []
     # Per country: [total demand seen, demand assigned to public LDNS].
     country_acc: Dict[str, List[float]] = {}
     for as_obj in as_list:
@@ -670,6 +681,7 @@ def _generate_blocks(
             # mapping units geographically coherent (Figure 22: 87.3%
             # of /20 clusters have radius <= 100 miles).
             chunk = alloc.allocate_chunk(max(count, 16))
+            block_cidrs += [len(bgp)] * count
             bgp.announce(chunk, asn)
             for network in range(chunk.network,
                                  chunk.network + (count << 8), 256):
@@ -728,7 +740,7 @@ def _generate_blocks(
                     demand, last_mile, access, ldns))
                 geodb.register(prefix, GeoRecord(
                     geo, city_name, country, continent, asn))
-    return blocks
+    return blocks, block_cidrs
 
 
 def _cumulative(weights: Iterable[float]) -> Tuple[List[float], float]:

@@ -94,6 +94,7 @@ def _oracle_blocks(config, ases, resolvers, alloc, geodb, bgp, rng):
         for as_obj in as_list}
 
     blocks: List[ClientBlock] = []
+    block_cidrs: List[int] = []
     country_acc: Dict[str, List[float]] = {}
     for as_obj in as_list:
         n_blocks = budgets[as_obj.asn]
@@ -115,6 +116,7 @@ def _oracle_blocks(config, ases, resolvers, alloc, geodb, bgp, rng):
             for i, block_prefix in enumerate(chunk.subnets(24)):
                 if i >= count:
                     break
+                block_cidrs.append(len(bgp) - 1)
                 share = next(split_iter) / split_total
                 geo = displace(city.geo,
                                rng.uniform(0, config.block_jitter_miles),
@@ -133,7 +135,7 @@ def _oracle_blocks(config, ases, resolvers, alloc, geodb, bgp, rng):
                 geodb.register(block_prefix, GeoRecord(
                     geo=geo, city=city.name, country=city.country,
                     continent=city.continent, asn=as_obj.asn))
-    return blocks
+    return blocks, block_cidrs
 
 
 def _oracle_assign_ldns(as_obj, block_geo, own_resolvers, block_demand,
@@ -281,6 +283,7 @@ PINNED = {
 def test_same_internet_at_standard_scales(scale, seed):
     reference, _, compiled, _ = counted_builds(SCALES[scale](), seed)
     assert fingerprint(compiled) == fingerprint(reference)
+    assert compiled.block_cidrs == reference.block_cidrs
     if (scale, seed) in PINNED:
         assert fingerprint(reference) == PINNED[scale, seed]
 
@@ -380,6 +383,9 @@ def _main(argv: List[str]) -> int:
           f"compiled {got} ({after} distances)")
     if want != got:
         print("fingerprints differ")
+        return 1
+    if compiled.block_cidrs != reference.block_cidrs:
+        print("block CIDR rows differ")
         return 1
     return 0
 

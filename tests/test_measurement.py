@@ -204,6 +204,21 @@ class TestQueryLog:
         pairs = log.pair_counts(0, 10)
         assert pairs == {PairKey("a.cdn.example", 50): 2}
 
+    def test_rate_in_counts_silent_buckets(self):
+        # One busy bucket, then silence: the rate falls as the window
+        # spans more buckets.
+        log = self.make_log()
+        query = make_query("a.cdn.example")
+        for _ in range(3):
+            log.record_query(4.0, 100, 50, query)
+        assert log.rate_in(0, 10) == pytest.approx(0.3)
+        assert log.rate_in(0, 20) == pytest.approx(0.15)
+        assert log.rate_in(0, 100) == pytest.approx(0.03)
+        assert log.rate_in(0, 100, public_only=True) == pytest.approx(0.03)
+        assert log.rate_in(10, 30) == 0.0
+        # A window inside one bucket spans no whole bucket.
+        assert log.rate_in(0, 5) == 0.0
+
     def test_rate_in_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             self.make_log().rate_in(5, 5)

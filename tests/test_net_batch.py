@@ -239,6 +239,38 @@ class TestClusterGeometryKernels:
             mean_distance_miles(origin, zip(points, weights)),
             rel=REL_TOL)
 
+    def test_segments_match_the_one_unit_kernels(self):
+        """Each segment's centroid and radius against the per-unit
+        kernels, with an antipodal pair that falls back to its first
+        point."""
+        rng = random.Random(53)
+        sizes = [2, 7, 1, 12, 2]
+        lats, lons, weights, starts = [], [], [], []
+        for size in sizes:
+            starts.append(len(lats))
+            points = _random_points(rng, size)
+            lats += [p.lat for p in points]
+            lons += [p.lon for p in points]
+            weights += [rng.uniform(0.1, 5.0) for _ in points]
+        lats[-2:], lons[-2:], weights[-2:] = [10.0, -10.0], [20.0, -160.0], [
+            1.0, 1.0]
+        c_lat, c_lon, radius = batch.segment_centroids_and_radii(
+            lats, lons, weights, np.asarray(starts))
+        for index, lo in enumerate(starts):
+            hi = lo + sizes[index]
+            want_lat, want_lon = batch.weighted_centroid_arrays(
+                lats[lo:hi], lons[lo:hi], weights[lo:hi])
+            assert c_lat[index] == pytest.approx(want_lat, abs=1e-9)
+            assert c_lon[index] == pytest.approx(want_lon, abs=1e-9)
+            assert radius[index] == pytest.approx(
+                batch.mean_distance_miles_arrays(
+                    want_lat, want_lon, lats[lo:hi], lons[lo:hi],
+                    weights[lo:hi]), rel=REL_TOL)
+        assert (c_lat[-1], c_lon[-1]) == (10.0, 20.0)
+        with pytest.raises(ValueError, match="positive"):
+            batch.segment_centroids_and_radii(
+                [1.0, 2.0], [1.0, 2.0], [1.0, 0.0], np.asarray([0, 1]))
+
     def test_centroid_rejects_bad_input(self):
         with pytest.raises(ValueError):
             batch.weighted_centroid_arrays([], [], [])

@@ -1,18 +1,26 @@
-"""Differential test: the compiled routing-aware build against the
-straightforward k-medoids loop it replaced.
+"""The routing-aware build: partition invariants over generated and
+synthetic Internets, and the Lloyd kernels against full recomputes.
 
-The oracle below is the original implementation, kept verbatim in
-substance: one ``np.nonzero`` scan per medoid slot, per-chunk
-temporaries with a strided ``argmin``, and one numpy call per member.
-The compiled builder must give the same medoid rows and assignment
-after every Lloyd round and the same ``MapUnit`` list, float for
-float.  Synthetic Internets drive the edge paths: clusters with no
-demand, twin medoids that lose every tie (within one distance chunk
-and across two), one block, and none.
+A unit is a union of routed CIDRs, so the partition is checked by what
+it must be, not against a previous build: every /24 of a CIDR sits in
+that CIDR's unit, every CIDR in exactly one unit, demand is conserved,
+a unit is keyed by one of its own CIDRs, and the partition is the same
+across processes, BLAS thread counts and block orders.  The kernels do
+not depend on what a row is: the incremental Lloyd rounds must equal
+the straightforward full recompute kept below (one ``np.nonzero`` scan
+per medoid slot, per-chunk temporaries with a strided ``argmin``)
+round by round.  Synthetic Internets drive the edge paths: clusters
+with no demand, twin CIDRs that lose every tie (within one distance
+chunk and across two), one block, and none.
 """
 
 import dataclasses
-from typing import Dict, List, Tuple
+import hashlib
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,14 +28,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.units import MapUnit, MapUnitScheme, routing
+from repro.core.units import build_units, routing
 from repro.core.units.routing import (
     RoutingAwareUnitBuilder,
+    _Cidrs,
     _lloyd_rounds,
     _NearestMedoids,
 )
 from repro.net.ipv4 import Prefix
 from repro.topology import InternetConfig, build_internet
+from repro.topology.addressing import AddressAllocator, BGPTable
 from tests.test_units import _SlicedInternet
 
 
@@ -50,15 +60,6 @@ def _oracle_nearest_medoids(features, medoid_rows, chunk=256):
     return best_index
 
 
-def _oracle_initial_medoids(blocks, n_units):
-    order = sorted(range(len(blocks)),
-                   key=lambda i: (-blocks[i].demand,
-                                  str(blocks[i].prefix)))
-    stride = len(order) / n_units
-    rows = sorted({order[int(k * stride)] for k in range(n_units)})
-    return np.asarray(rows, dtype=np.int64)
-
-
 def _oracle_update_medoids(features, demand, assignment, medoid_rows):
     updated = medoid_rows.copy()
     for slot in range(medoid_rows.size):
@@ -78,38 +79,6 @@ def _oracle_update_medoids(features, demand, assignment, medoid_rows):
     return np.sort(updated)
 
 
-def _oracle_materialize(blocks, features, medoid_rows, assignment):
-    units: List[MapUnit] = []
-    for slot in range(medoid_rows.size):
-        members = np.nonzero(assignment == slot)[0]
-        if members.size == 0:
-            continue
-        medoid = blocks[int(medoid_rows[slot])]
-        unit = MapUnit(key=str(medoid.prefix),
-                       scheme=MapUnitScheme.ROUTING_AWARE)
-        demand_by_asn: Dict[int, float] = {}
-        gaps: List[Tuple[float, float]] = []
-        medoid_feature = features[int(medoid_rows[slot])]
-        for row in members:
-            block = blocks[int(row)]
-            unit.add(block.geo, block.demand, network=block.prefix.network)
-            demand_by_asn[block.asn] = demand_by_asn.get(
-                block.asn, 0.0) + block.demand
-            gap = float(np.sqrt(np.mean(
-                (features[int(row)] - medoid_feature) ** 2)) / 1000.0)
-            gaps.append((gap, block.demand))
-        total = sum(weight for _, weight in gaps)
-        if total > 0:
-            unit.cohesion_rtt_ms = sum(
-                gap * weight for gap, weight in gaps) / total
-        else:
-            unit.cohesion_rtt_ms = 0.0
-        unit.asn = min(demand_by_asn,
-                       key=lambda asn: (-demand_by_asn[asn], asn))
-        units.append(unit)
-    return units
-
-
 def _oracle_rounds(features, demand, medoid_rows):
     """(medoid rows, assignment) per round, every round recomputed in
     full."""
@@ -126,35 +95,116 @@ def _oracle_rounds(features, demand, medoid_rows):
     return rounds
 
 
-def _oracle(internet, n_units):
-    """(medoid rows, assignment) per round, and the units."""
-    blocks = internet.blocks
-    features = RoutingAwareUnitBuilder()._features(internet)
-    rounds = _oracle_rounds(features, internet.block_columns().demand,
-                            _oracle_initial_medoids(blocks, n_units))
-    medoid_rows, assignment = rounds[-1]
-    return rounds, _oracle_materialize(blocks, features, medoid_rows,
-                                       assignment)
+def assert_rounds_match_the_oracle(internet, n_units=None):
+    """The build's Lloyd rounds over the Internet's CIDR rows,
+    incremental, equal the full recompute round by round; returns the
+    round count."""
+    builder = RoutingAwareUnitBuilder()
+    k = builder.default_units(internet) if n_units is None else n_units
+    cidrs = _Cidrs(internet)
+    features = builder._features(internet, cidrs.representative)
+    seeds = builder._initial_medoids(cidrs.demand,
+                                     max(1, min(k, len(cidrs))))
+    rounds = list(_lloyd_rounds(features, cidrs.demand, seeds))
+    expected = _oracle_rounds(features, cidrs.demand, seeds)
+    assert len(rounds) == len(expected)
+    for index, ((medoids, assignment), (want_medoids, want_assignment)) \
+            in enumerate(zip(rounds, expected)):
+        assert np.array_equal(medoids, want_medoids), index
+        assert np.array_equal(assignment, want_assignment), index
+    return len(rounds)
+
+
+# -- the invariants ------------------------------------------------------
+
+def _cidr_members(internet):
+    """Covering CIDR text -> the set of its blocks' networks, found by
+    a lookup in the BGP table, not through the builder's column."""
+    members = {}
+    for block in internet.blocks:
+        cidr = str(internet.bgp.covering_cidr(block.prefix))
+        members.setdefault(cidr, set()).add(block.prefix.network)
+    return members
+
+
+def assert_partition_invariants(internet, units, n_units=None):
+    """Each unit a union of whole CIDRs keyed by one of them, each CIDR
+    in exactly one unit, at most ``n_units`` units, demand conserved."""
+    blocks = {block.prefix.network: block for block in internet.blocks}
+    cidrs = _cidr_members(internet)
+    cidr_of = {network: cidr for cidr, nets in cidrs.items()
+               for network in nets}
+    if n_units is not None:
+        assert len(units) <= n_units
+    seen = set()
+    for unit in units:
+        assert len(unit.networks) == len(unit.members) > 0, unit.key
+        networks = set(unit.networks)
+        assert len(networks) == len(unit.networks), unit.key
+        assert not networks & seen, unit.key
+        seen |= networks
+        held = {cidr_of[network] for network in networks}
+        # Every /24 of each CIDR the unit touches is in the unit.
+        assert networks == set().union(*(cidrs[c] for c in held))
+        assert unit.key in held
+        members = [blocks[network] for network in unit.networks]
+        assert unit.members == [(b.geo, b.demand) for b in members]
+        assert unit.demand == pytest.approx(
+            sum(b.demand for b in members), rel=1e-12, abs=0.0)
+        by_asn = {}
+        for block in members:
+            by_asn[block.asn] = by_asn.get(block.asn, 0.0) + block.demand
+        top = max(by_asn.values())
+        assert by_asn[unit.asn] == pytest.approx(top, rel=1e-12, abs=0.0)
+        assert unit.cohesion_rtt_ms >= 0.0
+    assert seen == set(blocks)
+    assert sum(unit.demand for unit in units) == pytest.approx(
+        sum(block.demand for block in internet.blocks))
+
+
+def partition_digest(units):
+    """SHA-256 over each unit's key, networks, demand, AS and cohesion,
+    floats by ``.hex()``."""
+    lines = [f"{u.key} {u.asn} {u.demand.hex()} "
+             f"{u.cohesion_rtt_ms.hex()} "
+             + ",".join(map(str, u.networks)) for u in units]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 # -- worlds --------------------------------------------------------------
 
-def _block_internet(blocks, like):
+def _block_internet(blocks, like, bgp=None):
     """A duck-typed Internet over an explicit block list."""
     internet = _SlicedInternet(like, 0)
     internet.blocks = list(blocks)
+    if bgp is not None:
+        internet.bgp = bgp
     return internet
 
 
 def _twins(internet, n_base):
-    """``n_base`` blocks followed by a copy of each under a fresh
-    prefix: every feature row has an exact twin ``n_base`` rows on."""
-    base = internet.blocks[:n_base]
-    top = max(block.prefix.network for block in internet.blocks)
-    copies = [dataclasses.replace(block,
-                                  prefix=Prefix(top + 256 * (i + 1), 24))
-              for i, block in enumerate(base)]
-    return _block_internet(base + copies, internet)
+    """The blocks of the first ``n_base`` CIDRs, then each of those
+    CIDRs again at a fresh aligned prefix with copies of its blocks:
+    every CIDR's feature row has an exact twin ``n_base`` rows on."""
+    announcements = list(internet.bgp.announcements())
+    rows = internet.block_columns().cidr.tolist()
+    base_rows = sorted(set(rows))[:n_base]
+    bgp = BGPTable()
+    for ann in announcements:
+        bgp.announce(ann.cidr, ann.asn)
+    alloc = AddressAllocator((100 << 24) >> 8)
+    base, copies = [], []
+    for row in base_rows:
+        cidr = announcements[row].cidr
+        twin = alloc.allocate_chunk(1 << (24 - cidr.length))
+        bgp.announce(twin, announcements[row].asn)
+        for block, block_row in zip(internet.blocks, rows):
+            if block_row == row:
+                base.append(block)
+                copies.append(dataclasses.replace(block, prefix=Prefix(
+                    twin.network + block.prefix.network - cidr.network,
+                    24)))
+    return _block_internet(base + copies, internet, bgp)
 
 
 @pytest.fixture(scope="module")
@@ -169,34 +219,12 @@ def internets():
     return get
 
 
-def _assert_same_build(internet, n_units=None):
-    """Round-by-round and unit-by-unit equality; returns the units."""
-    builder = RoutingAwareUnitBuilder()
-    k = builder.default_units(internet) if n_units is None else n_units
-    k = max(1, min(k, len(internet.blocks)))
-    expected_rounds, expected = _oracle(internet, k)
-
-    demand = internet.block_columns().demand
-    seeds = builder._initial_medoids(internet.blocks, demand, k)
-    rounds = list(_lloyd_rounds(builder._features(internet), demand,
-                                seeds))
-    assert len(rounds) == len(expected_rounds)
-    for index, ((medoids, assignment), (want_medoids, want_assignment)) \
-            in enumerate(zip(rounds, expected_rounds)):
-        assert np.array_equal(medoids, want_medoids), index
-        assert np.array_equal(assignment, want_assignment), index
-
-    units = builder.build(internet, n_units=n_units)
-    assert len(units) == len(expected)
-    for unit, want in zip(units, expected):
-        assert unit.key == want.key
-        assert unit.scheme == want.scheme
-        assert unit.networks == want.networks
-        assert unit.members == want.members
-        assert unit.demand == want.demand
-        assert unit.asn == want.asn
-        assert unit.cohesion_rtt_ms == want.cohesion_rtt_ms
-        assert unit == want
+def _assert_sound_build(internet, n_units=None):
+    """The rounds against the oracle and the partition invariants;
+    returns the units."""
+    assert_rounds_match_the_oracle(internet, n_units)
+    units = RoutingAwareUnitBuilder().build(internet, n_units=n_units)
+    assert_partition_invariants(internet, units, n_units)
     return units
 
 
@@ -207,7 +235,7 @@ def _assert_same_build(internet, n_units=None):
 @pytest.mark.parametrize("n_units", [1, 4, 16, 32, None])
 def test_generated_worlds_match_the_oracle(internets, scale, seed,
                                            n_units):
-    _assert_same_build(internets(scale, seed), n_units)
+    _assert_sound_build(internets(scale, seed), n_units)
 
 
 def test_zero_demand_clusters_weigh_members_alike(internets):
@@ -215,7 +243,7 @@ def test_zero_demand_clusters_weigh_members_alike(internets):
     blocks = [dataclasses.replace(block, demand=0.0)
               if block.continent in ("EU", "AF") else block
               for block in net.blocks]
-    units = _assert_same_build(_block_internet(blocks, net), 32)
+    units = _assert_sound_build(_block_internet(blocks, net), 32)
     assert any(unit.demand == 0.0 for unit in units)
     assert any(unit.demand > 0.0 for unit in units)
 
@@ -224,36 +252,42 @@ def test_all_zero_demand(internets):
     net = internets("tiny", 7)
     blocks = [dataclasses.replace(block, demand=0.0)
               for block in net.blocks[:200]]
-    units = _assert_same_build(_block_internet(blocks, net), 16)
+    units = _assert_sound_build(_block_internet(blocks, net), 16)
     assert all(unit.cohesion_rtt_ms == 0.0 for unit in units)
 
 
-def test_twin_medoid_loses_every_tie(internets):
-    net = _twins(internets("tiny", 2014), 20)
-    units = _assert_same_build(net, len(net.blocks))
+def _assert_twins_pair_up(net, n_base):
+    units = _assert_sound_build(net, 2 * n_base)
     # Each twin pair seeds two medoids at one feature row; the later
-    # one wins no block and its empty slot makes no unit.
-    assert len(units) == 20
-    assert all(len(unit.members) == 2 for unit in units)
+    # one wins no CIDR and its empty slot makes no unit.
+    assert len(units) == n_base
+    cidrs = _cidr_members(net)
+    for unit in units:
+        held = [c for c, nets in cidrs.items() if nets & set(unit.networks)]
+        assert len(held) == 2 and unit.key == min(
+            held, key=lambda text: Prefix.parse(text).network)
+
+
+def test_twin_medoid_loses_every_tie(internets):
+    _assert_twins_pair_up(_twins(internets("tiny", 2014), 20), 20)
 
 
 def test_twins_across_distance_chunks(internets):
     # 300 medoids span two of the oracle's 256-medoid chunks; the twins
     # of rows 106-149 sit in the second, so the earlier chunk must keep
     # the tie -- under any BLAS thread count.
-    net = _twins(internets("tiny", 7), 150)
-    units = _assert_same_build(net, len(net.blocks))
-    assert len(units) == 150
+    _assert_twins_pair_up(_twins(internets("tiny", 7), 150), 150)
 
 
 def test_twins_under_fewer_medoids(internets):
-    _assert_same_build(_twins(internets("tiny", 7), 60), 24)
+    _assert_sound_build(_twins(internets("tiny", 7), 60), 24)
 
 
 def test_one_block(internets):
     net = internets("tiny", 2014)
-    units = _assert_same_build(_block_internet(net.blocks[:1], net), 4)
+    units = _assert_sound_build(_block_internet(net.blocks[:1], net), 4)
     assert len(units) == 1
+    assert units[0].key == str(net.bgp.covering_cidr(net.blocks[0].prefix))
 
 
 def test_no_blocks(internets):
@@ -261,6 +295,76 @@ def test_no_blocks(internets):
     empty = _block_internet([], net)
     assert RoutingAwareUnitBuilder().build(empty) == []
     assert RoutingAwareUnitBuilder().build(empty, n_units=3) == []
+
+
+def test_a_permuted_block_order_builds_the_same_units(internets):
+    net = internets("tiny", 2014)
+    shuffled = list(net.blocks)
+    random.Random(3).shuffle(shuffled)
+    for n_units in (16, None):
+        want = RoutingAwareUnitBuilder().build(net, n_units=n_units)
+        got = RoutingAwareUnitBuilder().build(
+            _block_internet(shuffled, net), n_units=n_units)
+        assert got == want
+        assert [u.cohesion_rtt_ms for u in got] == (
+            [u.cohesion_rtt_ms for u in want])
+
+
+def test_one_unit_per_cidr_when_k_exceeds_the_cidrs(internets):
+    net = internets("tiny", 2014)
+    units = build_units("routing_aware:100000", net)
+    assert len(units) == len(set(net.block_cidrs)) == 257
+    assert_partition_invariants(net, units)
+    assert all(unit.cohesion_rtt_ms == 0.0 for unit in units)
+    # bgp_merged's /24 end is the same partition under "cidr:" keys.
+    merged = build_units("bgp_merged", net, prefix_len=24)
+    assert sorted((f"cidr:{u.key}", u.networks) for u in units) == sorted(
+        (u.key, u.networks) for u in merged)
+
+
+def test_one_pass_geometry_matches_each_units_own(internets):
+    """The build's one-pass centroids and radii against each unit's
+    lazy computation; one-member units keep their member's geo."""
+    for spec in ("routing_aware", "routing_aware:100000"):
+        for unit in build_units(spec, internets("small", 2014)):
+            centroid, radius = unit.centroid(), unit.radius_miles()
+            unit._centroid = unit._radius = None
+            assert centroid.lat == pytest.approx(unit.centroid().lat,
+                                                 abs=1e-9)
+            assert centroid.lon == pytest.approx(unit.centroid().lon,
+                                                 abs=1e-9)
+            assert radius == pytest.approx(unit.radius_miles(), rel=1e-9)
+            if len(unit.members) == 1:
+                assert centroid == unit.members[0][0] and radius == 0.0
+
+
+_DIGEST_SCRIPT = """
+import sys
+from repro.core.units import build_units
+from repro.topology import InternetConfig, build_internet
+from tests.test_routing_oracle import partition_digest
+net = build_internet(InternetConfig.tiny(), seed=2014)
+print(partition_digest(build_units("routing_aware", net)))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", None])
+def test_the_same_partition_in_another_process(internets, threads):
+    """A fresh process, pinned to one BLAS thread or not, builds the
+    partition this one does."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        (str(root / "src"), str(root))))
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS"):
+        env.pop(name, None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    want = partition_digest(build_units("routing_aware",
+                                        internets("tiny", 2014)))
+    assert out.stdout.strip() == want
 
 
 # -- the incremental assignment against a full recompute -----------------

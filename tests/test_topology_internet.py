@@ -8,6 +8,7 @@ public resolvers, meaningful BGP aggregation, deterministic output).
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.api import ScenarioSpec
@@ -103,6 +104,15 @@ class TestBuilderStructure:
             assert net.bgp.origin_asn(block.prefix.network) == block.asn
             cidr = net.bgp.covering_cidr(block.prefix)
             assert cidr is not None and cidr.covers(block.prefix)
+
+    def test_cidr_column_names_the_covering_announcement(self, net):
+        announcements = list(net.bgp.announcements())
+        rows = net.block_columns().cidr
+        assert rows.dtype == np.int64 and rows.size == len(net.blocks)
+        for block, row in zip(net.blocks, rows.tolist()):
+            assert announcements[row].cidr == net.bgp.covering_cidr(
+                block.prefix)
+            assert announcements[row].asn == block.asn
 
     def test_bgp_aggregates(self, net):
         # There must be meaningfully fewer routed CIDRs than /24 blocks

@@ -6,9 +6,10 @@ index against the builders' string-keyed index it replaced, and a
 non-default unit set through the map maker's compile and the
 degradation ladder.
 
-``python -m tests.test_units paper`` runs the index differential and
-the routing_aware build's round-by-round oracle at paper scale, which
-the tier-1 scales never reach.
+``python -m tests.test_units paper`` runs the index differential, the
+routing_aware build's round-by-round oracle over the paper world's
+CIDR rows and its partition invariants at paper scale, which the
+tier-1 scales never reach.
 """
 
 import sys
@@ -52,7 +53,11 @@ def net():
 
 
 class _SlicedInternet:
-    """A duck-typed Internet over a block subset, for edge cases."""
+    """A duck-typed Internet over a block subset, for edge cases.
+
+    Its columns are read off ``blocks`` at each call, each block's CIDR
+    row by a lookup in ``bgp``, so a test may swap either.
+    """
 
     def __init__(self, internet, n_blocks):
         self.blocks = internet.blocks[:n_blocks]
@@ -62,6 +67,8 @@ class _SlicedInternet:
 
     def block_columns(self):
         n = len(self.blocks)
+        rows = {ann.cidr: row
+                for row, ann in enumerate(self.bgp.announcements())}
         return BlockColumns(
             lat=np.fromiter((b.geo.lat for b in self.blocks),
                             dtype=float, count=n),
@@ -74,6 +81,9 @@ class _SlicedInternet:
             last_mile_ms=np.fromiter(
                 (b.last_mile_ms for b in self.blocks),
                 dtype=float, count=n),
+            cidr=np.fromiter(
+                (rows[self.bgp.covering_cidr(b.prefix)]
+                 for b in self.blocks), dtype=np.int64, count=n),
         )
 
 
@@ -191,7 +201,11 @@ class TestRoutingAware:
     def test_count_clamped_to_block_count(self, net):
         small = _SlicedInternet(net, 3)
         units = build_units("routing_aware:50", small)
-        assert 1 <= len(units) <= 3
+        # Three blocks in one CIDR make one unit.
+        assert len({net.bgp.covering_cidr(b.prefix)
+                    for b in small.blocks}) == 1
+        assert len(units) == 1
+        assert get_builder("routing_aware").default_units(small) == 1
 
     def test_cohesion_recorded(self, net):
         units = build_units("routing_aware:16", net)
@@ -210,7 +224,8 @@ class TestRoutingAware:
         single = _SlicedInternet(net, 1)
         units = build_units("routing_aware:8", single)
         assert len(units) == 1
-        assert units[0].key == str(net.blocks[0].prefix)
+        assert units[0].key == str(net.bgp.covering_cidr(
+            net.blocks[0].prefix))
         assert units[0].cohesion_rtt_ms == pytest.approx(0.0)
 
     def test_landmarks_clamped_to_population(self, net):
@@ -403,31 +418,6 @@ class TestRuCompilePath:
         assert gauges["units.cohesion_miles_mean"] == 0.0
 
 
-def assert_rounds_match_the_oracle(internet):
-    """The default routing_aware build's Lloyd rounds, incremental,
-    equal the oracle's full recompute round by round; returns the
-    round count."""
-    # Imported here: the oracle's module imports this one.
-    from tests.test_routing_oracle import (
-        _oracle_initial_medoids,
-        _oracle_rounds,
-    )
-    from repro.core.units.routing import _lloyd_rounds
-    builder = get_builder("routing_aware")
-    k = builder.default_units(internet)
-    features = builder._features(internet)
-    demand = internet.block_columns().demand
-    seeds = _oracle_initial_medoids(internet.blocks, k)
-    rounds = list(_lloyd_rounds(features, demand, seeds))
-    expected = _oracle_rounds(features, demand, seeds)
-    assert len(rounds) == len(expected)
-    for (medoids, assignment), (want_medoids, want_assignment) in zip(
-            rounds, expected):
-        assert np.array_equal(medoids, want_medoids)
-        assert np.array_equal(assignment, want_assignment)
-    return len(rounds)
-
-
 def _main(argv):
     scale = argv[0] if argv else "paper"
     internet = build_internet(getattr(InternetConfig, scale)())
@@ -435,9 +425,18 @@ def _main(argv):
         size = assert_index_matches_reference(spec, internet)
         print(f"{scale} {spec}: {size} of {len(internet.blocks)} "
               f"blocks indexed, equal to the reference")
+    # Imported here: the oracle's module imports this one.
+    from tests.test_routing_oracle import (
+        assert_partition_invariants,
+        assert_rounds_match_the_oracle,
+    )
     rounds = assert_rounds_match_the_oracle(internet)
-    print(f"{scale} routing_aware: {rounds} rounds equal to the full "
-          f"recompute")
+    n_cidrs = len(set(internet.block_cidrs))
+    print(f"{scale} routing_aware: {rounds} rounds over {n_cidrs} CIDR "
+          f"rows equal to the full recompute")
+    assert_partition_invariants(internet,
+                                build_units("routing_aware", internet))
+    print(f"{scale} routing_aware: every CIDR in exactly one unit")
     return 0
 
 
